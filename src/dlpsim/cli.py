@@ -87,6 +87,8 @@ def _initial_pair(cfg: dict, sys):
     if initial.shape != (n + nb,):
         raise ValidationError(
             f"initial must have length {n + nb}, got {initial.shape}")
+    if not np.all(np.isfinite(initial)):
+        raise ValidationError("initial must be finite", sample=initial)
     return initial[:n], initial[n:]
 
 
@@ -115,6 +117,11 @@ def _write_trajectory_csv(path: Path, sys, path_obj: DiscretePath):
 def _report_payload(cfg: dict, checks: dict) -> tuple[dict, bool]:
     ok = all(entry["pass"] for entry in checks.values())
     return {"config": cfg, "checks": checks, "all_pass": ok}, ok
+
+
+def _tol(override: float | None, default: float) -> float:
+    """The report tolerance: the ``--tol`` override when given."""
+    return default if override is None else override
 
 
 def _check_entry(value: float, tol: float) -> dict:
@@ -189,12 +196,12 @@ def cmd_reduce(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
                        float(np.max(np.abs(m2 - r2c))))
 
     checks = {
-        "lagrangian_match_max": _check_entry(lag_max, tol_override or 1e-10),
-        "upsilon_section_roundtrip_max": _check_entry(roundtrip_max,
-                                                      tol_override or 1e-10),
-        "orbit_invariance_max": _check_entry(orbit_max, tol_override or 1e-10),
-        "chaining_closed_form_max": _check_entry(ivcm_max, tol_override or 1e-9),
-        "closed_form_step_max": _check_entry(step_max, tol_override or 1e-10),
+        "lagrangian_match_max": _check_entry(lag_max, _tol(tol_override, 1e-10)),
+        "upsilon_section_roundtrip_max": _check_entry(
+            roundtrip_max, _tol(tol_override, 1e-10)),
+        "orbit_invariance_max": _check_entry(orbit_max, _tol(tol_override, 1e-10)),
+        "chaining_closed_form_max": _check_entry(ivcm_max, _tol(tol_override, 1e-9)),
+        "closed_form_step_max": _check_entry(step_max, _tol(tol_override, 1e-10)),
     }
     payload, ok = _report_payload(cfg, checks)
     _write_json(out_dir / "reduce.json", payload)
@@ -222,8 +229,8 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, tol_override: float | None) -> int
                          reduced[k][0], reduced[k][1])
         res_max = max(res_max, float(np.max(np.abs(r))))
     checks = {
-        "roundtrip_max": _check_entry(roundtrip, tol_override or 1e-8),
-        "projected_residual_max": _check_entry(res_max, tol_override or 1e-8),
+        "roundtrip_max": _check_entry(roundtrip, _tol(tol_override, 1e-8)),
+        "projected_residual_max": _check_entry(res_max, _tol(tol_override, 1e-8)),
     }
     payload, ok = _report_payload(cfg, checks)
     _write_json(out_dir / "reconstruct.json", payload)
@@ -244,9 +251,9 @@ def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
                            conjugate_in_full=setup.conjugate_in_g, rng=rng)
     checks = {
         "stage_comparison_max": _check_entry(report["stage_comparison_max"],
-                                             tol_override or 1e-8),
+                                             _tol(tol_override, 1e-8)),
         "conjugation_equivariance_max": _check_entry(
-            report["conjugation_equivariance_max"], tol_override or 1e-10),
+            report["conjugation_equivariance_max"], _tol(tol_override, 1e-10)),
     }
     payload, ok = _report_payload(cfg, checks)
     _write_json(out_dir / "stages.json", payload)
@@ -260,7 +267,7 @@ def cmd_check(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
     full = example_se2.make_full_system(body)
     red = example_se2.make_reduced_system(body, rng=rng)
     n_samples = int(cfg.get("n_check", 50))
-    tol = tol_override or 1e-9
+    tol = _tol(tol_override, 1e-9)
 
     perturb = float(cfg.get("perturb", 0.0))
     upsilon = red.model.upsilon
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--tol", type=float, default=None,
-                       help="override report tolerances")
+                       help="override report tolerances (positive, finite)")
     return parser
 
 
@@ -330,6 +337,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr)
     args = build_parser().parse_args(argv)
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        logger.error("--tol must be positive and finite, got %r", args.tol)
+        return EXIT_VALIDATION
     try:
         cfg = json.loads(Path(args.config).read_text())
     except OSError as exc:

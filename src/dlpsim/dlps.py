@@ -19,12 +19,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import (DomainError, MatchingError, NonConvergence,
+                     RegularityError, SimulationError, SingularJacobian)
 from .smooth import (DEFAULT_FD_STEP, FD_STEP_GRADIENT, NewtonConfig,
                      SmoothMapHandle, as_vector, identity_map, newton_solve)
 
 #: A point of E x M: (fiber-space coordinates, base coordinates).
 Pair = tuple[np.ndarray, np.ndarray]
+
+#: Failures of a step's implicit solve. Anything else (a TypeError, a bad
+#: shape) is a defect in the caller's maps, not a solver failure.
+_STEP_FAILURES = (NonConvergence, SingularJacobian, DomainError,
+                 MatchingError, RegularityError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +135,23 @@ def path_from_points(points: Sequence[np.ndarray]) -> DiscretePath:
     return make_path([(pts[k], pts[k + 1]) for k in range(len(pts) - 1)])
 
 
-# --- FD derivatives of the Lagrangian -------------------------------------
+# --- derivatives of the Lagrangian -----------------------------------------
 
 def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int,
                      step: float = FD_STEP_GRADIENT) -> np.ndarray:
-    """Fourth-order central-difference gradient of L_d in one slot of E x M."""
+    """Gradient of L_d in one slot of E x M.
+
+    The matching slice of the Lagrangian handle's ``jac`` when it has one;
+    otherwise a fourth-order central difference, which also serves as the
+    oracle the closed forms are tested against.
+    """
     x = np.concatenate([eps, m])
     n = sys.bundle.total_dim
-    idx = range(n) if slot == 1 else range(n, n + sys.bundle.base_dim)
     L = sys.lagrangian
+    if L.jac is not None:
+        grad = L.jacobian(x)[0]
+        return grad[:n] if slot == 1 else grad[n:]
+    idx = range(n) if slot == 1 else range(n, n + sys.bundle.base_dim)
     g = np.empty(len(idx))
     for j, i in enumerate(idx):
         h = step * (1.0 + abs(x[i]))
@@ -174,7 +188,9 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
         + D2 L_d(eps_{k-1}, m_k) o d phi(eps_k)
         + D1 L_d(eps_{k-1}, m_k) o IVCM((eps_{k-1}, m_k), (eps_k, m_{k+1})).
 
-    D1/D2 are central differences; d phi uses the bundle's Jacobian.
+    D1/D2 come from the Lagrangian handle's ``jac`` when it has one and
+    from the fourth-order central difference otherwise; d phi uses the
+    bundle's Jacobian.
     """
     eps_prev = as_vector(eps_prev, sys.bundle.total_dim)
     m_cur = as_vector(m_cur, sys.bundle.base_dim)
@@ -236,15 +252,17 @@ def simulate(sys: DlpsSystem, eps0, m1, n_steps: int,
              cfg: NewtonConfig | None = None) -> DiscretePath:
     """Chain ``step`` n_steps times from (eps0, m1).
 
-    On failure raises SimulationError carrying the partial path and the
-    failing step index, so diagnostics can run on partial data.
+    When a step's solve fails (NonConvergence, SingularJacobian,
+    DomainError, MatchingError or RegularityError), raises SimulationError
+    carrying the partial path and the failing step index, so diagnostics
+    can run on partial data. Any other exception propagates as itself.
     """
     pairs = [(as_vector(eps0, sys.bundle.total_dim).copy(),
               as_vector(m1, sys.bundle.base_dim).copy())]
     for k in range(n_steps):
         try:
             nxt = step(sys, pairs[-1][0], pairs[-1][1], cfg=cfg)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with context
+        except _STEP_FAILURES as exc:
             raise SimulationError(k, make_path(pairs), exc) from exc
         pairs.append(nxt)
     return make_path(pairs)
@@ -327,7 +345,11 @@ def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
         d = x[dim:] - x[:dim]
         return np.array([float(d @ d) / (2.0 * h)])
 
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L))
+    def dL(x):
+        v = (x[dim:] - x[:dim]) / h
+        return np.concatenate([-v, v])
+
+    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL))
 
 
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
@@ -339,4 +361,9 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
         return np.array([float(d @ d) / (2.0 * h)
                          - 0.5 * h * omega ** 2 * float(q0 @ q0)])
 
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L))
+    def dL(x):
+        q0, q1 = x[:dim], x[dim:]
+        v = (q1 - q0) / h
+        return np.concatenate([-v - h * omega ** 2 * q0, v])
+
+    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL))

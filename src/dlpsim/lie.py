@@ -193,8 +193,9 @@ def se2_group() -> LieGroupModel:
         if abs(w) < 1e-300:
             v = u.copy()
         else:
-            # v = ((e^{iw} - 1) / (iw)) u, written out over (re, im)
-            factor = np.array([np.sin(w) / w, (1.0 - np.cos(w)) / w])
+            # v = ((e^{iw} - 1) / (iw)) u, written out over (re, im);
+            # 1 - cos w = 2 sin^2(w/2) avoids cancellation at small w
+            factor = np.array([np.sin(w) / w, 2.0 * np.sin(0.5 * w) ** 2 / w])
             v = _cmul(factor, u)
         return GroupElement(np.concatenate([a, v]))
 

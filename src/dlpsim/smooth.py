@@ -43,7 +43,10 @@ class SmoothMapHandle:
     ``eval`` must accept a 1-d array of length ``in_dim`` and return a
     1-d array of length ``out_dim`` (scalars are promoted). When ``jac``
     is supplied it must agree with central finite differences; that is
-    checked by tests, not at call time.
+    checked by tests, not at call time. On a discrete Lagrangian the
+    ``jac`` (the gradient) drives the slot derivatives D1/D2 of the
+    equations of motion; without one they fall back to the fourth-order
+    stencil of ``gradient_fd5``.
     """
 
     in_dim: int
@@ -93,8 +96,10 @@ def gradient_fd5(f, x, step: float | None = None) -> np.ndarray:
 
     The five-point stencil keeps the rounding floor near eps^(4/5)|f| and
     is exact on polynomials of degree four, which covers every shipped
-    Lagrangian; it backs the discrete Euler-Lagrange residuals, where the
-    two-point floor would sit above the solver tolerance.
+    Lagrangian. The same stencil is the fallback for Lagrangians without
+    a ``jac`` in the discrete Euler-Lagrange residuals, where the two-point
+    floor would sit above the solver tolerance, and the oracle that the
+    closed-form gradients are tested against.
     """
     x = np.asarray(x, dtype=float)
     h0 = FD_STEP_GRADIENT if step is None else float(step)

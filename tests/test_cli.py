@@ -148,3 +148,27 @@ def test_newton_overrides_respected(tmp_path):
 def test_missing_config_is_io_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(tmp_path, tol):
+    cfg = write_config(tmp_path, dict(BODY_CONFIG, n_check=10))
+    assert run("check", cfg, tmp_path, f"--tol={tol}") == 1
+    assert not (tmp_path / "check.json").exists()
+
+
+def test_tol_override_written_to_report(tmp_path):
+    cfg = write_config(tmp_path, dict(BODY_CONFIG, n_check=10))
+    assert run("check", cfg, tmp_path, "--tol", "1e-3") == 0
+    rep = json.loads((tmp_path / "check.json").read_text())
+    tols = {entry["tol"] for entry in rep["checks"].values() if "tol" in entry}
+    assert tols == {1e-3}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_simulate_rejects_non_finite_initial(tmp_path, bad):
+    initial = list(BODY_CONFIG["initial"])
+    initial[5] = bad
+    cfg = write_config(tmp_path, dict(BODY_CONFIG, initial=initial))
+    assert run("simulate", cfg, tmp_path) == 1
+    assert not (tmp_path / "simulate.json").exists()

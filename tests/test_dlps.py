@@ -9,13 +9,36 @@ from dlpsim.dlps import (DiscretePath, action_derivative, action_sum,
                          d2_lagrangian, del_residual, free_particle_dms,
                          from_dms, harmonic_oscillator_dms, make_path,
                          path_from_points, simulate, step)
-from dlpsim.errors import SimulationError
-from dlpsim.example_se2 import sample_cprime
+from dlpsim.errors import DomainError, SimulationError
+from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
+                                potential_handle, sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action
-from dlpsim.smooth import NewtonConfig, SmoothMapHandle, newton_solve
+from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
+                           newton_solve)
 
 RES_TOL = 1e-9
 VAR_TOL = 1e-6
+#: Closed-form slot gradients against the fourth-order FD oracle.
+ORACLE_RTOL = 1e-9
+
+
+def _two_body(name, coeff):
+    cfg = TwoBodyConfig(h=0.1, potential=potential_handle(name, coeff))
+    return make_full_system(cfg)
+
+
+def _box(dim):
+    return lambda rng: rng.uniform(-2.0, 2.0, 2 * dim)
+
+
+EXACT_GRADIENT_CASES = {
+    "two-body-zero": (lambda: _two_body("zero", 1.0), sample_cprime),
+    "two-body-linear": (lambda: _two_body("linear", 0.5), sample_cprime),
+    "two-body-quadratic": (lambda: _two_body("quadratic", 0.3), sample_cprime),
+    "free-1": (lambda: free_particle_dms(dim=1, h=0.5), _box(1)),
+    "free-2": (lambda: free_particle_dms(dim=2, h=0.5), _box(2)),
+    "harmonic": (lambda: harmonic_oscillator_dms(h=0.1, omega=1.3), _box(1)),
+}
 
 
 def test_action_sum_constant_lagrangian():
@@ -255,3 +278,57 @@ def test_chaining_map_vertical(reduced, rng):
         out = reduced.system.ivcm(pair0, pair1, rng.standard_normal(4))
         jphi = bundle.phi.jacobian(pair0[0])
         assert np.max(np.abs(jphi @ out)) < 1e-8
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
+def test_exact_slot_gradients_match_fd_oracle(case, rng):
+    """D1/D2 through the Lagrangian's jac agree with gradient_fd5 on L."""
+    make, sample = EXACT_GRADIENT_CASES[case]
+    sys = make()
+    assert sys.lagrangian.jac is not None
+    n = sys.bundle.total_dim
+    for _ in range(50):
+        x = sample(rng)
+        got = np.concatenate([d1_lagrangian(sys, x[:n], x[n:]),
+                              d2_lagrangian(sys, x[:n], x[n:])])
+        oracle = gradient_fd5(sys.lagrangian, x)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(got - oracle)) <= ORACLE_RTOL * scale
+
+
+def test_two_body_without_potential_jac_uses_fd(rng):
+    """A potential without jac leaves L without one: D1/D2 take the stencil."""
+    pot = potential_handle("quadratic", 0.3)
+    bare = SmoothMapHandle(1, 1, pot.eval)
+    sys = make_full_system(TwoBodyConfig(h=0.1, potential=bare))
+    assert sys.lagrangian.jac is None
+    for _ in range(10):
+        x = sample_cprime(rng)
+        got = np.concatenate([d1_lagrangian(sys, x[:4], x[4:]),
+                              d2_lagrangian(sys, x[:4], x[4:])])
+        assert np.array_equal(got, gradient_fd5(sys.lagrangian, x))
+
+
+@pytest.mark.parametrize("bad_slot", [0, 1])
+def test_exact_gradient_rejects_coincident_particles(full_system, bad_slot):
+    """The closed-form gradient keeps L's excised collision diagonal."""
+    assert full_system.lagrangian.jac is not None
+    points = [np.array([1.0, 0.0, -1.0, 0.0]), np.array([1.1, 0.1, -0.9, 0.0])]
+    points[bad_slot] = np.array([0.3, 0.2, 0.3, 0.2])
+    for grad in (d1_lagrangian, d2_lagrangian):
+        with pytest.raises(DomainError):
+            grad(full_system, *points)
+
+
+def _raise_type_error(x):
+    raise TypeError("defective jac")
+
+
+@pytest.mark.parametrize("jac, error", [(_raise_type_error, TypeError),
+                                        (lambda x: np.zeros(3), ValueError)])
+def test_simulate_propagates_defects_in_user_maps(jac, error):
+    """Only solver failures become SimulationError; defects surface as is."""
+    L = SmoothMapHandle(2, 1, lambda x: np.array([0.5 * (x[1] - x[0]) ** 2]),
+                        jac=jac)
+    with pytest.raises(error):
+        simulate(from_dms(1, L), [0.0], [1.0], 3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlpsim.lie import (GroupElement, compose, conjugate,
@@ -161,6 +161,7 @@ def test_action_axioms(action_maker, sampler):
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2))
+@example(1e-8, 2.0, -2.0)
 def test_se2_exp_is_one_parameter_subgroup(w, ux, uy):
     """exp((t+s) xi) = exp(t xi) exp(s xi) for the closed-form screw."""
     G = se2_group()
