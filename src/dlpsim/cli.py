@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -25,9 +26,8 @@ import numpy as np
 from . import example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
-from .errors import (DomainError, MatchingError, NonConvergence,
-                     RegularityError, SimulationError, SingularJacobian,
-                     ValidationError)
+from .errors import (MatchingError, NonConvergence, RegularityError,
+                     SimulationError, SingularJacobian, ValidationError)
 from .reduction import (check_morphism, project_path, reconstruct_path,
                         two_stage)
 from .smooth import NewtonConfig, SmoothMapHandle
@@ -40,18 +40,38 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 SOLVER_ERRORS = (NonConvergence, SingularJacobian, SimulationError,
-                 MatchingError, RegularityError, DomainError)
+                 MatchingError, RegularityError)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _positive_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def _newton_config(cfg: dict) -> NewtonConfig | None:
+    """The ``newton`` overrides: ``residual_tol`` (positive, finite) and
+    ``max_iters`` (an integer of at least 1); any other key is rejected."""
     overrides = cfg.get("newton")
     if not overrides:
         return None
-    return NewtonConfig(**overrides)
+    if not isinstance(overrides, dict):
+        raise ValidationError("newton must be an object")
+    unknown = sorted(set(overrides) - {"residual_tol", "max_iters"})
+    if unknown:
+        raise ValidationError(f"unknown newton keys {unknown}")
+    tol = overrides.get("residual_tol", NewtonConfig.residual_tol)
+    if not _positive_finite(tol):
+        raise ValidationError("newton.residual_tol must be positive and finite",
+                              sample=tol)
+    iters = overrides.get("max_iters", NewtonConfig.max_iters)
+    if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
+        raise ValidationError("newton.max_iters must be an integer of at least 1",
+                              sample=iters)
+    return NewtonConfig(residual_tol=tol, max_iters=iters)
 
 
 def _two_body_config(cfg: dict) -> example_se2.TwoBodyConfig:
@@ -89,6 +109,9 @@ def _initial_pair(cfg: dict, sys):
             f"initial must have length {n + nb}, got {initial.shape}")
     if not np.all(np.isfinite(initial)):
         raise ValidationError("initial must be finite", sample=initial)
+    # Raises DomainError (a validation failure) off the Lagrangian's
+    # domain, e.g. on the two-body collision diagonal, before any solve.
+    sys.lagrangian(initial)
     return initial[:n], initial[n:]
 
 
@@ -336,8 +359,12 @@ def main(argv=None) -> int:
     level = os.environ.get("DLPS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr)
-    args = build_parser().parse_args(argv)
-    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 means a solver failure here.
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
+    if args.tol is not None and not _positive_finite(args.tol):
         logger.error("--tol must be positive and finite, got %r", args.tol)
         return EXIT_VALIDATION
     try:

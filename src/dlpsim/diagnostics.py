@@ -18,7 +18,7 @@ from .dlps import (DiscretePath, DlpsSystem, d1_lagrangian, d2_lagrangian,
 from .errors import RegularityError
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
-from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle, as_vector,
+from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
                      newton_solve)
 
 
@@ -87,18 +87,9 @@ def _require_dms(sys: DlpsSystem) -> int:
     return sys.bundle.total_dim
 
 
-def _mixed_partial(sys: DlpsSystem, q0, q1, step=DEFAULT_FD_STEP) -> np.ndarray:
+def _mixed_partial(sys: DlpsSystem, q0, q1) -> np.ndarray:
     """d^2 L_d / dq0 dq1 by differencing the fiber-slot gradient."""
-    n = sys.bundle.total_dim
-    D = np.empty((n, n))
-    for j in range(n):
-        h = step * (1.0 + abs(q1[j]))
-        qp = q1.copy()
-        qm = q1.copy()
-        qp[j] += h
-        qm[j] -= h
-        D[:, j] = (d1_lagrangian(sys, q0, qp) - d1_lagrangian(sys, q0, qm)) / (2.0 * h)
-    return D
+    return jacobian_fd(lambda q: d1_lagrangian(sys, q0, q), q1)
 
 
 def _check_regularity(sys: DlpsSystem, q0, q1, cond_tol: float = 1e-8) -> float:
@@ -171,14 +162,7 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath,
         p0 = -d1_lagrangian(dms, q0, q1)
         z = np.concatenate([q0, p0])
         phi = canonical_step_map(dms, trajectory[k + 1][0], cfg)
-        K = np.empty((2 * n, 2 * n))
-        for j in range(2 * n):
-            h = DEFAULT_FD_STEP * (1.0 + abs(z[j]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[j] += h
-            zm[j] -= h
-            K[:, j] = (phi(zp) - phi(zm)) / (2.0 * h)
+        K = jacobian_fd(phi, z)
         per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
     return {
         "max_violation": float(max(per_step, default=0.0)),
@@ -199,17 +183,9 @@ def _pullback_gradient_legendre(sys: DlpsSystem, fn: SmoothMapHandle,
         q0, p0 = zz[:n], zz[n:]
         q1 = _inverse_minus_legendre(sys, q0, p0, state["guess"], cfg)
         state["guess"] = q1
-        return float(fn(model.upsilon(np.concatenate([q0, q1])))[0])
+        return fn(model.upsilon(np.concatenate([q0, q1])))
 
-    g = np.empty(2 * n)
-    for j in range(2 * n):
-        h = DEFAULT_FD_STEP * (1.0 + abs(z[j]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        g[j] = (value(zp) - value(zm)) / (2.0 * h)
-    return g
+    return jacobian_fd(value, z)[0]
 
 
 def bracket_via_legendre_chart(sys: DlpsSystem, model: ReducedModel,
@@ -235,17 +211,7 @@ def bracket_via_legendre_chart(sys: DlpsSystem, model: ReducedModel,
 
 def _pair_space_gradient(model: ReducedModel, fn: SmoothMapHandle, x) -> np.ndarray:
     """FD gradient over pair coordinates of a reduced function's pullback."""
-    m = x.shape[0]
-    g = np.empty(m)
-    for j in range(m):
-        h = DEFAULT_FD_STEP * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (float(fn(model.upsilon(xp))[0])
-                - float(fn(model.upsilon(xm))[0])) / (2.0 * h)
-    return g
+    return jacobian_fd(lambda y: fn(model.upsilon(y)), x)[0]
 
 
 def _bracket_table(sys: DlpsSystem, model: ReducedModel,

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (DomainError, MatchingError, NonConvergence,
                      RegularityError, SimulationError, SingularJacobian)
-from .smooth import (DEFAULT_FD_STEP, FD_STEP_GRADIENT, NewtonConfig,
-                     SmoothMapHandle, as_vector, identity_map, newton_solve)
+from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
+                     as_vector, gradient_fd5, identity_map, jacobian_fd,
+                     newton_solve)
 
 #: A point of E x M: (fiber-space coordinates, base coordinates).
 Pair = tuple[np.ndarray, np.ndarray]
@@ -137,31 +138,21 @@ def path_from_points(points: Sequence[np.ndarray]) -> DiscretePath:
 
 # --- derivatives of the Lagrangian -----------------------------------------
 
-def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int,
-                     step: float = FD_STEP_GRADIENT) -> np.ndarray:
+def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int) -> np.ndarray:
     """Gradient of L_d in one slot of E x M.
 
     The matching slice of the Lagrangian handle's ``jac`` when it has one;
-    otherwise a fourth-order central difference, which also serves as the
+    otherwise ``gradient_fd5`` on the slot, which also serves as the
     oracle the closed forms are tested against.
     """
-    x = np.concatenate([eps, m])
-    n = sys.bundle.total_dim
     L = sys.lagrangian
     if L.jac is not None:
-        grad = L.jacobian(x)[0]
+        grad = L.jacobian(np.concatenate([eps, m]))[0]
+        n = sys.bundle.total_dim
         return grad[:n] if slot == 1 else grad[n:]
-    idx = range(n) if slot == 1 else range(n, n + sys.bundle.base_dim)
-    g = np.empty(len(idx))
-    for j, i in enumerate(idx):
-        h = step * (1.0 + abs(x[i]))
-        xp, xm, xp2, xm2 = x.copy(), x.copy(), x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        xp2[i] += 2.0 * h
-        xm2[i] -= 2.0 * h
-        g[j] = (8.0 * (L(xp)[0] - L(xm)[0]) - (L(xp2)[0] - L(xm2)[0])) / (12.0 * h)
-    return g
+    if slot == 1:
+        return gradient_fd5(lambda e: L(np.concatenate([e, m])), eps)
+    return gradient_fd5(lambda b: L(np.concatenate([eps, b])), m)
 
 
 def d1_lagrangian(sys: DlpsSystem, eps, m) -> np.ndarray:
@@ -216,8 +207,7 @@ def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
 
 
 def step(sys: DlpsSystem, eps0, m1, guess=None,
-         cfg: NewtonConfig | None = None,
-         diagnostics: dict | None = None) -> Pair:
+         cfg: NewtonConfig | None = None) -> Pair:
     """One step of the discrete Lagrangian flow.
 
     Solves for (eps1, m2) such that phi(eps1) = m1 (constraint rows) and
@@ -240,11 +230,6 @@ def step(sys: DlpsSystem, eps0, m1, guess=None,
     handle = SmoothMapHandle(n + nb, n + nb, residual)
     z0 = _default_guess(sys, eps0, m1) if guess is None else as_vector(guess, n + nb)
     z = newton_solve(handle, z0, cfg)
-    if diagnostics is not None:
-        J = handle.jacobian(z, step=(cfg or NewtonConfig()).fd_step)
-        diagnostics["jacobian_rank"] = int(np.linalg.matrix_rank(J))
-        diagnostics["jacobian_cond"] = float(np.linalg.cond(J))
-        diagnostics["residual_norm"] = float(np.max(np.abs(residual(z))))
     return z[:n], z[n:]
 
 
@@ -320,21 +305,25 @@ def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
     return Variation(tuple(deltas))
 
 
-def action_derivative(sys: DlpsSystem, path: DiscretePath, variation: Variation,
-                      step_scale: float = DEFAULT_FD_STEP) -> float:
-    """Directional derivative of the action along a variation, by FD."""
+def action_derivative(sys: DlpsSystem, path: DiscretePath,
+                      variation: Variation) -> float:
+    """Directional derivative of the action along a variation, by FD.
+
+    The step in t is ``DEFAULT_FD_STEP`` over the largest fiber delta
+    (at least 1).
+    """
     if len(variation.deltas) != len(path):
         raise ValueError("variation and path lengths differ")
 
     def shifted(t):
-        pairs = [(e + t * de, m + t * dm)
+        pairs = [(e + t[0] * de, m + t[0] * dm)
                  for (e, m), (de, dm) in zip(path.pairs, variation.deltas)]
         return action_sum(sys, make_path(pairs))
 
     scale = max(1.0, max(float(np.max(np.abs(de), initial=0.0))
                          for de, _ in variation.deltas))
-    h = step_scale / scale
-    return (shifted(h) - shifted(-h)) / (2.0 * h)
+    return float(jacobian_fd(shifted, np.zeros(1),
+                             step=DEFAULT_FD_STEP / scale)[0, 0])
 
 
 # --- small canonical systems ------------------------------------------------

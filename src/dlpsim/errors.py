@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget or stalled."""
 
     def __init__(self, message, residual_norm=None, last_iterate=None):
         super().__init__(message)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .smooth import DEFAULT_FD_STEP, as_vector
+from .smooth import as_vector, jacobian_fd
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +80,13 @@ def sample_group(G: LieGroupModel, rng: np.random.Generator, scale: float = 1.5)
     return G.from_params(rng.uniform(-scale, scale, size=G.dim))
 
 
-def infinitesimal_generator(action: ActionModel, xi_index: int, q,
-                            step: float | None = None) -> np.ndarray:
+def infinitesimal_generator(action: ActionModel, xi_index: int, q) -> np.ndarray:
     """d/dt|_0 act(exp(t * xi_i), q) by a central difference in t."""
     q = as_vector(q, action.space_dim)
-    h = DEFAULT_FD_STEP if step is None else float(step)
     e = np.zeros(action.group.dim)
     e[xi_index] = 1.0
-    qp = action.act(action.group.exp_small(h * e), q)
-    qm = action.act(action.group.exp_small(-h * e), q)
-    return (as_vector(qp) - as_vector(qm)) / (2.0 * h)
+    return jacobian_fd(lambda t: action.act(action.group.exp_small(t * e), q),
+                       np.zeros(1))[:, 0]
 
 
 def orbit_frame(action: ActionModel, q) -> np.ndarray:

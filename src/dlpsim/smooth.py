@@ -2,12 +2,18 @@
 
 Smooth-map handles over flat coordinates, central finite differences,
 dense linear solves and a damped Newton iteration. Everything downstream
-(connections, discrete Euler-Lagrange residuals, reduction) is built on
-these few primitives, so their conventions are fixed here once:
+(connections, discrete Euler-Lagrange residuals, reduction, diagnostics)
+is built on these few primitives, and this module is the one place that
+takes a central difference: every other module calls ``jacobian_fd``,
+``gradient_fd5`` or ``directional_derivative``. Their conventions are
+fixed here once:
 
 * all manifolds are represented in global coordinates as R^n;
-* central differences use a per-coordinate step ``fd_step * (1 + |x_i|)``
-  with ``fd_step = eps**(1/3)`` by default.
+* central differences use a per-coordinate step ``step * (1 + |x_i|)``
+  with ``step = eps**(1/3)`` by default (``eps**(1/5)`` for the
+  fourth-order ``gradient_fd5``);
+* a difference evaluates its map only at the stencil points, never at
+  the centre.
 """
 
 from __future__ import annotations
@@ -74,21 +80,25 @@ def identity_map(dim: int) -> SmoothMapHandle:
 def jacobian_fd(f, x, step: float | None = None) -> np.ndarray:
     """Central-difference Jacobian of ``f`` at ``x``.
 
-    The step per coordinate is ``step * (1 + |x_i|)``. Domain errors from
-    ``f`` propagate.
+    The step per coordinate is ``step * (1 + |x_i|)``. ``f`` is evaluated
+    at the 2n stencil points only, not at ``x`` itself (once at ``x`` when
+    n = 0, for the output length), so a warm-started ``f`` sees the same
+    sequence of calls as a hand-written stencil. Domain errors from ``f``
+    propagate.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[0] == 0:
+        return np.empty((as_vector(f(x)).shape[0], 0))
     h0 = DEFAULT_FD_STEP if step is None else float(step)
-    f0 = as_vector(f(x))
-    J = np.empty((f0.shape[0], x.shape[0]))
+    cols = []
     for i in range(x.shape[0]):
         h = h0 * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        J[:, i] = (as_vector(f(xp)) - as_vector(f(xm))) / (2.0 * h)
-    return J
+        cols.append((as_vector(f(xp)) - as_vector(f(xm))) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def gradient_fd5(f, x, step: float | None = None) -> np.ndarray:
@@ -130,19 +140,20 @@ def directional_derivative(f, x, v, step: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tunables for the damped Newton iteration."""
+    """Tolerance and iteration budget of the damped Newton iteration."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
-    fd_step: float = DEFAULT_FD_STEP
-    backtracking: bool = True
-    max_halvings: int = 20
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+
+
+#: Backtracking halvings tried per Newton iteration before it stalls.
+MAX_HALVINGS = 20
 
 
 def _inf_norm(r):
@@ -152,8 +163,11 @@ def _inf_norm(r):
 def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None) -> np.ndarray:
     """Solve ``residual(x) = 0`` by damped Newton iteration.
 
-    Returns x with ``||residual(x)||_inf <= cfg.residual_tol``; raises
-    NonConvergence when the iteration budget is exhausted and
+    Each iteration backtracks from the full Newton step, halving it until
+    the residual's max norm falls. Returns x with
+    ``||residual(x)||_inf <= cfg.residual_tol``; raises NonConvergence
+    when the iteration budget is exhausted or when ``MAX_HALVINGS``
+    halvings all fail to lower the residual (a stall), and
     SingularJacobian when the dense linear solve fails. There are no
     silent near-solutions.
     """
@@ -165,30 +179,29 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
         return x
     r = residual(x)
     rnorm = _inf_norm(r)
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters):
         if rnorm <= cfg.residual_tol:
             return x
-        J = residual.jacobian(x, step=cfg.fd_step)
+        J = residual.jacobian(x)
         if not np.all(np.isfinite(J)):
             raise SingularJacobian("non-finite Jacobian entries")
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        if cfg.backtracking:
-            t = 1.0
-            for _ in range(cfg.max_halvings):
-                trial = residual(x + t * delta)
-                if _inf_norm(trial) < rnorm:
-                    break
-                t *= 0.5
-            else:
-                trial = residual(x + t * delta)
-            x = x + t * delta
-            r = trial
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = residual(x + t * delta)
+            if _inf_norm(trial) < rnorm:
+                break
+            t *= 0.5
         else:
-            x = x + delta
-            r = residual(x)
+            raise NonConvergence(
+                f"Newton line search stalled at iteration {it}: no step "
+                f"among {MAX_HALVINGS} halvings lowers the residual "
+                f"{rnorm:.3e}", residual_norm=rnorm, last_iterate=x)
+        x = x + t * delta
+        r = trial
         rnorm = _inf_norm(r)
     if rnorm <= cfg.residual_tol:
         return x

@@ -66,13 +66,26 @@ def test_simulate_unknown_system(tmp_path):
 
 
 def test_simulate_solver_failure_writes_partial(tmp_path):
+    """Force-free particles on a head-on course collide mid-run: the step
+    that reaches the excised diagonal fails, earlier steps are kept."""
     payload = dict(BODY_CONFIG)
-    payload["initial"] = [1e-7, 0.0, -1e-7, 0.0, 0.5e-13, 0.0, -0.5e-13, 0.0]
+    payload["potential"] = {"name": "linear", "coeff": 0.0}
+    payload["initial"] = [1.0, 0.0, -1.0, 0.0, 0.75, 0.0, -0.75, 0.0]
     cfg = write_config(tmp_path, payload)
     assert run("simulate", cfg, tmp_path) == 2
     meta = json.loads((tmp_path / "simulate.json").read_text())
     assert meta["failure"] is not None
     assert (tmp_path / "trajectory.csv").exists()
+    assert len(read_rows(tmp_path)) == meta["failure"]["step_index"] + 1 > 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "stages"])
+def test_collision_initial_data_is_validation_failure(tmp_path, command):
+    payload = dict(BODY_CONFIG)
+    payload["initial"] = [1e-7, 0.0, -1e-7, 0.0, 0.5e-13, 0.0, -0.5e-13, 0.0]
+    cfg = write_config(tmp_path, payload)
+    assert run(command, cfg, tmp_path) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_reduce_report(tmp_path):
@@ -148,6 +161,22 @@ def test_newton_overrides_respected(tmp_path):
 def test_missing_config_is_io_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("newton", [
+    {"bogus": 1}, {"max_iters": 2.5}, {"residual_tol": float("nan")},
+    {"fd_step": 1e-6}, {"backtracking": False}, {"max_halvings": 5}])
+def test_newton_overrides_validated(tmp_path, newton):
+    cfg = write_config(tmp_path, dict(BODY_CONFIG, newton=newton))
+    assert run("simulate", cfg, tmp_path) == 1
+    assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", "config.json", "--tol", "-1e-9"],
+    ["check", "--out", "."]])
+def test_usage_errors_exit_1(argv):
+    assert main(argv) == 1
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])

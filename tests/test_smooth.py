@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dlpsim.dlps import del_residual, free_particle_dms
 from dlpsim.errors import NonConvergence, SingularJacobian
-from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
-                           jacobian_fd, newton_solve)
+from dlpsim.smooth import (MAX_HALVINGS, NewtonConfig, SmoothMapHandle,
+                           gradient_fd5, jacobian_fd, newton_solve)
 
 FD_TOL = 1e-8
 
@@ -61,6 +61,24 @@ def test_jacobian_matches_random_polynomials():
         assert np.max(np.abs(J[0] - grad(x))) < 1e-6
 
 
+def test_jacobian_evaluates_only_stencil_points():
+    """2n evaluations, none at the centre; one for the output length at n = 0."""
+    seen = []
+
+    def f(y):
+        seen.append(y.copy())
+        return np.array([y.sum(), y @ y])
+
+    x = np.array([0.5, -1.0, 2.0])
+    J = jacobian_fd(f, x)
+    assert J.shape == (2, 3)
+    assert len(seen) == 2 * x.size
+    assert not any(np.array_equal(y, x) for y in seen)
+    seen.clear()
+    assert jacobian_fd(f, np.zeros(0)).shape == (2, 0)
+    assert len(seen) == 1
+
+
 def test_gradient_fd5_exact_on_quartics():
     """The five-point stencil is exact on degree-4 polynomials."""
     f = SmoothMapHandle(1, 1, lambda x: x ** 4 - 2.0 * x ** 3 + x)
@@ -102,6 +120,23 @@ def test_newton_no_silent_near_solutions():
     f = SmoothMapHandle(1, 1, lambda x: x ** 2 + 1.0)  # no real root
     with pytest.raises((NonConvergence, SingularJacobian)):
         newton_solve(f, np.array([0.5]), NewtonConfig(max_iters=30))
+
+
+def test_newton_raises_when_line_search_stalls():
+    """A wrong-signed Jacobian makes every halving raise the residual:
+    Newton gives up after one iteration instead of stepping anyway."""
+    calls = []
+
+    def res(x):
+        calls.append(x.copy())
+        return x ** 2 - 4.0
+
+    f = SmoothMapHandle(1, 1, res, jac=lambda x: np.array([[-2.0 * x[0]]]))
+    with pytest.raises(NonConvergence, match="stalled at iteration 0") as info:
+        newton_solve(f, np.array([3.0]))
+    assert len(calls) == 1 + MAX_HALVINGS
+    assert info.value.residual_norm == 5.0
+    assert info.value.last_iterate[0] == 3.0
 
 
 def test_newton_postcondition_bound():
