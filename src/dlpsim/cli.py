@@ -27,7 +27,7 @@ from . import example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
 from .errors import (MatchingError, NonConvergence, RegularityError,
-                     SimulationError, SingularJacobian, ValidationError)
+                     SimulationError, SingularJacobian)
 from .reduction import (check_morphism, project_path, reconstruct_path,
                         two_stage)
 from .smooth import NewtonConfig, SmoothMapHandle
@@ -59,18 +59,18 @@ def _newton_config(cfg: dict) -> NewtonConfig | None:
     if not overrides:
         return None
     if not isinstance(overrides, dict):
-        raise ValidationError("newton must be an object")
+        raise ValueError(f"newton must be an object (got {overrides!r})")
     unknown = sorted(set(overrides) - {"residual_tol", "max_iters"})
     if unknown:
-        raise ValidationError(f"unknown newton keys {unknown}")
+        raise ValueError(f"unknown newton keys {unknown}")
     tol = overrides.get("residual_tol", NewtonConfig.residual_tol)
     if not _positive_finite(tol):
-        raise ValidationError("newton.residual_tol must be positive and finite",
-                              sample=tol)
+        raise ValueError(
+            f"newton.residual_tol must be positive and finite (got {tol!r})")
     iters = overrides.get("max_iters", NewtonConfig.max_iters)
     if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
-        raise ValidationError("newton.max_iters must be an integer of at least 1",
-                              sample=iters)
+        raise ValueError(
+            f"newton.max_iters must be an integer of at least 1 (got {iters!r})")
     return NewtonConfig(residual_tol=tol, max_iters=iters)
 
 
@@ -92,27 +92,34 @@ def _build_system(cfg: dict):
     if name == "harmonic-oscillator":
         return harmonic_oscillator_dms(h=float(cfg.get("h", 0.1)),
                                        omega=float(cfg.get("omega", 1.0)))
-    raise ValidationError(f"unknown system '{name}'")
+    raise ValueError(f"unknown system {name!r}")
 
 
 def _require_two_body(cfg: dict):
     if cfg.get("system") != "se2-two-body":
-        raise ValidationError(
-            f"command requires system 'se2-two-body', got '{cfg.get('system')}'")
+        raise ValueError("command requires system 'se2-two-body' "
+                         f"(got {cfg.get('system')!r})")
 
 
 def _initial_pair(cfg: dict, sys):
     n, nb = sys.bundle.total_dim, sys.bundle.base_dim
     initial = np.asarray(cfg["initial"], dtype=float)
     if initial.shape != (n + nb,):
-        raise ValidationError(
-            f"initial must have length {n + nb}, got {initial.shape}")
+        raise ValueError(
+            f"initial must have length {n + nb} (got shape {initial.shape})")
     if not np.all(np.isfinite(initial)):
-        raise ValidationError("initial must be finite", sample=initial)
+        raise ValueError(f"initial must be finite (got {initial.tolist()})")
     # Raises DomainError (a validation failure) off the Lagrangian's
     # domain, e.g. on the two-body collision diagonal, before any solve.
     sys.lagrangian(initial)
     return initial[:n], initial[n:]
+
+
+def _n_steps(cfg: dict, default: int) -> int:
+    n_steps = int(cfg.get("n_steps", default))
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative (got {n_steps})")
+    return n_steps
 
 
 def _write_json(path: Path, payload: dict):
@@ -155,9 +162,7 @@ def _check_entry(value: float, tol: float) -> dict:
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     sys_ = _build_system(cfg)
     eps0, m1 = _initial_pair(cfg, sys_)
-    n_steps = int(cfg.get("n_steps", 0))
-    if n_steps < 0:
-        raise ValidationError("n_steps must be nonnegative")
+    n_steps = _n_steps(cfg, 0)
     ncfg = _newton_config(cfg)
     t0 = time.perf_counter()
     try:
@@ -238,7 +243,7 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, tol_override: float | None) -> int
     full = example_se2.make_full_system(body)
     red = example_se2.make_reduced_system(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, full)
-    n_steps = int(cfg.get("n_steps", 50))
+    n_steps = _n_steps(cfg, 50)
     ncfg = _newton_config(cfg)
     traj = simulate(full, eps0, m1, n_steps, cfg=ncfg)
     reduced = project_path(red.model, traj)
@@ -266,7 +271,7 @@ def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     setup = example_se2.make_staged_setup(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, setup.sys)
-    n_steps = int(cfg.get("n_steps", 50))
+    n_steps = _n_steps(cfg, 50)
     traj = simulate(setup.sys, eps0, m1, n_steps, cfg=_newton_config(cfg))
     report, _f = two_stage(setup.sys, setup.stage_h, setup.stage_gh,
                            setup.one_shot, traj, conn_h=setup.conn_h,
@@ -395,7 +400,8 @@ def main(argv=None) -> int:
             return cmd_stages(cfg, out_dir, args.tol)
         if args.command == "check":
             return cmd_check(cfg, out_dir, args.tol)
-    except (ValidationError, KeyError, ValueError) as exc:
+    # ValidationError (a failed structural identity) is a ValueError too.
+    except (KeyError, ValueError) as exc:
         logger.error("validation failure: %s", exc)
         return EXIT_VALIDATION
     except SOLVER_ERRORS as exc:

@@ -150,6 +150,9 @@ def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int) -> np.ndarray:
         grad = L.jacobian(np.concatenate([eps, m]))[0]
         n = sys.bundle.total_dim
         return grad[:n] if slot == 1 else grad[n:]
+    # The stencil never visits (eps, m) itself, so evaluate L there once:
+    # off L's domain (e.g. on the two-body collision diagonal) this raises.
+    L(np.concatenate([eps, m]))
     if slot == 1:
         return gradient_fd5(lambda e: L(np.concatenate([e, m])), eps)
     return gradient_fd5(lambda b: L(np.concatenate([eps, b])), m)
@@ -187,12 +190,20 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
     m_cur = as_vector(m_cur, sys.bundle.base_dim)
     eps_cur = as_vector(eps_cur, sys.bundle.total_dim)
     m_next = as_vector(m_next, sys.bundle.base_dim)
+    return _del_covector(sys, d1_lagrangian(sys, eps_prev, m_cur),
+                         d2_lagrangian(sys, eps_prev, m_cur),
+                         eps_prev, m_cur, eps_cur, m_next)
 
+
+def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, eps_prev, m_cur,
+                  eps_cur, m_next) -> np.ndarray:
+    """``del_residual`` given the previous pair's D1/D2 (g1_prev, g2_prev).
+
+    Those two gradients do not depend on (eps_cur, m_next), so ``step``
+    computes them once per solve instead of once per residual evaluation.
+    """
     term1 = d1_lagrangian(sys, eps_cur, m_next)
-    g2_prev = d2_lagrangian(sys, eps_prev, m_cur)
-    jphi = sys.bundle.phi.jacobian(eps_cur)
-    term2 = g2_prev @ jphi
-    g1_prev = d1_lagrangian(sys, eps_prev, m_cur)
+    term2 = g2_prev @ sys.bundle.phi.jacobian(eps_cur)
     ivcm_m = sys.ivcm_mat((eps_prev, m_cur), (eps_cur, m_next))
     term3 = g1_prev @ ivcm_m
     return term1 + term2 + term3
@@ -219,11 +230,13 @@ def step(sys: DlpsSystem, eps0, m1, guess=None,
     eps0 = as_vector(eps0, b.total_dim)
     m1 = as_vector(m1, b.base_dim)
     n, nb = b.total_dim, b.base_dim
+    g1_prev = d1_lagrangian(sys, eps0, m1)
+    g2_prev = d2_lagrangian(sys, eps0, m1)
 
     def residual(z):
         eps1, m2 = z[:n], z[n:]
         out = np.empty(n + nb)
-        out[:n] = del_residual(sys, eps0, m1, eps1, m2)
+        out[:n] = _del_covector(sys, g1_prev, g2_prev, eps0, m1, eps1, m2)
         out[n:] = b.phi(eps1) - m1
         return out
 

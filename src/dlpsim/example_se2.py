@@ -18,7 +18,7 @@ base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -192,13 +192,32 @@ def make_weighted_t2_connection(weight_x: float, weight_y: float) -> DiscreteCon
 
 # --- the explicit reduced model on C* x T2 ---------------------------------
 
+_I2 = np.eye(2)
+_O2 = np.zeros((2, 2))
+#: (ex, ey, mx, my) -> ((ex - ey)/sqrt2, (mx + my - ex - ey)/2, (mx - my)/sqrt2)
+_T2_UPSILON_JAC = np.block([[_I2 / SQRT2, -_I2 / SQRT2, _O2, _O2],
+                            [-_I2 / 2.0, -_I2 / 2.0, _I2 / 2.0, _I2 / 2.0],
+                            [_O2, _O2, _I2 / SQRT2, -_I2 / SQRT2]])
+#: (r0, z0, r1) -> (r0/sqrt2, -r0/sqrt2, r1/sqrt2 + z0, -r1/sqrt2 + z0)
+_T2_LIFT_JAC = np.block([[_I2 / SQRT2, _O2, _O2],
+                         [-_I2 / SQRT2, _O2, _O2],
+                         [_O2, _I2, _I2 / SQRT2],
+                         [_O2, _I2, -_I2 / SQRT2]])
+#: (r0, z0) -> r0
+_T2_REDUCED_PHI_JAC = np.block([_I2, _O2])
+
+
 def make_reduced_model(cfg: TwoBodyConfig | None = None,
                        rng: np.random.Generator | None = None) -> ReducedModel:
     """Reduced coordinates ((r0, z0), r1): relative position and stored offset.
 
     r = (q^x - q^y)/sqrt(2); z is the translation offset assigned by the
     connection. Validated against a concrete system (default timestep 0.1,
-    V(s) = s/2) since symmetry validation needs a Lagrangian.
+    V(s) = s/2) since symmetry validation needs a Lagrangian. The model is
+    linear in these coordinates, so ``upsilon``, ``lift_section`` and the
+    reduced bundle's ``phi`` carry their constant Jacobians as ``jac``:
+    the reduced Lagrangian then gets its gradient by the chain rule and
+    the reduced chaining map its derivative blocks in closed form.
     """
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
@@ -214,9 +233,16 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
         eps = np.concatenate([r0, -r0]) / SQRT2
         return eps, GroupElement(z0.copy())
 
-    return build_upsilon(conn, sys, fiber_chart, fiber_section,
-                         action_e=t2_two_point_action(),
-                         sample_cprime=sample_cprime, rng=rng)
+    model = build_upsilon(conn, sys, fiber_chart, fiber_section,
+                          action_e=t2_two_point_action(),
+                          sample_cprime=sample_cprime, rng=rng)
+    bundle = model.reduced_bundle
+    return replace(
+        model,
+        upsilon=replace(model.upsilon, jac=lambda x: _T2_UPSILON_JAC),
+        lift_section=replace(model.lift_section, jac=lambda y: _T2_LIFT_JAC),
+        reduced_bundle=replace(bundle, phi=replace(
+            bundle.phi, jac=lambda v: _T2_REDUCED_PHI_JAC)))
 
 
 def make_reduced_system(cfg: TwoBodyConfig | None = None,

@@ -243,25 +243,31 @@ def reduce(sys: DlpsSystem, group: LieGroupModel, conn: DiscreteConnection,
            model: ReducedModel) -> ReductionResult:
     """The reduced system determined by a validated model.
 
-    The reduced Lagrangian is the original one through the lift section.
-    The reduced chaining map lifts a reduced second-order point to a
-    compatible pair upstairs, converts the reduced tangent through the
-    fiber-slot derivative isomorphism (a small dense solve), pushes it
-    through the original chaining map and the bundle projection, and
-    maps both pieces back down with the two partial derivatives of the
-    fiber part of upsilon.
+    The reduced Lagrangian is the original one through the lift section,
+    ``L o lift_section``. When both ``L`` and ``lift_section`` carry a
+    ``jac``, its gradient is the chain rule
+    ``L.jacobian(lift(y)) @ lift.jacobian(y)``; otherwise it has no
+    ``jac`` and D1/D2 take the stencil. The reduced chaining map lifts a
+    reduced second-order point to a compatible pair upstairs, converts
+    the reduced tangent through the fiber-slot derivative isomorphism (a
+    small dense solve), pushes it through the original chaining map and
+    the bundle projection, and maps both pieces back down with the two
+    partial derivatives of the fiber part of upsilon, read off
+    ``upsilon.jacobian`` (closed form when upsilon has a ``jac``).
     """
     if group.name != model.group.name:
         raise ValueError("group does not match the reduced model")
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
     nEr = model.reduced_bundle.total_dim
+    L, lift, upsilon = sys.lagrangian, model.lift_section, model.upsilon
 
-    lagrangian = SmoothMapHandle(
-        nEr + model.reduced_bundle.base_dim, 1,
-        lambda y: sys.lagrangian(model.lift_section(y)))
+    lagrangian_jac = None
+    if L.jac is not None and lift.jac is not None:
+        def lagrangian_jac(y):
+            return L.jacobian(lift(y)) @ lift.jacobian(y)
 
-    def fiber_part(x):
-        return model.upsilon(x)[:nEr]
+    lagrangian = SmoothMapHandle(nEr + model.reduced_bundle.base_dim, 1,
+                                 lambda y: L(lift(y)), jac=lagrangian_jac)
 
     def reduced_ivcm_matrix(pair0: Pair, pair1: Pair) -> np.ndarray:
         v0, r1 = pair0
@@ -272,17 +278,17 @@ def reduce(sys: DlpsSystem, group: LieGroupModel, conn: DiscreteConnection,
         # extension that keeps the matching equation solvable.
         r1_compat = as_vector(model.reduced_bundle.phi(v1),
                               model.reduced_bundle.base_dim)
-        x0 = model.lift_section(np.concatenate([v0, r1_compat]))
+        x0 = lift(np.concatenate([v0, r1_compat]))
         eps0, m1 = x0[:nE], x0[nE:]
-        x1 = model.lift_section(np.concatenate([v1, r2]))
+        x1 = lift(np.concatenate([v1, r2]))
         g = solve_matching(model.action_m, sys.bundle.phi(x1[:nE]), m1)
         eps1 = model.action_e.act(g, x1[:nE])
         m2 = model.action_m.act(g, x1[nE:])
 
-        J = jacobian_fd(lambda e: fiber_part(np.concatenate([e, m2])), eps1)
+        J = upsilon.jacobian(np.concatenate([eps1, m2]))[:nEr, :nE]
         Jinv = _solve_isomorphism(J)
-        K1 = jacobian_fd(lambda e: fiber_part(np.concatenate([e, m1])), eps0)
-        K2 = jacobian_fd(lambda m: fiber_part(np.concatenate([eps0, m])), m1)
+        K = upsilon.jacobian(np.concatenate([eps0, m1]))[:nEr]
+        K1, K2 = K[:, :nE], K[:, nE:]
         jphi1 = sys.bundle.phi.jacobian(eps1)
         inner = sys.ivcm_mat((eps0, m1), (eps1, m2))
         return (K1 @ inner + K2 @ jphi1) @ Jinv

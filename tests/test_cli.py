@@ -201,3 +201,29 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
     cfg = write_config(tmp_path, dict(BODY_CONFIG, initial=initial))
     assert run("simulate", cfg, tmp_path) == 1
     assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("simulate", {"newton": {"max_iters": 2.5}},
+     "newton.max_iters must be an integer of at least 1 (got 2.5)"),
+    ("simulate", {"newton": {"residual_tol": -1.0}},
+     "newton.residual_tol must be positive and finite (got -1.0)"),
+    ("simulate", {"system": "pendulum"}, "unknown system 'pendulum'"),
+    ("simulate", {"n_steps": -2}, "n_steps must be nonnegative (got -2)"),
+    ("reconstruct", {"n_steps": -3}, "n_steps must be nonnegative (got -3)"),
+    ("stages", {"n_steps": -3}, "n_steps must be nonnegative (got -3)"),
+    ("simulate", {"initial": [1.0, 0.0]},
+     "initial must have length 8 (got shape (2,))"),
+    ("simulate", {"initial": [1.0, 0.0, -1.0, 0.0, 1.04, float("nan"), -0.97, 0.02]},
+     "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, nan, -0.97, 0.02])"),
+    ("reduce", {"system": "free-particle"},
+     "command requires system 'se2-two-body' (got 'free-particle')"),
+])
+def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
+                                                 overrides, message):
+    """Plain config errors read as such, not as a failed identity."""
+    cfg = write_config(tmp_path, dict(BODY_CONFIG, **overrides))
+    with caplog.at_level("ERROR", logger="dlpsim.cli"):
+        assert run(command, cfg, tmp_path) == 1
+    assert f"validation failure: {message}" in caplog.text
+    assert "identity '" not in caplog.text

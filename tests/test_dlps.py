@@ -1,17 +1,20 @@
 """Tests for paths, action sums, equations of motion, stepping and the
 fixed-endpoint variational principle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dlpsim.dlps import (DiscretePath, action_derivative, action_sum,
-                         build_fixed_endpoint_variation, d1_lagrangian,
-                         d2_lagrangian, del_residual, free_particle_dms,
-                         from_dms, harmonic_oscillator_dms, make_path,
-                         path_from_points, simulate, step)
+from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
+                         action_sum, build_fixed_endpoint_variation,
+                         d1_lagrangian, d2_lagrangian, del_residual,
+                         free_particle_dms, from_dms, harmonic_oscillator_dms,
+                         make_path, path_from_points, simulate, step)
 from dlpsim.errors import DomainError, SimulationError
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
-                                potential_handle, sample_cprime)
+                                make_reduced_system, potential_handle,
+                                sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
                            newton_solve)
@@ -318,6 +321,78 @@ def test_exact_gradient_rejects_coincident_particles(full_system, bad_slot):
     for grad in (d1_lagrangian, d2_lagrangian):
         with pytest.raises(DomainError):
             grad(full_system, *points)
+
+
+def _fd_two_body():
+    """The two-body system with a potential that has no jac."""
+    pot = potential_handle("quadratic", 0.3)
+    bare = SmoothMapHandle(1, 1, pot.eval)
+    return make_full_system(TwoBodyConfig(h=0.1, potential=bare))
+
+
+@pytest.mark.parametrize("bad_slot", [0, 1])
+def test_fd_gradient_rejects_coincident_particles(bad_slot):
+    """The stencil fallback keeps L's excised collision diagonal too.
+
+    No stencil point of the differentiated slot is coincident, so the
+    fallback must evaluate L at the point itself.
+    """
+    sys = _fd_two_body()
+    assert sys.lagrangian.jac is None
+    points = [np.array([1.0, 0.0, -1.0, 0.0]), np.array([1.1, 0.1, -0.9, 0.0])]
+    points[bad_slot] = np.array([0.3, 0.2, 0.3, 0.2])
+    for grad in (d1_lagrangian, d2_lagrangian):
+        with pytest.raises(DomainError):
+            grad(sys, *points)
+
+
+def _covector_case(name):
+    """(system, sampler of (eps, m) pairs) for the bitwise covector test."""
+    if name == "reduced":
+        red = make_reduced_system(TwoBodyConfig(), rng=np.random.default_rng(1))
+        return red.system, lambda rng: red.model.split_reduced(
+            red.model.upsilon(sample_cprime(rng)))
+    sys = _two_body("linear", 0.5) if name == "exact" else _fd_two_body()
+    return sys, lambda rng: sample_cprime(rng).reshape(2, 4)
+
+
+@pytest.mark.parametrize("name", ["exact", "fd", "reduced"])
+def test_del_covector_matches_del_residual_bitwise(name, rng):
+    """The hoisted-gradient helper is del_residual term for term."""
+    sys, sample_pair = _covector_case(name)
+    for _ in range(10):
+        eps_prev, m_cur = sample_pair(rng)
+        eps_cur, m_next = sample_pair(rng)
+        got = _del_covector(sys, d1_lagrangian(sys, eps_prev, m_cur),
+                            d2_lagrangian(sys, eps_prev, m_cur),
+                            eps_prev, m_cur, eps_cur, m_next)
+        assert np.array_equal(got, del_residual(sys, eps_prev, m_cur,
+                                                eps_cur, m_next))
+
+
+def test_full_step_computes_previous_gradients_once(full_system):
+    """README step: D1 and D2 at the previous pair once each, then one
+    gradient per residual evaluation (1 + 16 FD + 1 trial of one Newton
+    iteration)."""
+    calls = []
+    L = full_system.lagrangian
+    counting = dataclasses.replace(L, jac=lambda x: calls.append(1) or L.jac(x))
+    sys = dataclasses.replace(full_system, lagrangian=counting)
+    step(sys, np.array([1.0, 0.0, -1.0, 0.0]), np.array([1.04, 0.03, -0.97, 0.02]))
+    assert len(calls) == 20
+
+
+def test_reduced_step_takes_one_exact_newton_iteration(reduced):
+    """README-style reduced data: one Newton iteration suffices, and the
+    reduced Lagrangian is never evaluated (its gradient is the chain rule)."""
+    evals = []
+    L = reduced.system.lagrangian
+    counting = dataclasses.replace(L, eval=lambda y: evals.append(1) or L.eval(y))
+    sys = dataclasses.replace(reduced.system, lagrangian=counting)
+    eps0 = np.array([1.0, 0.1, 0.05, -0.02])
+    r1 = np.array([1.02, 0.13])
+    step(sys, eps0, r1, cfg=NewtonConfig(max_iters=1))
+    assert evals == []
 
 
 def _raise_type_error(x):

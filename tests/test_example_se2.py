@@ -12,6 +12,7 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 sample_cprime)
 from dlpsim.lie import compose, sample_group, se2_two_point_action
 from dlpsim.reduction import project_path, reconstruct_path, two_stage
+from dlpsim.smooth import jacobian_fd
 
 SQRT2 = np.sqrt(2.0)
 
@@ -71,6 +72,22 @@ def test_reduced_model_upsilon_section_roundtrip(reduced, rng):
         y = reduced.model.upsilon(sample_cprime(rng))
         back = reduced.model.upsilon(reduced.model.lift_section(y))
         assert np.max(np.abs(back - y)) < 1e-10
+
+
+def test_reduced_model_jacobians_match_fd_oracle(reduced, rng):
+    """The constant Jacobians of upsilon, lift_section and the reduced phi
+    agree with central differences of their maps."""
+    model = reduced.model
+    phi = model.reduced_bundle.phi
+    for handle in (model.upsilon, model.lift_section, phi):
+        assert handle.jac is not None
+    for _ in range(50):
+        x = sample_cprime(rng)
+        y = model.upsilon(x)
+        for handle, point in ((model.upsilon, x), (model.lift_section, y),
+                              (phi, y[:4])):
+            oracle = jacobian_fd(handle.eval, point)
+            assert np.max(np.abs(handle.jacobian(point) - oracle)) <= 1e-9
 
 
 def test_closed_form_reduced_step_printed_case(body_cfg):

@@ -1,19 +1,22 @@
 """Tests for the reduction morphism, reduced dynamics, reconstruction,
 two-stage reduction and the morphism checker."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dlpsim.dlps import del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
-from dlpsim.example_se2 import (make_t2_connection,
-                                make_weighted_t2_connection, sample_annulus,
-                                sample_cprime)
+from dlpsim.example_se2 import (TwoBodyConfig, make_reduced_system,
+                                make_t2_connection,
+                                make_weighted_t2_connection, potential_handle,
+                                sample_annulus, sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
 from dlpsim.reduction import (build_upsilon, check_morphism, project_path,
                               reconstruct_path, reduce, solve_matching,
                               trivial_reduction, two_stage)
-from dlpsim.smooth import SmoothMapHandle, jacobian_fd
+from dlpsim.smooth import SmoothMapHandle, gradient_fd5, jacobian_fd
 
 SQRT2 = np.sqrt(2.0)
 TRAJ_TOL = 1e-8
@@ -78,6 +81,52 @@ def test_reduced_chaining_closed_form(reduced, rng):
                                   (np.concatenate([r1, z1]), r2), delta)
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         assert np.max(np.abs(out - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("pot", [("linear", 0.5), ("quadratic", 0.3)])
+def test_reduced_lagrangian_chain_rule_matches_fd_oracle(pot, rng):
+    """The chain-rule gradient of L o lift_section against gradient_fd5."""
+    cfg = TwoBodyConfig(h=0.1, potential=potential_handle(*pot))
+    red = make_reduced_system(cfg, rng=np.random.default_rng(1))
+    L = red.system.lagrangian
+    assert L.jac is not None
+    for _ in range(50):
+        y = red.model.upsilon(sample_cprime(rng))
+        oracle = gradient_fd5(L, y)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(L.jacobian(y)[0] - oracle)) <= 1e-9 * scale
+
+
+def _without_jac(handle):
+    return dataclasses.replace(handle, jac=None)
+
+
+def test_reduce_without_lift_jac_keeps_stencil(full_system, reduced):
+    """No jac on lift_section (or on L): the reduced Lagrangian has none."""
+    model = reduced.model
+    bare_lift = dataclasses.replace(
+        model, lift_section=_without_jac(model.lift_section))
+    assert reduce(full_system, t2_group(), make_t2_connection(),
+                  bare_lift).system.lagrangian.jac is None
+    bare_sys = dataclasses.replace(
+        full_system, lagrangian=_without_jac(full_system.lagrangian))
+    assert reduce(bare_sys, t2_group(), make_t2_connection(),
+                  model).system.lagrangian.jac is None
+
+
+def test_reduced_chaining_fd_fallback_matches_closed_form(full_system, reduced,
+                                                          rng):
+    """Without upsilon's jac the chaining matrix takes its derivative blocks
+    from jacobian_fd and agrees with the closed-form blocks."""
+    model = reduced.model
+    bare = dataclasses.replace(model, upsilon=_without_jac(model.upsilon))
+    fd_sys = reduce(full_system, t2_group(), make_t2_connection(), bare).system
+    for _ in range(20):
+        y0 = model.upsilon(sample_cprime(rng))
+        y1 = model.upsilon(sample_cprime(rng))
+        pairs = (model.split_reduced(y0), model.split_reduced(y1))
+        diff = fd_sys.ivcm_mat(*pairs) - reduced.system.ivcm_mat(*pairs)
+        assert np.max(np.abs(diff)) < 1e-9
 
 
 def test_trivial_group_reduction_is_identity(rng):
