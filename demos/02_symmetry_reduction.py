@@ -30,18 +30,16 @@ residuals = [
 print(f"projected path: max reduced residual {max(residuals):.3e} "
       "(a genuine reduced trajectory)")
 
-z0 = projected[0][0][2:]
-z_drift = max(float(np.max(np.abs(p[0][2:] - z0))) for p in projected.pairs)
+z = projected.points[:, 2:4]
+z_drift = float(np.max(np.abs(z - z[0])))
 print(f"stored offset (center-of-mass velocity) drift: {z_drift:.3e}")
 
 # simulate the reduced system directly from the projected start
 y0 = red.model.upsilon(np.concatenate([q0, q1]))
 direct = simulate(red.system, y0[:4], y0[4:], 50)
-diff = max(float(np.max(np.abs(np.concatenate(a) - np.concatenate(b))))
-           for a, b in zip(projected.pairs, direct.pairs))
+diff = np.max(np.abs(projected.points - direct.points))
 print(f"projection vs direct reduced integration: {diff:.3e}")
 
 rebuilt = reconstruct_path(red.model, projected, q0, q1)
-roundtrip = max(float(np.max(np.abs(np.concatenate(a) - np.concatenate(b))))
-                for a, b in zip(trajectory.pairs, rebuilt.pairs))
+roundtrip = np.max(np.abs(trajectory.points - rebuilt.points))
 print(f"reconstruct(project(trajectory)) roundtrip error: {roundtrip:.3e}")

@@ -30,7 +30,7 @@ print("first-stage connection conjugation-equivariance:",
 print("two-stage vs one-shot comparison over the trajectory:",
       f"{report['stage_comparison_max']:.3e}")
 
-x = np.concatenate(trajectory[10])
+x = trajectory.points[10]
 y_h = setup.stage_h.model.upsilon(x)
 y_gh = setup.stage_gh.model.upsilon(y_h)
 y_g = setup.one_shot.model.upsilon(x)

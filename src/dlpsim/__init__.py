@@ -19,7 +19,7 @@ from .lie import (ActionModel, GroupElement, LieGroupModel, compose,
 from .connection import (DiscreteConnection, QuotientModel, ad,
                          check_equivariance, horizontal_lift,
                          mechanical_connection_flat)
-from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel, Variation,
+from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel,
                    action_derivative, action_sum,
                    build_fixed_endpoint_variation, del_residual,
                    free_particle_dms, from_dms, harmonic_oscillator_dms,

@@ -131,16 +131,10 @@ def _write_trajectory_csv(path: Path, sys, path_obj: DiscretePath):
     header = (["k"] + [f"eps{i}" for i in range(n)]
               + [f"m{i}" for i in range(nb)] + ["residual_norm"])
     lines = [",".join(header)]
-    for k, (eps, m) in enumerate(path_obj.pairs):
-        if k == 0:
-            res = 0.0
-        else:
-            prev = path_obj.pairs[k - 1]
-            res = float(np.max(np.abs(
-                del_residual(sys, prev[0], prev[1], eps, m))))
-        row = ([str(k)] + [_fmt(v) for v in eps] + [_fmt(v) for v in m]
-               + [_fmt(res)])
-        lines.append(",".join(row))
+    for k, x in enumerate(path_obj.points):
+        res = 0.0 if k == 0 else float(np.max(np.abs(
+            del_residual(sys, *path_obj[k - 1], *path_obj[k]))))
+        lines.append(",".join([str(k)] + [_fmt(v) for v in x] + [_fmt(res)]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -248,13 +242,10 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, tol_override: float | None) -> int
     traj = simulate(full, eps0, m1, n_steps, cfg=ncfg)
     reduced = project_path(red.model, traj)
     rebuilt = reconstruct_path(red.model, reduced, eps0, m1)
-    roundtrip = max(
-        float(np.max(np.abs(np.concatenate(a) - np.concatenate(b))))
-        for a, b in zip(traj.pairs, rebuilt.pairs))
+    roundtrip = float(np.max(np.abs(traj.points - rebuilt.points)))
     res_max = 0.0
     for k in range(1, len(reduced)):
-        r = del_residual(red.system, reduced[k - 1][0], reduced[k - 1][1],
-                         reduced[k][0], reduced[k][1])
+        r = del_residual(red.system, *reduced[k - 1], *reduced[k])
         res_max = max(res_max, float(np.max(np.abs(r))))
     checks = {
         "roundtrip_max": _check_entry(roundtrip, _tol(tol_override, 1e-8)),

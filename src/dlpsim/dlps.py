@@ -15,7 +15,7 @@ residual handed to the damped Newton solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class FiberBundleModel:
     phi: SmoothMapHandle
     section: SmoothMapHandle
 
-    @property
-    def fiber_dim(self) -> int:
-        return self.total_dim - self.base_dim
-
     def validate(self, sample_base, rng, n_samples=20, tol=1e-9):
         """Check phi o section = id on sampled base points."""
         worst = 0.0
@@ -68,47 +64,61 @@ class DlpsSystem:
 
     ``lagrangian`` is a scalar handle on R^(total+base). ``ivcm`` maps
     (pair_k, pair_{k+1}, delta_eps_{k+1}) to a tangent vector at eps_k,
-    linearly in the last argument, with image in ker(d phi). The optional
-    ``ivcm_matrix`` returns its matrix on the standard basis in one call;
-    when absent it is assembled column by column.
+    linearly in the last argument, with image in ker(d phi).
+    ``ivcm_matrix`` returns its matrix on the standard basis in one call.
     """
 
     bundle: FiberBundleModel
     lagrangian: SmoothMapHandle
     ivcm: Callable[[Pair, Pair, np.ndarray], np.ndarray]
-    ivcm_matrix: Optional[Callable[[Pair, Pair], np.ndarray]] = None
+    ivcm_matrix: Callable[[Pair, Pair], np.ndarray]
 
     def lag(self, eps, m) -> float:
         return float(self.lagrangian(np.concatenate([eps, m]))[0])
 
     def ivcm_mat(self, pair0: Pair, pair1: Pair) -> np.ndarray:
         n = self.bundle.total_dim
-        if self.ivcm_matrix is not None:
-            return np.asarray(self.ivcm_matrix(pair0, pair1), dtype=float).reshape(n, n)
-        cols = np.empty((n, n))
-        basis = np.eye(n)
-        for j in range(n):
-            cols[:, j] = as_vector(self.ivcm(pair0, pair1, basis[j]), n)
-        return cols
+        return np.asarray(self.ivcm_matrix(pair0, pair1), dtype=float).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscretePath:
-    """A discrete path: pairs (eps_k, m_{k+1}) with matching junctions."""
+    """A discrete path: row k of ``points`` is (eps_k, m_{k+1}) in E x M.
 
-    pairs: tuple[Pair, ...]
+    ``points`` is one read-only array of shape (N, total_dim + base_dim),
+    copied from the input; ``path[k]`` and ``pairs`` split its rows into
+    (eps, m) views. A variation of a path has the same layout, its rows
+    being tangent vectors (delta eps_k, delta m_{k+1}).
+    """
+
+    points: np.ndarray
+    total_dim: int
+
+    def __post_init__(self):
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 2 or not 0 < self.total_dim <= points.shape[1]:
+            raise ValueError(f"cannot split rows of shape {points.shape} "
+                             f"after {self.total_dim} fiber coordinates")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.points)
 
     def __getitem__(self, k) -> Pair:
-        return self.pairs[k]
+        row = self.points[k]
+        return row[:self.total_dim], row[self.total_dim:]
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple(self[k] for k in range(len(self)))
 
     def compatibility_defect(self, bundle: FiberBundleModel) -> float:
         """Max over junctions of |phi(eps_{k+1}) - m_{k+1}|."""
+        n = self.total_dim
         worst = 0.0
-        for (eps0, m1), (eps1, _m2) in zip(self.pairs, self.pairs[1:]):
-            worst = max(worst, float(np.max(np.abs(bundle.phi(eps1) - m1))))
+        for row, nxt in zip(self.points, self.points[1:]):
+            worst = max(worst, float(np.max(np.abs(bundle.phi(nxt[:n]) - row[n:]))))
         return worst
 
     def validate(self, bundle: FiberBundleModel, tol: float = 1e-9):
@@ -118,16 +128,11 @@ class DiscretePath:
         return defect
 
 
-@dataclass(frozen=True, eq=False)
-class Variation:
-    """Tangent data (delta_eps_k, delta_m_{k+1}) over a discrete path."""
-
-    deltas: tuple[Pair, ...]
-
-
 def make_path(pairs: Sequence[Pair]) -> DiscretePath:
-    return DiscretePath(tuple((as_vector(e).copy(), as_vector(m).copy())
-                              for e, m in pairs))
+    """A path whose rows join the given (eps, m) pairs."""
+    return DiscretePath(np.array([np.concatenate([as_vector(e), as_vector(m)])
+                                  for e, m in pairs]),
+                        len(as_vector(pairs[0][0])))
 
 
 def path_from_points(points: Sequence[np.ndarray]) -> DiscretePath:
@@ -169,8 +174,8 @@ def d2_lagrangian(sys: DlpsSystem, eps, m) -> np.ndarray:
 # --- dynamics --------------------------------------------------------------
 
 def action_sum(sys: DlpsSystem, path: DiscretePath) -> float:
-    """The discrete action: sum of L_d over the path's pairs."""
-    return float(sum(sys.lag(eps, m) for eps, m in path.pairs))
+    """The discrete action: sum of L_d over the path's points."""
+    return float(sum(float(sys.lagrangian(x)[0]) for x in path.points))
 
 
 def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarray:
@@ -255,8 +260,8 @@ def simulate(sys: DlpsSystem, eps0, m1, n_steps: int,
     carrying the partial path and the failing step index, so diagnostics
     can run on partial data. Any other exception propagates as itself.
     """
-    pairs = [(as_vector(eps0, sys.bundle.total_dim).copy(),
-              as_vector(m1, sys.bundle.base_dim).copy())]
+    pairs = [(as_vector(eps0, sys.bundle.total_dim),
+              as_vector(m1, sys.bundle.base_dim))]
     for k in range(n_steps):
         try:
             nxt = step(sys, pairs[-1][0], pairs[-1][1], cfg=cfg)
@@ -285,13 +290,14 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
 
 
 def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
-                                   tilde_deltas: Sequence[np.ndarray]) -> Variation:
+                                   tilde_deltas: Sequence[np.ndarray]) -> DiscretePath:
     """Assemble the fixed-endpoint variation generated by free vectors.
 
     ``tilde_deltas[k-1]`` is the free tangent at eps_k for k = 1..N-1.
     The last free vector is taken as is, earlier ones receive the chained
     contribution of their successor, the k = 0 slot is pure chaining, and
-    base deltas follow d phi. The final base delta is zero.
+    base deltas follow d phi. The final base delta is zero. Row k of the
+    returned path is (delta eps_k, delta m_{k+1}).
     """
     n_pairs = len(path)
     if n_pairs < 2:
@@ -301,7 +307,7 @@ def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
     tilde = [as_vector(d, sys.bundle.total_dim) for d in tilde_deltas]
 
     d_eps = [None] * n_pairs
-    d_eps[n_pairs - 1] = tilde[-1].copy()
+    d_eps[n_pairs - 1] = tilde[-1]
     for k in range(n_pairs - 2, 0, -1):
         chained = sys.ivcm(path[k], path[k + 1], tilde[k])
         d_eps[k] = tilde[k - 1] + as_vector(chained, sys.bundle.total_dim)
@@ -315,26 +321,24 @@ def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
         else:
             dm = np.zeros(sys.bundle.base_dim)
         deltas.append((d_eps[k], dm))
-    return Variation(tuple(deltas))
+    return make_path(deltas)
 
 
 def action_derivative(sys: DlpsSystem, path: DiscretePath,
-                      variation: Variation) -> float:
+                      variation: DiscretePath) -> float:
     """Directional derivative of the action along a variation, by FD.
 
     The step in t is ``DEFAULT_FD_STEP`` over the largest fiber delta
     (at least 1).
     """
-    if len(variation.deltas) != len(path):
+    if len(variation) != len(path):
         raise ValueError("variation and path lengths differ")
+    n = path.total_dim
 
     def shifted(t):
-        pairs = [(e + t[0] * de, m + t[0] * dm)
-                 for (e, m), (de, dm) in zip(path.pairs, variation.deltas)]
-        return action_sum(sys, make_path(pairs))
+        return action_sum(sys, DiscretePath(path.points + t[0] * variation.points, n))
 
-    scale = max(1.0, max(float(np.max(np.abs(de), initial=0.0))
-                         for de, _ in variation.deltas))
+    scale = max(1.0, float(np.max(np.abs(variation.points[:, :n]), initial=0.0)))
     return float(jacobian_fd(shifted, np.zeros(1),
                              step=DEFAULT_FD_STEP / scale)[0, 0])
 

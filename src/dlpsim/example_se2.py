@@ -26,8 +26,9 @@ import numpy as np
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DlpsSystem, from_dms
 from .errors import DomainError, ValidationError
-from .lie import (ActionModel, GroupElement, se2_group, se2_two_point_action,
-                  t2_group, t2_two_point_action, u1_group, u1_plane_action)
+from .lie import (ActionModel, GroupElement, _cconj, _cmul, se2_group,
+                  se2_two_point_action, t2_group, t2_two_point_action,
+                  u1_group, u1_plane_action)
 from .reduction import ReducedModel, ReductionResult, build_upsilon, reduce
 from .smooth import SmoothMapHandle, as_vector, jacobian_fd
 
@@ -222,7 +223,6 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
     conn = make_t2_connection()
-    t2 = t2_group()
 
     def fiber_chart(eps, w: GroupElement):
         return np.concatenate([_separation(eps) / SQRT2, w.coords])
@@ -250,7 +250,7 @@ def make_reduced_system(cfg: TwoBodyConfig | None = None,
     """The two-body system reduced by translations."""
     cfg = cfg or TwoBodyConfig()
     model = make_reduced_model(cfg, rng=rng)
-    return reduce(make_full_system(cfg), t2_group(), make_t2_connection(), model)
+    return reduce(make_full_system(cfg), model)
 
 
 def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
@@ -269,14 +269,6 @@ def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
 
 
 # --- staged reduction: SE(2) over T2 ---------------------------------------
-
-def _cmul(a, b):
-    return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
-
-
-def _cconj(a):
-    return np.array([a[0], -a[1]])
-
 
 def _phase(a):
     n = float(np.hypot(*a))
@@ -426,7 +418,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     conn_h = make_t2_connection()
     model_h = make_reduced_model(cfg, rng=rng)
-    stage_h = reduce(sys, group_h, conn_h, model_h)
+    stage_h = reduce(sys, model_h)
 
     residual_action = make_residual_u1_action()
     _validate_action_axioms(residual_action,
@@ -457,7 +449,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
                              fiber_section_gh, action_e=residual_action,
                              sample_cprime=sample_cprime_gh, rng=rng,
                              ivcm_tol=1e-7)
-    stage_gh = reduce(stage_h.system, u1_group(), conn_gh, model_gh)
+    stage_gh = reduce(stage_h.system, model_gh)
 
     conn_g = make_se2_connection()
 
@@ -484,7 +476,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     model_g = build_upsilon(conn_g, sys, fiber_chart_g, fiber_section_g,
                             action_e=action_g, sample_cprime=sample_cprime,
                             rng=rng)
-    one_shot = reduce(sys, group_g, conn_g, model_g)
+    one_shot = reduce(sys, model_g)
 
     return StagedSetup(cfg=cfg, sys=sys, group_g=group_g, group_h=group_h,
                        action_g=action_g, conn_h=conn_h, conn_g=conn_g,

@@ -48,7 +48,6 @@ class LieGroupModel:
     inverse: Callable[[GroupElement], GroupElement]
     exp_small: Callable[[np.ndarray], GroupElement]
     from_params: Callable[[np.ndarray], GroupElement]
-    to_params: Callable[[GroupElement], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +124,6 @@ def trivial_group() -> LieGroupModel:
         inverse=lambda g: e,
         exp_small=lambda xi: e,
         from_params=lambda p: e,
-        to_params=lambda g: np.zeros(0),
     )
 
 
@@ -146,7 +144,6 @@ def u1_group() -> LieGroupModel:
     return LieGroupModel(
         name="U(1)", dim=1, identity=e, compose=comp, inverse=inv,
         exp_small=expm, from_params=expm,
-        to_params=lambda g: np.array([np.arctan2(g.coords[1], g.coords[0])]),
     )
 
 
@@ -159,7 +156,6 @@ def t2_group() -> LieGroupModel:
         inverse=lambda g: GroupElement(-g.coords),
         exp_small=lambda xi: GroupElement(as_vector(xi, 2).copy()),
         from_params=lambda p: GroupElement(as_vector(p, 2).copy()),
-        to_params=lambda g: g.coords.copy(),
     )
 
 
@@ -200,24 +196,13 @@ def se2_group() -> LieGroupModel:
         p = as_vector(p, 3)
         return GroupElement(np.array([np.cos(p[0]), np.sin(p[0]), p[1], p[2]]))
 
-    def to_params(g):
-        a = g.coords[:2]
-        return np.array([np.arctan2(a[1], a[0]), g.coords[2], g.coords[3]])
-
     return LieGroupModel(name="SE(2)", dim=3, identity=e, compose=comp,
-                         inverse=inv, exp_small=expm,
-                         from_params=from_params, to_params=to_params)
+                         inverse=inv, exp_small=expm, from_params=from_params)
 
 
 def project_to_quotient(g: GroupElement) -> GroupElement:
     """The quotient homomorphism SE(2) -> SE(2)/T2 = U(1): keep the rotation."""
     return GroupElement(_cnormalize(as_vector(g.coords, 4)[:2]))
-
-
-def embed_t2_in_se2(h: GroupElement) -> GroupElement:
-    """Inclusion T2 -> SE(2) as the translations (1, v)."""
-    v = as_vector(h.coords, 2)
-    return GroupElement(np.array([1.0, 0.0, v[0], v[1]]))
 
 
 # --- concrete actions -----------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
-from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel, Pair, make_path)
+from .dlps import DiscretePath, DlpsSystem, FiberBundleModel, Pair
 from .errors import MatchingError, SingularJacobian, ValidationError
 from .lie import (ActionModel, GroupElement, LieGroupModel, sample_group,
                   trivial_action, trivial_group)
@@ -54,14 +54,6 @@ class ReducedModel:
     action_e: ActionModel
     action_m: ActionModel
     sample_cprime: Optional[Callable[[np.random.Generator], np.ndarray]] = None
-
-    def split_reduced(self, y) -> Pair:
-        y = as_vector(y, self.reduced_bundle.total_dim + self.reduced_bundle.base_dim)
-        return y[:self.reduced_bundle.total_dim], y[self.reduced_bundle.total_dim:]
-
-    def split_source(self, x) -> Pair:
-        x = as_vector(x, self.source_bundle.total_dim + self.source_bundle.base_dim)
-        return x[:self.source_bundle.total_dim], x[self.source_bundle.total_dim:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +231,7 @@ def _solve_isomorphism(J: np.ndarray, pinv_tol: float = 1e-6) -> np.ndarray:
         return Jinv
 
 
-def reduce(sys: DlpsSystem, group: LieGroupModel, conn: DiscreteConnection,
-           model: ReducedModel) -> ReductionResult:
+def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     """The reduced system determined by a validated model.
 
     The reduced Lagrangian is the original one through the lift section,
@@ -255,8 +246,6 @@ def reduce(sys: DlpsSystem, group: LieGroupModel, conn: DiscreteConnection,
     partial derivatives of the fiber part of upsilon, read off
     ``upsilon.jacobian`` (closed form when upsilon has a ``jac``).
     """
-    if group.name != model.group.name:
-        raise ValueError("group does not match the reduced model")
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
     nEr = model.reduced_bundle.total_dim
     L, lift, upsilon = sys.lagrangian, model.lift_section, model.upsilon
@@ -323,16 +312,13 @@ def trivial_reduction(sys: DlpsSystem,
                           fiber_section=lambda v: (as_vector(v, nE).copy(), G.identity),
                           action_e=trivial_action(nE),
                           sample_cprime=sample_cprime, rng=rng)
-    return reduce(sys, G, conn, model)
+    return reduce(sys, model)
 
 
 def project_path(model: ReducedModel, path: DiscretePath) -> DiscretePath:
     """Pointwise image of a path under the reduction morphism."""
-    pairs = []
-    for eps, m in path.pairs:
-        y = model.upsilon(np.concatenate([eps, m]))
-        pairs.append(model.split_reduced(y))
-    return make_path(pairs)
+    return DiscretePath(np.array([model.upsilon(x) for x in path.points]),
+                        model.reduced_bundle.total_dim)
 
 
 def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
@@ -346,26 +332,22 @@ def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
     surfaces as MatchingError.
     """
     nE = model.source_bundle.total_dim
-    eps0 = as_vector(eps0, nE)
-    m1 = as_vector(m1, model.source_bundle.base_dim)
-    x = np.concatenate([eps0, m1])
-    y0 = np.concatenate(reduced_path[0])
-    start_defect = float(np.max(np.abs(model.upsilon(x) - y0)))
+    x = np.concatenate([as_vector(eps0, nE),
+                        as_vector(m1, model.source_bundle.base_dim)])
+    start_defect = float(np.max(np.abs(model.upsilon(x) - reduced_path.points[0])))
     if start_defect > start_tol:
         raise ValueError(
             f"starting point does not project onto the reduced path "
             f"(defect {start_defect:.3e})")
-    pairs = [(eps0.copy(), m1.copy())]
-    for k in range(1, len(reduced_path)):
-        y = np.concatenate(reduced_path[k])
+    rows = [x]
+    for y in reduced_path.points[1:]:
         xk = model.lift_section(y)
-        eps_prev_m = pairs[-1][1]
         g = solve_matching(model.action_m,
-                           model.source_bundle.phi(xk[:nE]), eps_prev_m,
+                           model.source_bundle.phi(xk[:nE]), rows[-1][nE:],
                            tol=match_tol)
-        pairs.append((model.action_e.act(g, xk[:nE]),
-                      model.action_m.act(g, xk[nE:])))
-    return make_path(pairs)
+        rows.append(np.concatenate([model.action_e.act(g, xk[:nE]),
+                                    model.action_m.act(g, xk[nE:])]))
+    return DiscretePath(np.array(rows), nE)
 
 
 def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
@@ -413,8 +395,7 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
 
     worst = 0.0
     per_step = []
-    for eps, m in trajectory.pairs:
-        x = np.concatenate([eps, m])
+    for x in trajectory.points:
         y_h = stage_h.model.upsilon(x)
         y_gh = stage_gh.model.upsilon(y_h)
         y_g = one_shot.model.upsilon(x)

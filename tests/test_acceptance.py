@@ -35,11 +35,6 @@ def report(criterion, label, value, tol, ok=None):
     assert ok, f"criterion {criterion}: {label} = {value:.3e} > {tol:.0e}"
 
 
-def _pathdiff(a, b):
-    return max(float(np.max(np.abs(np.concatenate(x) - np.concatenate(y))))
-               for x, y in zip(a.pairs, b.pairs))
-
-
 @pytest.fixture(scope="module")
 def full_traj(full_system, full_start):
     return simulate(full_system, *full_start, 50)
@@ -98,7 +93,7 @@ def test_criterion_2_projection_equivalence(full_system, reduced, full_traj,
         res_max = max(res_max, float(np.max(np.abs(r))))
     report(2, "projected trajectory reduced residual", res_max, 1e-8)
     report(2, "reduced simulation equals projection",
-           _pathdiff(projected, reduced_traj), 1e-8)
+           float(np.max(np.abs(projected.points - reduced_traj.points))), 1e-8)
 
 
 def test_criterion_3_reconstruction(full_start):
@@ -110,7 +105,7 @@ def test_criterion_3_reconstruction(full_start):
         traj = simulate(sys, *full_start, 50)
         rebuilt = reconstruct_path(red.model, project_path(red.model, traj),
                                    *full_start)
-        worst = max(worst, _pathdiff(traj, rebuilt))
+        worst = max(worst, float(np.max(np.abs(traj.points - rebuilt.points))))
     report(3, "reconstruct(project(traj)) roundtrip, three potentials",
            worst, 1e-8)
 

@@ -24,8 +24,7 @@ def line_translation_action():
         compose=lambda a, b: GroupElement(a.coords + b.coords),
         inverse=lambda g: GroupElement(-g.coords),
         exp_small=lambda xi: GroupElement(np.atleast_1d(np.asarray(xi, float)).copy()),
-        from_params=lambda p: GroupElement(np.atleast_1d(np.asarray(p, float)).copy()),
-        to_params=lambda g: g.coords.copy())
+        from_params=lambda p: GroupElement(np.atleast_1d(np.asarray(p, float)).copy()))
     return ActionModel(group=G, space_dim=1, act=lambda g, q: q + g.coords)
 
 

@@ -16,6 +16,7 @@ from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action
+from dlpsim.reduction import project_path
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
                            newton_solve)
 
@@ -158,6 +159,32 @@ def test_simulate_middle_triple_residual(full_system, full_start):
     assert np.max(np.abs(res)) <= NewtonConfig().residual_tol
 
 
+def test_path_is_one_read_only_array(full_system, reduced, full_start):
+    """A path is one read-only (N, n + nb) array whose rows are the pairs;
+    projections and variations are paths of the same layout."""
+    pairs = [full_start]
+    for _ in range(4):
+        pairs.append(step(full_system, *pairs[-1]))
+    path = simulate(full_system, *full_start, 4)
+    assert isinstance(path.points, np.ndarray)
+    assert path.points.shape == (5, 8) and not path.points.flags.writeable
+    with pytest.raises(ValueError):
+        path.points[0, 0] = 0.0
+    for k, (eps, m) in enumerate(pairs):
+        assert np.array_equal(path[k][0], eps) and np.array_equal(path[k][1], m)
+        assert np.array_equal(np.concatenate(path.pairs[k]), path.points[k])
+
+    projected = project_path(reduced.model, path)
+    for k in range(len(path)):
+        assert np.array_equal(projected.points[k],
+                              reduced.model.upsilon(path.points[k]))
+
+    var = build_fixed_endpoint_variation(full_system, path,
+                                         [np.ones(4)] * (len(path) - 1))
+    assert isinstance(var, DiscretePath) and var.points.shape == (5, 8)
+    assert abs(action_derivative(full_system, path, var)) < VAR_TOL
+
+
 def test_simulate_reports_partial_path(body_cfg):
     """A failing step surfaces the partial path and the step index."""
     from dlpsim.example_se2 import make_full_system
@@ -217,7 +244,7 @@ def test_variation_zero_inputs(full_system, full_start):
     path = simulate(full_system, *full_start, 4)
     var = build_fixed_endpoint_variation(
         full_system, path, [np.zeros(4)] * (len(path) - 1))
-    for de, dm in var.deltas:
+    for de, dm in var.pairs:
         assert np.max(np.abs(de)) == 0.0 and np.max(np.abs(dm)) == 0.0
 
 
@@ -226,10 +253,10 @@ def test_variation_dms_passthrough(full_system, full_start, rng):
     path = simulate(full_system, *full_start, 4)
     tilde = [rng.standard_normal(4) for _ in range(len(path) - 1)]
     var = build_fixed_endpoint_variation(full_system, path, tilde)
-    assert np.max(np.abs(var.deltas[0][0])) == 0.0
+    assert np.max(np.abs(var[0][0])) == 0.0
     for k in range(1, len(path)):
-        assert np.max(np.abs(var.deltas[k][0] - tilde[k - 1])) < 1e-14
-    assert np.max(np.abs(var.deltas[-1][1])) == 0.0
+        assert np.max(np.abs(var[k][0] - tilde[k - 1])) < 1e-14
+    assert np.max(np.abs(var[-1][1])) == 0.0
 
 
 @pytest.mark.parametrize("system_name", ["free", "harmonic"])
@@ -350,8 +377,8 @@ def _covector_case(name):
     """(system, sampler of (eps, m) pairs) for the bitwise covector test."""
     if name == "reduced":
         red = make_reduced_system(TwoBodyConfig(), rng=np.random.default_rng(1))
-        return red.system, lambda rng: red.model.split_reduced(
-            red.model.upsilon(sample_cprime(rng)))
+        return red.system, lambda rng: np.split(
+            red.model.upsilon(sample_cprime(rng)), [4])
     sys = _two_body("linear", 0.5) if name == "exact" else _fd_two_body()
     return sys, lambda rng: sample_cprime(rng).reshape(2, 4)
 

@@ -22,11 +22,6 @@ SQRT2 = np.sqrt(2.0)
 TRAJ_TOL = 1e-8
 
 
-def _pathdiff(a, b):
-    return max(float(np.max(np.abs(np.concatenate(x) - np.concatenate(y))))
-               for x, y in zip(a.pairs, b.pairs))
-
-
 def test_upsilon_printed_value(reduced):
     """q0 = (0, 2), q1 = (1, 3): reduced point ((-sqrt2, 1), -sqrt2)."""
     x = np.array([0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 3.0, 0.0])
@@ -106,12 +101,10 @@ def test_reduce_without_lift_jac_keeps_stencil(full_system, reduced):
     model = reduced.model
     bare_lift = dataclasses.replace(
         model, lift_section=_without_jac(model.lift_section))
-    assert reduce(full_system, t2_group(), make_t2_connection(),
-                  bare_lift).system.lagrangian.jac is None
+    assert reduce(full_system, bare_lift).system.lagrangian.jac is None
     bare_sys = dataclasses.replace(
         full_system, lagrangian=_without_jac(full_system.lagrangian))
-    assert reduce(bare_sys, t2_group(), make_t2_connection(),
-                  model).system.lagrangian.jac is None
+    assert reduce(bare_sys, model).system.lagrangian.jac is None
 
 
 def test_reduced_chaining_fd_fallback_matches_closed_form(full_system, reduced,
@@ -120,11 +113,11 @@ def test_reduced_chaining_fd_fallback_matches_closed_form(full_system, reduced,
     from jacobian_fd and agrees with the closed-form blocks."""
     model = reduced.model
     bare = dataclasses.replace(model, upsilon=_without_jac(model.upsilon))
-    fd_sys = reduce(full_system, t2_group(), make_t2_connection(), bare).system
+    fd_sys = reduce(full_system, bare).system
     for _ in range(20):
         y0 = model.upsilon(sample_cprime(rng))
         y1 = model.upsilon(sample_cprime(rng))
-        pairs = (model.split_reduced(y0), model.split_reduced(y1))
+        pairs = ((y0[:4], y0[4:]), (y1[:4], y1[4:]))
         diff = fd_sys.ivcm_mat(*pairs) - reduced.system.ivcm_mat(*pairs)
         assert np.max(np.abs(diff)) < 1e-9
 
@@ -183,8 +176,8 @@ def test_projection_of_translated_trajectory(full_system, reduced, full_start,
     shifted = [(reduced.model.action_e.act(g, e), reduced.model.action_m.act(g, m))
                for e, m in traj.pairs]
     from dlpsim.dlps import make_path
-    assert _pathdiff(project_path(reduced.model, traj),
-                     project_path(reduced.model, make_path(shifted))) < 1e-10
+    assert np.max(np.abs(project_path(reduced.model, traj).points
+                         - project_path(reduced.model, make_path(shifted)).points)) < 1e-10
 
 
 def test_projection_matches_reduced_simulation(full_system, reduced,
@@ -193,14 +186,14 @@ def test_projection_matches_reduced_simulation(full_system, reduced,
     red_path = project_path(reduced.model, traj)
     y0 = reduced.model.upsilon(np.concatenate(traj[0]))
     direct = simulate(reduced.system, y0[:4], y0[4:], 50)
-    assert _pathdiff(red_path, direct) <= TRAJ_TOL
+    assert np.max(np.abs(red_path.points - direct.points)) <= TRAJ_TOL
 
 
 def test_reconstruction_roundtrip(full_system, reduced, full_start):
     traj = simulate(full_system, *full_start, 50)
     red_path = project_path(reduced.model, traj)
     rebuilt = reconstruct_path(reduced.model, red_path, *full_start)
-    assert _pathdiff(traj, rebuilt) <= TRAJ_TOL
+    assert np.max(np.abs(traj.points - rebuilt.points)) <= TRAJ_TOL
 
 
 def test_reconstruction_single_pair(reduced, full_start):
@@ -224,7 +217,7 @@ def test_reconstruction_equivariance(full_system, reduced, full_start, rng):
     from dlpsim.dlps import make_path
     shifted_traj = make_path([(act_e.act(g, e), act_m.act(g, m))
                               for e, m in traj.pairs])
-    assert _pathdiff(rebuilt, shifted_traj) <= TRAJ_TOL
+    assert np.max(np.abs(rebuilt.points - shifted_traj.points)) <= TRAJ_TOL
 
 
 def test_reconstruction_rejects_bad_start(reduced, full_system, full_start):
@@ -306,7 +299,7 @@ def test_connection_independence(body_cfg, full_system, reduced, full_start,
                            action_e=t2_two_point_action(),
                            sample_cprime=sample_cprime,
                            rng=np.random.default_rng(7))
-    red2 = reduce(full_system, t2_group(), conn2, model2)
+    red2 = reduce(full_system, model2)
 
     traj1 = simulate(reduced.system,
                      *_split(reduced.model.upsilon(np.concatenate(full_start))),
