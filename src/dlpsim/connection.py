@@ -59,15 +59,14 @@ def horizontal_lift(conn: DiscreteConnection, q0, r1) -> np.ndarray:
     return as_vector(conn.hor_lift(q0, r1), conn.quotient.total_dim)
 
 
-def mechanical_connection_flat(metric, quotient: QuotientModel,
-                               cfg: NewtonConfig | None = None) -> DiscreteConnection:
+def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConnection:
     """Discrete connection from a flat metric and an isometric action.
 
     Horizontal pairs are those whose difference is metric-orthogonal to
     the group orbit at the first point (geodesics are straight lines, so
     the geodesic construction degenerates to this orthogonality). The
-    group offset is solved by Newton over the group parameters, starting
-    at the identity; a failed solve surfaces as DomainError.
+    group offset is solved by Newton (to 1e-13) over the group parameters,
+    starting at the identity; a failed solve surfaces as DomainError.
     """
     action = quotient.action
     G = action.group
@@ -76,7 +75,7 @@ def mechanical_connection_flat(metric, quotient: QuotientModel,
         raise ValueError("metric shape does not match the total space")
     if not np.allclose(M, M.T):
         raise ValueError("metric must be symmetric")
-    cfg = cfg or NewtonConfig(residual_tol=1e-13)
+    cfg = NewtonConfig(residual_tol=1e-13)
 
     def _horizontality(q0, q1):
         frame = orbit_frame(action, q0)

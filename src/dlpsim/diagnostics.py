@@ -21,6 +21,9 @@ from .reduction import ReducedModel
 from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
                      newton_solve)
 
+#: Newton settings of the inverse discrete Legendre transform.
+_LEGENDRE_NEWTON = NewtonConfig(residual_tol=1e-10)
+
 
 @dataclass(frozen=True, eq=False)
 class MomentumValue:
@@ -42,15 +45,15 @@ def momentum(sys: DlpsSystem, action: ActionModel, eps0, m1) -> MomentumValue:
 
 
 def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
-                             trajectory: DiscretePath,
-                             residual_tol: float = 1e-6) -> dict:
+                             trajectory: DiscretePath) -> dict:
     """Check the per-step momentum evolution identity along a trajectory.
 
     The momentum at step k must equal the momentum at step k-1 plus the
     chaining correction (the previous fiber-slot gradient through the
     chaining map, evaluated on the generator). Also reports the raw
     conservation drift, which vanishes whenever the chaining correction
-    does. A path that is not a trajectory is flagged, not rejected.
+    does. A path that is not a trajectory (a discrete Euler-Lagrange
+    residual above 1e-6) is flagged by ``precondition_ok``, not rejected.
     """
     pairs = trajectory.pairs
     max_residual = 0.0
@@ -58,14 +61,14 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
         res = del_residual(sys, pairs[k - 1][0], pairs[k - 1][1],
                            pairs[k][0], pairs[k][1])
         max_residual = max(max_residual, float(np.max(np.abs(res))))
-    precondition_ok = max_residual <= residual_tol
+    precondition_ok = max_residual <= 1e-6
 
     momenta = [momentum(sys, action, eps, m).components for eps, m in pairs]
     max_violation = 0.0
     max_drift = 0.0
     for k in range(1, len(pairs)):
         g1_prev = d1_lagrangian(sys, pairs[k - 1][0], pairs[k - 1][1])
-        ivcm_m = sys.ivcm_mat(pairs[k - 1], pairs[k])
+        ivcm_m = sys.ivcm_matrix(pairs[k - 1], pairs[k])
         frame_k = orbit_frame(action, pairs[k][0])
         correction = g1_prev @ (ivcm_m @ frame_k)
         violation = momenta[k] - momenta[k - 1] - correction
@@ -92,36 +95,34 @@ def _mixed_partial(sys: DlpsSystem, q0, q1) -> np.ndarray:
     return jacobian_fd(lambda q: d1_lagrangian(sys, q0, q), q1)
 
 
-def _check_regularity(sys: DlpsSystem, q0, q1, cond_tol: float = 1e-8) -> float:
+def _check_regularity(sys: DlpsSystem, q0, q1) -> float:
     """Smallest singular value of the mixed-partial block, scale-guarded.
 
     The reference scale is max(sigma_max, 1): a block sitting at the FD
     noise floor is singular for every practical purpose even though its
-    singular values are mutually balanced.
+    singular values are mutually balanced. Raises RegularityError at 1e-8.
     """
     D12 = _mixed_partial(sys, q0, q1)
     sv = np.linalg.svd(D12, compute_uv=False)
     scale = max(float(sv[0]), 1.0)
-    if sv[-1] <= cond_tol * scale:
+    if sv[-1] <= 1e-8 * scale:
         raise RegularityError(
             f"mixed-partial block nearly singular "
             f"(sigma_min/scale {sv[-1] / scale:.3e})")
     return float(sv[-1] / scale)
 
 
-def _inverse_minus_legendre(sys: DlpsSystem, q0, p0, q1_guess,
-                            cfg: NewtonConfig) -> np.ndarray:
+def _inverse_minus_legendre(sys: DlpsSystem, q0, p0, q1_guess) -> np.ndarray:
     """Solve the fiber-slot gradient equation: find q1 with -D1 L(q0,q1) = p0."""
     n = sys.bundle.total_dim
 
     def res(q1):
         return d1_lagrangian(sys, q0, q1) + p0
 
-    return newton_solve(SmoothMapHandle(n, n, res), q1_guess, cfg)
+    return newton_solve(SmoothMapHandle(n, n, res), q1_guess, _LEGENDRE_NEWTON)
 
 
-def canonical_step_map(sys: DlpsSystem, q1_guess,
-                       cfg: NewtonConfig | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def canonical_step_map(sys: DlpsSystem, q1_guess) -> Callable[[np.ndarray], np.ndarray]:
     """The one-step map in discrete Legendre coordinates (q, p) -> (q', p').
 
     Given (q0, p0), the next configuration solves the implicit
@@ -129,20 +130,18 @@ def canonical_step_map(sys: DlpsSystem, q1_guess,
     gradient there. ``q1_guess`` warm-starts the inner Newton solve.
     """
     n = _require_dms(sys)
-    cfg = cfg or NewtonConfig(residual_tol=1e-10)
     state = {"guess": as_vector(q1_guess, n).copy()}
 
     def phi(z):
         q0, p0 = z[:n], z[n:]
-        q1 = _inverse_minus_legendre(sys, q0, p0, state["guess"], cfg)
+        q1 = _inverse_minus_legendre(sys, q0, p0, state["guess"])
         state["guess"] = q1
         return np.concatenate([q1, d2_lagrangian(sys, q0, q1)])
 
     return phi
 
 
-def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath,
-                     cfg: NewtonConfig | None = None) -> dict:
+def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
     """Per-step symplecticity defect of the flow in Legendre coordinates.
 
     Each step is transported to canonical coordinates via the discrete
@@ -151,7 +150,6 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath,
     Raises RegularityError when the mixed-partial block degenerates.
     """
     n = _require_dms(dms)
-    cfg = cfg or NewtonConfig(residual_tol=1e-10)
     Omega = np.block([[np.zeros((n, n)), np.eye(n)],
                       [-np.eye(n), np.zeros((n, n))]])
     per_step = []
@@ -161,7 +159,7 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath,
         min_cond = min(min_cond, _check_regularity(dms, q0, q1))
         p0 = -d1_lagrangian(dms, q0, q1)
         z = np.concatenate([q0, p0])
-        phi = canonical_step_map(dms, trajectory[k + 1][0], cfg)
+        phi = canonical_step_map(dms, trajectory[k + 1][0])
         K = jacobian_fd(phi, z)
         per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
     return {
@@ -173,24 +171,21 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath,
 
 
 def _pullback_gradient_legendre(sys: DlpsSystem, fn: SmoothMapHandle,
-                                model: ReducedModel, z, q1_guess,
-                                cfg: NewtonConfig) -> np.ndarray:
+                                model: ReducedModel, z, q1_guess) -> np.ndarray:
     """Gradient in Legendre coordinates of a reduced function's pullback."""
     n = sys.bundle.total_dim
-    state = {"guess": as_vector(q1_guess, n).copy()}
+    step_map = canonical_step_map(sys, q1_guess)
 
     def value(zz):
-        q0, p0 = zz[:n], zz[n:]
-        q1 = _inverse_minus_legendre(sys, q0, p0, state["guess"], cfg)
-        state["guess"] = q1
-        return fn(model.upsilon(np.concatenate([q0, q1])))
+        q1 = step_map(zz)[:n]
+        return fn(model.upsilon(np.concatenate([zz[:n], q1])))
 
     return jacobian_fd(value, z)[0]
 
 
 def bracket_via_legendre_chart(sys: DlpsSystem, model: ReducedModel,
                                f1: SmoothMapHandle, f2: SmoothMapHandle,
-                               x, cfg: NewtonConfig | None = None) -> float:
+                               x) -> float:
     """Canonical bracket of pullbacks computed in the Legendre chart.
 
     Slow route (each perturbed evaluation re-solves the implicit Legendre
@@ -198,14 +193,13 @@ def bracket_via_legendre_chart(sys: DlpsSystem, model: ReducedModel,
     ``bracket_of_pullbacks``.
     """
     n = _require_dms(sys)
-    cfg = cfg or NewtonConfig(residual_tol=1e-10)
     x = as_vector(x, 2 * n)
     q0, q1 = x[:n], x[n:]
     _check_regularity(sys, q0, q1)
     p0 = -d1_lagrangian(sys, q0, q1)
     z = np.concatenate([q0, p0])
-    g1 = _pullback_gradient_legendre(sys, f1, model, z, q1, cfg)
-    g2 = _pullback_gradient_legendre(sys, f2, model, z, q1, cfg)
+    g1 = _pullback_gradient_legendre(sys, f1, model, z, q1)
+    g2 = _pullback_gradient_legendre(sys, f2, model, z, q1)
     return float(g1[:n] @ g2[n:] - g1[n:] @ g2[:n])
 
 
@@ -242,7 +236,7 @@ def _bracket_table(sys: DlpsSystem, model: ReducedModel,
 
 def bracket_of_pullbacks(sys: DlpsSystem, model: ReducedModel,
                          f1: SmoothMapHandle, f2: SmoothMapHandle,
-                         x, cfg: NewtonConfig | None = None) -> float:
+                         x) -> float:
     """Poisson bracket of two pulled-back reduced functions.
 
     Computed from the inverse of the discrete Lagrangian two-form in pair
@@ -256,25 +250,23 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
                           test_fns: Sequence[SmoothMapHandle],
                           n_samples: int,
                           rng: np.random.Generator | None = None,
-                          n_group: int = 5,
-                          group_scale: float = 1.0) -> dict:
+                          n_group: int = 5) -> dict:
     """Orbit-invariance of the bracket of pulled-back reduced functions.
 
     The reduced bracket is defined by pushing the bracket of pullbacks
     through the quotient; the computable content is that the bracket of
     pullbacks is constant on group orbits. Reports the max variation over
-    samples and group elements, for every function pair.
+    samples and ``n_group`` group elements each (parameters drawn from
+    [-1, 1]), for every function pair.
     """
     rng = rng or np.random.default_rng(5)
-    if model.sample_cprime is None:
-        raise ValueError("the reduced model provides no sampler")
     worst = 0.0
     n_pairs = len(test_fns) * (len(test_fns) - 1) // 2
     for _ in range(n_samples):
         x = model.sample_cprime(rng)
         base = _bracket_table(dms, model, test_fns, x)
         for _ in range(n_group):
-            g = sample_group(model.group, rng, scale=group_scale)
+            g = sample_group(model.group, rng, scale=1.0)
             gx = model.group_action.act(g, x)
             moved = _bracket_table(dms, model, test_fns, gx)
             worst = max(worst, float(np.max(np.abs(moved - base), initial=0.0)))

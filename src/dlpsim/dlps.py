@@ -47,13 +47,13 @@ class FiberBundleModel:
     phi: SmoothMapHandle
     section: SmoothMapHandle
 
-    def validate(self, sample_base, rng, n_samples=20, tol=1e-9):
-        """Check phi o section = id on sampled base points."""
+    def validate(self, sample_base, rng):
+        """Check phi o section = id to 1e-9 on 20 sampled base points."""
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(20):
             r = sample_base(rng)
             worst = max(worst, float(np.max(np.abs(self.phi(self.section(r)) - r))))
-        if worst > tol:
+        if worst > 1e-9:
             raise ValueError(f"phi o section differs from id by {worst:.3e}")
         return worst
 
@@ -65,7 +65,8 @@ class DlpsSystem:
     ``lagrangian`` is a scalar handle on R^(total+base). ``ivcm`` maps
     (pair_k, pair_{k+1}, delta_eps_{k+1}) to a tangent vector at eps_k,
     linearly in the last argument, with image in ker(d phi).
-    ``ivcm_matrix`` returns its matrix on the standard basis in one call.
+    ``ivcm_matrix(pair_k, pair_{k+1})`` returns its matrix on the standard
+    basis in one call, as a float array of shape (total_dim, total_dim).
     """
 
     bundle: FiberBundleModel
@@ -75,10 +76,6 @@ class DlpsSystem:
 
     def lag(self, eps, m) -> float:
         return float(self.lagrangian(np.concatenate([eps, m]))[0])
-
-    def ivcm_mat(self, pair0: Pair, pair1: Pair) -> np.ndarray:
-        n = self.bundle.total_dim
-        return np.asarray(self.ivcm_matrix(pair0, pair1), dtype=float).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +118,11 @@ class DiscretePath:
             worst = max(worst, float(np.max(np.abs(bundle.phi(nxt[:n]) - row[n:]))))
         return worst
 
-    def validate(self, bundle: FiberBundleModel, tol: float = 1e-9):
+    def validate(self, bundle: FiberBundleModel):
+        """Raise ValueError when a junction defect exceeds 1e-9."""
         defect = self.compatibility_defect(bundle)
-        if defect > tol:
-            raise ValueError(f"path junction defect {defect:.3e} exceeds {tol:g}")
+        if defect > 1e-9:
+            raise ValueError(f"path junction defect {defect:.3e} exceeds 1e-09")
         return defect
 
 
@@ -209,7 +207,7 @@ def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, eps_prev, m_cur,
     """
     term1 = d1_lagrangian(sys, eps_cur, m_next)
     term2 = g2_prev @ sys.bundle.phi.jacobian(eps_cur)
-    ivcm_m = sys.ivcm_mat((eps_prev, m_cur), (eps_cur, m_next))
+    ivcm_m = sys.ivcm_matrix((eps_prev, m_cur), (eps_cur, m_next))
     term3 = g1_prev @ ivcm_m
     return term1 + term2 + term3
 
@@ -222,14 +220,13 @@ def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
     return np.concatenate([eps1, m2])
 
 
-def step(sys: DlpsSystem, eps0, m1, guess=None,
-         cfg: NewtonConfig | None = None) -> Pair:
+def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     """One step of the discrete Lagrangian flow.
 
-    Solves for (eps1, m2) such that phi(eps1) = m1 (constraint rows) and
-    the discrete Euler-Lagrange covector vanishes. Raises NonConvergence
-    or SingularJacobian when the implicit solve fails, which signals a
-    failure of the flow's regularity hypotheses at this point.
+    Solves for (eps1, m2), from the ``_default_guess`` seed, such that
+    phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
+    Raises NonConvergence or SingularJacobian when the implicit solve
+    fails, which signals a failure of the flow's regularity hypotheses.
     """
     b = sys.bundle
     eps0 = as_vector(eps0, b.total_dim)
@@ -246,8 +243,7 @@ def step(sys: DlpsSystem, eps0, m1, guess=None,
         return out
 
     handle = SmoothMapHandle(n + nb, n + nb, residual)
-    z0 = _default_guess(sys, eps0, m1) if guess is None else as_vector(guess, n + nb)
-    z = newton_solve(handle, z0, cfg)
+    z = newton_solve(handle, _default_guess(sys, eps0, m1), cfg)
     return z[:n], z[n:]
 
 

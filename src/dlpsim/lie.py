@@ -41,7 +41,6 @@ class LieGroupModel:
     form, valid near 0 (and in fact globally for these models).
     """
 
-    name: str
     dim: int
     identity: GroupElement
     compose: Callable[[GroupElement, GroupElement], GroupElement]
@@ -119,7 +118,7 @@ def trivial_group() -> LieGroupModel:
     """The one-element group, useful for degenerate reductions."""
     e = GroupElement(np.zeros(0))
     return LieGroupModel(
-        name="trivial", dim=0, identity=e,
+        dim=0, identity=e,
         compose=lambda g1, g2: e,
         inverse=lambda g: e,
         exp_small=lambda xi: e,
@@ -142,7 +141,7 @@ def u1_group() -> LieGroupModel:
         return GroupElement(np.array([np.cos(t), np.sin(t)]))
 
     return LieGroupModel(
-        name="U(1)", dim=1, identity=e, compose=comp, inverse=inv,
+        dim=1, identity=e, compose=comp, inverse=inv,
         exp_small=expm, from_params=expm,
     )
 
@@ -151,7 +150,7 @@ def t2_group() -> LieGroupModel:
     """The planar translation group, isomorphic to (C, +)."""
     e = GroupElement(np.zeros(2))
     return LieGroupModel(
-        name="T2", dim=2, identity=e,
+        dim=2, identity=e,
         compose=lambda g1, g2: GroupElement(g1.coords + g2.coords),
         inverse=lambda g: GroupElement(-g.coords),
         exp_small=lambda xi: GroupElement(as_vector(xi, 2).copy()),
@@ -196,8 +195,8 @@ def se2_group() -> LieGroupModel:
         p = as_vector(p, 3)
         return GroupElement(np.array([np.cos(p[0]), np.sin(p[0]), p[1], p[2]]))
 
-    return LieGroupModel(name="SE(2)", dim=3, identity=e, compose=comp,
-                         inverse=inv, exp_small=expm, from_params=from_params)
+    return LieGroupModel(dim=3, identity=e, compose=comp, inverse=inv,
+                         exp_small=expm, from_params=from_params)
 
 
 def project_to_quotient(g: GroupElement) -> GroupElement:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +33,15 @@ logger = logging.getLogger(__name__)
 
 FiberChart = Callable[[np.ndarray, GroupElement], np.ndarray]
 FiberSection = Callable[[np.ndarray], tuple[np.ndarray, GroupElement]]
+
+#: Largest defect |g q_from - q_to| a matched group element may leave.
+MATCH_TOL = 1e-9
+#: Sampled draws of each validation loop in ``build_upsilon``.
+VALIDATION_DRAWS = 50
+#: Bound on the upsilon orbit-invariance and roundtrip defects.
+ROUNDTRIP_TOL = 1e-10
+#: Relative singular-value floor of the rank checks in ``check_morphism``.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +62,7 @@ class ReducedModel:
     group_action: ActionModel
     action_e: ActionModel
     action_m: ActionModel
-    sample_cprime: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    sample_cprime: Callable[[np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +73,12 @@ class ReductionResult:
     model: ReducedModel
 
 
-def solve_matching(action: ActionModel, q_from, q_to, tol: float = 1e-9,
-                   max_iters: int = 50) -> GroupElement:
+def solve_matching(action: ActionModel, q_from, q_to) -> GroupElement:
     """The group element carrying q_from to q_to under the action.
 
-    Uses the action's closed-form matcher when present, otherwise a
-    Gauss-Newton iteration over the group parameters. The result is
-    always verified; failure raises MatchingError.
+    Uses the action's closed-form matcher when present, otherwise up to 50
+    Gauss-Newton iterations over the group parameters. The result is
+    always verified; a defect above ``MATCH_TOL`` raises MatchingError.
     """
     q_from = as_vector(q_from, action.space_dim)
     q_to = as_vector(q_to, action.space_dim)
@@ -84,9 +92,9 @@ def solve_matching(action: ActionModel, q_from, q_to, tol: float = 1e-9,
         g = G.identity
     else:
         theta = np.zeros(G.dim)
-        for _ in range(max_iters):
+        for _ in range(50):
             res = action.act(G.from_params(theta), q_from) - q_to
-            if float(np.max(np.abs(res))) <= 0.1 * tol:
+            if float(np.max(np.abs(res))) <= 0.1 * MATCH_TOL:
                 break
             f = SmoothMapHandle(G.dim, action.space_dim,
                                 lambda th: action.act(G.from_params(th), q_from) - q_to)
@@ -95,7 +103,7 @@ def solve_matching(action: ActionModel, q_from, q_to, tol: float = 1e-9,
             theta = theta + delta
         g = G.from_params(theta)
     defect = float(np.max(np.abs(action.act(g, q_from) - q_to), initial=0.0))
-    if defect > tol:
+    if defect > MATCH_TOL:
         raise MatchingError(
             f"no group element maps {q_from} to {q_to} (defect {defect:.3e})")
     return g
@@ -116,10 +124,7 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
                   action_e: ActionModel,
                   sample_cprime: Callable[[np.random.Generator], np.ndarray],
                   rng: np.random.Generator | None = None,
-                  n_validate: int = 50,
-                  lagrangian_tol: float = 1e-10,
-                  ivcm_tol: float = 1e-8,
-                  roundtrip_tol: float = 1e-10) -> ReducedModel:
+                  ivcm_tol: float = 1e-8) -> ReducedModel:
     """Assemble and validate the reduction morphism for (sys, conn).
 
     ``fiber_chart(eps, w)`` are invariant coordinates of the class of
@@ -129,10 +134,12 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     lift_section transports the horizontal lift by the stored group
     offset.
 
-    Validation (sampled): the group is a symmetry of sys (Lagrangian
-    invariance and chaining-map equivariance), upsilon o lift_section is
-    the identity and upsilon is constant on orbits. Violations raise
-    ValidationError naming the identity and the sample.
+    Validation (two loops of ``VALIDATION_DRAWS`` sampled draws): the
+    group is a symmetry of sys (Lagrangian invariance to 1e-10 and
+    chaining-map equivariance to ``ivcm_tol``), upsilon o lift_section is
+    the identity and upsilon is constant on orbits (both to
+    ``ROUNDTRIP_TOL``). Violations raise ValidationError naming the
+    identity and the sample.
     """
     rng = rng or np.random.default_rng(20240817)
     quotient = conn.quotient
@@ -178,22 +185,22 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
                          sample_cprime=sample_cprime)
 
     # -- sampled validation ------------------------------------------------
-    for _ in range(n_validate):
+    for _ in range(VALIDATION_DRAWS):
         x = as_vector(sample_cprime(rng), nE + nM)
         g = sample_group(G, rng)
         gx = group_action.act(g, x)
         dL = abs(sys.lag(gx[:nE], gx[nE:]) - sys.lag(x[:nE], x[nE:]))
-        if dL > lagrangian_tol:
+        if dL > 1e-10:
             raise ValidationError("lagrangian G-invariance", sample=x, violation=dL)
         dU = float(np.max(np.abs(upsilon(gx) - upsilon(x))))
-        if dU > roundtrip_tol:
+        if dU > ROUNDTRIP_TOL:
             raise ValidationError("upsilon orbit invariance", sample=x, violation=dU)
         y = upsilon(x)
         dR = float(np.max(np.abs(upsilon(lift_section(y)) - y)))
-        if dR > roundtrip_tol:
+        if dR > ROUNDTRIP_TOL:
             raise ValidationError("upsilon o lift_section = id", sample=y, violation=dR)
 
-    for _ in range(n_validate):
+    for _ in range(VALIDATION_DRAWS):
         xa = as_vector(sample_cprime(rng), nE + nM)
         xb = as_vector(sample_cprime(rng), nE + nM)
         eps0, eps1, m2 = xa[:nE], xb[:nE], xb[nE:]
@@ -213,8 +220,8 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     return model
 
 
-def _solve_isomorphism(J: np.ndarray, pinv_tol: float = 1e-6) -> np.ndarray:
-    """Invert the fiber-slot derivative block, flagging degeneracies."""
+def _solve_isomorphism(J: np.ndarray) -> np.ndarray:
+    """Invert the fiber-slot block, flagging degeneracies (pinv within 1e-6)."""
     n = J.shape[0]
     if J.shape[0] != J.shape[1]:
         raise SingularJacobian(
@@ -225,7 +232,7 @@ def _solve_isomorphism(J: np.ndarray, pinv_tol: float = 1e-6) -> np.ndarray:
         logger.warning("fiber-slot derivative block singular; using pseudo-inverse")
         Jinv = np.linalg.pinv(J)
         defect = float(np.max(np.abs(J @ Jinv - np.eye(n))))
-        if defect > pinv_tol:
+        if defect > 1e-6:
             raise SingularJacobian(
                 f"fiber-slot derivative block is rank deficient (defect {defect:.3e})")
         return Jinv
@@ -279,7 +286,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         K = upsilon.jacobian(np.concatenate([eps0, m1]))[:nEr]
         K1, K2 = K[:, :nE], K[:, nE:]
         jphi1 = sys.bundle.phi.jacobian(eps1)
-        inner = sys.ivcm_mat((eps0, m1), (eps1, m2))
+        inner = sys.ivcm_matrix((eps0, m1), (eps1, m2))
         return (K1 @ inner + K2 @ jphi1) @ Jinv
 
     def reduced_ivcm(pair0: Pair, pair1: Pair, delta_v1) -> np.ndarray:
@@ -322,20 +329,20 @@ def project_path(model: ReducedModel, path: DiscretePath) -> DiscretePath:
 
 
 def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
-                     eps0, m1, start_tol: float = 1e-9,
-                     match_tol: float = 1e-9) -> DiscretePath:
+                     eps0, m1) -> DiscretePath:
     """The unique lift of a reduced path through a given starting point.
 
-    Each step lifts the next reduced pair by the section, then acts by
-    the unique group element matching the base condition (the new fiber
-    point must project onto the previous base point). Inconsistent input
-    surfaces as MatchingError.
+    The starting point must project onto the first reduced pair to
+    within 1e-9 (else ValueError). Each step lifts the next reduced pair
+    by the section, then acts by the unique group element matching the
+    base condition (the new fiber point must project onto the previous
+    base point). Inconsistent input surfaces as MatchingError.
     """
     nE = model.source_bundle.total_dim
     x = np.concatenate([as_vector(eps0, nE),
                         as_vector(m1, model.source_bundle.base_dim)])
     start_defect = float(np.max(np.abs(model.upsilon(x) - reduced_path.points[0])))
-    if start_defect > start_tol:
+    if start_defect > 1e-9:
         raise ValueError(
             f"starting point does not project onto the reduced path "
             f"(defect {start_defect:.3e})")
@@ -343,8 +350,7 @@ def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
     for y in reduced_path.points[1:]:
         xk = model.lift_section(y)
         g = solve_matching(model.action_m,
-                           model.source_bundle.phi(xk[:nE]), rows[-1][nE:],
-                           tol=match_tol)
+                           model.source_bundle.phi(xk[:nE]), rows[-1][nE:])
         rows.append(np.concatenate([model.action_e.act(g, xk[:nE]),
                                     model.action_m.act(g, xk[nE:])]))
     return DiscretePath(np.array(rows), nE)
@@ -357,15 +363,15 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
               full_group_action: ActionModel | None = None,
               conjugate_in_full: Callable[[GroupElement, GroupElement], GroupElement] | None = None,
               rng: np.random.Generator | None = None,
-              n_checks: int = 100,
-              equivariance_tol: float = 1e-10) -> tuple[dict, Callable]:
+              n_checks: int = 100) -> tuple[dict, Callable]:
     """Compare two-stage reduction with one-shot reduction on a trajectory.
 
     Returns a report and the comparison map F, realized as lift through
     both stage sections followed by the one-shot morphism. When the
     first-stage connection and the full group action are supplied, the
     conjugation-equivariance condition that makes the second stage
-    possible is validated first (worst sample raises ValidationError).
+    possible is validated first on ``n_checks`` samples (a worst sample
+    above 1e-10 raises ValidationError).
     """
     rng = rng or np.random.default_rng(11235)
     report: dict = {}
@@ -384,7 +390,7 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
             if v > worst:
                 worst, worst_sample = v, (q0, q1)
         report["conjugation_equivariance_max"] = worst
-        if worst > equivariance_tol:
+        if worst > 1e-10:
             raise ValidationError("subgroup connection conjugation-equivariance",
                                   sample=worst_sample, violation=worst)
 
@@ -411,13 +417,12 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                    sys_target: DlpsSystem,
                    sample_cprime: Callable[[np.random.Generator], np.ndarray],
                    n_samples: int = 50,
-                   rng: np.random.Generator | None = None,
-                   n_tangents: int = 3,
-                   rank_tol: float = 1e-8) -> dict:
+                   rng: np.random.Generator | None = None) -> dict:
     """Numeric point checks of the morphism conditions between systems.
 
     Reports per-condition maxima over samples; never raises. The global
     surjectivity/submersion condition is reported as a rank check only.
+    The chaining condition is tested on 3 random tangents per sample.
     """
     rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
@@ -440,13 +445,13 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
 
         J0 = jacobian_fd(candidate, x0)
         sv_full = np.linalg.svd(J0, compute_uv=False)
-        if sv_full[min(J0.shape) - 1] <= rank_tol * sv_full[0]:
+        if sv_full[min(J0.shape) - 1] <= RANK_TOL * sv_full[0]:
             full_rank_ok = False
 
         D1p1 = J0[:nEr, :nE]
         sv = np.linalg.svd(D1p1, compute_uv=False)
         cond2_min_sv = min(cond2_min_sv, float(sv[-1]))
-        if np.sum(sv > rank_tol * max(sv[0], 1.0)) < nEr:
+        if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
             cond2_rank_ok = False
 
         cond3 = max(cond3, float(np.max(np.abs(J0[nEr:, :nE]))))
@@ -463,10 +468,10 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         D1p1_at_x1 = J1[:nEr, :nE]
         D2p1_at_x0 = J0[:nEr, nE:]
         jphi1 = sys.bundle.phi.jacobian(eps1)
-        inner = sys.ivcm_mat((eps0, m1), (eps1, m2))
+        inner = sys.ivcm_matrix((eps0, m1), (eps1, m2))
         pair0t = (y0[:nEr], y0[nEr:])
         pair1t = (y1[:nEr], y1[nEr:])
-        for _ in range(n_tangents):
+        for _ in range(3):
             delta = rng.standard_normal(nE)
             lhs = sys_target.ivcm(pair0t, pair1t, D1p1_at_x1 @ delta)
             rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)

@@ -10,8 +10,8 @@ fixed here once:
 
 * all manifolds are represented in global coordinates as R^n;
 * central differences use a per-coordinate step ``step * (1 + |x_i|)``
-  with ``step = eps**(1/3)`` by default (``eps**(1/5)`` for the
-  fourth-order ``gradient_fd5``);
+  with ``step = eps**(1/3)`` (``eps**(1/5)`` for the fourth-order
+  ``gradient_fd5``); only ``jacobian_fd`` takes another ``step``;
 * a difference evaluates its map only at the stencil points, never at
   the centre.
 """
@@ -101,7 +101,7 @@ def jacobian_fd(f, x, step: float | None = None) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def gradient_fd5(f, x, step: float | None = None) -> np.ndarray:
+def gradient_fd5(f, x) -> np.ndarray:
     """Fourth-order central-difference gradient of a scalar map.
 
     The five-point stencil keeps the rounding floor near eps^(4/5)|f| and
@@ -112,14 +112,13 @@ def gradient_fd5(f, x, step: float | None = None) -> np.ndarray:
     closed-form gradients are tested against.
     """
     x = np.asarray(x, dtype=float)
-    h0 = FD_STEP_GRADIENT if step is None else float(step)
 
     def val(y):
         return float(as_vector(f(y), 1)[0])
 
     g = np.empty(x.shape[0])
     for i in range(x.shape[0]):
-        h = h0 * (1.0 + abs(x[i]))
+        h = FD_STEP_GRADIENT * (1.0 + abs(x[i]))
         xp, xm, xp2, xm2 = x.copy(), x.copy(), x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -129,12 +128,12 @@ def gradient_fd5(f, x, step: float | None = None) -> np.ndarray:
     return g
 
 
-def directional_derivative(f, x, v, step: float | None = None) -> np.ndarray:
+def directional_derivative(f, x, v) -> np.ndarray:
     """Central difference of ``t -> f(x + t v)`` at ``t = 0``."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-    h = (DEFAULT_FD_STEP if step is None else float(step)) * (1.0 + float(np.max(np.abs(x), initial=0.0))) / scale
+    h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(x), initial=0.0))) / scale
     return (as_vector(f(x + h * v)) - as_vector(f(x - h * v))) / (2.0 * h)
 
 
@@ -165,7 +164,7 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
 
     Each iteration backtracks from the full Newton step, halving it until
     the residual's max norm falls. Returns x with
-    ``||residual(x)||_inf <= cfg.residual_tol``; raises NonConvergence
+    ``||residual(x)||_inf < cfg.residual_tol``; raises NonConvergence
     when the iteration budget is exhausted or when ``MAX_HALVINGS``
     halvings all fail to lower the residual (a stall), and
     SingularJacobian when the dense linear solve fails. There are no
@@ -180,7 +179,7 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
     r = residual(x)
     rnorm = _inf_norm(r)
     for it in range(cfg.max_iters):
-        if rnorm <= cfg.residual_tol:
+        if rnorm < cfg.residual_tol:
             return x
         J = residual.jacobian(x)
         if not np.all(np.isfinite(J)):
@@ -203,7 +202,7 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
         x = x + t * delta
         r = trial
         rnorm = _inf_norm(r)
-    if rnorm <= cfg.residual_tol:
+    if rnorm < cfg.residual_tol:
         return x
     raise NonConvergence(
         f"Newton did not reach tolerance {cfg.residual_tol:g} in "

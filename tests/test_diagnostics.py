@@ -20,7 +20,7 @@ def line_translation_action():
     """Translations of the real line, for scalar DMS momenta."""
     e = GroupElement(np.zeros(1))
     G = LieGroupModel(
-        name="T1", dim=1, identity=e,
+        dim=1, identity=e,
         compose=lambda a, b: GroupElement(a.coords + b.coords),
         inverse=lambda g: GroupElement(-g.coords),
         exp_small=lambda xi: GroupElement(np.atleast_1d(np.asarray(xi, float)).copy()),

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
                          action_sum, build_fixed_endpoint_variation,
@@ -14,7 +16,7 @@ from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
 from dlpsim.errors import DomainError, SimulationError
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
-                                sample_cprime)
+                                sample_configuration, sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action
 from dlpsim.reduction import project_path
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
@@ -135,6 +137,23 @@ def test_step_agrees_with_direct_dms_solve(full_system, rng):
         q2 = newton_solve(SmoothMapHandle(4, 4, direct), 2 * q1 - q0)
         assert np.max(np.abs(m2 - q2)) < 1e-10
         assert np.max(np.abs(eps1 - q1)) < 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([("linear", 0.5), ("quadratic", 0.3)]))
+def test_step_is_se2_equivariant(seed, potential):
+    """step(g q0, g q1) = g step(q0, q1) under the diagonal SE(2) action."""
+    rng = np.random.default_rng(seed)
+    sys = _two_body(*potential)
+    action = se2_two_point_action()
+    q0 = sample_configuration(rng)
+    q1 = q0 + rng.uniform(-0.05, 0.05, 4)
+    g = sample_group(action.group, rng, scale=3.0)
+    q1_next, q2 = step(sys, q0, q1)
+    moved_q1, moved_q2 = step(sys, action.act(g, q0), action.act(g, q1))
+    assert np.max(np.abs(moved_q1 - action.act(g, q1_next))) <= 1e-10
+    assert np.max(np.abs(moved_q2 - action.act(g, q2))) <= 1e-10
 
 
 def test_simulate_zero_steps():

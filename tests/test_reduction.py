@@ -118,7 +118,7 @@ def test_reduced_chaining_fd_fallback_matches_closed_form(full_system, reduced,
         y0 = model.upsilon(sample_cprime(rng))
         y1 = model.upsilon(sample_cprime(rng))
         pairs = ((y0[:4], y0[4:]), (y1[:4], y1[4:]))
-        diff = fd_sys.ivcm_mat(*pairs) - reduced.system.ivcm_mat(*pairs)
+        diff = fd_sys.ivcm_matrix(*pairs) - reduced.system.ivcm_matrix(*pairs)
         assert np.max(np.abs(diff)) < 1e-9
 
 

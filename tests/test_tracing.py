@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dlpsim import dlps, example_se2
+from dlpsim import (connection, diagnostics, dlps, example_se2, lie,
+                    reduction)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +30,28 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
                   np.array([1.02, 0.13]))
     assert tracer.counts["dlps.step"] == 2
     assert tracer.counts["reduction.reduced_ivcm_matrix"] > 0
+
+
+def test_tracer_units_bind_checker_signatures(monkeypatch):
+    """The per-sample and per-step spans read ``n_samples`` and
+    ``trajectory`` off the checkers' signatures by name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.patches(tracer):
+        cfg = example_se2.TwoBodyConfig()
+        full = example_se2.make_full_system(cfg)
+        red = example_se2.make_reduced_system(cfg, rng=np.random.default_rng(1))
+        path = dlps.simulate(full, np.array([1.0, 0.0, -1.0, 0.0]),
+                             np.array([1.04, 0.03, -0.97, 0.02]), 3)
+        reduction.check_morphism(red.model.upsilon, full, red.system,
+                                 example_se2.sample_cprime, n_samples=2,
+                                 rng=np.random.default_rng(2))
+        connection.check_equivariance(example_se2.make_t2_connection(), 4,
+                                      rng=np.random.default_rng(3))
+        diagnostics.momentum_evolution_check(full, lie.t2_two_point_action(),
+                                             path)
+    stats = tracer.span_stats()
+    assert stats["reduction.check_morphism"]["units"] == [2]
+    assert stats["connection.check_equivariance"]["units"] == [4]
+    assert stats["diagnostics.momentum_evolution_check"]["units"] == [3]
