@@ -52,6 +52,27 @@ def _positive_finite(value) -> bool:
             and math.isfinite(value) and value > 0)
 
 
+def _finite(cfg: dict, key: str, default: float, nonzero: bool = False) -> float:
+    """The number ``cfg[key]``: finite, and nonzero when asked."""
+    value = cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (nonzero and value == 0)):
+        rule = "finite and nonzero" if nonzero else "finite"
+        raise ValueError(f"{key} must be {rule} (got {value!r})")
+    return float(value)
+
+
+def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
+    """The integer ``cfg[key]``, at least ``minimum``."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer (got {value!r})")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{key} must be {bound} (got {value})")
+    return value
+
+
 def _newton_config(cfg: dict) -> NewtonConfig | None:
     """The ``newton`` overrides: ``residual_tol`` (positive, finite) and
     ``max_iters`` (an integer of at least 1); any other key is rejected."""
@@ -77,9 +98,9 @@ def _newton_config(cfg: dict) -> NewtonConfig | None:
 def _two_body_config(cfg: dict) -> example_se2.TwoBodyConfig:
     pot = cfg.get("potential", {"name": "linear", "coeff": 0.5})
     return example_se2.TwoBodyConfig(
-        h=float(cfg.get("h", 0.1)),
+        h=_finite(cfg, "h", 0.1, nonzero=True),
         potential=example_se2.potential_handle(pot["name"],
-                                               float(pot.get("coeff", 1.0))))
+                                               _finite(pot, "coeff", 1.0)))
 
 
 def _build_system(cfg: dict):
@@ -87,11 +108,11 @@ def _build_system(cfg: dict):
     if name == "se2-two-body":
         return example_se2.make_full_system(_two_body_config(cfg))
     if name == "free-particle":
-        return free_particle_dms(dim=int(cfg.get("dim", 1)),
-                                 h=float(cfg.get("h", 1.0)))
+        return free_particle_dms(dim=_integer(cfg, "dim", 1, 1),
+                                 h=_finite(cfg, "h", 1.0, nonzero=True))
     if name == "harmonic-oscillator":
-        return harmonic_oscillator_dms(h=float(cfg.get("h", 0.1)),
-                                       omega=float(cfg.get("omega", 1.0)))
+        return harmonic_oscillator_dms(h=_finite(cfg, "h", 0.1, nonzero=True),
+                                       omega=_finite(cfg, "omega", 1.0))
     raise ValueError(f"unknown system {name!r}")
 
 
@@ -113,13 +134,6 @@ def _initial_pair(cfg: dict, sys):
     # domain, e.g. on the two-body collision diagonal, before any solve.
     sys.lagrangian(initial)
     return initial[:n], initial[n:]
-
-
-def _n_steps(cfg: dict, default: int) -> int:
-    n_steps = int(cfg.get("n_steps", default))
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative (got {n_steps})")
-    return n_steps
 
 
 def _write_json(path: Path, payload: dict):
@@ -156,7 +170,7 @@ def _check_entry(value: float, tol: float) -> dict:
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     sys_ = _build_system(cfg)
     eps0, m1 = _initial_pair(cfg, sys_)
-    n_steps = _n_steps(cfg, 0)
+    n_steps = _integer(cfg, "n_steps", 0, 0)
     ncfg = _newton_config(cfg)
     t0 = time.perf_counter()
     try:
@@ -181,10 +195,10 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
 def cmd_reduce(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
     _require_two_body(cfg)
     body = _two_body_config(cfg)
+    n_check = _integer(cfg, "n_check", 100, 1)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     red = example_se2.make_reduced_system(body, rng=rng)
     full = example_se2.make_full_system(body)
-    n_check = int(cfg.get("n_check", 100))
 
     lag_max = roundtrip_max = orbit_max = ivcm_max = step_max = 0.0
     for _ in range(n_check):
@@ -237,7 +251,7 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, tol_override: float | None) -> int
     full = example_se2.make_full_system(body)
     red = example_se2.make_reduced_system(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, full)
-    n_steps = _n_steps(cfg, 50)
+    n_steps = _integer(cfg, "n_steps", 50, 0)
     ncfg = _newton_config(cfg)
     traj = simulate(full, eps0, m1, n_steps, cfg=ncfg)
     reduced = project_path(red.model, traj)
@@ -262,7 +276,7 @@ def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     setup = example_se2.make_staged_setup(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, setup.sys)
-    n_steps = _n_steps(cfg, 50)
+    n_steps = _integer(cfg, "n_steps", 50, 0)
     traj = simulate(setup.sys, eps0, m1, n_steps, cfg=_newton_config(cfg))
     report, _f = two_stage(setup.sys, setup.stage_h, setup.stage_gh,
                            setup.one_shot, traj, conn_h=setup.conn_h,
@@ -282,10 +296,10 @@ def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
 def cmd_check(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
     _require_two_body(cfg)
     body = _two_body_config(cfg)
+    n_samples = _integer(cfg, "n_check", 50, 1)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     full = example_se2.make_full_system(body)
     red = example_se2.make_reduced_system(body, rng=rng)
-    n_samples = int(cfg.get("n_check", 50))
     tol = _tol(tol_override, 1e-9)
 
     perturb = float(cfg.get("perturb", 0.0))

@@ -96,7 +96,7 @@ def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConne
         return G.from_params(theta)
 
     def hor_lift(q0, r1):
-        base = as_vector(quotient.section(r1), quotient.total_dim)
+        base = quotient.section(r1)
 
         def res(theta):
             q1 = action.act(G.from_params(theta), base)

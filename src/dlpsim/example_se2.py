@@ -156,7 +156,6 @@ def make_t2_connection() -> DiscreteConnection:
 
     def hor_lift(q0, r1):
         s0 = q0[:2] + q0[2:]
-        r1 = as_vector(r1, 2)
         return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
@@ -183,7 +182,6 @@ def make_weighted_t2_connection(weight_x: float, weight_y: float) -> DiscreteCon
     def hor_lift(q0, r1):
         # q1 = (a + wy*sqrt2*r1/total, a - wx*sqrt2*r1/total) with the
         # weighted mean a matching q0's.
-        r1 = as_vector(r1, 2)
         a = (weight_x * q0[:2] + weight_y * q0[2:]) / total
         return np.concatenate([a + weight_y * SQRT2 * r1 / total,
                                a - weight_x * SQRT2 * r1 / total])
@@ -228,7 +226,6 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
         return np.concatenate([_separation(eps) / SQRT2, w.coords])
 
     def fiber_section(v):
-        v = as_vector(v, 4)
         r0, z0 = v[:2], v[2:]
         eps = np.concatenate([r0, -r0]) / SQRT2
         return eps, GroupElement(z0.copy())
@@ -308,7 +305,7 @@ def make_se2_connection() -> DiscreteConnection:
     def hor_lift(q0, rho1):
         d0 = _separation(q0)
         r0 = d0 / SQRT2
-        r1 = float(as_vector(rho1, 1)[0]) * _phase(r0)
+        r1 = float(rho1[0]) * _phase(r0)
         s0 = q0[:2] + q0[2:]
         return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
 
@@ -340,7 +337,7 @@ def make_u1_connection() -> DiscreteConnection:
         return GroupElement(_phase(_cmul(r1, _cconj(r0))))
 
     def hor_lift(r0, rho1):
-        return float(as_vector(rho1, 1)[0]) * _phase(r0)
+        return float(rho1[0]) * _phase(r0)
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
@@ -350,7 +347,6 @@ def make_residual_u1_action() -> ActionModel:
     G = u1_group()
 
     def act(g, y):
-        y = as_vector(y, 4)
         return np.concatenate([_cmul(g.coords, y[:2]), _cmul(g.coords, y[2:])])
 
     return ActionModel(group=G, space_dim=4, act=act)
@@ -358,14 +354,13 @@ def make_residual_u1_action() -> ActionModel:
 
 def conjugate_translation_by_se2(g: GroupElement, h: GroupElement) -> GroupElement:
     """g (1, v) g^{-1} = (1, A v) for g = (A, u): translations stay translations."""
-    return GroupElement(_cmul(g.coords[:2], as_vector(h.coords, 2)))
+    return GroupElement(_cmul(g.coords[:2], h.coords))
 
 
 @dataclass(frozen=True, eq=False)
 class StagedSetup:
     """Everything the two-stage comparison needs, prevalidated."""
 
-    cfg: TwoBodyConfig
     sys: DlpsSystem
     action_g: ActionModel
     conn_h: DiscreteConnection
@@ -376,7 +371,6 @@ class StagedSetup:
     one_shot: ReductionResult
     residual_action: ActionModel
     conjugate_in_g: Callable[[GroupElement, GroupElement], GroupElement]
-    sample_cprime: Callable[[np.random.Generator], np.ndarray]
 
 
 def _validate_action_axioms(action: ActionModel, sample,
@@ -434,7 +428,6 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
         return np.array([rho0, beta, zeta[0], zeta[1]])
 
     def fiber_section_gh(v):
-        v = as_vector(v, 4)
         eps = np.array([v[0], 0.0, v[2], v[3]])
         return eps, GroupElement(np.array([np.cos(v[1]), np.sin(v[1])]))
 
@@ -464,7 +457,6 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
         return np.array([rho0, alpha, zeta[0], zeta[1]])
 
     def fiber_section_g(v):
-        v = as_vector(v, 4)
         eps = np.array([v[0], 0.0, -v[0], 0.0]) / SQRT2
         a = np.array([np.cos(v[1]), np.sin(v[1])])
         return eps, GroupElement(np.concatenate([a, v[2:]]))
@@ -474,9 +466,8 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
                             rng=rng)
     one_shot = reduce(sys, model_g)
 
-    return StagedSetup(cfg=cfg, sys=sys, action_g=action_g, conn_h=conn_h,
+    return StagedSetup(sys=sys, action_g=action_g, conn_h=conn_h,
                        conn_g=conn_g, conn_gh=conn_gh, stage_h=stage_h,
-                       stage_gh=stage_gh,
-                       one_shot=one_shot, residual_action=residual_action,
-                       conjugate_in_g=conjugate_translation_by_se2,
-                       sample_cprime=sample_cprime)
+                       stage_gh=stage_gh, one_shot=one_shot,
+                       residual_action=residual_action,
+                       conjugate_in_g=conjugate_translation_by_se2)

@@ -36,16 +36,15 @@ class LieGroupModel:
     """A Lie group given by explicit coordinate operations.
 
     ``dim`` is the Lie-algebra dimension; ``from_params`` is a chart
-    R^dim -> G with ``from_params(0) = identity``, used by Newton-based
-    solves over the group. ``exp_small`` is the exponential in closed
-    form, valid near 0 (and in fact globally for these models).
+    R^dim -> G with ``from_params(0) = identity`` whose differential at 0
+    is the identity on algebra coordinates. It serves the Newton-based
+    solves over the group, sampling, and the infinitesimal generators.
     """
 
     dim: int
     identity: GroupElement
     compose: Callable[[GroupElement, GroupElement], GroupElement]
     inverse: Callable[[GroupElement], GroupElement]
-    exp_small: Callable[[np.ndarray], GroupElement]
     from_params: Callable[[np.ndarray], GroupElement]
 
 
@@ -55,6 +54,8 @@ class ActionModel:
 
     ``match``, when given, solves ``act(g, a) = b`` for g in closed form;
     callers verify the result and fall back to a generic solve otherwise.
+    Both receive float vectors of length ``space_dim`` that their callers
+    have checked, and do not check them again.
     """
 
     group: LieGroupModel
@@ -79,11 +80,11 @@ def sample_group(G: LieGroupModel, rng: np.random.Generator, scale: float = 1.5)
 
 
 def infinitesimal_generator(action: ActionModel, xi_index: int, q) -> np.ndarray:
-    """d/dt|_0 act(exp(t * xi_i), q) by a central difference in t."""
+    """d/dt|_0 act(from_params(t * xi_i), q) by a central difference in t."""
     q = as_vector(q, action.space_dim)
     e = np.zeros(action.group.dim)
     e[xi_index] = 1.0
-    return jacobian_fd(lambda t: action.act(action.group.exp_small(t * e), q),
+    return jacobian_fd(lambda t: action.act(action.group.from_params(t * e), q),
                        np.zeros(1))[:, 0]
 
 
@@ -121,7 +122,6 @@ def trivial_group() -> LieGroupModel:
         dim=0, identity=e,
         compose=lambda g1, g2: e,
         inverse=lambda g: e,
-        exp_small=lambda xi: e,
         from_params=lambda p: e,
     )
 
@@ -136,14 +136,12 @@ def u1_group() -> LieGroupModel:
     def inv(g):
         return GroupElement(_cconj(_cnormalize(g.coords)))
 
-    def expm(xi):
-        t = float(as_vector(xi, 1)[0])
+    def from_params(p):
+        t = float(as_vector(p, 1)[0])
         return GroupElement(np.array([np.cos(t), np.sin(t)]))
 
-    return LieGroupModel(
-        dim=1, identity=e, compose=comp, inverse=inv,
-        exp_small=expm, from_params=expm,
-    )
+    return LieGroupModel(dim=1, identity=e, compose=comp, inverse=inv,
+                         from_params=from_params)
 
 
 def t2_group() -> LieGroupModel:
@@ -153,7 +151,6 @@ def t2_group() -> LieGroupModel:
         dim=2, identity=e,
         compose=lambda g1, g2: GroupElement(g1.coords + g2.coords),
         inverse=lambda g: GroupElement(-g.coords),
-        exp_small=lambda xi: GroupElement(as_vector(xi, 2).copy()),
         from_params=lambda p: GroupElement(as_vector(p, 2).copy()),
     )
 
@@ -162,8 +159,7 @@ def se2_group() -> LieGroupModel:
     """SE(2) = {(A, v) in C^2 : |A| = 1} with (A1,v1)(A2,v2) = (A1 A2, A1 v2 + v1).
 
     Coordinates (a_re, a_im, v_re, v_im); the rotation is renormalized
-    after every composition. Parameters are (angle, v_re, v_im); the
-    exponential is the closed-form screw motion.
+    after every composition. Parameters are (angle, v_re, v_im).
     """
     e = GroupElement(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -178,25 +174,12 @@ def se2_group() -> LieGroupModel:
         ainv = _cconj(a)
         return GroupElement(np.concatenate([ainv, -_cmul(ainv, v)]))
 
-    def expm(xi):
-        xi = as_vector(xi, 3)
-        w, u = float(xi[0]), xi[1:]
-        a = np.array([np.cos(w), np.sin(w)])
-        if abs(w) < 1e-300:
-            v = u.copy()
-        else:
-            # v = ((e^{iw} - 1) / (iw)) u, written out over (re, im);
-            # 1 - cos w = 2 sin^2(w/2) avoids cancellation at small w
-            factor = np.array([np.sin(w) / w, 2.0 * np.sin(0.5 * w) ** 2 / w])
-            v = _cmul(factor, u)
-        return GroupElement(np.concatenate([a, v]))
-
     def from_params(p):
         p = as_vector(p, 3)
         return GroupElement(np.array([np.cos(p[0]), np.sin(p[0]), p[1], p[2]]))
 
     return LieGroupModel(dim=3, identity=e, compose=comp, inverse=inv,
-                         exp_small=expm, from_params=from_params)
+                         from_params=from_params)
 
 
 def project_to_quotient(g: GroupElement) -> GroupElement:
@@ -212,7 +195,7 @@ def se2_plane_action() -> ActionModel:
 
     def act(g, q):
         a, v = g.coords[:2], g.coords[2:]
-        return _cmul(a, as_vector(q, 2)) + v
+        return _cmul(a, q) + v
 
     return ActionModel(group=G, space_dim=2, act=act)
 
@@ -222,14 +205,12 @@ def se2_two_point_action() -> ActionModel:
     G = se2_group()
 
     def act(g, q):
-        q = as_vector(q, 4)
         a, v = g.coords[:2], g.coords[2:]
         return np.concatenate([_cmul(a, q[:2]) + v, _cmul(a, q[2:]) + v])
 
     def match(qa, qb):
         # Solve A(qa^x - qa^y) = qb^x - qb^y for the rotation, then read
         # the translation off the first point.
-        qa, qb = as_vector(qa, 4), as_vector(qb, 4)
         da, db = qa[:2] - qa[2:], qb[:2] - qb[2:]
         na = float(np.hypot(*da))
         if na == 0.0:
@@ -246,11 +227,9 @@ def t2_two_point_action() -> ActionModel:
     G = t2_group()
 
     def act(g, q):
-        q = as_vector(q, 4)
         return np.concatenate([q[:2] + g.coords, q[2:] + g.coords])
 
     def match(qa, qb):
-        qa, qb = as_vector(qa, 4), as_vector(qb, 4)
         return GroupElement(qb[:2] - qa[:2])
 
     return ActionModel(group=G, space_dim=4, act=act, match=match)
@@ -261,10 +240,9 @@ def u1_plane_action() -> ActionModel:
     G = u1_group()
 
     def act(g, q):
-        return _cmul(g.coords, as_vector(q, 2))
+        return _cmul(g.coords, q)
 
     def match(qa, qb):
-        qa, qb = as_vector(qa, 2), as_vector(qb, 2)
         return GroupElement(_cnormalize(_cmul(qb, _cconj(qa))))
 
     return ActionModel(group=G, space_dim=2, act=act, match=match)

@@ -113,7 +113,6 @@ def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> Act
     ne = action_e.space_dim
 
     def act(g, x):
-        x = as_vector(x, ne + action_m.space_dim)
         return np.concatenate([action_e.act(g, x[:ne]), action_m.act(g, x[ne:])])
 
     return ActionModel(group=action_e.group, space_dim=ne + action_m.space_dim, act=act)
@@ -129,7 +128,9 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
     ``fiber_chart(eps, w)`` are invariant coordinates of the class of
     (eps, w) in (E x G)/G and ``fiber_section`` picks a representative,
-    with chart o section = id. The returned model's upsilon composes the
+    with chart o section = id. Both get checked vectors, and their values
+    are checked by the handles they feed, so a wrong length surfaces as a
+    ValueError from a handle. The returned model's upsilon composes the
     connection form, the quotient projection and the chart; its
     lift_section transports the horizontal lift by the stored group
     offset.
@@ -150,15 +151,13 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
     def upsilon_eval(x):
         eps, m = x[:nE], x[nE:]
-        w = conn.ad_form(as_vector(sys.bundle.phi(eps), nM), m)
-        return np.concatenate([as_vector(fiber_chart(eps, w), nEr),
-                               as_vector(quotient.project(m), nMr)])
+        w = conn.ad_form(sys.bundle.phi(eps), m)
+        return np.concatenate([fiber_chart(eps, w), quotient.project(m)])
 
     def lift_eval(y):
         v, r = y[:nEr], y[nEr:]
         eps, w = fiber_section(v)
-        eps = as_vector(eps, nE)
-        base = conn.hor_lift(as_vector(sys.bundle.phi(eps), nM), r)
+        base = conn.hor_lift(sys.bundle.phi(eps), r)
         return np.concatenate([eps, action_m.act(w, base)])
 
     upsilon = SmoothMapHandle(nE + nM, nEr + nMr, upsilon_eval)
@@ -166,11 +165,11 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
     def reduced_phi_eval(v):
         eps, _w = fiber_section(v)
-        return quotient.project(sys.bundle.phi(as_vector(eps, nE)))
+        return quotient.project(sys.bundle.phi(eps))
 
     def reduced_section_eval(r):
         eps = sys.bundle.section(quotient.section(r))
-        return fiber_chart(as_vector(eps, nE), G.identity)
+        return fiber_chart(eps, G.identity)
 
     reduced_bundle = FiberBundleModel(
         total_dim=nEr, base_dim=nMr,
@@ -204,7 +203,7 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
         xa = as_vector(sample_cprime(rng), nE + nM)
         xb = as_vector(sample_cprime(rng), nE + nM)
         eps0, eps1, m2 = xa[:nE], xb[:nE], xb[nE:]
-        m1 = as_vector(sys.bundle.phi(eps1), nM)
+        m1 = sys.bundle.phi(eps1)
         g = sample_group(G, rng)
         delta = rng.standard_normal(nE)
         out = sys.ivcm((eps0, m1), (eps1, m2), delta)
@@ -272,8 +271,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         # second-order compatibility set this equals r1, and off it (solver
         # iterates between constraint projections) it is the smooth
         # extension that keeps the matching equation solvable.
-        r1_compat = as_vector(model.reduced_bundle.phi(v1),
-                              model.reduced_bundle.base_dim)
+        r1_compat = model.reduced_bundle.phi(v1)
         x0 = lift(np.concatenate([v0, r1_compat]))
         eps0, m1 = x0[:nE], x0[nE:]
         x1 = lift(np.concatenate([v1, r2]))
@@ -313,10 +311,10 @@ def trivial_reduction(sys: DlpsSystem,
     conn = DiscreteConnection(
         quotient=quotient,
         ad_form=lambda q0, q1: G.identity,
-        hor_lift=lambda q0, r1: as_vector(r1, nM).copy())
+        hor_lift=lambda q0, r1: r1)
     model = build_upsilon(conn, sys,
                           fiber_chart=lambda eps, w: eps.copy(),
-                          fiber_section=lambda v: (as_vector(v, nE).copy(), G.identity),
+                          fiber_section=lambda v: (v, G.identity),
                           action_e=trivial_action(nE),
                           sample_cprime=sample_cprime, rng=rng)
     return reduce(sys, model)
@@ -439,7 +437,7 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         xa = as_vector(sample_cprime(rng), nE + nM)
         xb = as_vector(sample_cprime(rng), nE + nM)
         eps0, eps1, m2 = xa[:nE], xb[:nE], xb[nE:]
-        m1 = as_vector(sys.bundle.phi(eps1), nM)
+        m1 = sys.bundle.phi(eps1)
         x0 = np.concatenate([eps0, m1])
         x1 = np.concatenate([eps1, m2])
 
@@ -469,11 +467,11 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         D2p1_at_x0 = J0[:nEr, nE:]
         jphi1 = sys.bundle.phi.jacobian(eps1)
         inner = sys.ivcm_matrix((eps0, m1), (eps1, m2))
-        pair0t = (y0[:nEr], y0[nEr:])
-        pair1t = (y1[:nEr], y1[nEr:])
+        ivcm_target = sys_target.ivcm_matrix((y0[:nEr], y0[nEr:]),
+                                             (y1[:nEr], y1[nEr:]))
         for _ in range(3):
             delta = rng.standard_normal(nE)
-            lhs = sys_target.ivcm(pair0t, pair1t, D1p1_at_x1 @ delta)
+            lhs = ivcm_target @ (D1p1_at_x1 @ delta)
             rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)
             cond6 = max(cond6, float(np.max(np.abs(lhs - rhs), initial=0.0)))
 

@@ -14,6 +14,14 @@ fixed here once:
   ``gradient_fd5``); only ``jacobian_fd`` takes another ``step``;
 * a difference evaluates its map only at the stencil points, never at
   the centre.
+
+Shapes are checked once, at the boundary. ``SmoothMapHandle.__call__``
+and ``.jacobian``, ``newton_solve``, the difference primitives and the
+public entry points that take caller data coerce through ``as_vector``.
+The closures that models, actions and connections are built from
+receive arrays already checked (a handle's input, a handle's output, or
+a slice of one) and do not check them again; a closure that returns a
+value of the wrong length is caught by the next handle it feeds.
 """
 
 from __future__ import annotations

@@ -218,6 +218,24 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, nan, -0.97, 0.02])"),
     ("reduce", {"system": "free-particle"},
      "command requires system 'se2-two-body' (got 'free-particle')"),
+    ("simulate", {"system": "free-particle", "h": 0, "initial": [0.0, 1.0]},
+     "h must be finite and nonzero (got 0)"),
+    ("simulate", {"h": float("nan")}, "h must be finite and nonzero (got nan)"),
+    ("simulate", {"system": "harmonic-oscillator", "omega": float("nan"),
+                  "initial": [1.0, 0.99]}, "omega must be finite (got nan)"),
+    ("simulate", {"potential": {"name": "linear", "coeff": float("inf")}},
+     "coeff must be finite (got inf)"),
+    ("reduce", {"n_check": 0}, "n_check must be at least 1 (got 0)"),
+    ("reduce", {"n_check": -5}, "n_check must be at least 1 (got -5)"),
+    ("reduce", {"n_check": 2.5}, "n_check must be an integer (got 2.5)"),
+    ("check", {"n_check": 0}, "n_check must be at least 1 (got 0)"),
+    ("check", {"n_check": -5}, "n_check must be at least 1 (got -5)"),
+    ("check", {"n_check": 2.5}, "n_check must be an integer (got 2.5)"),
+    ("simulate", {"n_steps": 2.9}, "n_steps must be an integer (got 2.9)"),
+    ("simulate", {"n_steps": "3"}, "n_steps must be an integer (got '3')"),
+    ("simulate", {"system": "free-particle", "dim": 2.7,
+                  "initial": [0.0, 0.0, 1.0, 1.0]},
+     "dim must be an integer (got 2.7)"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -227,3 +245,4 @@ def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
         assert run(command, cfg, tmp_path) == 1
     assert f"validation failure: {message}" in caplog.text
     assert "identity '" not in caplog.text
+

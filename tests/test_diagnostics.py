@@ -23,7 +23,6 @@ def line_translation_action():
         dim=1, identity=e,
         compose=lambda a, b: GroupElement(a.coords + b.coords),
         inverse=lambda g: GroupElement(-g.coords),
-        exp_small=lambda xi: GroupElement(np.atleast_1d(np.asarray(xi, float)).copy()),
         from_params=lambda p: GroupElement(np.atleast_1d(np.asarray(p, float)).copy()))
     return ActionModel(group=G, space_dim=1, act=lambda g, q: q + g.coords)
 

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from dlpsim.lie import (GroupElement, compose, conjugate,
                         infinitesimal_generator, project_to_quotient,
@@ -157,18 +155,6 @@ def test_action_axioms(action_maker, sampler):
         lhs = act.act(g1, act.act(g2, q))
         rhs = act.act(compose(G, g1, g2), q)
         assert np.max(np.abs(lhs - rhs)) < TOL
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2))
-@example(1e-8, 2.0, -2.0)
-def test_se2_exp_is_one_parameter_subgroup(w, ux, uy):
-    """exp((t+s) xi) = exp(t xi) exp(s xi) for the closed-form screw."""
-    G = se2_group()
-    xi = np.array([w, ux, uy])
-    lhs = G.exp_small(1.0 * xi)
-    rhs = compose(G, G.exp_small(0.4 * xi), G.exp_small(0.6 * xi))
-    assert np.max(np.abs(lhs.coords - rhs.coords)) < 1e-10
 
 
 def test_match_solvers():

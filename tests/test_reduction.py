@@ -136,6 +136,15 @@ def test_trivial_group_reduction_is_identity(rng):
     assert np.max(np.abs(m2 - m2r)) < 1e-10
 
 
+def _t2_chart(e, w):
+    return np.concatenate([(e[:2] - e[2:]) / SQRT2, w.coords])
+
+
+def _t2_section(v):
+    return (np.concatenate([v[:2], -v[:2]]) / SQRT2,
+            t2_group().from_params(v[2:]))
+
+
 def test_build_upsilon_rejects_broken_symmetry():
     """A Lagrangian that is not group-invariant fails validation."""
     from dlpsim.dlps import from_dms
@@ -143,14 +152,27 @@ def test_build_upsilon_rejects_broken_symmetry():
     bad = from_dms(4, SmoothMapHandle(
         8, 1, lambda x: np.array([float(x[:4] @ x[:4])])))
     with pytest.raises(ValidationError):
-        build_upsilon(conn, bad,
-                      fiber_chart=lambda e, w: np.concatenate(
-                          [(e[:2] - e[2:]) / SQRT2, w.coords]),
-                      fiber_section=lambda v: (
-                          np.concatenate([v[:2], -v[:2]]) / SQRT2,
-                          conn.quotient.action.group.from_params(v[2:])),
+        build_upsilon(conn, bad, fiber_chart=_t2_chart,
+                      fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
                       sample_cprime=sample_cprime)
+
+
+@pytest.mark.parametrize("fiber_chart, fiber_section", [
+    (lambda e, w: _t2_chart(e, w)[:3], _t2_section),
+    (_t2_chart, lambda v: (_t2_section(v)[0][:3], _t2_section(v)[1])),
+], ids=["short-chart", "short-section"])
+def test_build_upsilon_rejects_wrong_length_model_maps(full_system,
+                                                       fiber_chart,
+                                                       fiber_section):
+    """The closures are not checked themselves: the upsilon handle sees a
+    short chart value, the bundle projection a short section value. It is
+    a shape error, not a failed identity."""
+    with pytest.raises(ValueError) as excinfo:
+        build_upsilon(make_t2_connection(), full_system, fiber_chart,
+                      fiber_section, action_e=t2_two_point_action(),
+                      sample_cprime=sample_cprime)
+    assert excinfo.type is ValueError
 
 
 def test_project_trajectory_is_reduced_trajectory(full_system, reduced,
@@ -287,15 +309,7 @@ def test_connection_independence(body_cfg, full_system, reduced, full_start,
     """Two connections give isomorphic reductions: trajectories correspond
     under project-after-lift."""
     conn2 = make_weighted_t2_connection(2.0, 1.0)
-
-    def chart(e, w):
-        return np.concatenate([(e[:2] - e[2:]) / SQRT2, w.coords])
-
-    def section(v):
-        return (np.concatenate([v[:2], -v[:2]]) / SQRT2,
-                t2_group().from_params(v[2:]))
-
-    model2 = build_upsilon(conn2, full_system, chart, section,
+    model2 = build_upsilon(conn2, full_system, _t2_chart, _t2_section,
                            action_e=t2_two_point_action(),
                            sample_cprime=sample_cprime,
                            rng=np.random.default_rng(7))
