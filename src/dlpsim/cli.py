@@ -1,10 +1,14 @@
 """Command-line frontend.
 
 Subcommands: simulate, reduce, reconstruct, stages, check. Configuration
-comes from a JSON file; results are written as CSV (full double
-precision) plus JSON reports with per-identity violations, so CI can gate
-on the exit code: 0 all checks pass, 1 validation failure, 2 solver
-failure (partial output written), 3 I/O failure.
+is a JSON object (``potential``, when given, an object with a ``name``);
+the report commands sample from ``seed`` (a nonnegative integer, default
+0, also set by ``--seed``), ``reduce`` and ``check`` take ``n_check``
+samples, and the finite ``perturb`` is ``check``'s negative control.
+Results are written as CSV (full double precision) plus JSON reports
+with per-identity violations, so CI can gate on the exit code: 0 all
+checks pass, 1 validation failure, 2 solver failure (partial output
+written), 3 I/O failure.
 
 Identical config and seed produce byte-identical outputs; timing goes to
 the log (env var DLPS_LOG sets verbosity), never into the files.
@@ -23,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import example_se2
+from . import dlps, example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
 from .errors import (MatchingError, NonConvergence, RegularityError,
                      SimulationError, SingularJacobian)
+from .lie import sample_group, se2_two_point_action
 from .reduction import (check_morphism, project_path, reconstruct_path,
                         two_stage)
 from .smooth import NewtonConfig, SmoothMapHandle
@@ -47,18 +52,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _positive_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def _finite(cfg: dict, key: str, default: float, nonzero: bool = False) -> float:
-    """The number ``cfg[key]``: finite, and nonzero when asked."""
+def _finite(cfg: dict, key: str, default: float, rule: str = "finite",
+            name: str | None = None) -> float:
+    """The number ``cfg[key]``, obeying ``rule``: "finite", "finite and
+    nonzero" or "positive and finite". Errors call it ``name`` or ``key``."""
     value = cfg.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (nonzero and value == 0)):
-        rule = "finite and nonzero" if nonzero else "finite"
-        raise ValueError(f"{key} must be {rule} (got {value!r})")
+            or not math.isfinite(value)
+            or (rule == "finite and nonzero" and value == 0)
+            or (rule == "positive and finite" and value <= 0)):
+        raise ValueError(f"{name or key} must be {rule} (got {value!r})")
     return float(value)
 
 
@@ -84,10 +87,8 @@ def _newton_config(cfg: dict) -> NewtonConfig | None:
     unknown = sorted(set(overrides) - {"residual_tol", "max_iters"})
     if unknown:
         raise ValueError(f"unknown newton keys {unknown}")
-    tol = overrides.get("residual_tol", NewtonConfig.residual_tol)
-    if not _positive_finite(tol):
-        raise ValueError(
-            f"newton.residual_tol must be positive and finite (got {tol!r})")
+    tol = _finite(overrides, "residual_tol", NewtonConfig.residual_tol,
+                  "positive and finite", "newton.residual_tol")
     iters = overrides.get("max_iters", NewtonConfig.max_iters)
     if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
         raise ValueError(
@@ -97,8 +98,11 @@ def _newton_config(cfg: dict) -> NewtonConfig | None:
 
 def _two_body_config(cfg: dict) -> example_se2.TwoBodyConfig:
     pot = cfg.get("potential", {"name": "linear", "coeff": 0.5})
+    if not isinstance(pot, dict) or "name" not in pot:
+        raise ValueError(
+            f"potential must be an object with a name (got {pot!r})")
     return example_se2.TwoBodyConfig(
-        h=_finite(cfg, "h", 0.1, nonzero=True),
+        h=_finite(cfg, "h", 0.1, "finite and nonzero"),
         potential=example_se2.potential_handle(pot["name"],
                                                _finite(pot, "coeff", 1.0)))
 
@@ -109,17 +113,22 @@ def _build_system(cfg: dict):
         return example_se2.make_full_system(_two_body_config(cfg))
     if name == "free-particle":
         return free_particle_dms(dim=_integer(cfg, "dim", 1, 1),
-                                 h=_finite(cfg, "h", 1.0, nonzero=True))
+                                 h=_finite(cfg, "h", 1.0, "finite and nonzero"))
     if name == "harmonic-oscillator":
-        return harmonic_oscillator_dms(h=_finite(cfg, "h", 0.1, nonzero=True),
-                                       omega=_finite(cfg, "omega", 1.0))
+        return harmonic_oscillator_dms(
+            h=_finite(cfg, "h", 0.1, "finite and nonzero"),
+            omega=_finite(cfg, "omega", 1.0))
     raise ValueError(f"unknown system {name!r}")
 
 
-def _require_two_body(cfg: dict):
+def _two_body(cfg: dict) -> tuple[example_se2.TwoBodyConfig,
+                                  np.random.Generator]:
+    """The two-body config of a report command and its seeded generator."""
     if cfg.get("system") != "se2-two-body":
         raise ValueError("command requires system 'se2-two-body' "
                          f"(got {cfg.get('system')!r})")
+    return (_two_body_config(cfg),
+            np.random.default_rng(_integer(cfg, "seed", 0, 0)))
 
 
 def _initial_pair(cfg: dict, sys):
@@ -152,21 +161,6 @@ def _write_trajectory_csv(path: Path, sys, path_obj: DiscretePath):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report_payload(cfg: dict, checks: dict) -> tuple[dict, bool]:
-    ok = all(entry["pass"] for entry in checks.values())
-    return {"config": cfg, "checks": checks, "all_pass": ok}, ok
-
-
-def _tol(override: float | None, default: float) -> float:
-    """The report tolerance: the ``--tol`` override when given."""
-    return default if override is None else override
-
-
-def _check_entry(value: float, tol: float) -> dict:
-    return {"value": float(value), "tol": float(tol),
-            "pass": bool(value <= tol)}
-
-
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     sys_ = _build_system(cfg)
     eps0, m1 = _initial_pair(cfg, sys_)
@@ -192,11 +186,10 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if failure is None else EXIT_SOLVER
 
 
-def cmd_reduce(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
-    _require_two_body(cfg)
-    body = _two_body_config(cfg)
+def _reduce(cfg: dict) -> dict:
+    """The T2-reduced system against the full one and the closed-form step."""
+    body, rng = _two_body(cfg)
     n_check = _integer(cfg, "n_check", 100, 1)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
     red = example_se2.make_reduced_system(body, rng=rng)
     full = example_se2.make_full_system(body)
 
@@ -208,7 +201,6 @@ def cmd_reduce(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
             float(red.system.lagrangian(y)[0]) - float(full.lagrangian(x)[0])))
         roundtrip_max = max(roundtrip_max, float(np.max(np.abs(
             red.model.upsilon(red.model.lift_section(y)) - y))))
-        from .lie import sample_group
         g = sample_group(red.model.group, rng)
         orbit_max = max(orbit_max, float(np.max(np.abs(
             red.model.upsilon(red.model.group_action.act(g, x)) - y))))
@@ -220,60 +212,50 @@ def cmd_reduce(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         ivcm_max = max(ivcm_max, float(np.max(np.abs(out - expected))))
 
-    from .dlps import step as dlps_step
     for _ in range(20):
         r0 = example_se2.sample_annulus(rng, 0.7, 1.3)
         z0 = rng.uniform(-0.2, 0.2, 2)
         r1 = r0 + rng.uniform(-0.1, 0.1, 2)
-        eps1, m2 = dlps_step(red.system, np.concatenate([r0, z0]), r1)
+        eps1, m2 = dlps.step(red.system, np.concatenate([r0, z0]), r1)
         _, z1c, r2c = example_se2.closed_form_reduced_step(body, r0, z0, r1)
         step_max = max(step_max,
                        float(np.max(np.abs(eps1 - np.concatenate([r1, z1c])))),
                        float(np.max(np.abs(m2 - r2c))))
 
-    checks = {
-        "lagrangian_match_max": _check_entry(lag_max, _tol(tol_override, 1e-10)),
-        "upsilon_section_roundtrip_max": _check_entry(
-            roundtrip_max, _tol(tol_override, 1e-10)),
-        "orbit_invariance_max": _check_entry(orbit_max, _tol(tol_override, 1e-10)),
-        "chaining_closed_form_max": _check_entry(ivcm_max, _tol(tol_override, 1e-9)),
-        "closed_form_step_max": _check_entry(step_max, _tol(tol_override, 1e-10)),
+    return {
+        "lagrangian_match_max": (lag_max, 1e-10),
+        "upsilon_section_roundtrip_max": (roundtrip_max, 1e-10),
+        "orbit_invariance_max": (orbit_max, 1e-10),
+        "chaining_closed_form_max": (ivcm_max, 1e-9),
+        "closed_form_step_max": (step_max, 1e-10),
     }
-    payload, ok = _report_payload(cfg, checks)
-    _write_json(out_dir / "reduce.json", payload)
-    return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_reconstruct(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
-    _require_two_body(cfg)
-    body = _two_body_config(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+def _reconstruct(cfg: dict) -> dict:
+    """A full trajectory projected, checked against the reduced DEL
+    equations and rebuilt."""
+    body, rng = _two_body(cfg)
     full = example_se2.make_full_system(body)
-    red = example_se2.make_reduced_system(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, full)
     n_steps = _integer(cfg, "n_steps", 50, 0)
-    ncfg = _newton_config(cfg)
-    traj = simulate(full, eps0, m1, n_steps, cfg=ncfg)
+    traj = simulate(full, eps0, m1, n_steps, cfg=_newton_config(cfg))
+    red = example_se2.make_reduced_system(body, rng=rng)
     reduced = project_path(red.model, traj)
     rebuilt = reconstruct_path(red.model, reduced, eps0, m1)
-    roundtrip = float(np.max(np.abs(traj.points - rebuilt.points)))
     res_max = 0.0
     for k in range(1, len(reduced)):
         r = del_residual(red.system, *reduced[k - 1], *reduced[k])
         res_max = max(res_max, float(np.max(np.abs(r))))
-    checks = {
-        "roundtrip_max": _check_entry(roundtrip, _tol(tol_override, 1e-8)),
-        "projected_residual_max": _check_entry(res_max, _tol(tol_override, 1e-8)),
+    return {
+        "roundtrip_max": (float(np.max(np.abs(traj.points - rebuilt.points))),
+                          1e-8),
+        "projected_residual_max": (res_max, 1e-8),
     }
-    payload, ok = _report_payload(cfg, checks)
-    _write_json(out_dir / "reconstruct.json", payload)
-    return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
-    _require_two_body(cfg)
-    body = _two_body_config(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+def _stages(cfg: dict) -> dict:
+    """Two-stage reduction of a full trajectory against the one-shot one."""
+    body, rng = _two_body(cfg)
     setup = example_se2.make_staged_setup(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, setup.sys)
     n_steps = _integer(cfg, "n_steps", 50, 0)
@@ -282,69 +264,72 @@ def cmd_stages(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
                            setup.one_shot, traj, conn_h=setup.conn_h,
                            full_group_action=setup.action_g,
                            conjugate_in_full=setup.conjugate_in_g, rng=rng)
-    checks = {
-        "stage_comparison_max": _check_entry(report["stage_comparison_max"],
-                                             _tol(tol_override, 1e-8)),
-        "conjugation_equivariance_max": _check_entry(
-            report["conjugation_equivariance_max"], _tol(tol_override, 1e-10)),
+    return {
+        "stage_comparison_max": (report["stage_comparison_max"], 1e-8),
+        "conjugation_equivariance_max": (
+            report["conjugation_equivariance_max"], 1e-10),
     }
-    payload, ok = _report_payload(cfg, checks)
-    _write_json(out_dir / "stages.json", payload)
-    return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_check(cfg: dict, out_dir: Path, tol_override: float | None) -> int:
-    _require_two_body(cfg)
-    body = _two_body_config(cfg)
+def _check(cfg: dict) -> dict:
+    """The morphism conditions for upsilon (shifted by ``perturb``, the
+    negative control) and for a sampled SE(2) translation."""
+    body, rng = _two_body(cfg)
     n_samples = _integer(cfg, "n_check", 50, 1)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    perturb = _finite(cfg, "perturb", 0.0)
     full = example_se2.make_full_system(body)
     red = example_se2.make_reduced_system(body, rng=rng)
-    tol = _tol(tol_override, 1e-9)
 
-    perturb = float(cfg.get("perturb", 0.0))
     upsilon = red.model.upsilon
     if perturb:
-        def perturbed(x):
-            y = red.model.upsilon(x).copy()
-            y[0] += perturb
-            return y
-        upsilon = SmoothMapHandle(8, 6, perturbed)
-    rep_upsilon = check_morphism(upsilon, full, red.system,
-                                 example_se2.sample_cprime,
-                                 n_samples=n_samples, rng=rng)
-
-    from .lie import sample_group, se2_two_point_action
+        shift = perturb * np.eye(6)[0]
+        upsilon = SmoothMapHandle(8, 6, lambda x: red.model.upsilon(x) + shift)
+    reports = {"reduction_morphism": check_morphism(
+        upsilon, full, red.system, example_se2.sample_cprime,
+        n_samples=n_samples, rng=rng)}
+    # g is drawn after upsilon's samples; drawing it earlier changes check.json.
     act = se2_two_point_action()
     g = sample_group(act.group, rng)
     translation = SmoothMapHandle(
         8, 8, lambda x: np.concatenate([act.act(g, x[:4]), act.act(g, x[4:])]))
-    rep_translation = check_morphism(translation, full, full,
-                                     example_se2.sample_cprime,
-                                     n_samples=n_samples, rng=rng)
+    reports["group_translation"] = check_morphism(
+        translation, full, full, example_se2.sample_cprime,
+        n_samples=n_samples, rng=rng)
 
-    def condition_checks(rep: dict) -> dict:
-        out = {
-            "cond1_submersion_rank": {"value": rep["cond1_submersion_rank_ok"],
-                                      "note": rep["cond1_note"],
-                                      "pass": bool(rep["cond1_submersion_rank_ok"])},
-            "cond2_fiber_slot_rank": {"value": rep["cond2_fiber_slot_rank_ok"],
-                                      "pass": bool(rep["cond2_fiber_slot_rank_ok"])},
-        }
+    checks = {}
+    for name, rep in reports.items():
+        checks[f"{name}.cond1_submersion_rank"] = {
+            "value": rep["cond1_submersion_rank_ok"], "note": rep["cond1_note"],
+            "pass": bool(rep["cond1_submersion_rank_ok"])}
+        checks[f"{name}.cond2_fiber_slot_rank"] = {
+            "value": rep["cond2_fiber_slot_rank_ok"],
+            "pass": bool(rep["cond2_fiber_slot_rank_ok"])}
         for key in ("cond3_base_independence_max",
                     "cond4_base_compatibility_max",
                     "cond5_lagrangian_match_max",
                     "cond6_chaining_intertwine_max"):
-            out[key] = _check_entry(rep[key], tol)
-        return out
+            checks[f"{name}.{key}"] = (rep[key], 1e-9)
+    return checks
 
+
+REPORTS = {"reduce": _reduce, "reconstruct": _reconstruct,
+           "stages": _stages, "check": _check}
+
+
+def _report(command: str, cfg: dict, out_dir: Path, tol: float | None) -> int:
+    """Write ``command``'s checks to ``<command>.json``; a ``(value,
+    default_tol)`` check passes if value <= (``tol`` or default_tol)."""
     checks = {}
-    for name, rep in (("reduction_morphism", rep_upsilon),
-                      ("group_translation", rep_translation)):
-        for key, entry in condition_checks(rep).items():
-            checks[f"{name}.{key}"] = entry
-    payload, ok = _report_payload(cfg, checks)
-    _write_json(out_dir / "check.json", payload)
+    for key, entry in REPORTS[command](cfg).items():
+        if isinstance(entry, tuple):
+            value, default = entry
+            limit = default if tol is None else tol
+            entry = {"value": float(value), "tol": float(limit),
+                     "pass": bool(value <= limit)}
+        checks[key] = entry
+    ok = all(entry["pass"] for entry in checks.values())
+    _write_json(out_dir / f"{command}.json",
+                {"config": cfg, "checks": checks, "all_pass": ok})
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -354,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, reduce, reconstruct and verify discrete "
                     "variational systems with Lie-group symmetry.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "reduce", "reconstruct", "stages", "check"):
+    for name in ("simulate", *REPORTS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the config seed (nonnegative)")
         p.add_argument("--tol", type=float, default=None,
                        help="override report tolerances (positive, finite)")
     return parser
@@ -374,37 +359,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 means a solver failure here.
         return EXIT_VALIDATION if exc.code == 2 else exc.code
-    if args.tol is not None and not _positive_finite(args.tol):
-        logger.error("--tol must be positive and finite, got %r", args.tol)
-        return EXIT_VALIDATION
     try:
+        if args.tol is not None:
+            _finite(vars(args), "tol", None, "positive and finite", "--tol")
         cfg = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        logger.error("cannot read config: %s", exc)
-        return EXIT_IO
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config must be a JSON object (got {cfg!r})")
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out_dir)
+        return _report(args.command, cfg, out_dir, args.tol)
     except json.JSONDecodeError as exc:
         logger.error("config is not valid JSON: %s", exc)
         return EXIT_VALIDATION
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        logger.error("cannot create output directory: %s", exc)
-        return EXIT_IO
-
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "reduce":
-            return cmd_reduce(cfg, out_dir, args.tol)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, out_dir, args.tol)
-        if args.command == "stages":
-            return cmd_stages(cfg, out_dir, args.tol)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir, args.tol)
     # ValidationError (a failed structural identity) is a ValueError too.
     except (KeyError, ValueError) as exc:
         logger.error("validation failure: %s", exc)
@@ -415,7 +385,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         logger.error("I/O failure: %s", exc)
         return EXIT_IO
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

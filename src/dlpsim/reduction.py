@@ -15,7 +15,6 @@ map against one-shot reduction, and a numeric morphism checker.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +27,6 @@ from .lie import (ActionModel, GroupElement, LieGroupModel, sample_group,
                   trivial_action, trivial_group)
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
-
-logger = logging.getLogger(__name__)
 
 FiberChart = Callable[[np.ndarray, GroupElement], np.ndarray]
 FiberSection = Callable[[np.ndarray], tuple[np.ndarray, GroupElement]]
@@ -220,7 +217,7 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
 
 def _solve_isomorphism(J: np.ndarray) -> np.ndarray:
-    """Invert the fiber-slot block, flagging degeneracies (pinv within 1e-6)."""
+    """Invert the fiber-slot block; a non-square or singular one raises."""
     n = J.shape[0]
     if J.shape[0] != J.shape[1]:
         raise SingularJacobian(
@@ -228,13 +225,7 @@ def _solve_isomorphism(J: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(J, np.eye(n))
     except np.linalg.LinAlgError:
-        logger.warning("fiber-slot derivative block singular; using pseudo-inverse")
-        Jinv = np.linalg.pinv(J)
-        defect = float(np.max(np.abs(J @ Jinv - np.eye(n))))
-        if defect > 1e-6:
-            raise SingularJacobian(
-                f"fiber-slot derivative block is rank deficient (defect {defect:.3e})")
-        return Jinv
+        raise SingularJacobian("fiber-slot derivative block is singular") from None
 
 
 def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:

@@ -186,10 +186,12 @@ def test_tol_must_be_positive_and_finite(tmp_path, tol):
     assert not (tmp_path / "check.json").exists()
 
 
-def test_tol_override_written_to_report(tmp_path):
+@pytest.mark.parametrize("command",
+                         ["reduce", "reconstruct", "stages", "check"])
+def test_tol_override_written_to_report(tmp_path, command):
     cfg = write_config(tmp_path, dict(BODY_CONFIG, n_check=10))
-    assert run("check", cfg, tmp_path, "--tol", "1e-3") == 0
-    rep = json.loads((tmp_path / "check.json").read_text())
+    assert run(command, cfg, tmp_path, "--tol", "1e-3") == 0
+    rep = json.loads((tmp_path / f"{command}.json").read_text())
     tols = {entry["tol"] for entry in rep["checks"].values() if "tol" in entry}
     assert tols == {1e-3}
 
@@ -236,6 +238,15 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
     ("simulate", {"system": "free-particle", "dim": 2.7,
                   "initial": [0.0, 0.0, 1.0, 1.0]},
      "dim must be an integer (got 2.7)"),
+    ("reduce", {"seed": 7.9}, "seed must be an integer (got 7.9)"),
+    ("reduce", {"seed": "7"}, "seed must be an integer (got '7')"),
+    ("reduce", {"seed": -1}, "seed must be nonnegative (got -1)"),
+    ("check", {"perturb": float("nan")}, "perturb must be finite (got nan)"),
+    ("check", {"perturb": float("inf")}, "perturb must be finite (got inf)"),
+    ("simulate", {"potential": "linear"},
+     "potential must be an object with a name (got 'linear')"),
+    ("reduce", {"potential": {"coeff": 0.5}},
+     "potential must be an object with a name (got {'coeff': 0.5})"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -246,3 +257,21 @@ def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
     assert f"validation failure: {message}" in caplog.text
     assert "identity '" not in caplog.text
 
+
+
+def test_seed_flag_validated_like_config_seed(tmp_path, caplog):
+    cfg = write_config(tmp_path, BODY_CONFIG)
+    with caplog.at_level("ERROR", logger="dlpsim.cli"):
+        assert run("reduce", cfg, tmp_path, "--seed=-1") == 1
+    assert ("validation failure: seed must be nonnegative (got -1)"
+            in caplog.text)
+    assert not (tmp_path / "reduce.json").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
+def test_config_must_be_json_object(tmp_path, caplog, extra):
+    cfg = write_config(tmp_path, [1, 2])
+    with caplog.at_level("ERROR", logger="dlpsim.cli"):
+        assert run("simulate", cfg, tmp_path, *extra) == 1
+    assert ("validation failure: config must be a JSON object (got [1, 2])"
+            in caplog.text)

@@ -260,9 +260,9 @@ def test_flat_t2_connection_full_group_equivariance(flat_conn, rng):
         assert np.max(np.abs(lhs.coords - rhs.coords)) < 1e-10
 
 
-def test_isomorphism_solve_fallback():
-    """Singular fiber-slot blocks fall back to the pseudo-inverse and only
-    genuinely rank-deficient ones raise."""
+def test_isomorphism_solve_rejects_singular_blocks():
+    """Singular and non-square fiber-slot blocks raise SingularJacobian;
+    an invertible one is inverted."""
     from dlpsim.errors import SingularJacobian
     from dlpsim.reduction import _solve_isomorphism
     with pytest.raises(SingularJacobian):
