@@ -29,11 +29,11 @@ act = t2_two_point_action()
 J0 = momentum(system, act, *trajectory[0])
 JN = momentum(system, act, *trajectory[-1])
 drift = max(
-    float(np.max(np.abs(momentum(system, act, *p).components - J0.components)))
+    float(np.max(np.abs(momentum(system, act, *p) - J0)))
     for p in trajectory.pairs)
 
-print(f"translation momentum at start: {J0.components}")
-print(f"translation momentum at end:   {JN.components}")
+print(f"translation momentum at start: {J0}")
+print(f"translation momentum at end:   {JN}")
 print(f"max |J_k - J_0| over the run:  {drift:.3e}")
 
 sep0 = np.hypot(*(trajectory[0][0][:2] - trajectory[0][0][2:]))

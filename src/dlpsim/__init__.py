@@ -27,7 +27,7 @@ from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel,
 from .reduction import (ReducedModel, ReductionResult, build_upsilon,
                         check_morphism, project_path, reconstruct_path,
                         reduce, solve_matching, trivial_reduction, two_stage)
-from .diagnostics import (MomentumValue, bracket_of_pullbacks, momentum,
+from .diagnostics import (bracket_of_pullbacks, momentum,
                           momentum_evolution_check, poisson_descent_check,
                           symplectic_check)
 from .example_se2 import (StagedSetup, TwoBodyConfig, closed_form_reduced_step,

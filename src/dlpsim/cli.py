@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Subcommands: simulate, reduce, reconstruct, stages, check. Configuration
-is a JSON object (``potential``, when given, an object with a ``name``);
+is a JSON object with no keys outside ``CONFIG_KEYS`` (``potential``,
+when given, an object with a ``name`` and an optional ``coeff``);
 the report commands sample from ``seed`` (a nonnegative integer, default
 0, also set by ``--seed``), ``reduce`` and ``check`` take ``n_check``
 samples, and the finite ``perturb`` is ``check``'s negative control.
@@ -47,6 +48,10 @@ EXIT_IO = 3
 SOLVER_ERRORS = (NonConvergence, SingularJacobian, SimulationError,
                  MatchingError, RegularityError)
 
+#: The keys a config may have; any other key is rejected.
+CONFIG_KEYS = ("system", "h", "potential", "initial", "n_steps", "newton",
+               "dim", "omega", "seed", "n_check", "perturb")
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -76,17 +81,19 @@ def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
-def _newton_config(cfg: dict) -> NewtonConfig | None:
-    """The ``newton`` overrides: ``residual_tol`` (positive, finite) and
-    ``max_iters`` (an integer of at least 1); any other key is rejected."""
-    overrides = cfg.get("newton")
-    if not overrides:
-        return None
+def _unknown_keys(obj: dict, allowed, name: str):
+    unknown = sorted(set(obj).difference(allowed))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+
+
+def _newton_config(cfg: dict) -> NewtonConfig:
+    """The ``newton`` object (absent: the defaults): ``residual_tol`` (positive,
+    finite) and ``max_iters`` (an integer of at least 1), nothing else."""
+    overrides = cfg.get("newton", {})
     if not isinstance(overrides, dict):
         raise ValueError(f"newton must be an object (got {overrides!r})")
-    unknown = sorted(set(overrides) - {"residual_tol", "max_iters"})
-    if unknown:
-        raise ValueError(f"unknown newton keys {unknown}")
+    _unknown_keys(overrides, ("residual_tol", "max_iters"), "newton")
     tol = _finite(overrides, "residual_tol", NewtonConfig.residual_tol,
                   "positive and finite", "newton.residual_tol")
     iters = overrides.get("max_iters", NewtonConfig.max_iters)
@@ -101,6 +108,7 @@ def _two_body_config(cfg: dict) -> example_se2.TwoBodyConfig:
     if not isinstance(pot, dict) or "name" not in pot:
         raise ValueError(
             f"potential must be an object with a name (got {pot!r})")
+    _unknown_keys(pot, ("name", "coeff"), "potential")
     return example_se2.TwoBodyConfig(
         h=_finite(cfg, "h", 0.1, "finite and nonzero"),
         potential=example_se2.potential_handle(pot["name"],
@@ -179,7 +187,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     meta = {
         "config": cfg,
         "n_pairs": len(traj),
-        "newton_residual_tol": (ncfg or NewtonConfig()).residual_tol,
+        "newton_residual_tol": ncfg.residual_tol,
         "failure": failure,
     }
     _write_json(out_dir / "simulate.json", meta)
@@ -201,14 +209,13 @@ def _reduce(cfg: dict) -> dict:
             float(red.system.lagrangian(y)[0]) - float(full.lagrangian(x)[0])))
         roundtrip_max = max(roundtrip_max, float(np.max(np.abs(
             red.model.upsilon(red.model.lift_section(y)) - y))))
-        g = sample_group(red.model.group, rng)
+        g = sample_group(red.model.group_action.group, rng)
         orbit_max = max(orbit_max, float(np.max(np.abs(
             red.model.upsilon(red.model.group_action.act(g, x)) - y))))
-        v1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2)])
-        pair0 = (y[:4], y[4:])
-        pair1 = (v1, y[4:] + rng.uniform(-0.2, 0.2, 2))
+        y1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2),
+                             y[4:] + rng.uniform(-0.2, 0.2, 2)])
         delta = rng.standard_normal(4)
-        out = red.system.ivcm(pair0, pair1, delta)
+        out = red.system.ivcm(y, y1, delta)
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         ivcm_max = max(ivcm_max, float(np.max(np.abs(out - expected))))
 
@@ -365,6 +372,7 @@ def main(argv=None) -> int:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be a JSON object (got {cfg!r})")
+        _unknown_keys(cfg, CONFIG_KEYS, "config")
         if args.seed is not None:
             cfg["seed"] = args.seed
         out_dir = Path(args.out)

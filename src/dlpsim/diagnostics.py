@@ -8,7 +8,6 @@ here reports; only regularity failures raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,23 +24,13 @@ from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
 _LEGENDRE_NEWTON = NewtonConfig(residual_tol=1e-10)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumValue:
-    """Momentum paired with each Lie-algebra basis element."""
-
-    components: np.ndarray
-
-    def __getitem__(self, i):
-        return float(self.components[i])
-
-
-def momentum(sys: DlpsSystem, action: ActionModel, eps0, m1) -> MomentumValue:
-    """Minus the fiber-slot Lagrangian gradient paired with the generators."""
+def momentum(sys: DlpsSystem, action: ActionModel, eps0, m1) -> np.ndarray:
+    """Minus the fiber-slot Lagrangian gradient paired with the generators:
+    component i is the momentum paired with the i-th Lie-algebra basis
+    element."""
     eps0 = as_vector(eps0, sys.bundle.total_dim)
     m1 = as_vector(m1, sys.bundle.base_dim)
-    g1 = d1_lagrangian(sys, eps0, m1)
-    frame = orbit_frame(action, eps0)
-    return MomentumValue(components=-(g1 @ frame))
+    return -(d1_lagrangian(sys, eps0, m1) @ orbit_frame(action, eps0))
 
 
 def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
@@ -63,14 +52,15 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
         max_residual = max(max_residual, float(np.max(np.abs(res))))
     precondition_ok = max_residual <= 1e-6
 
-    momenta = [momentum(sys, action, eps, m).components for eps, m in pairs]
+    grads = [d1_lagrangian(sys, eps, m) for eps, m in pairs]
+    frames = [orbit_frame(action, eps) for eps, _ in pairs]
+    momenta = [-(g1 @ frame) for g1, frame in zip(grads, frames)]
+    points = trajectory.points
     max_violation = 0.0
     max_drift = 0.0
     for k in range(1, len(pairs)):
-        g1_prev = d1_lagrangian(sys, pairs[k - 1][0], pairs[k - 1][1])
-        ivcm_m = sys.ivcm_matrix(pairs[k - 1], pairs[k])
-        frame_k = orbit_frame(action, pairs[k][0])
-        correction = g1_prev @ (ivcm_m @ frame_k)
+        ivcm_m = sys.ivcm_matrix(points[k - 1], points[k])
+        correction = grads[k - 1] @ (ivcm_m @ frames[k])
         violation = momenta[k] - momenta[k - 1] - correction
         max_violation = max(max_violation, float(np.max(np.abs(violation), initial=0.0)))
         max_drift = max(max_drift, float(np.max(np.abs(momenta[k] - momenta[0]),
@@ -266,7 +256,7 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
         x = model.sample_cprime(rng)
         base = _bracket_table(dms, model, test_fns, x)
         for _ in range(n_group):
-            g = sample_group(model.group, rng, scale=1.0)
+            g = sample_group(model.group_action.group, rng, scale=1.0)
             gx = model.group_action.act(g, x)
             moved = _bracket_table(dms, model, test_fns, gx)
             worst = max(worst, float(np.max(np.abs(moved - base), initial=0.0)))

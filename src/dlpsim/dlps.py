@@ -25,7 +25,8 @@ from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      as_vector, gradient_fd5, identity_map, jacobian_fd,
                      newton_solve)
 
-#: A point of E x M: (fiber-space coordinates, base coordinates).
+#: A point of E x M split as (fiber-space coordinates, base coordinates);
+#: inside the library a point is one row x = (eps, m).
 Pair = tuple[np.ndarray, np.ndarray]
 
 #: Failures of a step's implicit solve. Anything else (a TypeError, a bad
@@ -62,20 +63,21 @@ class FiberBundleModel:
 class DlpsSystem:
     """(bundle, discrete Lagrangian, infinitesimal variation chaining map).
 
-    ``lagrangian`` is a scalar handle on R^(total+base). ``ivcm`` maps
-    (pair_k, pair_{k+1}, delta_eps_{k+1}) to a tangent vector at eps_k,
-    linearly in the last argument, with image in ker(d phi).
-    ``ivcm_matrix(pair_k, pair_{k+1})`` returns its matrix on the standard
+    A point of E x M is one row x = (eps, m) of length
+    total_dim + base_dim. ``lagrangian`` is a scalar handle on such rows.
+    ``ivcm`` maps (x_k, x_{k+1}, delta_eps_{k+1}) to a tangent vector at
+    eps_k, linearly in the last argument, with image in ker(d phi).
+    ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
     basis in one call, as a float array of shape (total_dim, total_dim).
     """
 
     bundle: FiberBundleModel
     lagrangian: SmoothMapHandle
-    ivcm: Callable[[Pair, Pair, np.ndarray], np.ndarray]
-    ivcm_matrix: Callable[[Pair, Pair], np.ndarray]
+    ivcm: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ivcm_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def lag(self, eps, m) -> float:
-        return float(self.lagrangian(np.concatenate([eps, m]))[0])
+    def lag(self, x) -> float:
+        return float(self.lagrangian(x)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,27 +191,25 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
     from the fourth-order central difference otherwise; d phi uses the
     bundle's Jacobian.
     """
-    eps_prev = as_vector(eps_prev, sys.bundle.total_dim)
-    m_cur = as_vector(m_cur, sys.bundle.base_dim)
-    eps_cur = as_vector(eps_cur, sys.bundle.total_dim)
-    m_next = as_vector(m_next, sys.bundle.base_dim)
-    return _del_covector(sys, d1_lagrangian(sys, eps_prev, m_cur),
-                         d2_lagrangian(sys, eps_prev, m_cur),
-                         eps_prev, m_cur, eps_cur, m_next)
+    n, nb = sys.bundle.total_dim, sys.bundle.base_dim
+    x_prev, x_cur = np.concatenate([as_vector(eps_prev, n), as_vector(m_cur, nb),
+                                    as_vector(eps_cur, n), as_vector(m_next, nb)]
+                                   ).reshape(2, n + nb)
+    return _del_covector(sys, d1_lagrangian(sys, x_prev[:n], x_prev[n:]),
+                         d2_lagrangian(sys, x_prev[:n], x_prev[n:]), x_prev, x_cur)
 
 
-def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, eps_prev, m_cur,
-                  eps_cur, m_next) -> np.ndarray:
-    """``del_residual`` given the previous pair's D1/D2 (g1_prev, g2_prev).
+def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, x_prev, x_cur) -> np.ndarray:
+    """``del_residual`` at the rows x_prev, x_cur given x_prev's D1/D2.
 
-    Those two gradients do not depend on (eps_cur, m_next), so ``step``
-    computes them once per solve instead of once per residual evaluation.
+    Those two gradients (g1_prev, g2_prev) do not depend on x_cur, so
+    ``step`` computes them once per solve instead of once per residual
+    evaluation.
     """
-    term1 = d1_lagrangian(sys, eps_cur, m_next)
-    term2 = g2_prev @ sys.bundle.phi.jacobian(eps_cur)
-    ivcm_m = sys.ivcm_matrix((eps_prev, m_cur), (eps_cur, m_next))
-    term3 = g1_prev @ ivcm_m
-    return term1 + term2 + term3
+    n = sys.bundle.total_dim
+    return (d1_lagrangian(sys, x_cur[:n], x_cur[n:])
+            + g2_prev @ sys.bundle.phi.jacobian(x_cur[:n])
+            + g1_prev @ sys.ivcm_matrix(x_prev, x_cur))
 
 
 def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
@@ -234,12 +234,12 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     n, nb = b.total_dim, b.base_dim
     g1_prev = d1_lagrangian(sys, eps0, m1)
     g2_prev = d2_lagrangian(sys, eps0, m1)
+    x0 = np.concatenate([eps0, m1])
 
     def residual(z):
-        eps1, m2 = z[:n], z[n:]
         out = np.empty(n + nb)
-        out[:n] = _del_covector(sys, g1_prev, g2_prev, eps0, m1, eps1, m2)
-        out[n:] = b.phi(eps1) - m1
+        out[:n] = _del_covector(sys, g1_prev, g2_prev, x0, z)
+        out[n:] = b.phi(z[:n]) - m1
         return out
 
     handle = SmoothMapHandle(n + nb, n + nb, residual)
@@ -281,8 +281,8 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
     zero = np.zeros((config_dim, config_dim))
     return DlpsSystem(
         bundle=bundle, lagrangian=lagrangian,
-        ivcm=lambda p0, p1, d: np.zeros(config_dim),
-        ivcm_matrix=lambda p0, p1: zero)
+        ivcm=lambda x0, x1, d: np.zeros(config_dim),
+        ivcm_matrix=lambda x0, x1: zero)
 
 
 def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
@@ -302,12 +302,13 @@ def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
         raise ValueError("need one free vector per interior index")
     tilde = [as_vector(d, sys.bundle.total_dim) for d in tilde_deltas]
 
+    x = path.points
     d_eps = [None] * n_pairs
     d_eps[n_pairs - 1] = tilde[-1]
     for k in range(n_pairs - 2, 0, -1):
-        chained = sys.ivcm(path[k], path[k + 1], tilde[k])
+        chained = sys.ivcm(x[k], x[k + 1], tilde[k])
         d_eps[k] = tilde[k - 1] + as_vector(chained, sys.bundle.total_dim)
-    d_eps[0] = as_vector(sys.ivcm(path[0], path[1], tilde[0]), sys.bundle.total_dim)
+    d_eps[0] = as_vector(sys.ivcm(x[0], x[1], tilde[0]), sys.bundle.total_dim)
 
     deltas = []
     for k in range(n_pairs):

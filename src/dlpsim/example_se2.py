@@ -30,6 +30,7 @@ from .lie import (ActionModel, GroupElement, _cconj, _cmul, compose,
                   sample_group, se2_two_point_action, t2_two_point_action,
                   u1_group, u1_plane_action)
 from .reduction import ReducedModel, ReductionResult, build_upsilon, reduce
+# jacobian_fd is unused here, but the benchmark tracer patches it in this module.
 from .smooth import SmoothMapHandle, as_vector, jacobian_fd
 
 SQRT2 = float(np.sqrt(2.0))
@@ -65,10 +66,7 @@ class TwoBodyConfig:
         return float(self.potential(np.array([s]))[0])
 
     def v_prime(self, s: float) -> float:
-        x = np.array([float(s)])
-        if self.potential.jac is not None:
-            return float(np.asarray(self.potential.jac(x)).reshape(1)[0])
-        return float(jacobian_fd(self.potential, x)[0, 0])
+        return float(self.potential.jacobian(np.array([float(s)]))[0, 0])
 
 
 def _separation(q) -> np.ndarray:

@@ -21,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
-from .dlps import DiscretePath, DlpsSystem, FiberBundleModel, Pair
+from .dlps import DiscretePath, DlpsSystem, FiberBundleModel
 from .errors import MatchingError, SingularJacobian, ValidationError
-from .lie import (ActionModel, GroupElement, LieGroupModel, sample_group,
-                  trivial_action, trivial_group)
+from .lie import (ActionModel, GroupElement, sample_group, trivial_action,
+                  trivial_group)
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
 
@@ -48,16 +48,15 @@ class ReducedModel:
     ``upsilon`` realizes the reduction morphism C'(E) -> C'(reduced);
     ``lift_section`` is a right inverse choosing orbit representatives.
     ``group_action`` is the diagonal action on C'(E) whose orbits are the
-    fibers of upsilon; ``action_e`` / ``action_m`` are its factors.
+    fibers of upsilon (its ``group`` is the symmetry group);
+    ``action_m`` is its factor on the base.
     """
 
-    group: LieGroupModel
     source_bundle: FiberBundleModel
     reduced_bundle: FiberBundleModel
     upsilon: SmoothMapHandle
     lift_section: SmoothMapHandle
     group_action: ActionModel
-    action_e: ActionModel
     action_m: ActionModel
     sample_cprime: Callable[[np.random.Generator], np.ndarray]
 
@@ -104,6 +103,25 @@ def solve_matching(action: ActionModel, q_from, q_to) -> GroupElement:
         raise MatchingError(
             f"no group element maps {q_from} to {q_to} (defect {defect:.3e})")
     return g
+
+
+def _lift_onto(model: ReducedModel, y, m) -> np.ndarray:
+    """The lift of the reduced point y whose fiber point projects to m:
+    ``lift_section(y)`` moved by the ``solve_matching`` element."""
+    x = model.lift_section(y)
+    nE = model.source_bundle.total_dim
+    g = solve_matching(model.action_m, model.source_bundle.phi(x[:nE]), m)
+    return model.group_action.act(g, x)
+
+
+def _sample_second_order(sys: DlpsSystem, sample_cprime,
+                         rng) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x0 = (eps0, phi(eps1)) and x1 = (eps1, m2) of E x M from two
+    sampled points, so that x1 may follow x0 on a path."""
+    nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
+    xa = as_vector(sample_cprime(rng), nE + nM)
+    x1 = as_vector(sample_cprime(rng), nE + nM)
+    return np.concatenate([xa[:nE], sys.bundle.phi(x1[:nE])]), x1
 
 
 def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> ActionModel:
@@ -174,18 +192,17 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
         section=SmoothMapHandle(nMr, nEr, reduced_section_eval))
 
     group_action = _diagonal_cprime_action(action_e, action_m)
-    model = ReducedModel(group=G, source_bundle=sys.bundle,
+    model = ReducedModel(source_bundle=sys.bundle,
                          reduced_bundle=reduced_bundle, upsilon=upsilon,
                          lift_section=lift_section, group_action=group_action,
-                         action_e=action_e, action_m=action_m,
-                         sample_cprime=sample_cprime)
+                         action_m=action_m, sample_cprime=sample_cprime)
 
     # -- sampled validation ------------------------------------------------
     for _ in range(VALIDATION_DRAWS):
         x = as_vector(sample_cprime(rng), nE + nM)
         g = sample_group(G, rng)
         gx = group_action.act(g, x)
-        dL = abs(sys.lag(gx[:nE], gx[nE:]) - sys.lag(x[:nE], x[nE:]))
+        dL = abs(sys.lag(gx) - sys.lag(x))
         if dL > 1e-10:
             raise ValidationError("lagrangian G-invariance", sample=x, violation=dL)
         dU = float(np.max(np.abs(upsilon(gx) - upsilon(x))))
@@ -197,21 +214,16 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
             raise ValidationError("upsilon o lift_section = id", sample=y, violation=dR)
 
     for _ in range(VALIDATION_DRAWS):
-        xa = as_vector(sample_cprime(rng), nE + nM)
-        xb = as_vector(sample_cprime(rng), nE + nM)
-        eps0, eps1, m2 = xa[:nE], xb[:nE], xb[nE:]
-        m1 = sys.bundle.phi(eps1)
+        x0, x1 = _sample_second_order(sys, sample_cprime, rng)
         g = sample_group(G, rng)
         delta = rng.standard_normal(nE)
-        out = sys.ivcm((eps0, m1), (eps1, m2), delta)
-        pushed = directional_derivative(lambda q: action_e.act(g, q), eps0, out)
-        g_eps0, g_m1 = action_e.act(g, eps0), action_m.act(g, m1)
-        g_eps1, g_m2 = action_e.act(g, eps1), action_m.act(g, m2)
-        g_delta = directional_derivative(lambda q: action_e.act(g, q), eps1, delta)
-        out_g = sys.ivcm((g_eps0, g_m1), (g_eps1, g_m2), g_delta)
+        out = sys.ivcm(x0, x1, delta)
+        pushed = directional_derivative(lambda q: action_e.act(g, q), x0[:nE], out)
+        g_delta = directional_derivative(lambda q: action_e.act(g, q), x1[:nE], delta)
+        out_g = sys.ivcm(group_action.act(g, x0), group_action.act(g, x1), g_delta)
         dI = float(np.max(np.abs(out_g - pushed), initial=0.0))
         if dI > ivcm_tol:
-            raise ValidationError("chaining-map G-equivariance", sample=xa, violation=dI)
+            raise ValidationError("chaining-map G-equivariance", sample=x0, violation=dI)
 
     return model
 
@@ -243,7 +255,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     partial derivatives of the fiber part of upsilon, read off
     ``upsilon.jacobian`` (closed form when upsilon has a ``jac``).
     """
-    nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
+    nE = sys.bundle.total_dim
     nEr = model.reduced_bundle.total_dim
     L, lift, upsilon = sys.lagrangian, model.lift_section, model.upsilon
 
@@ -255,31 +267,22 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     lagrangian = SmoothMapHandle(nEr + model.reduced_bundle.base_dim, 1,
                                  lambda y: L(lift(y)), jac=lagrangian_jac)
 
-    def reduced_ivcm_matrix(pair0: Pair, pair1: Pair) -> np.ndarray:
-        v0, r1 = pair0
-        v1, r2 = pair1
-        # Lift over the base point carried by v1 itself: on the
-        # second-order compatibility set this equals r1, and off it (solver
-        # iterates between constraint projections) it is the smooth
-        # extension that keeps the matching equation solvable.
-        r1_compat = model.reduced_bundle.phi(v1)
-        x0 = lift(np.concatenate([v0, r1_compat]))
-        eps0, m1 = x0[:nE], x0[nE:]
-        x1 = lift(np.concatenate([v1, r2]))
-        g = solve_matching(model.action_m, sys.bundle.phi(x1[:nE]), m1)
-        eps1 = model.action_e.act(g, x1[:nE])
-        m2 = model.action_m.act(g, x1[nE:])
+    def reduced_ivcm_matrix(y0, y1) -> np.ndarray:
+        # Lift y0 over the base point carried by v1 = y1[:nEr] itself: on
+        # the second-order compatibility set this equals y0's base point,
+        # and off it (solver iterates between constraint projections) it
+        # is the smooth extension that keeps the matching equation solvable.
+        x0 = lift(np.concatenate([y0[:nEr], model.reduced_bundle.phi(y1[:nEr])]))
+        x1 = _lift_onto(model, y1, x0[nE:])
 
-        J = upsilon.jacobian(np.concatenate([eps1, m2]))[:nEr, :nE]
-        Jinv = _solve_isomorphism(J)
-        K = upsilon.jacobian(np.concatenate([eps0, m1]))[:nEr]
-        K1, K2 = K[:, :nE], K[:, nE:]
-        jphi1 = sys.bundle.phi.jacobian(eps1)
-        inner = sys.ivcm_matrix((eps0, m1), (eps1, m2))
-        return (K1 @ inner + K2 @ jphi1) @ Jinv
+        Jinv = _solve_isomorphism(upsilon.jacobian(x1)[:nEr, :nE])
+        K = upsilon.jacobian(x0)[:nEr]
+        jphi1 = sys.bundle.phi.jacobian(x1[:nE])
+        inner = sys.ivcm_matrix(x0, x1)
+        return (K[:, :nE] @ inner + K[:, nE:] @ jphi1) @ Jinv
 
-    def reduced_ivcm(pair0: Pair, pair1: Pair, delta_v1) -> np.ndarray:
-        return reduced_ivcm_matrix(pair0, pair1) @ as_vector(delta_v1, nEr)
+    def reduced_ivcm(y0, y1, delta_v1) -> np.ndarray:
+        return reduced_ivcm_matrix(y0, y1) @ as_vector(delta_v1, nEr)
 
     reduced_sys = DlpsSystem(bundle=model.reduced_bundle, lagrangian=lagrangian,
                              ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix)
@@ -337,11 +340,7 @@ def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
             f"(defect {start_defect:.3e})")
     rows = [x]
     for y in reduced_path.points[1:]:
-        xk = model.lift_section(y)
-        g = solve_matching(model.action_m,
-                           model.source_bundle.phi(xk[:nE]), rows[-1][nE:])
-        rows.append(np.concatenate([model.action_e.act(g, xk[:nE]),
-                                    model.action_m.act(g, xk[nE:])]))
+        rows.append(_lift_onto(model, y, rows[-1][nE:]))
     return DiscretePath(np.array(rows), nE)
 
 
@@ -425,13 +424,7 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
     cond2_min_sv = np.inf
     cond3 = cond4 = cond5 = cond6 = 0.0
     for _ in range(n_samples):
-        xa = as_vector(sample_cprime(rng), nE + nM)
-        xb = as_vector(sample_cprime(rng), nE + nM)
-        eps0, eps1, m2 = xa[:nE], xb[:nE], xb[nE:]
-        m1 = sys.bundle.phi(eps1)
-        x0 = np.concatenate([eps0, m1])
-        x1 = np.concatenate([eps1, m2])
-
+        x0, x1 = _sample_second_order(sys, sample_cprime, rng)
         J0 = jacobian_fd(candidate, x0)
         sv_full = np.linalg.svd(J0, compute_uv=False)
         if sv_full[min(J0.shape) - 1] <= RANK_TOL * sv_full[0]:
@@ -450,16 +443,14 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         base_defect = y0[nEr:] - sys_target.bundle.phi(y1[:nEr])
         cond4 = max(cond4, float(np.max(np.abs(base_defect))))
 
-        cond5 = max(cond5, abs(sys.lag(eps0, m1)
-                               - sys_target.lag(y0[:nEr], y0[nEr:])))
+        cond5 = max(cond5, abs(sys.lag(x0) - sys_target.lag(y0)))
 
         J1 = jacobian_fd(candidate, x1)
         D1p1_at_x1 = J1[:nEr, :nE]
         D2p1_at_x0 = J0[:nEr, nE:]
-        jphi1 = sys.bundle.phi.jacobian(eps1)
-        inner = sys.ivcm_matrix((eps0, m1), (eps1, m2))
-        ivcm_target = sys_target.ivcm_matrix((y0[:nEr], y0[nEr:]),
-                                             (y1[:nEr], y1[nEr:]))
+        jphi1 = sys.bundle.phi.jacobian(x1[:nE])
+        inner = sys.ivcm_matrix(x0, x1)
+        ivcm_target = sys_target.ivcm_matrix(y0, y1)
         for _ in range(3):
             delta = rng.standard_normal(nE)
             lhs = ivcm_target @ (D1p1_at_x1 @ delta)

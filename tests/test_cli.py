@@ -247,6 +247,16 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "potential must be an object with a name (got 'linear')"),
     ("reduce", {"potential": {"coeff": 0.5}},
      "potential must be an object with a name (got {'coeff': 0.5})"),
+    ("simulate", {"newton": False}, "newton must be an object (got False)"),
+    ("simulate", {"newton": 0}, "newton must be an object (got 0)"),
+    ("simulate", {"newton": []}, "newton must be an object (got [])"),
+    ("simulate", {"newton": ""}, "newton must be an object (got '')"),
+    ("simulate", {"newton": None}, "newton must be an object (got None)"),
+    ("simulate", {"n_step": 50}, "unknown config keys ['n_step']"),
+    ("reduce", {"comment": "x", "seeds": 3},
+     "unknown config keys ['comment', 'seeds']"),
+    ("simulate", {"potential": {"name": "quadratic", "coef": 0.3}},
+     "unknown potential keys ['coef']"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -257,6 +267,16 @@ def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
     assert f"validation failure: {message}" in caplog.text
     assert "identity '" not in caplog.text
 
+def test_empty_newton_object_gives_defaults(tmp_path):
+    outs = {}
+    for name, payload in (("absent", BODY_CONFIG),
+                          ("empty", dict(BODY_CONFIG, newton={}))):
+        out = tmp_path / name
+        assert run("simulate", write_config(tmp_path, payload), out) == 0
+        meta = json.loads((out / "simulate.json").read_text())
+        meta["config"].pop("newton", None)
+        outs[name] = (meta, (out / "trajectory.csv").read_bytes())
+    assert outs["absent"] == outs["empty"]
 
 
 def test_seed_flag_validated_like_config_seed(tmp_path, caplog):

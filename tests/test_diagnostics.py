@@ -48,7 +48,7 @@ def test_momentum_two_body_hand_formula(full_system, body_cfg, rng):
         q0, q1 = x[:4], x[4:]
         J = momentum(full_system, act, q0, q1)
         expected = ((q1[:2] - q0[:2]) + (q1[2:] - q0[2:])) / body_cfg.h
-        assert np.max(np.abs(J.components - expected)) < 1e-9
+        assert np.max(np.abs(J - expected)) < 1e-9
 
 
 def test_momentum_conserved_dms(full_system, full_start):

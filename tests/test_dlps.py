@@ -245,7 +245,8 @@ def test_from_dms_zero_chaining(rng):
     for _ in range(100):
         p0 = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         p1 = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        out = sys.ivcm(p0, p1, rng.standard_normal(3))
+        out = sys.ivcm(np.concatenate(p0), np.concatenate(p1),
+                       rng.standard_normal(3))
         assert np.max(np.abs(out)) == 0.0
 
 
@@ -307,25 +308,25 @@ def test_variational_principle_reduced(reduced, rng):
 
 def test_chaining_map_linearity(reduced, rng):
     """The reduced chaining map is linear in the tangent argument."""
-    pair0 = (np.array([1.0, 0.1, 0.2, -0.1]), np.array([1.05, 0.12]))
-    pair1 = (np.array([1.05, 0.12, 0.2, -0.1]), np.array([1.1, 0.15]))
+    x0 = np.array([1.0, 0.1, 0.2, -0.1, 1.05, 0.12])
+    x1 = np.array([1.05, 0.12, 0.2, -0.1, 1.1, 0.15])
     ivcm = reduced.system.ivcm
     for _ in range(10):
         a, b = rng.standard_normal(2)
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = ivcm(pair0, pair1, a * x + b * y)
-        rhs = a * ivcm(pair0, pair1, x) + b * ivcm(pair0, pair1, y)
+        lhs = ivcm(x0, x1, a * x + b * y)
+        rhs = a * ivcm(x0, x1, x) + b * ivcm(x0, x1, y)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_chaining_map_vertical(reduced, rng):
     """The reduced chaining map lands in the kernel of the bundle map."""
     bundle = reduced.system.bundle
-    pair0 = (np.array([1.0, 0.1, 0.2, -0.1]), np.array([1.05, 0.12]))
-    pair1 = (np.array([1.05, 0.12, 0.2, -0.1]), np.array([1.1, 0.15]))
+    x0 = np.array([1.0, 0.1, 0.2, -0.1, 1.05, 0.12])
+    x1 = np.array([1.05, 0.12, 0.2, -0.1, 1.1, 0.15])
     for _ in range(10):
-        out = reduced.system.ivcm(pair0, pair1, rng.standard_normal(4))
-        jphi = bundle.phi.jacobian(pair0[0])
+        out = reduced.system.ivcm(x0, x1, rng.standard_normal(4))
+        jphi = bundle.phi.jacobian(x0[:4])
         assert np.max(np.abs(jphi @ out)) < 1e-8
 
 
@@ -411,7 +412,8 @@ def test_del_covector_matches_del_residual_bitwise(name, rng):
         eps_cur, m_next = sample_pair(rng)
         got = _del_covector(sys, d1_lagrangian(sys, eps_prev, m_cur),
                             d2_lagrangian(sys, eps_prev, m_cur),
-                            eps_prev, m_cur, eps_cur, m_next)
+                            np.concatenate([eps_prev, m_cur]),
+                            np.concatenate([eps_cur, m_next]))
         assert np.array_equal(got, del_residual(sys, eps_prev, m_cur,
                                                 eps_cur, m_next))
 

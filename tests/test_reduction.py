@@ -5,13 +5,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpsim.dlps import del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
-from dlpsim.example_se2 import (TwoBodyConfig, make_reduced_system,
+from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
+                                make_full_system, make_reduced_system,
                                 make_t2_connection,
                                 make_weighted_t2_connection, potential_handle,
-                                sample_annulus, sample_cprime)
+                                sample_annulus, sample_configuration,
+                                sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
 from dlpsim.reduction import (build_upsilon, check_morphism, project_path,
                               reconstruct_path, reduce, solve_matching,
@@ -20,6 +24,15 @@ from dlpsim.smooth import SmoothMapHandle, gradient_fd5, jacobian_fd
 
 SQRT2 = np.sqrt(2.0)
 TRAJ_TOL = 1e-8
+
+#: Random two-body configs: (seed, potential, h) with a linear potential of
+#: coefficient in [0, 1] or a quadratic one in [0, 0.5], and |h| in [0.02, 0.2].
+RANDOM_BODIES = (
+    st.integers(0, 2 ** 32 - 1),
+    st.one_of(st.tuples(st.just("linear"), st.floats(0.0, 1.0)),
+              st.tuples(st.just("quadratic"), st.floats(0.0, 0.5))),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+              st.floats(0.02, 0.2)))
 
 
 def test_upsilon_printed_value(reduced):
@@ -72,8 +85,8 @@ def test_reduced_chaining_closed_form(reduced, rng):
         z1 = rng.uniform(-1, 1, 2)
         r2 = sample_annulus(rng, 0.5, 1.5)
         delta = rng.standard_normal(4)
-        out = reduced.system.ivcm((np.concatenate([r0, z0]), r1),
-                                  (np.concatenate([r1, z1]), r2), delta)
+        out = reduced.system.ivcm(np.concatenate([r0, z0, r1]),
+                                  np.concatenate([r1, z1, r2]), delta)
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         assert np.max(np.abs(out - expected)) < 1e-9
 
@@ -117,8 +130,7 @@ def test_reduced_chaining_fd_fallback_matches_closed_form(full_system, reduced,
     for _ in range(20):
         y0 = model.upsilon(sample_cprime(rng))
         y1 = model.upsilon(sample_cprime(rng))
-        pairs = ((y0[:4], y0[4:]), (y1[:4], y1[4:]))
-        diff = fd_sys.ivcm_matrix(*pairs) - reduced.system.ivcm_matrix(*pairs)
+        diff = fd_sys.ivcm_matrix(y0, y1) - reduced.system.ivcm_matrix(y0, y1)
         assert np.max(np.abs(diff)) < 1e-9
 
 
@@ -158,6 +170,27 @@ def test_build_upsilon_rejects_broken_symmetry():
                       sample_cprime=sample_cprime)
 
 
+def test_build_upsilon_reports_tested_chaining_point(full_system):
+    """A chaining map that is not equivariant fails validation, reporting
+    the row x0 = (eps0, phi(eps1)) that it was tested at."""
+    broken = dataclasses.replace(full_system,
+                                 ivcm=lambda x0, x1, d: x0[:4] * d[0])
+    drawn = []
+
+    def recording_sample(rng):
+        drawn.append(sample_cprime(rng))
+        return drawn[-1]
+
+    with pytest.raises(ValidationError) as err:
+        build_upsilon(make_t2_connection(), broken, fiber_chart=_t2_chart,
+                      fiber_section=_t2_section,
+                      action_e=t2_two_point_action(),
+                      sample_cprime=recording_sample)
+    assert err.value.identity == "chaining-map G-equivariance"
+    xa, xb = drawn[-2:]
+    assert np.array_equal(err.value.sample, np.concatenate([xa[:4], xb[:4]]))
+
+
 @pytest.mark.parametrize("fiber_chart, fiber_section", [
     (lambda e, w: _t2_chart(e, w)[:3], _t2_section),
     (_t2_chart, lambda v: (_t2_section(v)[0][:3], _t2_section(v)[1])),
@@ -195,7 +228,7 @@ def test_projection_of_translated_trajectory(full_system, reduced, full_start,
     """Projection is constant on orbits: a translated path projects equally."""
     traj = simulate(full_system, *full_start, 10)
     g = t2_group().from_params(rng.uniform(-1, 1, 2))
-    shifted = [(reduced.model.action_e.act(g, e), reduced.model.action_m.act(g, m))
+    shifted = [(t2_two_point_action().act(g, e), reduced.model.action_m.act(g, m))
                for e, m in traj.pairs]
     from dlpsim.dlps import make_path
     assert np.max(np.abs(project_path(reduced.model, traj).points
@@ -218,6 +251,36 @@ def test_reconstruction_roundtrip(full_system, reduced, full_start):
     assert np.max(np.abs(traj.points - rebuilt.points)) <= TRAJ_TOL
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(*RANDOM_BODIES)
+def test_reconstruction_inverts_projection(seed, potential, h):
+    """reconstruct_path(project_path(traj)) = traj on random trajectories."""
+    rng = np.random.default_rng(seed)
+    cfg = TwoBodyConfig(h=h, potential=potential_handle(*potential))
+    model = make_reduced_system(cfg, rng=rng).model
+    q0 = sample_configuration(rng)
+    q1 = q0 + rng.uniform(-0.05, 0.05, 4)
+    traj = simulate(make_full_system(cfg), q0, q1, 10)
+    rebuilt = reconstruct_path(model, project_path(model, traj), q0, q1)
+    assert np.max(np.abs(rebuilt.points - traj.points)) <= TRAJ_TOL
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(*RANDOM_BODIES)
+def test_reduced_step_matches_closed_form(seed, potential, h):
+    """The generic T2-reduced step is the printed reduced update."""
+    rng = np.random.default_rng(seed)
+    cfg = TwoBodyConfig(h=h, potential=potential_handle(*potential))
+    red = make_reduced_system(cfg, rng=rng)
+    r0 = sample_annulus(rng, 0.5, 2.0)
+    z0 = rng.uniform(-1, 1, 2)
+    r1 = r0 + rng.uniform(-0.1, 0.1, 2)
+    eps1, r2 = step(red.system, np.concatenate([r0, z0]), r1)
+    _, z1, r2_closed = closed_form_reduced_step(cfg, r0, z0, r1)
+    assert np.max(np.abs(eps1 - np.concatenate([r1, z1]))) <= 1e-10
+    assert np.max(np.abs(r2 - r2_closed)) <= 1e-10
+
+
 def test_reconstruction_single_pair(reduced, full_start):
     x0 = np.concatenate(full_start)
     y = reduced.model.upsilon(x0)
@@ -233,7 +296,7 @@ def test_reconstruction_equivariance(full_system, reduced, full_start, rng):
     traj = simulate(full_system, *full_start, 20)
     red_path = project_path(reduced.model, traj)
     g = t2_group().from_params(rng.uniform(-1, 1, 2))
-    act_e, act_m = reduced.model.action_e, reduced.model.action_m
+    act_e, act_m = t2_two_point_action(), reduced.model.action_m
     shifted_start = (act_e.act(g, full_start[0]), act_m.act(g, full_start[1]))
     rebuilt = reconstruct_path(reduced.model, red_path, *shifted_start)
     from dlpsim.dlps import make_path
