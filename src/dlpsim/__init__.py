@@ -12,10 +12,10 @@ from .errors import (DomainError, MatchingError, NonConvergence,
                      ValidationError)
 from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      jacobian_fd, newton_solve)
-from .lie import (ActionModel, GroupElement, LieGroupModel, compose,
-                  conjugate, infinitesimal_generator, project_to_quotient,
-                  se2_group, se2_plane_action, se2_two_point_action,
-                  t2_group, t2_two_point_action, u1_group, u1_plane_action)
+from .lie import (ActionModel, LieGroupModel, conjugate,
+                  infinitesimal_generator, project_to_quotient, se2_group,
+                  se2_plane_action, se2_two_point_action, t2_group,
+                  t2_two_point_action, u1_group, u1_plane_action)
 from .connection import (DiscreteConnection, QuotientModel, ad,
                          check_equivariance, horizontal_lift,
                          mechanical_connection_flat)

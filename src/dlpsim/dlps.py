@@ -255,7 +255,10 @@ def simulate(sys: DlpsSystem, eps0, m1, n_steps: int,
     DomainError, MatchingError or RegularityError), raises SimulationError
     carrying the partial path and the failing step index, so diagnostics
     can run on partial data. Any other exception propagates as itself.
+    A negative ``n_steps`` raises ValueError.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative (got {n_steps})")
     pairs = [(as_vector(eps0, sys.bundle.total_dim),
               as_vector(m1, sys.bundle.base_dim))]
     for k in range(n_steps):
@@ -342,8 +345,16 @@ def action_derivative(sys: DlpsSystem, path: DiscretePath,
 
 # --- small canonical systems ------------------------------------------------
 
+def _check_timestep(h: float):
+    """Reject a zero or non-finite timestep, which no Lagrangian survives."""
+    if h == 0 or not np.isfinite(h):
+        raise ValueError(f"timestep must be finite and nonzero (got {h})")
+
+
 def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim."""
+    _check_timestep(h)
+
     def L(x):
         d = x[dim:] - x[:dim]
         return np.array([float(d @ d) / (2.0 * h)])
@@ -358,6 +369,8 @@ def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
                             dim: int = 1) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2."""
+    _check_timestep(h)
+
     def L(x):
         q0, q1 = x[:dim], x[dim:]
         d = q1 - q0

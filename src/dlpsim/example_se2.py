@@ -24,11 +24,11 @@ from typing import Callable
 import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
-from .dlps import DlpsSystem, from_dms
+from .dlps import DlpsSystem, _check_timestep, from_dms
 from .errors import DomainError, ValidationError
-from .lie import (ActionModel, GroupElement, _cconj, _cmul, compose,
-                  sample_group, se2_two_point_action, t2_two_point_action,
-                  u1_group, u1_plane_action)
+from .lie import (ActionModel, _cconj, _cmul, sample_group,
+                  se2_two_point_action, t2_two_point_action, u1_group,
+                  u1_plane_action)
 from .reduction import ReducedModel, ReductionResult, build_upsilon, reduce
 # jacobian_fd is unused here, but the benchmark tracer patches it in this module.
 from .smooth import SmoothMapHandle, as_vector, jacobian_fd
@@ -59,8 +59,7 @@ class TwoBodyConfig:
         default_factory=lambda: potential_handle("linear", 0.5))
 
     def __post_init__(self):
-        if self.h == 0:
-            raise ValueError("timestep must be nonzero")
+        _check_timestep(self.h)
 
     def v(self, s: float) -> float:
         return float(self.potential(np.array([s]))[0])
@@ -111,12 +110,11 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     return from_dms(4, SmoothMapHandle(8, 1, L, jac=jac))
 
 
-def sample_configuration(rng: np.random.Generator, box: float = 2.0,
-                         min_separation: float = 0.3) -> np.ndarray:
-    """A configuration with the particles safely apart."""
+def sample_configuration(rng: np.random.Generator) -> np.ndarray:
+    """A configuration in [-2, 2]^4 with the particles at least 0.3 apart."""
     while True:
-        q = rng.uniform(-box, box, size=4)
-        if float(np.hypot(*_separation(q))) >= min_separation:
+        q = rng.uniform(-2.0, 2.0, size=4)
+        if float(np.hypot(*_separation(q))) >= 0.3:
             return q
 
 
@@ -150,7 +148,7 @@ def make_t2_connection() -> DiscreteConnection:
     def ad_form(q0, q1):
         s0 = q0[:2] + q0[2:]
         s1 = q1[:2] + q1[2:]
-        return GroupElement(0.5 * (s1 - s0))
+        return 0.5 * (s1 - s0)
 
     def hor_lift(q0, r1):
         s0 = q0[:2] + q0[2:]
@@ -175,7 +173,7 @@ def make_weighted_t2_connection(weight_x: float, weight_y: float) -> DiscreteCon
     def ad_form(q0, q1):
         dx = q1[:2] - q0[:2]
         dy = q1[2:] - q0[2:]
-        return GroupElement((weight_x * dx + weight_y * dy) / total)
+        return (weight_x * dx + weight_y * dy) / total
 
     def hor_lift(q0, r1):
         # q1 = (a + wy*sqrt2*r1/total, a - wx*sqrt2*r1/total) with the
@@ -220,13 +218,13 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     sys = make_full_system(cfg)
     conn = make_t2_connection()
 
-    def fiber_chart(eps, w: GroupElement):
-        return np.concatenate([_separation(eps) / SQRT2, w.coords])
+    def fiber_chart(eps, w):
+        return np.concatenate([_separation(eps) / SQRT2, w])
 
     def fiber_section(v):
         r0, z0 = v[:2], v[2:]
         eps = np.concatenate([r0, -r0]) / SQRT2
-        return eps, GroupElement(z0.copy())
+        return eps, z0.copy()
 
     model = build_upsilon(conn, sys, fiber_chart, fiber_section,
                           action_e=t2_two_point_action(),
@@ -298,7 +296,7 @@ def make_se2_connection() -> DiscreteConnection:
         s0 = q0[:2] + q0[2:]
         s1 = q1[:2] + q1[2:]
         v = 0.5 * (s1 - _cmul(a, s0))
-        return GroupElement(np.concatenate([a, v]))
+        return np.concatenate([a, v])
 
     def hor_lift(q0, rho1):
         d0 = _separation(q0)
@@ -332,7 +330,7 @@ def make_u1_connection() -> DiscreteConnection:
     quotient = make_u1_base_quotient()
 
     def ad_form(r0, r1):
-        return GroupElement(_phase(_cmul(r1, _cconj(r0))))
+        return _phase(_cmul(r1, _cconj(r0)))
 
     def hor_lift(r0, rho1):
         return float(rho1[0]) * _phase(r0)
@@ -345,14 +343,14 @@ def make_residual_u1_action() -> ActionModel:
     G = u1_group()
 
     def act(g, y):
-        return np.concatenate([_cmul(g.coords, y[:2]), _cmul(g.coords, y[2:])])
+        return np.concatenate([_cmul(g, y[:2]), _cmul(g, y[2:])])
 
     return ActionModel(group=G, space_dim=4, act=act)
 
 
-def conjugate_translation_by_se2(g: GroupElement, h: GroupElement) -> GroupElement:
+def conjugate_translation_by_se2(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g (1, v) g^{-1} = (1, A v) for g = (A, u): translations stay translations."""
-    return GroupElement(_cmul(g.coords[:2], h.coords))
+    return _cmul(g[:2], h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +361,11 @@ class StagedSetup:
     action_g: ActionModel
     conn_h: DiscreteConnection
     conn_g: DiscreteConnection
-    conn_gh: DiscreteConnection
     stage_h: ReductionResult
     stage_gh: ReductionResult
     one_shot: ReductionResult
     residual_action: ActionModel
-    conjugate_in_g: Callable[[GroupElement, GroupElement], GroupElement]
+    conjugate_in_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _validate_action_axioms(action: ActionModel, sample,
@@ -382,7 +379,7 @@ def _validate_action_axioms(action: ActionModel, sample,
         if d_id > 1e-12:
             raise ValidationError("action identity axiom", sample=q, violation=d_id)
         lhs = action.act(g1, action.act(g2, q))
-        rhs = action.act(compose(action.group, g1, g2), q)
+        rhs = action.act(action.group.compose(g1, g2), q)
         d_comp = float(np.max(np.abs(lhs - rhs)))
         if d_comp > 1e-12:
             raise ValidationError("action compatibility axiom", sample=q,
@@ -415,19 +412,19 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     conn_gh = make_u1_connection()
 
-    def fiber_chart_gh(eps, b: GroupElement):
+    def fiber_chart_gh(eps, b):
         r, z = eps[:2], eps[2:]
         rho0 = float(np.hypot(*r))
         if rho0 < _SEPARATION_FLOOR:
             raise DomainError("relative position vanishes in reduced chart")
         p0 = r / rho0
-        beta = float(np.arctan2(b.coords[1], b.coords[0]))
+        beta = float(np.arctan2(b[1], b[0]))
         zeta = _cmul(_cconj(p0), z)
         return np.array([rho0, beta, zeta[0], zeta[1]])
 
     def fiber_section_gh(v):
         eps = np.array([v[0], 0.0, v[2], v[3]])
-        return eps, GroupElement(np.array([np.cos(v[1]), np.sin(v[1])]))
+        return eps, np.array([np.cos(v[1]), np.sin(v[1])])
 
     def sample_cprime_gh(local_rng):
         return model_h.upsilon(sample_cprime(local_rng))
@@ -440,14 +437,14 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     conn_g = make_se2_connection()
 
-    def fiber_chart_g(eps, g: GroupElement):
+    def fiber_chart_g(eps, g):
         d0 = _separation(eps)
         r0 = d0 / SQRT2
         rho0 = float(np.hypot(*r0))
         if rho0 < _SEPARATION_FLOOR:
             raise DomainError("coincident particles in reduced chart")
         p0 = r0 / rho0
-        a, w = g.coords[:2], g.coords[2:]
+        a, w = g[:2], g[2:]
         s0 = eps[:2] + eps[2:]
         one_minus_a = np.array([1.0 - a[0], -a[1]])
         zeta = _cmul(_cconj(p0), w - 0.5 * _cmul(one_minus_a, s0))
@@ -457,7 +454,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     def fiber_section_g(v):
         eps = np.array([v[0], 0.0, -v[0], 0.0]) / SQRT2
         a = np.array([np.cos(v[1]), np.sin(v[1])])
-        return eps, GroupElement(np.concatenate([a, v[2:]]))
+        return eps, np.concatenate([a, v[2:]])
 
     model_g = build_upsilon(conn_g, sys, fiber_chart_g, fiber_section_g,
                             action_e=action_g, sample_cprime=sample_cprime,
@@ -465,7 +462,6 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     one_shot = reduce(sys, model_g)
 
     return StagedSetup(sys=sys, action_g=action_g, conn_h=conn_h,
-                       conn_g=conn_g, conn_gh=conn_gh, stage_h=stage_h,
-                       stage_gh=stage_gh, one_shot=one_shot,
-                       residual_action=residual_action,
+                       conn_g=conn_g, stage_h=stage_h, stage_gh=stage_gh,
+                       one_shot=one_shot, residual_action=residual_action,
                        conjugate_in_g=conjugate_translation_by_se2)

@@ -23,13 +23,12 @@ import numpy as np
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DiscretePath, DlpsSystem, FiberBundleModel
 from .errors import MatchingError, SingularJacobian, ValidationError
-from .lie import (ActionModel, GroupElement, sample_group, trivial_action,
-                  trivial_group)
+from .lie import ActionModel, sample_group, trivial_action, trivial_group
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
 
-FiberChart = Callable[[np.ndarray, GroupElement], np.ndarray]
-FiberSection = Callable[[np.ndarray], tuple[np.ndarray, GroupElement]]
+FiberChart = Callable[[np.ndarray, np.ndarray], np.ndarray]
+FiberSection = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Largest defect |g q_from - q_to| a matched group element may leave.
 MATCH_TOL = 1e-9
@@ -69,7 +68,7 @@ class ReductionResult:
     model: ReducedModel
 
 
-def solve_matching(action: ActionModel, q_from, q_to) -> GroupElement:
+def solve_matching(action: ActionModel, q_from, q_to) -> np.ndarray:
     """The group element carrying q_from to q_to under the action.
 
     Uses the action's closed-form matcher when present, otherwise up to 50
@@ -349,22 +348,27 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
               trajectory: DiscretePath,
               conn_h: DiscreteConnection | None = None,
               full_group_action: ActionModel | None = None,
-              conjugate_in_full: Callable[[GroupElement, GroupElement], GroupElement] | None = None,
+              conjugate_in_full: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
               rng: np.random.Generator | None = None,
               n_checks: int = 100) -> tuple[dict, Callable]:
     """Compare two-stage reduction with one-shot reduction on a trajectory.
 
     Returns a report and the comparison map F, realized as lift through
     both stage sections followed by the one-shot morphism. When the
-    first-stage connection and the full group action are supplied, the
-    conjugation-equivariance condition that makes the second stage
-    possible is validated first on ``n_checks`` samples (a worst sample
-    above 1e-10 raises ValidationError).
+    first-stage connection, the full group action and the conjugation in
+    the full group are supplied, the conjugation-equivariance condition
+    that makes the second stage possible is validated first on
+    ``n_checks`` samples (a worst sample above 1e-10 raises
+    ValidationError). Supplying some but not all three raises ValueError.
     """
+    given = [c is not None for c in (conn_h, full_group_action, conjugate_in_full)]
+    if any(given) and not all(given):
+        raise ValueError("conn_h, full_group_action and conjugate_in_full "
+                         "must be given together or not at all")
     rng = rng or np.random.default_rng(11235)
     report: dict = {}
 
-    if conn_h is not None and full_group_action is not None and conjugate_in_full is not None:
+    if conn_h is not None:
         worst, worst_sample = 0.0, None
         quotient = conn_h.quotient
         for _ in range(n_checks):
@@ -374,7 +378,7 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
             lhs = conn_h.ad_form(full_group_action.act(g, q0),
                                  full_group_action.act(g, q1))
             rhs = conjugate_in_full(g, conn_h.ad_form(q0, q1))
-            v = float(np.max(np.abs(lhs.coords - rhs.coords), initial=0.0))
+            v = float(np.max(np.abs(lhs - rhs), initial=0.0))
             if v > worst:
                 worst, worst_sample = v, (q0, q1)
         report["conjugation_equivariance_max"] = worst

@@ -129,7 +129,7 @@ def test_criterion_5_connection_laws():
     for _ in range(200):
         q0, q1 = sample_configuration(rng), sample_configuration(rng)
         agree = max(agree, float(np.max(np.abs(
-            ad(conn, q0, q1).coords - ad(flat, q0, q1).coords))))
+            ad(conn, q0, q1) - ad(flat, q0, q1)))))
         r1 = rng.uniform(-2, 2, 2)
         agree = max(agree, float(np.max(np.abs(
             horizontal_lift(conn, q0, r1) - horizontal_lift(flat, q0, r1)))))

@@ -11,20 +11,19 @@ from dlpsim.dlps import (free_particle_dms, from_dms, harmonic_oscillator_dms,
                          make_path, simulate)
 from dlpsim.errors import RegularityError
 from dlpsim.example_se2 import sample_cprime
-from dlpsim.lie import ActionModel, GroupElement, LieGroupModel, t2_two_point_action
+from dlpsim.lie import ActionModel, LieGroupModel, t2_two_point_action
 from dlpsim.reduction import trivial_reduction
 from dlpsim.smooth import SmoothMapHandle
 
 
 def line_translation_action():
     """Translations of the real line, for scalar DMS momenta."""
-    e = GroupElement(np.zeros(1))
     G = LieGroupModel(
-        dim=1, identity=e,
-        compose=lambda a, b: GroupElement(a.coords + b.coords),
-        inverse=lambda g: GroupElement(-g.coords),
-        from_params=lambda p: GroupElement(np.atleast_1d(np.asarray(p, float)).copy()))
-    return ActionModel(group=G, space_dim=1, act=lambda g, q: q + g.coords)
+        dim=1, identity=np.zeros(1),
+        compose=lambda a, b: a + b,
+        inverse=lambda g: -g,
+        from_params=lambda p: np.atleast_1d(np.asarray(p, float)).copy())
+    return ActionModel(group=G, space_dim=1, act=lambda g, q: q + g)
 
 
 def test_momentum_free_particle_value():

@@ -162,6 +162,26 @@ def test_simulate_zero_steps():
     assert len(path) == 1
 
 
+def test_simulate_rejects_negative_steps():
+    with pytest.raises(ValueError, match=r"n_steps must be nonnegative \(got -3\)"):
+        simulate(free_particle_dms(dim=1), [0.0], [1.0], -3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TwoBodyConfig(h=float("nan")),
+    lambda: TwoBodyConfig(h=float("inf")),
+    lambda: free_particle_dms(h=0),
+    lambda: free_particle_dms(h=float("nan")),
+    lambda: harmonic_oscillator_dms(h=0),
+], ids=["two-body-nan", "two-body-inf", "free-zero", "free-nan",
+        "harmonic-zero"])
+def test_bad_timestep_rejected_at_construction(make):
+    """A zero or non-finite timestep fails where the system is built,
+    not later inside a step."""
+    with pytest.raises(ValueError, match="timestep must be finite and nonzero"):
+        make()
+
+
 def test_simulate_free_particle_linear():
     sys = free_particle_dms(dim=1, h=1.0)
     path = simulate(sys, [0.0], [1.0], 10)

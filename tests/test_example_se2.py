@@ -10,7 +10,7 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
                                 potential_handle, sample_annulus,
                                 sample_cprime)
-from dlpsim.lie import compose, sample_group, se2_two_point_action
+from dlpsim.lie import sample_group, se2_two_point_action
 from dlpsim.reduction import project_path, reconstruct_path, two_stage
 from dlpsim.smooth import jacobian_fd
 
@@ -156,7 +156,7 @@ def test_staged_setup_conjugation_condition(staged, rng):
         lhs = staged.conn_h.ad_form(staged.action_g.act(g, q0),
                                     staged.action_g.act(g, q1))
         rhs = staged.conjugate_in_g(g, staged.conn_h.ad_form(q0, q1))
-        assert np.max(np.abs(lhs.coords - rhs.coords)) < 1e-10
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_residual_action_is_action(staged, rng):
@@ -167,7 +167,7 @@ def test_residual_action_is_action(staged, rng):
         g1, g2 = sample_group(G, rng), sample_group(G, rng)
         assert np.max(np.abs(act(G.identity, y) - y)) < 1e-12
         assert np.max(np.abs(act(g1, act(g2, y))
-                             - act(compose(G, g1, g2), y))) < 1e-12
+                             - act(G.compose(g1, g2), y))) < 1e-12
 
 
 def test_residual_action_preserves_reduced_lagrangian(staged, rng):
@@ -177,7 +177,7 @@ def test_residual_action_preserves_reduced_lagrangian(staged, rng):
         y = staged.stage_h.model.upsilon(sample_cprime(rng))
         g = sample_group(act.group, rng)
         gy = np.concatenate([act.act(g, y[:4]),
-                             staged.conn_gh.quotient.action.act(g, y[4:])])
+                             staged.stage_gh.model.action_m.act(g, y[4:])])
         assert abs(sysr.lag(gy) - sysr.lag(y)) < 1e-12
 
 

@@ -3,31 +3,46 @@
 import numpy as np
 import pytest
 
-from dlpsim.lie import (GroupElement, compose, conjugate,
-                        infinitesimal_generator, project_to_quotient,
-                        sample_group, se2_group, se2_plane_action,
-                        se2_two_point_action, t2_group, t2_two_point_action,
-                        u1_group, u1_plane_action)
+from dlpsim.lie import (conjugate, infinitesimal_generator,
+                        project_to_quotient, sample_group, se2_group,
+                        se2_plane_action, se2_two_point_action, t2_group,
+                        t2_two_point_action, trivial_group, u1_group,
+                        u1_plane_action)
 
 TOL = 1e-12
 
 
 def se2(a_re, a_im, v_re, v_im):
-    return GroupElement(np.array([a_re, a_im, v_re, v_im], dtype=float))
+    return np.array([a_re, a_im, v_re, v_im], dtype=float)
+
+
+@pytest.mark.parametrize("make_group", [trivial_group, u1_group, t2_group,
+                                        se2_group])
+def test_elements_are_coordinate_arrays(make_group):
+    """identity, compose, inverse, from_params and sample_group all return
+    1-D float arrays with the identity's length."""
+    G = make_group()
+    rng = np.random.default_rng(9)
+    g, h = sample_group(G, rng), sample_group(G, rng)
+    for out in (G.identity, G.compose(g, h), G.inverse(g),
+                G.from_params(rng.uniform(-1, 1, G.dim)), g):
+        assert isinstance(out, np.ndarray)
+        assert out.ndim == 1 and out.dtype == np.float64
+        assert out.shape == G.identity.shape
 
 
 def test_se2_product_example():
     """(A=i, v=1) * (A=1, v=2) = (A=i, v=1+2i)."""
     G = se2_group()
-    out = compose(G, se2(0, 1, 1, 0), se2(1, 0, 2, 0))
-    assert np.max(np.abs(out.coords - np.array([0, 1, 1, 2]))) < TOL
+    out = G.compose(se2(0, 1, 1, 0), se2(1, 0, 2, 0))
+    assert np.max(np.abs(out - np.array([0, 1, 1, 2]))) < TOL
 
 
 def test_identity_composition():
     G = se2_group()
     g = se2(0.6, 0.8, 1.0, -2.0)
-    out = compose(G, G.identity, g)
-    assert np.max(np.abs(out.coords - g.coords)) < TOL
+    out = G.compose(G.identity, g)
+    assert np.max(np.abs(out - g)) < TOL
 
 
 def test_inverse_axiom():
@@ -36,8 +51,8 @@ def test_inverse_axiom():
     for G in (se2_group(), u1_group(), t2_group()):
         for _ in range(100):
             g = sample_group(G, rng)
-            out = compose(G, g, G.inverse(g))
-            assert np.max(np.abs(out.coords - G.identity.coords)) < TOL
+            out = G.compose(g, G.inverse(g))
+            assert np.max(np.abs(out - G.identity)) < TOL
 
 
 def test_associativity_samples():
@@ -45,22 +60,22 @@ def test_associativity_samples():
     G = se2_group()
     for _ in range(100):
         a, b, c = (sample_group(G, rng) for _ in range(3))
-        lhs = compose(G, compose(G, a, b), c)
-        rhs = compose(G, a, compose(G, b, c))
-        assert np.max(np.abs(lhs.coords - rhs.coords)) < TOL
+        lhs = G.compose(G.compose(a, b), c)
+        rhs = G.compose(a, G.compose(b, c))
+        assert np.max(np.abs(lhs - rhs)) < TOL
 
 
 def test_conjugate_by_identity():
     G = se2_group()
     h = se2(0.6, 0.8, 0.5, 0.5)
     out = conjugate(G, G.identity, h)
-    assert np.max(np.abs(out.coords - h.coords)) < TOL
+    assert np.max(np.abs(out - h)) < TOL
 
 
 def test_translations_commute_under_conjugation():
     G = se2_group()
     out = conjugate(G, se2(1, 0, 2.0, -1.0), se2(1, 0, 0.3, 0.7))
-    assert np.max(np.abs(out.coords - se2(1, 0, 0.3, 0.7).coords)) < TOL
+    assert np.max(np.abs(out - se2(1, 0, 0.3, 0.7))) < TOL
 
 
 def test_rotation_conjugates_translation():
@@ -69,9 +84,9 @@ def test_rotation_conjugates_translation():
     a = np.array([np.cos(0.7), np.sin(0.7)])
     u = np.array([0.4, -1.1])
     au = np.array([a[0] * u[0] - a[1] * u[1], a[0] * u[1] + a[1] * u[0]])
-    out = conjugate(G, GroupElement(np.concatenate([a, [0, 0]])),
+    out = conjugate(G, np.concatenate([a, [0, 0]]),
                     se2(1, 0, u[0], u[1]))
-    assert np.max(np.abs(out.coords - np.concatenate([[1, 0], au]))) < TOL
+    assert np.max(np.abs(out - np.concatenate([[1, 0], au]))) < TOL
 
 
 def test_t2_normality_in_se2():
@@ -82,7 +97,7 @@ def test_t2_normality_in_se2():
         g = sample_group(G, rng)
         h = se2(1, 0, *rng.uniform(-2, 2, 2))
         out = conjugate(G, g, h)
-        assert abs(out.coords[0] - 1.0) < TOL and abs(out.coords[1]) < TOL
+        assert abs(out[0] - 1.0) < TOL and abs(out[1]) < TOL
 
 
 def test_renormalization_long_chain():
@@ -91,8 +106,8 @@ def test_renormalization_long_chain():
     rng = np.random.default_rng(4)
     g = G.identity
     for _ in range(10_000):
-        g = compose(G, g, sample_group(G, rng, scale=0.5))
-    assert abs(np.hypot(g.coords[0], g.coords[1]) - 1.0) < 1e-12
+        g = G.compose(g, sample_group(G, rng, scale=0.5))
+    assert abs(np.hypot(g[0], g[1]) - 1.0) < 1e-12
 
 
 def test_translation_generator_on_pairs():
@@ -119,12 +134,12 @@ def test_generator_vanishes_at_fixed_point():
 
 def test_quotient_projection_kernel():
     out = project_to_quotient(se2(1, 0, 3.0, 4.0))
-    assert np.max(np.abs(out.coords - np.array([1.0, 0.0]))) < TOL
+    assert np.max(np.abs(out - np.array([1.0, 0.0]))) < TOL
 
 
 def test_quotient_projection_strips_translation():
     out = project_to_quotient(se2(0, 1, 3.0, 4.0))
-    assert np.max(np.abs(out.coords - np.array([0.0, 1.0]))) < TOL
+    assert np.max(np.abs(out - np.array([0.0, 1.0]))) < TOL
 
 
 def test_quotient_projection_homomorphism():
@@ -132,9 +147,9 @@ def test_quotient_projection_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(100):
         g1, g2 = sample_group(G, rng), sample_group(G, rng)
-        lhs = project_to_quotient(compose(G, g1, g2))
-        rhs = compose(U, project_to_quotient(g1), project_to_quotient(g2))
-        assert np.max(np.abs(lhs.coords - rhs.coords)) < TOL
+        lhs = project_to_quotient(G.compose(g1, g2))
+        rhs = U.compose(project_to_quotient(g1), project_to_quotient(g2))
+        assert np.max(np.abs(lhs - rhs)) < TOL
 
 
 @pytest.mark.parametrize("action_maker,sampler", [
@@ -153,7 +168,7 @@ def test_action_axioms(action_maker, sampler):
         g1, g2 = sample_group(G, rng), sample_group(G, rng)
         assert np.max(np.abs(act.act(G.identity, q) - q)) < TOL
         lhs = act.act(g1, act.act(g2, q))
-        rhs = act.act(compose(G, g1, g2), q)
+        rhs = act.act(G.compose(g1, g2), q)
         assert np.max(np.abs(lhs - rhs)) < TOL
 
 

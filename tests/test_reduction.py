@@ -2,6 +2,7 @@
 two-stage reduction and the morphism checker."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_trivial_group_reduction_is_identity(rng):
 
 
 def _t2_chart(e, w):
-    return np.concatenate([(e[:2] - e[2:]) / SQRT2, w.coords])
+    return np.concatenate([(e[:2] - e[2:]) / SQRT2, w])
 
 
 def _t2_section(v):
@@ -341,6 +342,25 @@ def test_two_stage_real(staged, full_start):
                           conjugate_in_full=staged.conjugate_in_g)
     assert report["conjugation_equivariance_max"] <= 1e-10
     assert report["stage_comparison_max"] <= TRAJ_TOL
+
+
+_CONJUGATION_CHECK_ARGS = ("conn_h", "full_group_action", "conjugate_in_full")
+
+
+@pytest.mark.parametrize("given_args", [
+    combo for k in (1, 2)
+    for combo in itertools.combinations(_CONJUGATION_CHECK_ARGS, k)])
+def test_two_stage_rejects_partial_conjugation_check(staged, full_start,
+                                                     given_args):
+    """Some but not all of the conjugation-check arguments raise
+    ValueError instead of silently skipping the check."""
+    available = {"conn_h": staged.conn_h, "full_group_action": staged.action_g,
+                 "conjugate_in_full": staged.conjugate_in_g}
+    traj = simulate(staged.sys, *full_start, 0)
+    with pytest.raises(ValueError, match="given together"):
+        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
+                  staged.one_shot, traj,
+                  **{name: available[name] for name in given_args})
 
 
 def test_two_stage_h_equals_g(staged, full_start):
