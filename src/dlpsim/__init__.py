@@ -25,8 +25,9 @@ from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel,
                    free_particle_dms, from_dms, harmonic_oscillator_dms,
                    make_path, path_from_points, simulate, step)
 from .reduction import (ReducedModel, ReductionResult, build_upsilon,
-                        check_morphism, project_path, reconstruct_path,
-                        reduce, solve_matching, trivial_reduction, two_stage)
+                        check_morphism, check_symmetry, project_path,
+                        reconstruct_path, reduce, solve_matching,
+                        trivial_reduction, two_stage)
 from .diagnostics import (bracket_of_pullbacks, momentum,
                           momentum_evolution_check, poisson_descent_check,
                           symplectic_check)

@@ -33,9 +33,9 @@ from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
 from .errors import (MatchingError, NonConvergence, RegularityError,
                      SimulationError, SingularJacobian)
-from .lie import sample_group, se2_two_point_action
-from .reduction import (check_morphism, project_path, reconstruct_path,
-                        two_stage)
+from .lie import sample_group, se2_two_point_action, u1_plane_action
+from .reduction import (SYMMETRY_TOLS, check_morphism, check_symmetry,
+                        project_path, reconstruct_path, two_stage)
 from .smooth import NewtonConfig, SmoothMapHandle
 
 logger = logging.getLogger("dlpsim.cli")
@@ -141,7 +141,11 @@ def _two_body(cfg: dict) -> tuple[example_se2.TwoBodyConfig,
 
 def _initial_pair(cfg: dict, sys):
     n, nb = sys.bundle.total_dim, sys.bundle.base_dim
-    initial = np.asarray(cfg["initial"], dtype=float)
+    value = cfg.get("initial")
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise ValueError(f"initial must be a list of numbers (got {value!r})")
+    initial = np.array(value, dtype=float)
     if initial.shape != (n + nb,):
         raise ValueError(
             f"initial must have length {n + nb} (got shape {initial.shape})")
@@ -280,7 +284,9 @@ def _stages(cfg: dict) -> dict:
 
 def _check(cfg: dict) -> dict:
     """The morphism conditions for upsilon (shifted by ``perturb``, the
-    negative control) and for a sampled SE(2) translation."""
+    negative control) and for a sampled SE(2) translation, then the
+    symmetry conditions of SE(2) on the full system and of the residual
+    circle action on the translation-reduced one."""
     body, rng = _two_body(cfg)
     n_samples = _integer(cfg, "n_check", 50, 1)
     perturb = _finite(cfg, "perturb", 0.0)
@@ -303,7 +309,21 @@ def _check(cfg: dict) -> dict:
         translation, full, full, example_se2.sample_cprime,
         n_samples=n_samples, rng=rng)
 
+    # The symmetries are drawn after every morphism sample, which keeps the
+    # fields above; their bounds are the ones build_upsilon applies.
+    u1_tols = {**SYMMETRY_TOLS,
+               "chaining-map G-equivariance": example_se2.RESIDUAL_IVCM_TOL}
+    symmetries = {
+        "se2_symmetry": ((full, act, act, example_se2.sample_cprime),
+                         SYMMETRY_TOLS),
+        "residual_u1_symmetry": (
+            (red.system, example_se2.make_residual_u1_action(), u1_plane_action(),
+             lambda r: red.model.upsilon(example_se2.sample_cprime(r))), u1_tols)}
     checks = {}
+    for name, (args, tols) in symmetries.items():
+        rep = check_symmetry(*args, n_samples=n_samples, rng=rng)
+        for cond, (worst, _sample) in rep.items():
+            checks[f"{name}.{cond}"] = (worst, tols[cond])
     for name, rep in reports.items():
         checks[f"{name}.cond1_submersion_rank"] = {
             "value": rep["cond1_submersion_rank_ok"], "note": rep["cond1_note"],

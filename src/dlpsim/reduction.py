@@ -10,12 +10,13 @@ numerically at build time.
 
 The module also provides path projection, reconstruction of full
 trajectories from reduced ones, two-stage reduction with the comparison
-map against one-shot reduction, and a numeric morphism checker.
+map against one-shot reduction, and numeric morphism and symmetry checkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,11 @@ VALIDATION_DRAWS = 50
 ROUNDTRIP_TOL = 1e-10
 #: Relative singular-value floor of the rank checks in ``check_morphism``.
 RANK_TOL = 1e-8
+#: Bounds ``build_upsilon`` puts on the ``check_symmetry`` conditions, in the
+#: order it tests them; its ``ivcm_tol`` replaces the chaining-map bound.
+SYMMETRY_TOLS = {"action identity axiom": 1e-12, "action compatibility axiom": 1e-12,
+                 "bundle-map G-equivariance": 1e-10, "lagrangian G-invariance": 1e-10,
+                 "chaining-map G-equivariance": 1e-8}
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +138,56 @@ def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> Act
     return ActionModel(group=action_e.group, space_dim=ne + action_m.space_dim, act=act)
 
 
+def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel,
+                   sample_cprime: Callable[[np.random.Generator], np.ndarray],
+                   n_samples: int = 50,
+                   rng: np.random.Generator | None = None) -> dict:
+    """Numeric point checks that G, acting on E by ``action_e`` and on M by
+    ``action_m``, is a symmetry of sys.
+
+    Each draw takes a second-order pair x0 = (eps0, phi(eps1)),
+    x1 = (eps1, m2), a group element g and a tangent delta at eps1, and
+    tests, for the diagonal action on E x M, the conditions (the keys of
+    ``SYMMETRY_TOLS``, in its order):
+
+    - "action identity axiom": e x0 = x0;
+    - "action compatibility axiom": g' (g x0) = (g' g) x0, with g' the
+      previous draw's element (the identity on the first draw);
+    - "bundle-map G-equivariance": phi(g eps1) = g phi(eps1);
+    - "lagrangian G-invariance": L(g x0) = L(x0);
+    - "chaining-map G-equivariance": the chaining map at (g x0, g x1)
+      applied to the push-forward of delta equals the push-forward of its
+      value at (x0, x1); push-forwards by central differences.
+
+    Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
+    sample is None while every violation is 0); never raises on a
+    violation.
+    """
+    rng = rng or np.random.default_rng(31)
+    G, nE = action_e.group, sys.bundle.total_dim
+    act = _diagonal_cprime_action(action_e, action_m).act
+    report = dict.fromkeys(SYMMETRY_TOLS, (0.0, None))
+    g_prev = G.identity
+    for _ in range(n_samples):
+        x0, x1 = _sample_second_order(sys, sample_cprime, rng)
+        g = sample_group(G, rng)
+        delta = rng.standard_normal(nE)
+        gx0, gx1 = act(g, x0), act(g, x1)
+        push = partial(directional_derivative, partial(action_e.act, g))
+        pushed = push(x0[:nE], sys.ivcm(x0, x1, delta))
+        violations = (act(G.identity, x0) - x0,
+                      act(g_prev, gx0) - act(G.compose(g_prev, g), x0),
+                      sys.bundle.phi(gx1[:nE]) - gx0[nE:],
+                      sys.lag(gx0) - sys.lag(x0),
+                      sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed)
+        for name, v in zip(report, violations):
+            v = float(np.max(np.abs(v), initial=0.0))
+            if v > report[name][0]:
+                report[name] = (v, x0)
+        g_prev = g
+    return report
+
+
 def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
                   fiber_chart: FiberChart, fiber_section: FiberSection,
                   action_e: ActionModel,
@@ -149,12 +205,11 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     lift_section transports the horizontal lift by the stored group
     offset.
 
-    Validation (two loops of ``VALIDATION_DRAWS`` sampled draws): the
-    group is a symmetry of sys (Lagrangian invariance to 1e-10 and
-    chaining-map equivariance to ``ivcm_tol``), upsilon o lift_section is
-    the identity and upsilon is constant on orbits (both to
-    ``ROUNDTRIP_TOL``). Violations raise ValidationError naming the
-    identity and the sample.
+    Validation (``VALIDATION_DRAWS`` draws each): upsilon o lift_section
+    is the identity and upsilon is constant on orbits (both to
+    ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``,
+    ``ivcm_tol`` bounding the chaining map. Violations raise
+    ValidationError naming the identity and the sample (its worst draw).
     """
     rng = rng or np.random.default_rng(20240817)
     quotient = conn.quotient
@@ -200,30 +255,19 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     for _ in range(VALIDATION_DRAWS):
         x = as_vector(sample_cprime(rng), nE + nM)
         g = sample_group(G, rng)
-        gx = group_action.act(g, x)
-        dL = abs(sys.lag(gx) - sys.lag(x))
-        if dL > 1e-10:
-            raise ValidationError("lagrangian G-invariance", sample=x, violation=dL)
-        dU = float(np.max(np.abs(upsilon(gx) - upsilon(x))))
+        y = upsilon(x)
+        dU = float(np.max(np.abs(upsilon(group_action.act(g, x)) - y)))
         if dU > ROUNDTRIP_TOL:
             raise ValidationError("upsilon orbit invariance", sample=x, violation=dU)
-        y = upsilon(x)
         dR = float(np.max(np.abs(upsilon(lift_section(y)) - y)))
         if dR > ROUNDTRIP_TOL:
             raise ValidationError("upsilon o lift_section = id", sample=y, violation=dR)
 
-    for _ in range(VALIDATION_DRAWS):
-        x0, x1 = _sample_second_order(sys, sample_cprime, rng)
-        g = sample_group(G, rng)
-        delta = rng.standard_normal(nE)
-        out = sys.ivcm(x0, x1, delta)
-        pushed = directional_derivative(lambda q: action_e.act(g, q), x0[:nE], out)
-        g_delta = directional_derivative(lambda q: action_e.act(g, q), x1[:nE], delta)
-        out_g = sys.ivcm(group_action.act(g, x0), group_action.act(g, x1), g_delta)
-        dI = float(np.max(np.abs(out_g - pushed), initial=0.0))
-        if dI > ivcm_tol:
-            raise ValidationError("chaining-map G-equivariance", sample=x0, violation=dI)
-
+    tols = {**SYMMETRY_TOLS, "chaining-map G-equivariance": ivcm_tol}
+    report = check_symmetry(sys, action_e, action_m, sample_cprime, VALIDATION_DRAWS, rng)
+    for name, (worst, sample) in report.items():
+        if worst > tols[name]:
+            raise ValidationError(name, sample=sample, violation=worst)
     return model
 
 
@@ -359,12 +403,15 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     the full group are supplied, the conjugation-equivariance condition
     that makes the second stage possible is validated first on
     ``n_checks`` samples (a worst sample above 1e-10 raises
-    ValidationError). Supplying some but not all three raises ValueError.
+    ValidationError). Supplying some but not all three, or a ``conn_h``
+    whose quotient has no ``sample``, raises ValueError before any work.
     """
     given = [c is not None for c in (conn_h, full_group_action, conjugate_in_full)]
     if any(given) and not all(given):
         raise ValueError("conn_h, full_group_action and conjugate_in_full "
                          "must be given together or not at all")
+    if conn_h is not None and conn_h.quotient.sample is None:
+        raise ValueError("the quotient model provides no domain sampler")
     rng = rng or np.random.default_rng(11235)
     report: dict = {}
 

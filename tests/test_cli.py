@@ -16,6 +16,9 @@ BODY_CONFIG = {
     "seed": 7,
 }
 
+#: An override that removes the key from the config.
+MISSING = object()
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -126,6 +129,12 @@ def test_check_clean(tmp_path):
     payload["n_check"] = 10
     cfg = write_config(tmp_path, payload)
     assert run("check", cfg, tmp_path) == 0
+    checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+    symmetry = {key: entry["tol"] for key, entry in checks.items()
+                if key.split(".")[0].endswith("_symmetry")}
+    assert len(symmetry) == 10
+    assert symmetry["residual_u1_symmetry.chaining-map G-equivariance"] == 1e-7
+    assert symmetry["se2_symmetry.bundle-map G-equivariance"] == 1e-10
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -257,11 +266,19 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "unknown config keys ['comment', 'seeds']"),
     ("simulate", {"potential": {"name": "quadratic", "coef": 0.3}},
      "unknown potential keys ['coef']"),
+    ("simulate", {"initial": {"a": 1}},
+     "initial must be a list of numbers (got {'a': 1})"),
+    ("reconstruct", {"initial": MISSING},
+     "initial must be a list of numbers (got None)"),
+    ("stages", {"initial": [1.0, 0.0, -1.0, 0.0, "1.04", 0.03, -0.97, True]},
+     "initial must be a list of numbers (got [1.0, 0.0, -1.0, 0.0, '1.04', 0.03, -0.97, True])"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
     """Plain config errors read as such, not as a failed identity."""
-    cfg = write_config(tmp_path, dict(BODY_CONFIG, **overrides))
+    payload = {key: value for key, value in dict(BODY_CONFIG, **overrides).items()
+               if value is not MISSING}
+    cfg = write_config(tmp_path, payload)
     with caplog.at_level("ERROR", logger="dlpsim.cli"):
         assert run(command, cfg, tmp_path) == 1
     assert f"validation failure: {message}" in caplog.text

@@ -6,12 +6,13 @@ import pytest
 
 from dlpsim.dlps import simulate
 from dlpsim.errors import DomainError
-from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
-                                make_full_system, make_reduced_system,
-                                potential_handle, sample_annulus,
-                                sample_cprime)
-from dlpsim.lie import sample_group, se2_two_point_action
-from dlpsim.reduction import project_path, reconstruct_path, two_stage
+from dlpsim.example_se2 import (RESIDUAL_IVCM_TOL, TwoBodyConfig,
+                                closed_form_reduced_step, make_full_system,
+                                make_reduced_system, potential_handle,
+                                sample_annulus, sample_cprime)
+from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
+from dlpsim.reduction import (SYMMETRY_TOLS, check_symmetry, project_path,
+                              reconstruct_path, two_stage)
 from dlpsim.smooth import jacobian_fd
 
 SQRT2 = np.sqrt(2.0)
@@ -179,6 +180,27 @@ def test_residual_action_preserves_reduced_lagrangian(staged, rng):
         gy = np.concatenate([act.act(g, y[:4]),
                              staged.stage_gh.model.action_m.act(g, y[4:])])
         assert abs(sysr.lag(gy) - sysr.lag(y)) < 1e-12
+
+
+@pytest.mark.parametrize("symmetry", [
+    lambda full, staged: (full, t2_two_point_action(), t2_two_point_action(),
+                          sample_cprime, SYMMETRY_TOLS["chaining-map G-equivariance"]),
+    lambda full, staged: (full, se2_two_point_action(), se2_two_point_action(),
+                          sample_cprime, SYMMETRY_TOLS["chaining-map G-equivariance"]),
+    lambda full, staged: (staged.stage_h.system, staged.residual_action,
+                          staged.stage_gh.model.action_m,
+                          lambda r: staged.stage_h.model.upsilon(sample_cprime(r)),
+                          RESIDUAL_IVCM_TOL),
+], ids=["T2-full", "SE2-full", "residual-U1-reduced"])
+def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmetry):
+    """Each shipped group acts by a genuine left action of bundle maps,
+    leaving the Lagrangian invariant to 1e-12 and the chaining map
+    equivariant to the bound its reduction validates."""
+    sys, action_e, action_m, sample, ivcm_tol = symmetry(full_system, staged)
+    report = check_symmetry(sys, action_e, action_m, sample, n_samples=100, rng=rng)
+    bounds = {**dict.fromkeys(report, 1e-12), "chaining-map G-equivariance": ivcm_tol}
+    assert {name: worst for name, (worst, _) in report.items()
+            if worst > bounds[name]} == {}
 
 
 def test_one_shot_reduction_roundtrip(staged):

@@ -13,7 +13,7 @@ from dlpsim.dlps import del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
-                                make_t2_connection,
+                                make_se2_connection, make_t2_connection,
                                 make_weighted_t2_connection, potential_handle,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
@@ -173,23 +173,78 @@ def test_build_upsilon_rejects_broken_symmetry():
 
 def test_build_upsilon_reports_tested_chaining_point(full_system):
     """A chaining map that is not equivariant fails validation, reporting
-    the row x0 = (eps0, phi(eps1)) that it was tested at."""
-    broken = dataclasses.replace(full_system,
-                                 ivcm=lambda x0, x1, d: x0[:4] * d[0])
-    drawn = []
+    the row x0 = (eps0, phi(eps1)) of the tested draw with the largest
+    violation."""
+    drawn, calls = [], []
 
     def recording_sample(rng):
         drawn.append(sample_cprime(rng))
         return drawn[-1]
 
+    def broken_ivcm(x0, x1, d):
+        calls.append((x0, x0[:4] * d[0]))
+        return calls[-1][1]
+
+    broken = dataclasses.replace(full_system, ivcm=broken_ivcm)
     with pytest.raises(ValidationError) as err:
         build_upsilon(make_t2_connection(), broken, fiber_chart=_t2_chart,
                       fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
                       sample_cprime=recording_sample)
     assert err.value.identity == "chaining-map G-equivariance"
-    xa, xb = drawn[-2:]
-    assert np.array_equal(err.value.sample, np.concatenate([xa[:4], xb[:4]]))
+    assert any(np.array_equal(err.value.sample, np.concatenate([xa[:4], xb[:4]]))
+               for xa, xb in zip(drawn, drawn[1:]))
+    # A draw evaluates the map at (x0, x1), then at (g x0, g x1); a
+    # translation pushes tangents forward by the identity.
+    draws = [(x0, float(np.max(np.abs(out_g - out))))
+             for (x0, out), (_, out_g) in zip(calls[::2], calls[1::2])]
+    worst_row, worst = max(draws, key=lambda draw: draw[1])
+    assert np.array_equal(err.value.sample, worst_row)
+    assert err.value.violation == pytest.approx(worst, rel=1e-6)
+
+
+def _distance_chart(eps, w):
+    """Fiber coordinates that read only the particle distance: the upsilon
+    they give is invariant under any isometries of E and M separately, so
+    its model identities hold and only the symmetry conditions can fail."""
+    return np.full(4, np.hypot(*(eps[:2] - eps[2:])) / SQRT2)
+
+
+def _double_translation():
+    """T2 acting on M by twice the translation it makes on E: a genuine
+    action, but not by bundle maps."""
+    return dataclasses.replace(t2_two_point_action(),
+                               act=lambda g, q: q + np.tile(2 * g, 2))
+
+
+def _right_se2_action():
+    """SE(2) acting by g q = g^{-1} q: a right action posing as a left one."""
+    left = se2_two_point_action()
+    return dataclasses.replace(left, act=lambda g, q: left.act(left.group.inverse(g), q))
+
+
+@pytest.mark.parametrize("conn, action_e, action_m, identity", [
+    (make_t2_connection(), t2_two_point_action(), _double_translation(),
+     "bundle-map G-equivariance"),
+    (make_se2_connection(), _right_se2_action(), _right_se2_action(),
+     "action compatibility axiom"),
+], ids=["bundle-map", "right-action"])
+def test_build_upsilon_names_broken_symmetry_condition(full_system, conn, action_e,
+                                                       action_m, identity):
+    """A group that is no symmetry is rejected by the condition it breaks.
+    The right action leaves the Lagrangian, the zero chaining map and the
+    bundle projection equivariant; only the compatibility axiom sees it."""
+    conn = dataclasses.replace(conn, quotient=dataclasses.replace(conn.quotient,
+                                                                 action=action_m))
+    G = action_e.group
+
+    def section(v):
+        return np.array([v[0], 0.0, -v[0], 0.0]) / SQRT2, G.identity
+
+    with pytest.raises(ValidationError) as err:
+        build_upsilon(conn, full_system, _distance_chart, section,
+                      action_e=action_e, sample_cprime=sample_cprime)
+    assert err.value.identity == identity
 
 
 @pytest.mark.parametrize("fiber_chart, fiber_section", [
@@ -361,6 +416,21 @@ def test_two_stage_rejects_partial_conjugation_check(staged, full_start,
         two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                   staged.one_shot, traj,
                   **{name: available[name] for name in given_args})
+
+
+def test_two_stage_requires_quotient_sampler(staged, full_start):
+    """A first-stage quotient without a sampler is rejected before any
+    draw, as check_equivariance rejects it."""
+    quotient = dataclasses.replace(staged.conn_h.quotient, sample=None)
+    rng = np.random.default_rng(0)
+    traj = simulate(staged.sys, *full_start, 0)
+    with pytest.raises(ValueError, match="provides no domain sampler"):
+        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
+                  staged.one_shot, traj,
+                  conn_h=dataclasses.replace(staged.conn_h, quotient=quotient),
+                  full_group_action=staged.action_g,
+                  conjugate_in_full=staged.conjugate_in_g, rng=rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_two_stage_h_equals_g(staged, full_start):
