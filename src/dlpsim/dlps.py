@@ -15,7 +15,7 @@ residual handed to the damped Newton solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,12 +69,22 @@ class DlpsSystem:
     eps_k, linearly in the last argument, with image in ker(d phi).
     ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
     basis in one call, as a float array of shape (total_dim, total_dim).
+
+    ``del_jacobian(x_cur)``, when given, is the closed-form derivative of
+    the discrete Euler-Lagrange covector with respect to the current row
+    x_cur, of shape (total_dim, total_dim + base_dim). It may be given only
+    where that derivative depends on x_cur alone, which holds when d phi
+    is constant and the chaining matrix does not depend on x_cur: every
+    DMS, for which ``from_dms`` sets it from the Lagrangian's ``hess``.
+    ``step`` then builds its Newton Jacobian from it; without it, Newton
+    differences the step residual.
     """
 
     bundle: FiberBundleModel
     lagrangian: SmoothMapHandle
     ivcm: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     ivcm_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    del_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def lag(self, x) -> float:
         return float(self.lagrangian(x)[0])
@@ -225,6 +235,8 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
 
     Solves for (eps1, m2), from the ``_default_guess`` seed, such that
     phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
+    The Newton Jacobian is ``[[del_jacobian], [d phi, 0]]`` when the system
+    has a ``del_jacobian``, else central differences of the residual.
     Raises NonConvergence or SingularJacobian when the implicit solve
     fails, which signals a failure of the flow's regularity hypotheses.
     """
@@ -242,7 +254,15 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
         out[n:] = b.phi(z[:n]) - m1
         return out
 
-    handle = SmoothMapHandle(n + nb, n + nb, residual)
+    jac = None
+    if sys.del_jacobian is not None:
+        def jac(z):
+            J = np.zeros((n + nb, n + nb))
+            J[:n] = sys.del_jacobian(z)
+            J[n:, :n] = b.phi.jacobian(z[:n])
+            return J
+
+    handle = SmoothMapHandle(n + nb, n + nb, residual, jac=jac)
     z = newton_solve(handle, _default_guess(sys, eps0, m1), cfg)
     return z[:n], z[n:]
 
@@ -274,7 +294,10 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
     """Embed a discrete mechanical system (Q, L_d) as the identity bundle.
 
     The chaining map is identically zero, so the equations of motion
-    reduce to the usual two-term discrete Euler-Lagrange equation.
+    reduce to the usual two-term discrete Euler-Lagrange equation, whose
+    derivative in the current row is D1 of L_d differentiated: rows
+    ``[:config_dim]`` of the Lagrangian's ``hess``, when it has one, give
+    the system's ``del_jacobian``.
     """
     if lagrangian.in_dim != 2 * config_dim:
         raise ValueError("DMS Lagrangian must live on Q x Q")
@@ -282,10 +305,15 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
                               phi=identity_map(config_dim),
                               section=identity_map(config_dim))
     zero = np.zeros((config_dim, config_dim))
+    del_jacobian = None
+    if lagrangian.hess is not None:
+        def del_jacobian(x):
+            return lagrangian.hessian(x)[:config_dim]
+
     return DlpsSystem(
         bundle=bundle, lagrangian=lagrangian,
         ivcm=lambda x0, x1, d: np.zeros(config_dim),
-        ivcm_matrix=lambda x0, x1: zero)
+        ivcm_matrix=lambda x0, x1: zero, del_jacobian=del_jacobian)
 
 
 def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
@@ -351,9 +379,17 @@ def _check_timestep(h: float):
         raise ValueError(f"timestep must be finite and nonzero (got {h})")
 
 
+def _kinetic_hessian(dim: int, h: float) -> np.ndarray:
+    """Hessian of |q1 - q0|^2 / (2h) on R^dim x R^dim."""
+    H = np.eye(2 * dim) / h
+    H[:dim, dim:] = H[dim:, :dim] = -H[:dim, :dim]
+    return H
+
+
 def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim."""
     _check_timestep(h)
+    hess = _kinetic_hessian(dim, h)
 
     def L(x):
         d = x[dim:] - x[:dim]
@@ -363,13 +399,16 @@ def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
         v = (x[dim:] - x[:dim]) / h
         return np.concatenate([-v, v])
 
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL))
+    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL,
+                                         hess=lambda x: hess))
 
 
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
                             dim: int = 1) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2."""
     _check_timestep(h)
+    hess = _kinetic_hessian(dim, h)
+    hess[:dim, :dim] -= h * omega ** 2 * np.eye(dim)
 
     def L(x):
         q0, q1 = x[:dim], x[dim:]
@@ -382,4 +421,5 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
         v = (q1 - q0) / h
         return np.concatenate([-v - h * omega ** 2 * q0, v])
 
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL))
+    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL,
+                                         hess=lambda x: hess))

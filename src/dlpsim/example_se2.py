@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
-from .dlps import DlpsSystem, _check_timestep, from_dms
+from .dlps import DlpsSystem, _check_timestep, _kinetic_hessian, from_dms
 from .errors import DomainError
 from .lie import (ActionModel, _cconj, _cmul, se2_two_point_action,
                   t2_two_point_action, u1_group, u1_plane_action)
@@ -39,15 +39,19 @@ RESIDUAL_IVCM_TOL = 1e-7
 
 
 def potential_handle(name: str, coeff: float = 1.0) -> SmoothMapHandle:
-    """Named potential families V(s), s the squared separation."""
+    """Named potential families V(s), s the squared separation, with
+    their closed-form V' (``jac``) and V'' (``hess``)."""
     if name == "zero":
-        return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=lambda s: np.zeros((1, 1)))
+        return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=lambda s: np.zeros((1, 1)),
+                               hess=lambda s: np.zeros((1, 1)))
     if name == "linear":
         return SmoothMapHandle(1, 1, lambda s: coeff * s,
-                               jac=lambda s: np.array([[coeff]]))
+                               jac=lambda s: np.array([[coeff]]),
+                               hess=lambda s: np.zeros((1, 1)))
     if name == "quadratic":
         return SmoothMapHandle(1, 1, lambda s: coeff * s ** 2,
-                               jac=lambda s: np.array([[2.0 * coeff * s[0]]]))
+                               jac=lambda s: np.array([[2.0 * coeff * s[0]]]),
+                               hess=lambda s: np.array([[2.0 * coeff]]))
     raise ValueError(f"unknown potential family '{name}'")
 
 
@@ -68,6 +72,9 @@ class TwoBodyConfig:
     def v_prime(self, s: float) -> float:
         return float(self.potential.jacobian(np.array([float(s)]))[0, 0])
 
+    def v_second(self, s: float) -> float:
+        return float(self.potential.hessian(np.array([float(s)]))[0, 0])
+
 
 def _separation(q) -> np.ndarray:
     return q[:2] - q[2:]
@@ -78,14 +85,22 @@ def _check_off_diagonal(q):
         raise DomainError("coincident particles (excised diagonal)")
 
 
+#: Half the Hessian of the squared separation |q^x - q^y|^2 on R^4.
+_SEPARATION_HESS = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(2))
+
+
 def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     """The two-body system as a DMS on R^4 (zero chaining map).
 
     The Lagrangian carries its closed-form gradient when the potential
-    has a closed-form derivative; otherwise D1/D2 fall back to the
-    fourth-order stencil on L, which beats a second-order V'.
+    has a closed-form derivative, and its closed-form Hessian (which
+    ``from_dms`` turns into the Newton Jacobian of the step) when the
+    potential has V'' as well; otherwise D1/D2 fall back to the
+    fourth-order stencil on L, which beats a second-order V', and the
+    Newton Jacobian to central differences.
     """
     h = cfg.h
+    kinetic = _kinetic_hessian(4, h)
 
     def L(x):
         q0, q1 = x[:4], x[4:]
@@ -107,8 +122,21 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
         force = h * cfg.v_prime(float(sep @ sep)) * np.concatenate([sep, -sep])
         return np.concatenate([-v - force, v])
 
+    def d2L(x):
+        q0, q1 = x[:4], x[4:]
+        _check_off_diagonal(q0)
+        _check_off_diagonal(q1)
+        sep = _separation(q0)
+        s = float(sep @ sep)
+        u = np.concatenate([sep, -sep])
+        H = kinetic.copy()
+        H[:4, :4] -= h * (2.0 * cfg.v_second(s) * np.outer(u, u)
+                          + cfg.v_prime(s) * _SEPARATION_HESS)
+        return H
+
     jac = dL if cfg.potential.jac is not None else None
-    return from_dms(4, SmoothMapHandle(8, 1, L, jac=jac))
+    hess = d2L if jac is not None and cfg.potential.hess is not None else None
+    return from_dms(4, SmoothMapHandle(8, 1, L, jac=jac, hess=hess))
 
 
 def sample_configuration(rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,7 @@ map against one-shot reduction, and numeric morphism and symmetry checkers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -129,6 +130,12 @@ def _sample_second_order(sys: DlpsSystem, sample_cprime,
     return np.concatenate([xa[:nE], sys.bundle.phi(x1[:nE])]), x1
 
 
+def _worse(v: float, worst: float) -> bool:
+    """Whether violation v replaces the running maximum worst; a NaN does,
+    and is then kept, so a NaN anywhere reads as the maximum."""
+    return v > worst or (math.isnan(v) and not math.isnan(worst))
+
+
 def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> ActionModel:
     ne = action_e.space_dim
 
@@ -160,8 +167,8 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
       value at (x0, x1); push-forwards by central differences.
 
     Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
-    sample is None while every violation is 0); never raises on a
-    violation.
+    sample is None while every violation is 0; a NaN violation is the
+    maximum); never raises on a violation.
     """
     rng = rng or np.random.default_rng(31)
     G, nE = action_e.group, sys.bundle.total_dim
@@ -182,7 +189,7 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
                       sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed)
         for name, v in zip(report, violations):
             v = float(np.max(np.abs(v), initial=0.0))
-            if v > report[name][0]:
+            if _worse(v, report[name][0]):
                 report[name] = (v, x0)
         g_prev = g
     return report
@@ -208,8 +215,9 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     Validation (``VALIDATION_DRAWS`` draws each): upsilon o lift_section
     is the identity and upsilon is constant on orbits (both to
     ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``,
-    ``ivcm_tol`` bounding the chaining map. Violations raise
-    ValidationError naming the identity and the sample (its worst draw).
+    ``ivcm_tol`` bounding the chaining map. Violations, NaN included,
+    raise ValidationError naming the identity and the sample (its worst
+    draw).
     """
     rng = rng or np.random.default_rng(20240817)
     quotient = conn.quotient
@@ -257,16 +265,16 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
         g = sample_group(G, rng)
         y = upsilon(x)
         dU = float(np.max(np.abs(upsilon(group_action.act(g, x)) - y)))
-        if dU > ROUNDTRIP_TOL:
+        if not dU <= ROUNDTRIP_TOL:
             raise ValidationError("upsilon orbit invariance", sample=x, violation=dU)
         dR = float(np.max(np.abs(upsilon(lift_section(y)) - y)))
-        if dR > ROUNDTRIP_TOL:
+        if not dR <= ROUNDTRIP_TOL:
             raise ValidationError("upsilon o lift_section = id", sample=y, violation=dR)
 
     tols = {**SYMMETRY_TOLS, "chaining-map G-equivariance": ivcm_tol}
     report = check_symmetry(sys, action_e, action_m, sample_cprime, VALIDATION_DRAWS, rng)
     for name, (worst, sample) in report.items():
-        if worst > tols[name]:
+        if not worst <= tols[name]:
             raise ValidationError(name, sample=sample, violation=worst)
     return model
 
@@ -452,6 +460,11 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     return report, F
 
 
+def _nan_max(a, b) -> float:
+    """max(a, b) that keeps a NaN from either side."""
+    return float(np.maximum(a, b))
+
+
 def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                    sys_target: DlpsSystem,
                    sample_cprime: Callable[[np.random.Generator], np.ndarray],
@@ -459,9 +472,11 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                    rng: np.random.Generator | None = None) -> dict:
     """Numeric point checks of the morphism conditions between systems.
 
-    Reports per-condition maxima over samples; never raises. The global
-    surjectivity/submersion condition is reported as a rank check only.
-    The chaining condition is tested on 3 random tangents per sample.
+    Reports per-condition maxima over samples (NaN when any sample gives
+    NaN); never raises. The global surjectivity/submersion condition is
+    reported as a rank check only. The chaining condition is tested on 3
+    random tangents per sample. At x1 only the fiber-slot derivative
+    is read, so only the fiber slot is differenced there.
     """
     rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
@@ -487,17 +502,18 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
             cond2_rank_ok = False
 
-        cond3 = max(cond3, float(np.max(np.abs(J0[nEr:, :nE]))))
+        cond3 = _nan_max(cond3, np.max(np.abs(J0[nEr:, :nE])))
 
         y0 = candidate(x0)
         y1 = candidate(x1)
         base_defect = y0[nEr:] - sys_target.bundle.phi(y1[:nEr])
-        cond4 = max(cond4, float(np.max(np.abs(base_defect))))
+        cond4 = _nan_max(cond4, np.max(np.abs(base_defect)))
 
-        cond5 = max(cond5, abs(sys.lag(x0) - sys_target.lag(y0)))
+        cond5 = _nan_max(cond5, abs(sys.lag(x0) - sys_target.lag(y0)))
 
-        J1 = jacobian_fd(candidate, x1)
-        D1p1_at_x1 = J1[:nEr, :nE]
+        m2 = x1[nE:]
+        D1p1_at_x1 = jacobian_fd(
+            lambda e: candidate(np.concatenate([e, m2]))[:nEr], x1[:nE])
         D2p1_at_x0 = J0[:nEr, nE:]
         jphi1 = sys.bundle.phi.jacobian(x1[:nE])
         inner = sys.ivcm_matrix(x0, x1)
@@ -506,7 +522,7 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
             delta = rng.standard_normal(nE)
             lhs = ivcm_target @ (D1p1_at_x1 @ delta)
             rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)
-            cond6 = max(cond6, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+            cond6 = _nan_max(cond6, np.max(np.abs(lhs - rhs), initial=0.0))
 
     return {
         "cond1_submersion_rank_ok": bool(full_rank_ok),

@@ -15,6 +15,14 @@ fixed here once:
 * a difference evaluates its map only at the stencil points, never at
   the centre.
 
+A handle's closed-form derivatives come first and the differences are
+their fallback and test oracle: ``jac`` replaces ``jacobian_fd`` in
+``.jacobian``, and on a scalar map ``hess`` gives the Hessian. A
+Lagrangian's ``jac`` drives D1/D2 of the equations of motion, and its
+``hess`` the exact Newton Jacobian of a discrete mechanical system's
+step; without them, D1/D2 take ``gradient_fd5`` and ``newton_solve``
+takes ``jacobian_fd`` of its residual.
+
 Shapes are checked once, at the boundary. ``SmoothMapHandle.__call__``
 and ``.jacobian``, ``newton_solve``, the difference primitives and the
 public entry points that take caller data coerce through ``as_vector``.
@@ -61,12 +69,22 @@ class SmoothMapHandle:
     ``jac`` (the gradient) drives the slot derivatives D1/D2 of the
     equations of motion; without one they fall back to the fourth-order
     stencil of ``gradient_fd5``.
+
+    A scalar map (``out_dim`` 1) may also carry ``hess``, its closed-form
+    second derivative, an (in_dim, in_dim) matrix that must agree with
+    central differences of ``jac``. On a discrete mechanical system it
+    gives the Newton Jacobian of the step (see ``dlps.from_dms``).
     """
 
     in_dim: int
     out_dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.hess is not None and self.out_dim != 1:
+            raise ValueError("only a scalar map (out_dim 1) carries a hess")
 
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.in_dim)
@@ -79,6 +97,13 @@ class SmoothMapHandle:
             J = np.asarray(self.jac(x), dtype=float).reshape(self.out_dim, self.in_dim)
             return J
         return jacobian_fd(self, x, step=step)
+
+    def hessian(self, x) -> np.ndarray:
+        """The closed-form ``hess`` at x; there is no difference fallback."""
+        if self.hess is None:
+            raise ValueError("this map carries no closed-form hess")
+        x = as_vector(x, self.in_dim)
+        return np.asarray(self.hess(x), dtype=float).reshape(self.in_dim, self.in_dim)
 
 
 def identity_map(dim: int) -> SmoothMapHandle:

@@ -20,12 +20,16 @@ from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
 from dlpsim.lie import sample_group, se2_two_point_action
 from dlpsim.reduction import project_path
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
-                           newton_solve)
+                           jacobian_fd, newton_solve)
 
 RES_TOL = 1e-9
 VAR_TOL = 1e-6
 #: Closed-form slot gradients against the fourth-order FD oracle.
 ORACLE_RTOL = 1e-9
+#: Closed-form Hessians against central FD of the gradient, relative to
+#: max(1, largest FD entry): the worst measured is 4.6e-11 (the two-body
+#: system, quadratic potential; 4.6e-10 absolute), a margin of 20x.
+HESS_RTOL = 1e-9
 
 
 def _two_body(name, coeff):
@@ -366,6 +370,54 @@ def test_exact_slot_gradients_match_fd_oracle(case, rng):
         assert np.max(np.abs(got - oracle)) <= ORACLE_RTOL * scale
 
 
+@pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
+def test_exact_hessians_match_fd_of_jac(case, rng):
+    """Every shipped Lagrangian's hess matches central FD of its jac, and
+    from_dms reads the step's DEL derivative off its first rows."""
+    make, sample = EXACT_GRADIENT_CASES[case]
+    sys = make()
+    L, n = sys.lagrangian, sys.bundle.total_dim
+    for _ in range(50):
+        x = sample(rng)
+        fd = jacobian_fd(lambda y: L.jacobian(y)[0], x)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(L.hessian(x) - fd)) <= HESS_RTOL * scale
+        assert np.array_equal(sys.del_jacobian(x), L.hessian(x)[:n])
+
+
+def _strip_hess(sys):
+    return from_dms(sys.bundle.total_dim,
+                    dataclasses.replace(sys.lagrangian, hess=None))
+
+
+def test_only_dms_with_hess_get_exact_step_jacobian(reduced):
+    """A Lagrangian without hess, a potential without V'' and every
+    reduced system keep the finite-difference Newton Jacobian."""
+    pot = potential_handle("quadratic", 0.3)
+    no_v2 = dataclasses.replace(pot, hess=None)
+    assert _strip_hess(_two_body("linear", 0.5)).del_jacobian is None
+    assert make_full_system(TwoBodyConfig(potential=no_v2)).del_jacobian is None
+    assert reduced.system.del_jacobian is None
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([("linear", 0.5), ("quadratic", 0.3)]))
+def test_exact_newton_step_matches_fd_newton_step(seed, potential):
+    """The step with the Hessian Newton Jacobian agrees with the step that
+    differences the residual; on the linear potential it takes one Newton
+    iteration."""
+    rng = np.random.default_rng(seed)
+    sys = _two_body(*potential)
+    q0 = sample_configuration(rng)
+    q1 = q0 + rng.uniform(-0.05, 0.05, 4)
+    exact = np.concatenate(step(sys, q0, q1))
+    fd = np.concatenate(step(_strip_hess(sys), q0, q1))
+    assert np.max(np.abs(exact - fd)) <= 1e-10
+    if potential[0] == "linear":
+        step(sys, q0, q1, cfg=NewtonConfig(max_iters=1))
+
+
 def test_two_body_without_potential_jac_uses_fd(rng):
     """A potential without jac leaves L without one: D1/D2 take the stencil."""
     pot = potential_handle("quadratic", 0.3)
@@ -438,16 +490,28 @@ def test_del_covector_matches_del_residual_bitwise(name, rng):
                                                 eps_cur, m_next))
 
 
+def _readme_step_gradient_calls(L, hess):
+    """Gradient calls of one README step of from_dms(4, L with ``hess``)."""
+    calls = []
+    counting = dataclasses.replace(L, jac=lambda x: calls.append(1) or L.jac(x),
+                                   hess=hess)
+    step(from_dms(4, counting), np.array([1.0, 0.0, -1.0, 0.0]),
+         np.array([1.04, 0.03, -0.97, 0.02]))
+    return len(calls)
+
+
 def test_full_step_computes_previous_gradients_once(full_system):
     """README step: D1 and D2 at the previous pair once each, then one
-    gradient per residual evaluation (1 + 16 FD + 1 trial of one Newton
-    iteration)."""
-    calls = []
+    gradient per residual evaluation of one Newton iteration whose
+    Jacobian is the Hessian: the initial evaluation and one trial."""
     L = full_system.lagrangian
-    counting = dataclasses.replace(L, jac=lambda x: calls.append(1) or L.jac(x))
-    sys = dataclasses.replace(full_system, lagrangian=counting)
-    step(sys, np.array([1.0, 0.0, -1.0, 0.0]), np.array([1.04, 0.03, -0.97, 0.02]))
-    assert len(calls) == 20
+    assert _readme_step_gradient_calls(L, L.hess) == 4
+
+
+def test_full_step_without_hess_differences_the_residual(full_system):
+    """Without hess, the Newton Jacobian takes 16 more residual
+    evaluations (1 + 16 FD + 1 trial, after D1 and D2 at the previous pair)."""
+    assert _readme_step_gradient_calls(full_system.lagrangian, None) == 20
 
 
 def test_reduced_step_takes_one_exact_newton_iteration(reduced):

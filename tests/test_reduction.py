@@ -18,10 +18,12 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
-from dlpsim.reduction import (build_upsilon, check_morphism, project_path,
+from dlpsim.reduction import (build_upsilon, check_morphism, check_symmetry,
+                              project_path,
                               reconstruct_path, reduce, solve_matching,
                               trivial_reduction, two_stage)
-from dlpsim.smooth import SmoothMapHandle, gradient_fd5, jacobian_fd
+from dlpsim.smooth import (SmoothMapHandle, gradient_fd5, identity_map,
+                           jacobian_fd)
 
 SQRT2 = np.sqrt(2.0)
 TRAJ_TOL = 1e-8
@@ -169,6 +171,54 @@ def test_build_upsilon_rejects_broken_symmetry():
                       fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
                       sample_cprime=sample_cprime)
+
+
+def _nan_lagrangian_system():
+    from dlpsim.dlps import from_dms
+    return from_dms(4, SmoothMapHandle(8, 1, lambda x: np.array([np.nan])))
+
+
+def _nan_chart(eps, w):
+    return np.full(4, np.nan)
+
+
+@pytest.mark.parametrize("nan_part, identity", [
+    ("lagrangian", "lagrangian G-invariance"),
+    ("chart", "upsilon orbit invariance")])
+def test_build_upsilon_rejects_nan(full_system, nan_part, identity):
+    """A NaN violation is a violation: the translation reduction of a
+    system whose Lagrangian is NaN everywhere fails its invariance check,
+    and a chart that gives NaN fails the model identities."""
+    sys = _nan_lagrangian_system() if nan_part == "lagrangian" else full_system
+    chart = _nan_chart if nan_part == "chart" else _t2_chart
+    with pytest.raises(ValidationError) as err:
+        build_upsilon(make_t2_connection(), sys, fiber_chart=chart,
+                      fiber_section=_t2_section,
+                      action_e=t2_two_point_action(),
+                      sample_cprime=sample_cprime)
+    assert err.value.identity == identity
+    assert np.isnan(err.value.violation)
+
+
+def test_check_symmetry_keeps_nan_maximum():
+    """A NaN draw stays the maximum when finite violations follow it."""
+    from dlpsim.dlps import from_dms
+    sys = from_dms(4, SmoothMapHandle(
+        8, 1, lambda x: np.array([np.nan if x[0] > 1.5 else x[0]])))
+    act = t2_two_point_action()
+    report = check_symmetry(sys, act, act, sample_cprime,
+                            rng=np.random.default_rng(3))
+    worst, sample = report["lagrangian G-invariance"]
+    assert np.isnan(worst) and sample is not None
+    assert report["action identity axiom"][0] == 0.0
+
+
+def test_check_morphism_reports_nan_lagrangian_match():
+    sys = _nan_lagrangian_system()
+    rep = check_morphism(identity_map(8), sys, sys, sample_cprime, n_samples=5,
+                         rng=np.random.default_rng(4))
+    assert np.isnan(rep["cond5_lagrangian_match_max"])
+    assert rep["cond3_base_independence_max"] == 0.0
 
 
 def test_build_upsilon_reports_tested_chaining_point(full_system):
@@ -532,6 +582,18 @@ def test_check_morphism_negative_control(full_system, reduced):
                          reduced.system, sample_cprime, n_samples=50,
                          rng=np.random.default_rng(10))
     assert rep["cond5_lagrangian_match_max"] >= 1e-2
+
+
+def test_check_morphism_candidate_evaluations_per_sample(full_system, reduced):
+    """Per sample: the full FD Jacobian at x0 (2 (nE + nM) = 16), the values
+    at x0 and x1 (2), and the fiber slot alone at x1 (2 nE = 8)."""
+    calls = []
+    upsilon = reduced.model.upsilon
+    counting = dataclasses.replace(
+        upsilon, eval=lambda x: calls.append(1) or upsilon.eval(x))
+    check_morphism(counting, full_system, reduced.system, sample_cprime,
+                   n_samples=3, rng=np.random.default_rng(12))
+    assert len(calls) == 3 * 26
 
 
 def test_check_morphism_verifies_representative_independence(staged,

@@ -11,6 +11,9 @@ from dlpsim.smooth import (MAX_HALVINGS, NewtonConfig, SmoothMapHandle,
                            gradient_fd5, jacobian_fd, newton_solve)
 
 FD_TOL = 1e-8
+#: V'' against central differences of V', relative to max(1, |V''|): the
+#: worst measured on these points is 1.0e-11 (quadratic), a margin of 100x.
+HESS_RTOL = 1e-9
 
 
 def test_jacobian_identity():
@@ -176,3 +179,24 @@ def test_supplied_jacobians_agree_with_fd():
             x = rng.uniform(0.2, 2.0, handle.in_dim)
             diff = np.max(np.abs(handle.jacobian(x) - jacobian_fd(handle, x)))
             assert diff < 1e-8
+
+
+@pytest.mark.parametrize("name, coeff", [("zero", 1.0), ("linear", 0.5),
+                                         ("quadratic", 0.3)])
+def test_potential_hessians_agree_with_fd_of_jac(name, coeff):
+    """V'' (``hess``) of every shipped potential matches central FD of V'."""
+    from dlpsim.example_se2 import potential_handle
+    pot = potential_handle(name, coeff)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        s = rng.uniform(0.0, 16.0, 1)
+        fd = jacobian_fd(lambda t: pot.jacobian(t)[0], s)
+        assert np.max(np.abs(pot.hessian(s) - fd)) <= HESS_RTOL * max(1.0, abs(fd[0, 0]))
+
+
+def test_hess_only_on_scalar_maps():
+    """A hess is a scalar map's second derivative; there is no FD fallback."""
+    with pytest.raises(ValueError):
+        SmoothMapHandle(2, 2, lambda x: x, hess=lambda x: np.eye(2))
+    with pytest.raises(ValueError):
+        SmoothMapHandle(2, 1, lambda x: x[:1]).hessian(np.zeros(2))

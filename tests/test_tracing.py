@@ -17,6 +17,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
+    """The README full step builds its one Newton Jacobian from the
+    Lagrangian's Hessian: no residual evaluation goes to differencing, and
+    the residual is evaluated at the guess and at one trial. The reduced
+    system has no closed-form step Jacobian and differences its residual."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -24,10 +28,17 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
         cfg = example_se2.TwoBodyConfig()
         full = example_se2.make_full_system(cfg)
         red = example_se2.make_reduced_system(cfg, rng=np.random.default_rng(1))
+        tracer.counts.clear()
         dlps.step(full, np.array([1.0, 0.0, -1.0, 0.0]),
                   np.array([1.04, 0.03, -0.97, 0.02]))
+        full_counts = dict(tracer.counts)
         dlps.step(red.system, np.array([1.0, 0.1, 0.05, -0.02]),
                   np.array([1.02, 0.13]))
+    assert full_counts.get("smooth.newton.fd_evals", 0) == 0
+    assert full_counts.get("smooth.jacobian_fd", 0) == 0
+    assert full_counts["smooth.newton.jacobians"] == 1
+    assert full_counts["smooth.newton.residual_evals"] == 2
+    assert tracer.counts["smooth.newton.fd_evals"] > 0
     assert tracer.counts["dlps.step"] == 2
     assert tracer.counts["reduction.reduced_ivcm_matrix"] > 0
 
