@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, SingularJacobian
+from .errors import DomainError, NonConvergence, SingularJacobian, worse
 from .lie import ActionModel, orbit_frame, sample_group
 from .smooth import NewtonConfig, SmoothMapHandle, as_vector, newton_solve
 
@@ -118,7 +118,7 @@ def check_equivariance(conn: DiscreteConnection, n_samples: int,
     """Max violation of A_d(g0 q0, g1 q1) = g1 A_d(q0, q1) g0^{-1} at samples.
 
     Reports, never raises; a broken connection shows up as a large
-    ``max_violation``.
+    ``max_violation``, and a NaN violation is kept as the maximum.
     """
     rng = rng or np.random.default_rng(0)
     quotient = conn.quotient
@@ -135,7 +135,7 @@ def check_equivariance(conn: DiscreteConnection, n_samples: int,
         lhs = ad(conn, quotient.action.act(g0, q0), quotient.action.act(g1, q1))
         rhs = G.compose(G.compose(g1, ad(conn, q0, q1)), G.inverse(g0))
         violation = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        if violation > worst:
+        if worse(violation, worst):
             worst, worst_sample = violation, (q0, q1)
     return {"max_violation": worst, "n_samples": int(n_samples),
             "worst_sample": worst_sample}

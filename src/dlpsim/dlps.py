@@ -74,10 +74,15 @@ class DlpsSystem:
     the discrete Euler-Lagrange covector with respect to the current row
     x_cur, of shape (total_dim, total_dim + base_dim). It may be given only
     where that derivative depends on x_cur alone, which holds when d phi
-    is constant and the chaining matrix does not depend on x_cur: every
-    DMS, for which ``from_dms`` sets it from the Lagrangian's ``hess``.
-    ``step`` then builds its Newton Jacobian from it; without it, Newton
-    differences the step residual.
+    is constant and the chaining matrix does not depend on x_cur. It is
+    then rows ``[:total_dim]`` of the Lagrangian's Hessian. Two producers
+    set it: ``from_dms``, for every DMS whose Lagrangian has ``hess``
+    (identity bundle, zero chaining map), and
+    ``example_se2.make_reduced_system``, for the translation-reduced
+    two-body system (a reduction of a DMS by a linear ``upsilon``, so
+    the reduced phi and chaining matrix are constant). ``step`` then
+    builds its Newton Jacobian from it; without it, Newton differences
+    the step residual.
     """
 
     bundle: FiberBundleModel
@@ -162,9 +167,7 @@ def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int) -> np.ndarray:
     """
     L = sys.lagrangian
     if L.jac is not None:
-        grad = L.jacobian(np.concatenate([eps, m]))[0]
-        n = sys.bundle.total_dim
-        return grad[:n] if slot == 1 else grad[n:]
+        return _slot_gradients(sys, eps, m)[slot - 1]
     # The stencil never visits (eps, m) itself, so evaluate L there once:
     # off L's domain (e.g. on the two-body collision diagonal) this raises.
     L(np.concatenate([eps, m]))
@@ -179,6 +182,17 @@ def d1_lagrangian(sys: DlpsSystem, eps, m) -> np.ndarray:
 
 def d2_lagrangian(sys: DlpsSystem, eps, m) -> np.ndarray:
     return _lagrangian_grad(sys, eps, m, 2)
+
+
+def _slot_gradients(sys: DlpsSystem, eps, m) -> Pair:
+    """(D1, D2) of L_d at (eps, m): one ``jac`` call split at the fiber
+    slot when the Lagrangian has one, else one stencil per slot."""
+    L = sys.lagrangian
+    if L.jac is None:
+        return d1_lagrangian(sys, eps, m), d2_lagrangian(sys, eps, m)
+    grad = L.jacobian(np.concatenate([eps, m]))[0]
+    n = sys.bundle.total_dim
+    return grad[:n], grad[n:]
 
 
 # --- dynamics --------------------------------------------------------------
@@ -205,16 +219,16 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
     x_prev, x_cur = np.concatenate([as_vector(eps_prev, n), as_vector(m_cur, nb),
                                     as_vector(eps_cur, n), as_vector(m_next, nb)]
                                    ).reshape(2, n + nb)
-    return _del_covector(sys, d1_lagrangian(sys, x_prev[:n], x_prev[n:]),
-                         d2_lagrangian(sys, x_prev[:n], x_prev[n:]), x_prev, x_cur)
+    return _del_covector(sys, *_slot_gradients(sys, x_prev[:n], x_prev[n:]),
+                         x_prev, x_cur)
 
 
 def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, x_prev, x_cur) -> np.ndarray:
     """``del_residual`` at the rows x_prev, x_cur given x_prev's D1/D2.
 
     Those two gradients (g1_prev, g2_prev) do not depend on x_cur, so
-    ``step`` computes them once per solve instead of once per residual
-    evaluation.
+    ``step`` computes them once per solve, from one gradient call when
+    the Lagrangian has ``jac``, instead of once per residual evaluation.
     """
     n = sys.bundle.total_dim
     return (d1_lagrangian(sys, x_cur[:n], x_cur[n:])
@@ -244,8 +258,7 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     eps0 = as_vector(eps0, b.total_dim)
     m1 = as_vector(m1, b.base_dim)
     n, nb = b.total_dim, b.base_dim
-    g1_prev = d1_lagrangian(sys, eps0, m1)
-    g2_prev = d2_lagrangian(sys, eps0, m1)
+    g1_prev, g2_prev = _slot_gradients(sys, eps0, m1)
     x0 = np.concatenate([eps0, m1])
 
     def residual(z):

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one ordering of
+the violations that sampled checks report."""
+
+import math
+
+
+def worse(v: float, worst: float) -> bool:
+    """Whether violation v replaces the running maximum worst; a NaN does,
+    and is then kept, so a NaN anywhere reads as the maximum."""
+    return v > worst or (math.isnan(v) and not math.isnan(worst))
 
 
 class DomainError(ValueError):

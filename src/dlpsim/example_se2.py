@@ -240,8 +240,10 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     V(s) = s/2) since symmetry validation needs a Lagrangian. The model is
     linear in these coordinates, so ``upsilon``, ``lift_section`` and the
     reduced bundle's ``phi`` carry their constant Jacobians as ``jac``:
-    the reduced Lagrangian then gets its gradient by the chain rule and
-    the reduced chaining map its derivative blocks in closed form.
+    the reduced Lagrangian then gets its gradient by the chain rule, the
+    reduced chaining map its derivative blocks in closed form, and
+    ``make_reduced_system`` its Hessian and exact step Jacobian through
+    the same constant ``lift_section`` Jacobian.
     """
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
@@ -269,10 +271,31 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
 
 def make_reduced_system(cfg: TwoBodyConfig | None = None,
                         rng: np.random.Generator | None = None) -> ReductionResult:
-    """The two-body system reduced by translations."""
+    """The two-body system reduced by translations.
+
+    When the full Lagrangian has a closed-form ``hess``, the reduced one
+    gets ``T^T hess(lift_section(y)) T``, T the constant Jacobian of the
+    linear ``lift_section``, and the reduced system gets its rows
+    ``[:4]`` as ``del_jacobian``: the full system is a DMS (zero chaining
+    map, identity bundle) and ``upsilon`` is linear, so the reduced phi
+    and chaining matrix are constant and ``step`` takes an exact Newton
+    Jacobian. Otherwise the step differences its residual.
+    """
     cfg = cfg or TwoBodyConfig()
     model = make_reduced_model(cfg, rng=rng)
-    return reduce(make_full_system(cfg), model)
+    full = make_full_system(cfg)
+    result = reduce(full, model)
+    L, lift = full.lagrangian, model.lift_section
+    if L.hess is None:
+        return result
+
+    def hess(y):
+        return _T2_LIFT_JAC.T @ L.hessian(lift(y)) @ _T2_LIFT_JAC
+
+    lagrangian = replace(result.system.lagrangian, hess=hess)
+    return replace(result, system=replace(
+        result.system, lagrangian=lagrangian,
+        del_jacobian=lambda y: lagrangian.hessian(y)[:4]))
 
 
 def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):

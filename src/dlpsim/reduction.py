@@ -15,7 +15,6 @@ map against one-shot reduction, and numeric morphism and symmetry checkers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -24,7 +23,7 @@ import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DiscretePath, DlpsSystem, FiberBundleModel
-from .errors import MatchingError, SingularJacobian, ValidationError
+from .errors import MatchingError, SingularJacobian, ValidationError, worse
 from .lie import ActionModel, sample_group, trivial_action, trivial_group
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
@@ -130,12 +129,6 @@ def _sample_second_order(sys: DlpsSystem, sample_cprime,
     return np.concatenate([xa[:nE], sys.bundle.phi(x1[:nE])]), x1
 
 
-def _worse(v: float, worst: float) -> bool:
-    """Whether violation v replaces the running maximum worst; a NaN does,
-    and is then kept, so a NaN anywhere reads as the maximum."""
-    return v > worst or (math.isnan(v) and not math.isnan(worst))
-
-
 def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> ActionModel:
     ne = action_e.space_dim
 
@@ -189,7 +182,7 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
                       sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed)
         for name, v in zip(report, violations):
             v = float(np.max(np.abs(v), initial=0.0))
-            if _worse(v, report[name][0]):
+            if worse(v, report[name][0]):
                 report[name] = (v, x0)
         g_prev = g
     return report
@@ -411,8 +404,10 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     the full group are supplied, the conjugation-equivariance condition
     that makes the second stage possible is validated first on
     ``n_checks`` samples (a worst sample above 1e-10 raises
-    ValidationError). Supplying some but not all three, or a ``conn_h``
-    whose quotient has no ``sample``, raises ValueError before any work.
+    ValidationError). Both maxima keep a NaN, so a NaN conjugation
+    violation raises and a NaN comparison reads as the maximum.
+    Supplying some but not all three, or a ``conn_h`` whose quotient has
+    no ``sample``, raises ValueError before any work.
     """
     given = [c is not None for c in (conn_h, full_group_action, conjugate_in_full)]
     if any(given) and not all(given):
@@ -434,10 +429,10 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
                                  full_group_action.act(g, q1))
             rhs = conjugate_in_full(g, conn_h.ad_form(q0, q1))
             v = float(np.max(np.abs(lhs - rhs), initial=0.0))
-            if v > worst:
+            if worse(v, worst):
                 worst, worst_sample = v, (q0, q1)
         report["conjugation_equivariance_max"] = worst
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise ValidationError("subgroup connection conjugation-equivariance",
                                   sample=worst_sample, violation=worst)
 
@@ -454,15 +449,11 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
         y_g = one_shot.model.upsilon(x)
         d = float(np.max(np.abs(F(y_gh) - y_g)))
         per_step.append(d)
-        worst = max(worst, d)
+        if worse(d, worst):
+            worst = d
     report["stage_comparison_max"] = worst
     report["per_step"] = per_step
     return report, F
-
-
-def _nan_max(a, b) -> float:
-    """max(a, b) that keeps a NaN from either side."""
-    return float(np.maximum(a, b))
 
 
 def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
@@ -488,7 +479,16 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
     full_rank_ok = True
     cond2_rank_ok = True
     cond2_min_sv = np.inf
-    cond3 = cond4 = cond5 = cond6 = 0.0
+    maxima = dict.fromkeys(("cond3_base_independence_max",
+                            "cond4_base_compatibility_max",
+                            "cond5_lagrangian_match_max",
+                            "cond6_chaining_intertwine_max"), 0.0)
+
+    def keep(name, value):
+        value = float(value)
+        if worse(value, maxima[name]):
+            maxima[name] = value
+
     for _ in range(n_samples):
         x0, x1 = _sample_second_order(sys, sample_cprime, rng)
         J0 = jacobian_fd(candidate, x0)
@@ -502,14 +502,14 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
             cond2_rank_ok = False
 
-        cond3 = _nan_max(cond3, np.max(np.abs(J0[nEr:, :nE])))
+        keep("cond3_base_independence_max", np.max(np.abs(J0[nEr:, :nE])))
 
         y0 = candidate(x0)
         y1 = candidate(x1)
         base_defect = y0[nEr:] - sys_target.bundle.phi(y1[:nEr])
-        cond4 = _nan_max(cond4, np.max(np.abs(base_defect)))
+        keep("cond4_base_compatibility_max", np.max(np.abs(base_defect)))
 
-        cond5 = _nan_max(cond5, abs(sys.lag(x0) - sys_target.lag(y0)))
+        keep("cond5_lagrangian_match_max", abs(sys.lag(x0) - sys_target.lag(y0)))
 
         m2 = x1[nE:]
         D1p1_at_x1 = jacobian_fd(
@@ -522,16 +522,14 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
             delta = rng.standard_normal(nE)
             lhs = ivcm_target @ (D1p1_at_x1 @ delta)
             rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)
-            cond6 = _nan_max(cond6, np.max(np.abs(lhs - rhs), initial=0.0))
+            keep("cond6_chaining_intertwine_max",
+                 np.max(np.abs(lhs - rhs), initial=0.0))
 
     return {
         "cond1_submersion_rank_ok": bool(full_rank_ok),
         "cond1_note": "rank check only",
         "cond2_fiber_slot_rank_ok": bool(cond2_rank_ok),
         "cond2_min_singular_value": float(cond2_min_sv),
-        "cond3_base_independence_max": cond3,
-        "cond4_base_compatibility_max": cond4,
-        "cond5_lagrangian_match_max": cond5,
-        "cond6_chaining_intertwine_max": cond6,
+        **maxima,
         "n_samples": int(n_samples),
     }

@@ -49,10 +49,15 @@ FD_STEP_GRADIENT = EPS ** (1.0 / 5.0)
 
 
 def as_vector(x, dim=None):
-    """Coerce to a 1-d float array, optionally checking its length."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce to a 1-d float array, optionally checking its length.
+
+    A scalar (0-d) input becomes a length-1 vector.
+    """
+    v = np.asarray(x, dtype=float)
     if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
+        if v.ndim:
+            raise ValueError(f"expected a vector, got shape {v.shape}")
+        v = v.reshape(1)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected length {dim}, got {v.shape[0]}")
     return v

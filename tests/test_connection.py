@@ -185,6 +185,19 @@ def test_check_equivariance_negative_control_state_dependent(t2_conn):
     assert report["max_violation"] >= 0.1
 
 
+def test_check_equivariance_keeps_nan_maximum(t2_conn):
+    """A connection form that returns NaN on part of the domain reports a
+    NaN maximum, kept when finite violations follow it."""
+    def nan_form(q0, q1):
+        return np.full(2, np.nan) if q0[0] > 1.5 else t2_conn.ad_form(q0, q1)
+
+    broken = DiscreteConnection(quotient=t2_conn.quotient, ad_form=nan_form,
+                                hor_lift=t2_conn.hor_lift)
+    report = check_equivariance(broken, 50, rng=np.random.default_rng(12))
+    assert np.isnan(report["max_violation"])
+    assert report["worst_sample"] is not None
+
+
 def test_phi_psi_roundtrip(t2_conn, rng):
     """The pair-space isomorphisms built from the connection invert each other."""
     for _ in range(200):

@@ -2,6 +2,7 @@
 fixed-endpoint variational principle."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_configuration, sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action
-from dlpsim.reduction import project_path
+from dlpsim.reduction import project_path, reduce
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
                            jacobian_fd, newton_solve)
 
@@ -41,10 +42,27 @@ def _box(dim):
     return lambda rng: rng.uniform(-2.0, 2.0, 2 * dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _reduced_two_body(name, coeff):
+    cfg = TwoBodyConfig(h=0.1, potential=potential_handle(name, coeff))
+    return make_reduced_system(cfg, rng=np.random.default_rng(1))
+
+
+def _reduced_case(name, coeff):
+    """(system, sampler of rows) of the translation-reduced two-body system."""
+    def sample(rng):
+        return _reduced_two_body(name, coeff).model.upsilon(sample_cprime(rng))
+
+    return lambda: _reduced_two_body(name, coeff).system, sample
+
+
 EXACT_GRADIENT_CASES = {
     "two-body-zero": (lambda: _two_body("zero", 1.0), sample_cprime),
     "two-body-linear": (lambda: _two_body("linear", 0.5), sample_cprime),
     "two-body-quadratic": (lambda: _two_body("quadratic", 0.3), sample_cprime),
+    "reduced-zero": _reduced_case("zero", 1.0),
+    "reduced-linear": _reduced_case("linear", 0.5),
+    "reduced-quadratic": _reduced_case("quadratic", 0.3),
     "free-1": (lambda: free_particle_dms(dim=1, h=0.5), _box(1)),
     "free-2": (lambda: free_particle_dms(dim=2, h=0.5), _box(2)),
     "harmonic": (lambda: harmonic_oscillator_dms(h=0.1, omega=1.3), _box(1)),
@@ -385,37 +403,80 @@ def test_exact_hessians_match_fd_of_jac(case, rng):
         assert np.array_equal(sys.del_jacobian(x), L.hessian(x)[:n])
 
 
-def _strip_hess(sys):
-    return from_dms(sys.bundle.total_dim,
-                    dataclasses.replace(sys.lagrangian, hess=None))
+@pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
+def test_del_jacobian_matches_fd_of_del_covector(case, rng):
+    """del_jacobian is the current-row derivative of the DEL covector,
+    chaining term included."""
+    make, sample = EXACT_GRADIENT_CASES[case]
+    sys = make()
+    n = sys.bundle.total_dim
+    for _ in range(20):
+        x_prev, x_cur = sample(rng), sample(rng)
+        g1 = d1_lagrangian(sys, x_prev[:n], x_prev[n:])
+        g2 = d2_lagrangian(sys, x_prev[:n], x_prev[n:])
+        fd = jacobian_fd(lambda z: _del_covector(sys, g1, g2, x_prev, z), x_cur)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(sys.del_jacobian(x_cur) - fd)) <= HESS_RTOL * scale
 
 
-def test_only_dms_with_hess_get_exact_step_jacobian(reduced):
-    """A Lagrangian without hess, a potential without V'' and every
-    reduced system keep the finite-difference Newton Jacobian."""
+def test_exact_step_jacobian_only_with_closed_forms(reduced):
+    """A Lagrangian without hess, a potential without V'' and the generic
+    ``reduce`` output keep the finite-difference Newton Jacobian; the
+    translation-reduced two-body system gets the exact one."""
     pot = potential_handle("quadratic", 0.3)
-    no_v2 = dataclasses.replace(pot, hess=None)
-    assert _strip_hess(_two_body("linear", 0.5)).del_jacobian is None
-    assert make_full_system(TwoBodyConfig(potential=no_v2)).del_jacobian is None
-    assert reduced.system.del_jacobian is None
+    no_v2 = TwoBodyConfig(potential=dataclasses.replace(pot, hess=None))
+    L = _two_body("linear", 0.5).lagrangian
+    assert from_dms(4, dataclasses.replace(L, hess=None)).del_jacobian is None
+    assert make_full_system(no_v2).del_jacobian is None
+    no_v2_reduced = make_reduced_system(no_v2, rng=np.random.default_rng(1))
+    assert no_v2_reduced.system.del_jacobian is None
+    assert no_v2_reduced.system.lagrangian.hess is None
+    generic = reduce(make_full_system(TwoBodyConfig()), reduced.model)
+    assert generic.system.del_jacobian is None
+    assert reduced.system.del_jacobian is not None
 
 
-@settings(derandomize=True, max_examples=50, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([("linear", 0.5), ("quadratic", 0.3)]))
-def test_exact_newton_step_matches_fd_newton_step(seed, potential):
+       st.sampled_from([("linear", 0.5), ("quadratic", 0.3)]),
+       st.booleans())
+def test_exact_newton_step_matches_fd_newton_step(seed, potential, reduced):
     """The step with the Hessian Newton Jacobian agrees with the step that
-    differences the residual; on the linear potential it takes one Newton
+    differences the residual, on the full two-body system and on its
+    translation reduction; on the linear potential it takes one Newton
     iteration."""
     rng = np.random.default_rng(seed)
-    sys = _two_body(*potential)
     q0 = sample_configuration(rng)
-    q1 = q0 + rng.uniform(-0.05, 0.05, 4)
-    exact = np.concatenate(step(sys, q0, q1))
-    fd = np.concatenate(step(_strip_hess(sys), q0, q1))
+    x = np.concatenate([q0, q0 + rng.uniform(-0.05, 0.05, 4)])
+    if reduced:
+        red = _reduced_two_body(*potential)
+        sys, x = red.system, red.model.upsilon(x)
+    else:
+        sys = _two_body(*potential)
+    exact = np.concatenate(step(sys, x[:4], x[4:]))
+    fd_sys = dataclasses.replace(sys, del_jacobian=None)
+    fd = np.concatenate(step(fd_sys, x[:4], x[4:]))
     assert np.max(np.abs(exact - fd)) <= 1e-10
     if potential[0] == "linear":
-        step(sys, q0, q1, cfg=NewtonConfig(max_iters=1))
+        step(sys, x[:4], x[4:], cfg=NewtonConfig(max_iters=1))
+
+
+def test_reduced_step_jacobian_preconditions(reduced, rng):
+    """What makes del_jacobian exact on the translation-reduced system:
+    the reduced chaining matrix does not depend on the current row and
+    d phi is constant."""
+    sys = reduced.system
+
+    def sample():
+        return reduced.model.upsilon(sample_cprime(rng))
+
+    jphi = sys.bundle.phi.jacobian(sample()[:4])
+    for _ in range(20):
+        y0 = sample()
+        ref = sys.ivcm_matrix(y0, sample())
+        for _ in range(3):
+            assert np.max(np.abs(sys.ivcm_matrix(y0, sample()) - ref)) <= 1e-12
+        assert np.max(np.abs(sys.bundle.phi.jacobian(y0[:4]) - jphi)) <= 1e-12
 
 
 def test_two_body_without_potential_jac_uses_fd(rng):
@@ -501,17 +562,18 @@ def _readme_step_gradient_calls(L, hess):
 
 
 def test_full_step_computes_previous_gradients_once(full_system):
-    """README step: D1 and D2 at the previous pair once each, then one
-    gradient per residual evaluation of one Newton iteration whose
-    Jacobian is the Hessian: the initial evaluation and one trial."""
+    """README step: one gradient at the previous pair, split into D1 and
+    D2, then one gradient per residual evaluation of one Newton iteration
+    whose Jacobian is the Hessian: the initial evaluation and one trial."""
     L = full_system.lagrangian
-    assert _readme_step_gradient_calls(L, L.hess) == 4
+    assert _readme_step_gradient_calls(L, L.hess) == 3
 
 
 def test_full_step_without_hess_differences_the_residual(full_system):
     """Without hess, the Newton Jacobian takes 16 more residual
-    evaluations (1 + 16 FD + 1 trial, after D1 and D2 at the previous pair)."""
-    assert _readme_step_gradient_calls(full_system.lagrangian, None) == 20
+    evaluations (1 + 16 FD + 1 trial, after the one gradient at the
+    previous pair)."""
+    assert _readme_step_gradient_calls(full_system.lagrangian, None) == 19
 
 
 def test_reduced_step_takes_one_exact_newton_iteration(reduced):

@@ -483,6 +483,39 @@ def test_two_stage_requires_quotient_sampler(staged, full_start):
     assert rng.random() == np.random.default_rng(0).random()
 
 
+def test_two_stage_rejects_nan_conjugation(staged, full_start):
+    """A conjugation that returns NaN fails the conjugation check."""
+    traj = simulate(staged.sys, *full_start, 0)
+    with pytest.raises(ValidationError) as err:
+        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
+                  staged.one_shot, traj, conn_h=staged.conn_h,
+                  full_group_action=staged.action_g,
+                  conjugate_in_full=lambda g, h: np.full(2, np.nan))
+    assert err.value.identity == "subgroup connection conjugation-equivariance"
+    assert np.isnan(err.value.violation)
+
+
+def test_two_stage_keeps_nan_stage_comparison(staged, full_start):
+    """A NaN comparison at the first point stays the maximum."""
+    upsilon = staged.one_shot.model.upsilon
+    calls = []
+
+    def nan_first(x):
+        calls.append(1)
+        if len(calls) == 1:
+            return np.full(upsilon.out_dim, np.nan)
+        return upsilon.eval(x)
+
+    one_shot = dataclasses.replace(staged.one_shot, model=dataclasses.replace(
+        staged.one_shot.model, upsilon=dataclasses.replace(upsilon, eval=nan_first)))
+    traj = simulate(staged.sys, *full_start, 3)
+    report, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
+                          one_shot, traj)
+    assert np.isnan(report["per_step"][0])
+    assert np.all(np.isfinite(report["per_step"][1:]))
+    assert np.isnan(report["stage_comparison_max"])
+
+
 def test_two_stage_h_equals_g(staged, full_start):
     """H = G: the second stage is trivial and F is a coordinate identity."""
     triv = trivial_reduction(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dlpsim.dlps import del_residual, free_particle_dms
 from dlpsim.errors import NonConvergence, SingularJacobian
 from dlpsim.smooth import (MAX_HALVINGS, NewtonConfig, SmoothMapHandle,
-                           gradient_fd5, jacobian_fd, newton_solve)
+                           as_vector, gradient_fd5, jacobian_fd, newton_solve)
 
 FD_TOL = 1e-8
 #: V'' against central differences of V', relative to max(1, |V''|): the
@@ -163,6 +163,43 @@ def test_smooth_handle_checks_dims():
     f = SmoothMapHandle(2, 1, lambda x: np.array([x[0]]))
     with pytest.raises(ValueError):
         f(np.array([1.0, 2.0, 3.0]))
+
+
+def _as_vector_reference(x, dim=None):
+    """The ``np.atleast_1d`` formulation of ``as_vector``: the reference
+    that its reshape of 0-d input must match."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
+    if dim is not None and v.shape[0] != dim:
+        raise ValueError(f"expected length {dim}, got {v.shape[0]}")
+    return v
+
+
+@pytest.mark.parametrize("x, dim", [
+    (2.5, None), (2.5, 1), (2.5, 2), (np.float64(-1.0), None), (np.array(3), 1),
+    ([1, 2], None), ([1, 2], 2), ([1, 2], 3), ((0.5,), 1), ([], None), ([], 0),
+    (np.arange(3), 3), (np.zeros((2, 2)), None), (np.zeros((1, 1)), 1),
+    ([[1.0, 2.0]], 2), (np.zeros((2, 1, 1)), None)])
+def test_as_vector_matches_atleast_1d_reference(x, dim):
+    """A 0-d input becomes a length-1 vector; lists convert, and 2-d
+    arrays and wrong lengths raise, with the same result or message as
+    the ``np.atleast_1d`` formulation."""
+    try:
+        expected = _as_vector_reference(x, dim)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            as_vector(x, dim)
+        assert str(err.value) == str(exc)
+        return
+    got = as_vector(x, dim)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_as_vector_does_not_copy_float_vectors():
+    x = np.arange(3.0)
+    assert as_vector(x, 3) is x
 
 
 def test_supplied_jacobians_agree_with_fd():

@@ -5,6 +5,7 @@ rename or deletion in the library would otherwise surface only when the
 benchmark runs.
 """
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -17,13 +18,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
-    """The README full step builds its one Newton Jacobian from the
-    Lagrangian's Hessian: no residual evaluation goes to differencing, and
-    the residual is evaluated at the guess and at one trial. The reduced
-    system has no closed-form step Jacobian and differences its residual."""
+    """The README full step and the translation-reduced step build their
+    one Newton Jacobian from the Lagrangian's Hessian: no residual
+    evaluation goes to differencing, and the residual is evaluated at the
+    guess and at one trial. A reduced system without ``del_jacobian``
+    differences its residual."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
+    eps0, r1 = np.array([1.0, 0.1, 0.05, -0.02]), np.array([1.02, 0.13])
     with tracing.patches(tracer):
         cfg = example_se2.TwoBodyConfig()
         full = example_se2.make_full_system(cfg)
@@ -32,15 +35,20 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
         dlps.step(full, np.array([1.0, 0.0, -1.0, 0.0]),
                   np.array([1.04, 0.03, -0.97, 0.02]))
         full_counts = dict(tracer.counts)
-        dlps.step(red.system, np.array([1.0, 0.1, 0.05, -0.02]),
-                  np.array([1.02, 0.13]))
-    assert full_counts.get("smooth.newton.fd_evals", 0) == 0
-    assert full_counts.get("smooth.jacobian_fd", 0) == 0
-    assert full_counts["smooth.newton.jacobians"] == 1
-    assert full_counts["smooth.newton.residual_evals"] == 2
+        tracer.counts.clear()
+        dlps.step(red.system, eps0, r1)
+        red_counts = dict(tracer.counts)
+        tracer.counts.clear()
+        dlps.step(dataclasses.replace(red.system, del_jacobian=None), eps0, r1)
+    for counts in (full_counts, red_counts):
+        assert counts.get("smooth.newton.fd_evals", 0) == 0
+        assert counts.get("smooth.jacobian_fd", 0) == 0
+        assert counts["smooth.newton.jacobians"] == 1
+        assert counts["smooth.newton.residual_evals"] == 2
+        assert counts["dlps.step"] == 1
+    assert red_counts["reduction.reduced_ivcm_matrix"] == 2
     assert tracer.counts["smooth.newton.fd_evals"] > 0
-    assert tracer.counts["dlps.step"] == 2
-    assert tracer.counts["reduction.reduced_ivcm_matrix"] > 0
+    assert tracer.counts["reduction.reduced_ivcm_matrix"] > 2
 
 
 def test_tracer_units_bind_checker_signatures(monkeypatch):
