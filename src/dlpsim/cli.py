@@ -32,7 +32,7 @@ from . import dlps, example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
 from .errors import (MatchingError, NonConvergence, RegularityError,
-                     SimulationError, SingularJacobian)
+                     SimulationError, SingularJacobian, worst_of)
 from .lie import sample_group, se2_two_point_action, u1_plane_action
 from .reduction import (SYMMETRY_TOLS, check_morphism, check_symmetry,
                         project_path, reconstruct_path, two_stage)
@@ -209,19 +209,19 @@ def _reduce(cfg: dict) -> dict:
     for _ in range(n_check):
         x = example_se2.sample_cprime(rng)
         y = red.model.upsilon(x)
-        lag_max = max(lag_max, abs(
+        lag_max = worst_of(lag_max, abs(
             float(red.system.lagrangian(y)[0]) - float(full.lagrangian(x)[0])))
-        roundtrip_max = max(roundtrip_max, float(np.max(np.abs(
+        roundtrip_max = worst_of(roundtrip_max, float(np.max(np.abs(
             red.model.upsilon(red.model.lift_section(y)) - y))))
         g = sample_group(red.model.group_action.group, rng)
-        orbit_max = max(orbit_max, float(np.max(np.abs(
+        orbit_max = worst_of(orbit_max, float(np.max(np.abs(
             red.model.upsilon(red.model.group_action.act(g, x)) - y))))
         y1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2),
                              y[4:] + rng.uniform(-0.2, 0.2, 2)])
         delta = rng.standard_normal(4)
         out = red.system.ivcm(y, y1, delta)
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
-        ivcm_max = max(ivcm_max, float(np.max(np.abs(out - expected))))
+        ivcm_max = worst_of(ivcm_max, float(np.max(np.abs(out - expected))))
 
     for _ in range(20):
         r0 = example_se2.sample_annulus(rng, 0.7, 1.3)
@@ -229,9 +229,9 @@ def _reduce(cfg: dict) -> dict:
         r1 = r0 + rng.uniform(-0.1, 0.1, 2)
         eps1, m2 = dlps.step(red.system, np.concatenate([r0, z0]), r1)
         _, z1c, r2c = example_se2.closed_form_reduced_step(body, r0, z0, r1)
-        step_max = max(step_max,
-                       float(np.max(np.abs(eps1 - np.concatenate([r1, z1c])))),
-                       float(np.max(np.abs(m2 - r2c))))
+        step_max = worst_of(step_max,
+                            float(np.max(np.abs(eps1 - np.concatenate([r1, z1c])))),
+                            float(np.max(np.abs(m2 - r2c))))
 
     return {
         "lagrangian_match_max": (lag_max, 1e-10),
@@ -256,7 +256,7 @@ def _reconstruct(cfg: dict) -> dict:
     res_max = 0.0
     for k in range(1, len(reduced)):
         r = del_residual(red.system, *reduced[k - 1], *reduced[k])
-        res_max = max(res_max, float(np.max(np.abs(r))))
+        res_max = worst_of(res_max, float(np.max(np.abs(r))))
     return {
         "roundtrip_max": (float(np.max(np.abs(traj.points - rebuilt.points))),
                           1e-8),

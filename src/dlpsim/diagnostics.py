@@ -14,7 +14,7 @@ import numpy as np
 
 from .dlps import (DiscretePath, DlpsSystem, d1_lagrangian, d2_lagrangian,
                    del_residual)
-from .errors import RegularityError
+from .errors import RegularityError, worst_of
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
 from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
@@ -49,7 +49,7 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     for k in range(1, len(pairs)):
         res = del_residual(sys, pairs[k - 1][0], pairs[k - 1][1],
                            pairs[k][0], pairs[k][1])
-        max_residual = max(max_residual, float(np.max(np.abs(res))))
+        max_residual = worst_of(max_residual, float(np.max(np.abs(res))))
     precondition_ok = max_residual <= 1e-6
 
     grads = [d1_lagrangian(sys, eps, m) for eps, m in pairs]
@@ -62,9 +62,10 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
         ivcm_m = sys.ivcm_matrix(points[k - 1], points[k])
         correction = grads[k - 1] @ (ivcm_m @ frames[k])
         violation = momenta[k] - momenta[k - 1] - correction
-        max_violation = max(max_violation, float(np.max(np.abs(violation), initial=0.0)))
-        max_drift = max(max_drift, float(np.max(np.abs(momenta[k] - momenta[0]),
-                                                initial=0.0)))
+        max_violation = worst_of(max_violation,
+                                 float(np.max(np.abs(violation), initial=0.0)))
+        max_drift = worst_of(max_drift, float(np.max(np.abs(momenta[k] - momenta[0]),
+                                                     initial=0.0)))
     return {
         "max_violation": max_violation,
         "max_conservation_drift": max_drift,
@@ -153,7 +154,7 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
         K = jacobian_fd(phi, z)
         per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
     return {
-        "max_violation": float(max(per_step, default=0.0)),
+        "max_violation": float(worst_of(0.0, *per_step)),
         "per_step": per_step,
         "min_mixed_partial_sigma_ratio": (float(min_cond) if per_step else None),
         "n_steps": len(per_step),
@@ -259,6 +260,6 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
             g = sample_group(model.group_action.group, rng, scale=1.0)
             gx = model.group_action.act(g, x)
             moved = _bracket_table(dms, model, test_fns, gx)
-            worst = max(worst, float(np.max(np.abs(moved - base), initial=0.0)))
+            worst = worst_of(worst, float(np.max(np.abs(moved - base), initial=0.0)))
     return {"max_orbit_variation": worst, "n_samples": int(n_samples),
             "n_pairs": n_pairs, "n_group": int(n_group)}

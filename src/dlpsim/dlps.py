@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (DomainError, MatchingError, NonConvergence,
-                     RegularityError, SimulationError, SingularJacobian)
+                     RegularityError, SimulationError, SingularJacobian,
+                     worst_of)
 from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      as_vector, gradient_fd5, identity_map, jacobian_fd,
                      newton_solve)
@@ -49,12 +50,14 @@ class FiberBundleModel:
     section: SmoothMapHandle
 
     def validate(self, sample_base, rng):
-        """Check phi o section = id to 1e-9 on 20 sampled base points."""
+        """Check phi o section = id to 1e-9 on 20 sampled base points
+        (a NaN defect fails)."""
         worst = 0.0
         for _ in range(20):
             r = sample_base(rng)
-            worst = max(worst, float(np.max(np.abs(self.phi(self.section(r)) - r))))
-        if worst > 1e-9:
+            defect = float(np.max(np.abs(self.phi(self.section(r)) - r)))
+            worst = worst_of(worst, defect)
+        if not worst <= 1e-9:
             raise ValueError(f"phi o section differs from id by {worst:.3e}")
         return worst
 
@@ -68,7 +71,10 @@ class DlpsSystem:
     ``ivcm`` maps (x_k, x_{k+1}, delta_eps_{k+1}) to a tangent vector at
     eps_k, linearly in the last argument, with image in ker(d phi).
     ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
-    basis in one call, as a float array of shape (total_dim, total_dim).
+    basis in one call, as a float array of shape (total_dim, total_dim);
+    callers must not write to it, since a constant chaining map may
+    return one shared array (``from_dms`` does, and
+    ``example_se2.make_reduced_system`` returns a read-only one).
 
     ``del_jacobian(x_cur)``, when given, is the closed-form derivative of
     the discrete Euler-Lagrange covector with respect to the current row
@@ -80,7 +86,8 @@ class DlpsSystem:
     (identity bundle, zero chaining map), and
     ``example_se2.make_reduced_system``, for the translation-reduced
     two-body system (a reduction of a DMS by a linear ``upsilon``, so
-    the reduced phi and chaining matrix are constant). ``step`` then
+    the reduced phi and chaining matrix are constant; that system
+    carries the matrix, read once, as its ``ivcm_matrix``). ``step`` then
     builds its Newton Jacobian from it; without it, Newton differences
     the step residual.
     """
@@ -128,17 +135,19 @@ class DiscretePath:
         return tuple(self[k] for k in range(len(self)))
 
     def compatibility_defect(self, bundle: FiberBundleModel) -> float:
-        """Max over junctions of |phi(eps_{k+1}) - m_{k+1}|."""
+        """Max over junctions of |phi(eps_{k+1}) - m_{k+1}| (NaN when a
+        junction's defect is NaN)."""
         n = self.total_dim
         worst = 0.0
         for row, nxt in zip(self.points, self.points[1:]):
-            worst = max(worst, float(np.max(np.abs(bundle.phi(nxt[:n]) - row[n:]))))
+            defect = float(np.max(np.abs(bundle.phi(nxt[:n]) - row[n:])))
+            worst = worst_of(worst, defect)
         return worst
 
     def validate(self, bundle: FiberBundleModel):
-        """Raise ValueError when a junction defect exceeds 1e-9."""
+        """Raise ValueError when a junction defect exceeds 1e-9 or is NaN."""
         defect = self.compatibility_defect(bundle)
-        if defect > 1e-9:
+        if not defect <= 1e-9:
             raise ValueError(f"path junction defect {defect:.3e} exceeds 1e-09")
         return defect
 

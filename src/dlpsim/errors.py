@@ -10,6 +10,15 @@ def worse(v: float, worst: float) -> bool:
     return v > worst or (math.isnan(v) and not math.isnan(worst))
 
 
+def worst_of(worst: float, *values: float) -> float:
+    """``max(worst, *values)`` by ``worse``: a NaN among them is the result
+    (the builtin drops one, ``max(0.0, nan) == 0.0``)."""
+    for v in values:
+        if worse(v, worst):
+            worst = v
+    return worst
+
+
 class DomainError(ValueError):
     """A map was evaluated outside its declared domain."""
 

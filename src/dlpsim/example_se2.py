@@ -273,29 +273,37 @@ def make_reduced_system(cfg: TwoBodyConfig | None = None,
                         rng: np.random.Generator | None = None) -> ReductionResult:
     """The two-body system reduced by translations.
 
-    When the full Lagrangian has a closed-form ``hess``, the reduced one
-    gets ``T^T hess(lift_section(y)) T``, T the constant Jacobian of the
-    linear ``lift_section``, and the reduced system gets its rows
-    ``[:4]`` as ``del_jacobian``: the full system is a DMS (zero chaining
-    map, identity bundle) and ``upsilon`` is linear, so the reduced phi
-    and chaining matrix are constant and ``step`` takes an exact Newton
-    Jacobian. Otherwise the step differences its residual.
+    The full system is a DMS (zero chaining map, identity bundle) and
+    ``upsilon`` is linear, so the reduced phi and chaining matrix are
+    constant. The reduced system reads that matrix C once off the
+    generic chaining map of ``reduce``, at r0 = r1 = (1, 0), z0 = 0
+    (every block it is built from is constant, so C is that map's value
+    at every point), and carries ``ivcm_matrix = C`` (read-only) and
+    ``ivcm = C @ delta``. When the full Lagrangian has a closed-form
+    ``hess``, the reduced one gets ``T^T hess(lift_section(y)) T``, T the
+    constant Jacobian of the linear ``lift_section``, and the reduced
+    system gets its rows ``[:4]`` as ``del_jacobian``, so ``step`` takes
+    an exact Newton Jacobian. Otherwise the step differences its
+    residual.
     """
     cfg = cfg or TwoBodyConfig()
     model = make_reduced_model(cfg, rng=rng)
     full = make_full_system(cfg)
     result = reduce(full, model)
+    point = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    C = result.system.ivcm_matrix(point, point)
+    C.flags.writeable = False
+    system = replace(result.system, ivcm=lambda y0, y1, d: C @ as_vector(d, 4),
+                     ivcm_matrix=lambda y0, y1: C)
     L, lift = full.lagrangian, model.lift_section
-    if L.hess is None:
-        return result
+    if L.hess is not None:
+        def hess(y):
+            return _T2_LIFT_JAC.T @ L.hessian(lift(y)) @ _T2_LIFT_JAC
 
-    def hess(y):
-        return _T2_LIFT_JAC.T @ L.hessian(lift(y)) @ _T2_LIFT_JAC
-
-    lagrangian = replace(result.system.lagrangian, hess=hess)
-    return replace(result, system=replace(
-        result.system, lagrangian=lagrangian,
-        del_jacobian=lambda y: lagrangian.hessian(y)[:4]))
+        lagrangian = replace(system.lagrangian, hess=hess)
+        system = replace(system, lagrangian=lagrangian,
+                         del_jacobian=lambda y: lagrangian.hessian(y)[:4])
+    return replace(result, system=system)
 
 
 def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
@@ -424,7 +432,8 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
                       rng: np.random.Generator | None = None) -> StagedSetup:
     """Build and validate the SE(2)-over-T2 staged reduction data.
 
-    Stage one reduces by translations onto C* x T2; the residual circle
+    Stage one is ``make_reduced_system``, the reduction by translations
+    onto C* x T2 with its constant chaining matrix; the residual circle
     action (validated by ``build_upsilon`` as a symmetry of the reduced
     system) drives stage two over the base |r|; the one-shot SE(2)
     model uses the invariant coordinates (|r0|, rotation angle,
@@ -436,8 +445,8 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     action_g = se2_two_point_action()
 
     conn_h = make_t2_connection()
-    model_h = make_reduced_model(cfg, rng=rng)
-    stage_h = reduce(sys, model_h)
+    stage_h = make_reduced_system(cfg, rng=rng)
+    model_h = stage_h.model
 
     residual_action = make_residual_u1_action()
     conn_gh = make_u1_connection()

@@ -23,7 +23,8 @@ import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DiscretePath, DlpsSystem, FiberBundleModel
-from .errors import MatchingError, SingularJacobian, ValidationError, worse
+from .errors import (MatchingError, SingularJacobian, ValidationError, worse,
+                     worst_of)
 from .lie import ActionModel, sample_group, trivial_action, trivial_group
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
@@ -449,8 +450,7 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
         y_g = one_shot.model.upsilon(x)
         d = float(np.max(np.abs(F(y_gh) - y_g)))
         per_step.append(d)
-        if worse(d, worst):
-            worst = d
+        worst = worst_of(worst, d)
     report["stage_comparison_max"] = worst
     report["per_step"] = per_step
     return report, F

@@ -1,10 +1,13 @@
 """Tests for the command-line frontend: outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from dlpsim import example_se2
 from dlpsim.cli import main
 
 BODY_CONFIG = {
@@ -104,6 +107,30 @@ def test_reconstruct_report(tmp_path):
     assert run("reconstruct", cfg, tmp_path) == 0
     rep = json.loads((tmp_path / "reconstruct.json").read_text())
     assert rep["checks"]["roundtrip_max"]["value"] <= 1e-8
+
+
+@pytest.mark.parametrize("command, key, field", [
+    ("reduce", "chaining_closed_form_max", "ivcm"),
+    ("reconstruct", "projected_residual_max", "ivcm_matrix")])
+def test_nan_report_value_fails(tmp_path, monkeypatch, command, key, field):
+    """A NaN chaining map (``reduce``) or matrix (``reconstruct``'s DEL
+    residuals) is reported as NaN and fails, instead of passing as 0.0."""
+    make = example_se2.make_reduced_system
+
+    def nan_chaining(body, rng):
+        red = make(body, rng=rng)
+        nan = np.full((4, 4), np.nan)
+        broken = {"ivcm": lambda y0, y1, d: nan[0],
+                  "ivcm_matrix": lambda y0, y1: nan}[field]
+        return dataclasses.replace(
+            red, system=dataclasses.replace(red.system, **{field: broken}))
+
+    monkeypatch.setattr(example_se2, "make_reduced_system", nan_chaining)
+    cfg = write_config(tmp_path, BODY_CONFIG)
+    assert run(command, cfg, tmp_path) == 1
+    rep = json.loads((tmp_path / f"{command}.json").read_text())
+    assert np.isnan(rep["checks"][key]["value"])
+    assert not rep["checks"][key]["pass"]
 
 
 def test_stages_report(tmp_path):

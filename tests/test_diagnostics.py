@@ -1,5 +1,7 @@
 """Tests for momentum maps, symplecticity and Poisson descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ def test_momentum_check_flags_non_trajectory(full_system, rng):
     from dlpsim.dlps import path_from_points
     rep = momentum_evolution_check(full_system, t2_two_point_action(),
                                    path_from_points(pts))
+    assert not rep["precondition_ok"]
+
+
+def test_momentum_check_keeps_nan(full_system, full_start):
+    """A NaN chaining matrix makes the evolution identity and the DEL
+    residual NaN: the check reports NaN and a failed precondition, not
+    0.0 and ok."""
+    traj = simulate(full_system, *full_start, 5)
+    nan = np.full((4, 4), np.nan)
+    broken = dataclasses.replace(full_system, ivcm_matrix=lambda x0, x1: nan)
+    rep = momentum_evolution_check(broken, t2_two_point_action(), traj)
+    assert np.isnan(rep["max_violation"])
+    assert np.isnan(rep["max_del_residual"])
     assert not rep["precondition_ok"]
 
 

@@ -14,7 +14,7 @@ from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
                          d1_lagrangian, d2_lagrangian, del_residual,
                          free_particle_dms, from_dms, harmonic_oscillator_dms,
                          make_path, path_from_points, simulate, step)
-from dlpsim.errors import DomainError, SimulationError
+from dlpsim.errors import DomainError, SimulationError, worst_of
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_configuration, sample_cprime)
@@ -282,6 +282,27 @@ def test_path_compatibility_validation(full_system):
         bad.validate(full_system.bundle)
 
 
+def test_nan_defect_fails_path_and_bundle_validation(full_system, rng):
+    """A NaN phi makes the junction and section defects NaN, which are
+    reported and fail validation instead of reading 0.0."""
+    nan_phi = SmoothMapHandle(4, 4, lambda e: np.full(4, np.nan))
+    bundle = dataclasses.replace(full_system.bundle, phi=nan_phi)
+    path = path_from_points([np.zeros(4), np.ones(4) * 0.1, np.ones(4) * 0.2])
+    assert np.isnan(path.compatibility_defect(bundle))
+    with pytest.raises(ValueError):
+        path.validate(bundle)
+    with pytest.raises(ValueError):
+        bundle.validate(lambda r: r.uniform(-1, 1, 4), rng)
+
+
+def test_worst_of_keeps_nan():
+    """The running maximum keeps a NaN wherever it appears."""
+    assert worst_of(0.0, 1.0, 3.0, 2.0) == 3.0
+    assert worst_of(0.0) == 0.0
+    for values in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.nan, 5.0]):
+        assert np.isnan(worst_of(0.0, *values))
+
+
 def test_from_dms_zero_chaining(rng):
     sys = free_particle_dms(dim=3)
     for _ in range(100):
@@ -461,21 +482,33 @@ def test_exact_newton_step_matches_fd_newton_step(seed, potential, reduced):
         step(sys, x[:4], x[4:], cfg=NewtonConfig(max_iters=1))
 
 
-def test_reduced_step_jacobian_preconditions(reduced, rng):
+def test_reduced_step_jacobian_preconditions(body_cfg, reduced, rng):
     """What makes del_jacobian exact on the translation-reduced system:
-    the reduced chaining matrix does not depend on the current row and
-    d phi is constant."""
+    its chaining matrix is one read-only constant C, bit for bit the
+    generic ``reduce`` chaining matrix at every sampled pair, its chaining
+    map is C @ delta, and d phi is constant. A potential without V''
+    keeps the constant but gets no del_jacobian."""
     sys = reduced.system
+    generic = reduce(make_full_system(body_cfg), reduced.model).system
+    pot = dataclasses.replace(potential_handle("quadratic", 0.3), hess=None)
+    no_v2 = make_reduced_system(TwoBodyConfig(potential=pot),
+                                rng=np.random.default_rng(1)).system
+    assert no_v2.del_jacobian is None
 
     def sample():
         return reduced.model.upsilon(sample_cprime(rng))
 
+    C = sys.ivcm_matrix(sample(), sample())
+    assert not C.flags.writeable
     jphi = sys.bundle.phi.jacobian(sample()[:4])
     for _ in range(20):
-        y0 = sample()
-        ref = sys.ivcm_matrix(y0, sample())
-        for _ in range(3):
-            assert np.max(np.abs(sys.ivcm_matrix(y0, sample()) - ref)) <= 1e-12
+        y0, y1 = sample(), sample()
+        delta = rng.standard_normal(4)
+        assert sys.ivcm_matrix(y0, y1) is C
+        assert np.array_equal(generic.ivcm_matrix(y0, y1), C)
+        assert np.array_equal(sys.ivcm(y0, y1, delta), C @ delta)
+        assert np.array_equal(no_v2.ivcm_matrix(y0, y1), C)
+        assert no_v2.ivcm_matrix(y0, y1) is no_v2.ivcm_matrix(y1, y0)
         assert np.max(np.abs(sys.bundle.phi.jacobian(y0[:4]) - jphi)) <= 1e-12
 
 

@@ -21,8 +21,10 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
     """The README full step and the translation-reduced step build their
     one Newton Jacobian from the Lagrangian's Hessian: no residual
     evaluation goes to differencing, and the residual is evaluated at the
-    guess and at one trial. A reduced system without ``del_jacobian``
-    differences its residual."""
+    guess and at one trial. Building the reduced system reads the generic
+    chaining matrix once, and its step reads the constant instead. The
+    generic reduced system, without ``del_jacobian``, differences its
+    residual and rebuilds the matrix on every evaluation."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -30,7 +32,10 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
     with tracing.patches(tracer):
         cfg = example_se2.TwoBodyConfig()
         full = example_se2.make_full_system(cfg)
+        tracer.counts.clear()
         red = example_se2.make_reduced_system(cfg, rng=np.random.default_rng(1))
+        build_counts = dict(tracer.counts)
+        generic = reduction.reduce(full, red.model).system
         tracer.counts.clear()
         dlps.step(full, np.array([1.0, 0.0, -1.0, 0.0]),
                   np.array([1.04, 0.03, -0.97, 0.02]))
@@ -39,14 +44,16 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch):
         dlps.step(red.system, eps0, r1)
         red_counts = dict(tracer.counts)
         tracer.counts.clear()
-        dlps.step(dataclasses.replace(red.system, del_jacobian=None), eps0, r1)
+        dlps.step(dataclasses.replace(generic, del_jacobian=None), eps0, r1)
     for counts in (full_counts, red_counts):
         assert counts.get("smooth.newton.fd_evals", 0) == 0
         assert counts.get("smooth.jacobian_fd", 0) == 0
         assert counts["smooth.newton.jacobians"] == 1
         assert counts["smooth.newton.residual_evals"] == 2
         assert counts["dlps.step"] == 1
-    assert red_counts["reduction.reduced_ivcm_matrix"] == 2
+    assert build_counts["reduction.reduced_ivcm_matrix"] == 1
+    assert red_counts.get("reduction.reduced_ivcm_matrix", 0) == 0
+    assert generic.del_jacobian is None
     assert tracer.counts["smooth.newton.fd_evals"] > 0
     assert tracer.counts["reduction.reduced_ivcm_matrix"] > 2
 
