@@ -161,39 +161,6 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
     }
 
 
-def _pullback_gradient_legendre(sys: DlpsSystem, fn: SmoothMapHandle,
-                                model: ReducedModel, z, q1_guess) -> np.ndarray:
-    """Gradient in Legendre coordinates of a reduced function's pullback."""
-    n = sys.bundle.total_dim
-    step_map = canonical_step_map(sys, q1_guess)
-
-    def value(zz):
-        q1 = step_map(zz)[:n]
-        return fn(model.upsilon(np.concatenate([zz[:n], q1])))
-
-    return jacobian_fd(value, z)[0]
-
-
-def bracket_via_legendre_chart(sys: DlpsSystem, model: ReducedModel,
-                               f1: SmoothMapHandle, f2: SmoothMapHandle,
-                               x) -> float:
-    """Canonical bracket of pullbacks computed in the Legendre chart.
-
-    Slow route (each perturbed evaluation re-solves the implicit Legendre
-    relation); kept as the independent cross-check of
-    ``bracket_of_pullbacks``.
-    """
-    n = _require_dms(sys)
-    x = as_vector(x, 2 * n)
-    q0, q1 = x[:n], x[n:]
-    _check_regularity(sys, q0, q1)
-    p0 = -d1_lagrangian(sys, q0, q1)
-    z = np.concatenate([q0, p0])
-    g1 = _pullback_gradient_legendre(sys, f1, model, z, q1)
-    g2 = _pullback_gradient_legendre(sys, f2, model, z, q1)
-    return float(g1[:n] @ g2[n:] - g1[n:] @ g2[:n])
-
-
 def _pair_space_gradient(model: ReducedModel, fn: SmoothMapHandle, x) -> np.ndarray:
     """FD gradient over pair coordinates of a reduced function's pullback."""
     return jacobian_fd(lambda y: fn(model.upsilon(y)), x)[0]

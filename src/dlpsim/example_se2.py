@@ -13,7 +13,8 @@ model on C* x T2 (coordinates r = (q^x - q^y)/sqrt(2) and the stored
 translation offset z), the closed-form reduced update, and the full
 staged-reduction configuration: SE(2) one-shot model, residual U(1)
 action on the reduced space, and the circle connection on the reduced
-base.
+base. Its connection, chart, action and sampler closures compute on
+Python floats as those of ``lie`` do, bit-identical to the complex formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DlpsSystem, _check_timestep, _kinetic_hessian, from_dms
 from .errors import DomainError
-from .lie import (ActionModel, _cconj, _cmul, se2_two_point_action,
+from .lie import (ActionModel, _cmul, se2_two_point_action,
                   t2_two_point_action, u1_group, u1_plane_action)
 from .reduction import ReducedModel, ReductionResult, build_upsilon, reduce
 # jacobian_fd is unused here, but the benchmark tracer patches it in this module.
@@ -80,8 +81,14 @@ def _separation(q) -> np.ndarray:
     return q[:2] - q[2:]
 
 
+def _distance(q) -> float:
+    """|q^x - q^y| of a configuration."""
+    x_re, x_im, y_re, y_im = q.tolist()
+    return float(np.hypot(x_re - y_re, x_im - y_im))
+
+
 def _check_off_diagonal(q):
-    if float(np.hypot(*_separation(q))) < _SEPARATION_FLOOR:
+    if _distance(q) < _SEPARATION_FLOOR:
         raise DomainError("coincident particles (excised diagonal)")
 
 
@@ -143,7 +150,7 @@ def sample_configuration(rng: np.random.Generator) -> np.ndarray:
     """A configuration in [-2, 2]^4 with the particles at least 0.3 apart."""
     while True:
         q = rng.uniform(-2.0, 2.0, size=4)
-        if float(np.hypot(*_separation(q))) >= 0.3:
+        if _distance(q) >= 0.3:
             return q
 
 
@@ -159,11 +166,34 @@ _T2_SECTION_JAC = np.array([[1.0, 0.0], [0.0, 1.0],
                             [-1.0, 0.0], [0.0, -1.0]]) / SQRT2
 
 
+def _relative(q) -> tuple[float, float]:
+    """The relative position r = (q^x - q^y)/sqrt(2)."""
+    x_re, x_im, y_re, y_im = q.tolist()
+    return (x_re - y_re) / SQRT2, (x_im - y_im) / SQRT2
+
+
+def _symmetric_pair(r_re, r_im) -> np.ndarray:
+    """The configuration (r, -r)/sqrt(2)."""
+    return np.array([r_re / SQRT2, r_im / SQRT2, -r_re / SQRT2, -r_im / SQRT2])
+
+
+def _on_real_axis(rho) -> np.ndarray:
+    """The configuration (rho, 0, -rho, 0)/sqrt(2), relative position rho."""
+    return np.array([rho / SQRT2, 0.0, -rho / SQRT2, 0.0])
+
+
+def _sum_and_split(s_re, s_im, r1_re, r1_im) -> np.ndarray:
+    """The configuration with summed position s and relative position r1."""
+    t_re, t_im = SQRT2 * r1_re, SQRT2 * r1_im
+    return np.array([0.5 * (s_re + t_re), 0.5 * (s_im + t_im),
+                     0.5 * (s_re - t_re), 0.5 * (s_im - t_im)])
+
+
 def make_t2_quotient() -> QuotientModel:
     """Quotient by simultaneous translations: base coordinate r = (q^x - q^y)/sqrt(2)."""
-    project = SmoothMapHandle(4, 2, lambda q: _separation(q) / SQRT2,
+    project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)),
                               jac=lambda q: _T2_PROJECT_JAC)
-    section = SmoothMapHandle(2, 4, lambda r: np.concatenate([r, -r]) / SQRT2,
+    section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()),
                               jac=lambda r: _T2_SECTION_JAC)
     return QuotientModel(total_dim=4, base_dim=2, project=project,
                          section=section, action=t2_two_point_action(),
@@ -175,13 +205,14 @@ def make_t2_connection() -> DiscreteConnection:
     quotient = make_t2_quotient()
 
     def ad_form(q0, q1):
-        s0 = q0[:2] + q0[2:]
-        s1 = q1[:2] + q1[2:]
-        return 0.5 * (s1 - s0)
+        x0_re, x0_im, y0_re, y0_im = q0.tolist()
+        x1_re, x1_im, y1_re, y1_im = q1.tolist()
+        return np.array([0.5 * ((x1_re + y1_re) - (x0_re + y0_re)),
+                         0.5 * ((x1_im + y1_im) - (x0_im + y0_im))])
 
     def hor_lift(q0, r1):
-        s0 = q0[:2] + q0[2:]
-        return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
+        x_re, x_im, y_re, y_im = q0.tolist()
+        return _sum_and_split(x_re + y_re, x_im + y_im, *r1.tolist())
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
@@ -250,12 +281,11 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     conn = make_t2_connection()
 
     def fiber_chart(eps, w):
-        return np.concatenate([_separation(eps) / SQRT2, w])
+        return np.array([*_relative(eps), *w.tolist()])
 
     def fiber_section(v):
-        r0, z0 = v[:2], v[2:]
-        eps = np.concatenate([r0, -r0]) / SQRT2
-        return eps, z0.copy()
+        r_re, r_im, z_re, z_im = v.tolist()
+        return _symmetric_pair(r_re, r_im), np.array([z_re, z_im])
 
     model = build_upsilon(conn, sys, fiber_chart, fiber_section,
                           action_e=t2_two_point_action(),
@@ -323,19 +353,17 @@ def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
 
 # --- staged reduction: SE(2) over T2 ---------------------------------------
 
-def _phase(a):
-    n = float(np.hypot(*a))
+def _phase(re, im) -> tuple[float, float]:
+    n = float(np.hypot(re, im))
     if n < _SEPARATION_FLOOR:
         raise DomainError("phase of a vanishing complex number")
-    return a / n
+    return re / n, im / n
 
 
 def make_se2_quotient() -> QuotientModel:
     """Quotient by the full planar isometry group: base coordinate |r|."""
-    project = SmoothMapHandle(4, 1,
-                              lambda q: np.array([float(np.hypot(*_separation(q))) / SQRT2]))
-    section = SmoothMapHandle(1, 4,
-                              lambda rho: np.array([rho[0], 0.0, -rho[0], 0.0]) / SQRT2)
+    project = SmoothMapHandle(4, 1, lambda q: np.array([_distance(q) / SQRT2]))
+    section = SmoothMapHandle(1, 4, lambda rho: _on_real_axis(*rho.tolist()))
     return QuotientModel(total_dim=4, base_dim=1, project=project,
                          section=section, action=se2_two_point_action(),
                          sample=sample_configuration)
@@ -351,19 +379,19 @@ def make_se2_connection() -> DiscreteConnection:
     quotient = make_se2_quotient()
 
     def ad_form(q0, q1):
-        d0, d1 = _separation(q0), _separation(q1)
-        a = _phase(_cmul(d1, _cconj(d0)))
-        s0 = q0[:2] + q0[2:]
-        s1 = q1[:2] + q1[2:]
-        v = 0.5 * (s1 - _cmul(a, s0))
-        return np.concatenate([a, v])
+        x0_re, x0_im, y0_re, y0_im = q0.tolist()
+        x1_re, x1_im, y1_re, y1_im = q1.tolist()
+        a_re, a_im = _phase(*_cmul(x1_re - y1_re, x1_im - y1_im,
+                                   x0_re - y0_re, -(x0_im - y0_im)))
+        w_re, w_im = _cmul(a_re, a_im, x0_re + y0_re, x0_im + y0_im)
+        return np.array([a_re, a_im, 0.5 * ((x1_re + y1_re) - w_re),
+                         0.5 * ((x1_im + y1_im) - w_im)])
 
     def hor_lift(q0, rho1):
-        d0 = _separation(q0)
-        r0 = d0 / SQRT2
-        r1 = float(rho1[0]) * _phase(r0)
-        s0 = q0[:2] + q0[2:]
-        return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
+        (rho,) = rho1.tolist()
+        x_re, x_im, y_re, y_im = q0.tolist()
+        p_re, p_im = _phase((x_re - y_re) / SQRT2, (x_im - y_im) / SQRT2)
+        return _sum_and_split(x_re + y_re, x_im + y_im, rho * p_re, rho * p_im)
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
@@ -372,14 +400,14 @@ def sample_annulus(rng: np.random.Generator, inner: float = 0.3,
                    outer: float = 2.5) -> np.ndarray:
     while True:
         r = rng.uniform(-outer, outer, size=2)
-        if inner <= float(np.hypot(*r)) <= outer:
+        if inner <= float(np.hypot(*r.tolist())) <= outer:
             return r
 
 
 def make_u1_base_quotient() -> QuotientModel:
     """U(1) acting on the punctured plane of relative positions; base |r|."""
-    project = SmoothMapHandle(2, 1, lambda r: np.array([float(np.hypot(*r))]))
-    section = SmoothMapHandle(1, 2, lambda rho: np.array([rho[0], 0.0]))
+    project = SmoothMapHandle(2, 1, lambda r: np.array([np.hypot(*r.tolist())]))
+    section = SmoothMapHandle(1, 2, lambda rho: np.array([*rho.tolist(), 0.0]))
     return QuotientModel(total_dim=2, base_dim=1, project=project,
                          section=section, action=u1_plane_action(),
                          sample=sample_annulus)
@@ -390,10 +418,13 @@ def make_u1_connection() -> DiscreteConnection:
     quotient = make_u1_base_quotient()
 
     def ad_form(r0, r1):
-        return _phase(_cmul(r1, _cconj(r0)))
+        a_re, a_im = r0.tolist()
+        return np.array(_phase(*_cmul(*r1.tolist(), a_re, -a_im)))
 
     def hor_lift(r0, rho1):
-        return float(rho1[0]) * _phase(r0)
+        (rho,) = rho1.tolist()
+        p_re, p_im = _phase(*r0.tolist())
+        return np.array([rho * p_re, rho * p_im])
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
@@ -403,14 +434,17 @@ def make_residual_u1_action() -> ActionModel:
     G = u1_group()
 
     def act(g, y):
-        return np.concatenate([_cmul(g, y[:2]), _cmul(g, y[2:])])
+        a_re, a_im = g.tolist()
+        r_re, r_im, z_re, z_im = y.tolist()
+        return np.array([*_cmul(a_re, a_im, r_re, r_im), *_cmul(a_re, a_im, z_re, z_im)])
 
     return ActionModel(group=G, space_dim=4, act=act)
 
 
 def conjugate_translation_by_se2(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g (1, v) g^{-1} = (1, A v) for g = (A, u): translations stay translations."""
-    return _cmul(g[:2], h)
+    a_re, a_im, _, _ = g.tolist()
+    return np.array(_cmul(a_re, a_im, *h.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,18 +486,18 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     conn_gh = make_u1_connection()
 
     def fiber_chart_gh(eps, b):
-        r, z = eps[:2], eps[2:]
-        rho0 = float(np.hypot(*r))
+        r_re, r_im, z_re, z_im = eps.tolist()
+        rho0 = float(np.hypot(r_re, r_im))
         if rho0 < _SEPARATION_FLOOR:
             raise DomainError("relative position vanishes in reduced chart")
-        p0 = r / rho0
-        beta = float(np.arctan2(b[1], b[0]))
-        zeta = _cmul(_cconj(p0), z)
-        return np.array([rho0, beta, zeta[0], zeta[1]])
+        b_re, b_im = b.tolist()
+        beta = float(np.arctan2(b_im, b_re))
+        return np.array([rho0, beta, *_cmul(r_re / rho0, -(r_im / rho0), z_re, z_im)])
 
     def fiber_section_gh(v):
-        eps = np.array([v[0], 0.0, v[2], v[3]])
-        return eps, np.array([np.cos(v[1]), np.sin(v[1])])
+        rho, beta, zeta_re, zeta_im = v.tolist()
+        return (np.array([rho, 0.0, zeta_re, zeta_im]),
+                np.array([np.cos(beta), np.sin(beta)]))
 
     def sample_cprime_gh(local_rng):
         return model_h.upsilon(sample_cprime(local_rng))
@@ -477,23 +511,21 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     conn_g = make_se2_connection()
 
     def fiber_chart_g(eps, g):
-        d0 = _separation(eps)
-        r0 = d0 / SQRT2
-        rho0 = float(np.hypot(*r0))
+        x_re, x_im, y_re, y_im = eps.tolist()
+        r_re, r_im = (x_re - y_re) / SQRT2, (x_im - y_im) / SQRT2
+        rho0 = float(np.hypot(r_re, r_im))
         if rho0 < _SEPARATION_FLOOR:
             raise DomainError("coincident particles in reduced chart")
-        p0 = r0 / rho0
-        a, w = g[:2], g[2:]
-        s0 = eps[:2] + eps[2:]
-        one_minus_a = np.array([1.0 - a[0], -a[1]])
-        zeta = _cmul(_cconj(p0), w - 0.5 * _cmul(one_minus_a, s0))
-        alpha = float(np.arctan2(a[1], a[0]))
-        return np.array([rho0, alpha, zeta[0], zeta[1]])
+        a_re, a_im, w_re, w_im = g.tolist()
+        c_re, c_im = _cmul(1.0 - a_re, -a_im, x_re + y_re, x_im + y_im)
+        zeta = _cmul(r_re / rho0, -(r_im / rho0), w_re - 0.5 * c_re, w_im - 0.5 * c_im)
+        alpha = float(np.arctan2(a_im, a_re))
+        return np.array([rho0, alpha, *zeta])
 
     def fiber_section_g(v):
-        eps = np.array([v[0], 0.0, -v[0], 0.0]) / SQRT2
-        a = np.array([np.cos(v[1]), np.sin(v[1])])
-        return eps, np.concatenate([a, v[2:]])
+        rho, alpha, zeta_re, zeta_im = v.tolist()
+        return (_on_real_axis(rho),
+                np.array([np.cos(alpha), np.sin(alpha), zeta_re, zeta_im]))
 
     model_g = build_upsilon(conn_g, sys, fiber_chart_g, fiber_section_g,
                             action_e=action_g, sample_cprime=sample_cprime,

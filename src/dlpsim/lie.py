@@ -7,6 +7,14 @@ is its 1-D float coordinate array; SE(2) stores its rotation as a unit
 complex number (a_re, a_im, v_re, v_im) and renormalizes after every
 product so |A| = 1 survives long composition chains.
 
+Model closures take 1-D float ndarrays. Those of SE(2), U(1), the
+quotient map and the planar actions read their inputs once with
+``.tolist()``, do the complex arithmetic on Python floats, term by term
+in the order of the complex formulas, and build one array for the
+result, so their values are bit-identical to the complex formulas
+evaluated over 2-element numpy arrays. Norms use ``np.hypot``:
+``math.hypot`` differs from it in the last bit on some inputs.
+
 Lie-algebra elements are coordinate vectors against the standard basis of
 each group's parameter space; no abstract bracket is implemented.
 """
@@ -31,7 +39,9 @@ class LieGroupModel:
     chart R^dim -> G with ``from_params(0) = identity`` whose differential
     at 0 is the identity on algebra coordinates. It serves the
     Newton-based solves over the group, sampling, and the infinitesimal
-    generators.
+    generators. SE(2) and U(1) compute in float arithmetic on
+    ``g.tolist()``, bit-identical to their complex formulas (see the
+    module docstring).
     """
 
     dim: int
@@ -47,8 +57,10 @@ class ActionModel:
 
     ``match``, when given, solves ``act(g, a) = b`` for g in closed form;
     callers verify the result and fall back to a generic solve otherwise.
-    Both receive float vectors of length ``space_dim`` that their callers
-    have checked, and do not check them again.
+    Both receive 1-D float ndarrays of length ``space_dim`` that their
+    callers have checked, and do not check them again. The shipped planar
+    actions compute in float arithmetic on ``.tolist()``, bit-identical to
+    their complex formulas (see the module docstring).
     """
 
     group: LieGroupModel
@@ -81,21 +93,17 @@ def infinitesimal_generator(action: ActionModel, xi_index: int, q) -> np.ndarray
     return orbit_frame(action, q)[:, xi_index]
 
 
-# --- complex helpers over (re, im) pairs ---------------------------------
+# --- complex helpers over (re, im) float pairs ---------------------------
 
-def _cmul(a, b):
-    return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
-
-
-def _cconj(a):
-    return np.array([a[0], -a[1]])
+def _cmul(a_re, a_im, b_re, b_im):
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def _cnormalize(a):
-    n = float(np.hypot(a[0], a[1]))
+def _cnormalize(re, im):
+    n = float(np.hypot(re, im))
     if n == 0.0:
         raise ZeroDivisionError("cannot normalize the zero complex number")
-    return a / n
+    return re / n, im / n
 
 
 # --- concrete groups ------------------------------------------------------
@@ -116,13 +124,14 @@ def u1_group() -> LieGroupModel:
     e = np.array([1.0, 0.0])
 
     def comp(g1, g2):
-        return _cnormalize(_cmul(g1, g2))
+        return np.array(_cnormalize(*_cmul(*g1.tolist(), *g2.tolist())))
 
     def inv(g):
-        return _cconj(_cnormalize(g))
+        a_re, a_im = _cnormalize(*g.tolist())
+        return np.array([a_re, -a_im])
 
     def from_params(p):
-        t = float(as_vector(p, 1)[0])
+        (t,) = as_vector(p, 1).tolist()
         return np.array([np.cos(t), np.sin(t)])
 
     return LieGroupModel(dim=1, identity=e, compose=comp, inverse=inv,
@@ -149,18 +158,21 @@ def se2_group() -> LieGroupModel:
     e = np.array([1.0, 0.0, 0.0, 0.0])
 
     def comp(g1, g2):
-        a1, v1 = g1[:2], g1[2:]
-        a2, v2 = g2[:2], g2[2:]
-        return np.concatenate([_cnormalize(_cmul(a1, a2)), _cmul(a1, v2) + v1])
+        a1r, a1i, v1r, v1i = g1.tolist()
+        a2r, a2i, v2r, v2i = g2.tolist()
+        a_re, a_im = _cnormalize(*_cmul(a1r, a1i, a2r, a2i))
+        w_re, w_im = _cmul(a1r, a1i, v2r, v2i)
+        return np.array([a_re, a_im, w_re + v1r, w_im + v1i])
 
     def inv(g):
-        a, v = _cnormalize(g[:2]), g[2:]
-        ainv = _cconj(a)
-        return np.concatenate([ainv, -_cmul(ainv, v)])
+        a_re, a_im, v_re, v_im = g.tolist()
+        a_re, a_im = _cnormalize(a_re, a_im)
+        w_re, w_im = _cmul(a_re, -a_im, v_re, v_im)
+        return np.array([a_re, -a_im, -w_re, -w_im])
 
     def from_params(p):
-        p = as_vector(p, 3)
-        return np.array([np.cos(p[0]), np.sin(p[0]), p[1], p[2]])
+        t, v_re, v_im = as_vector(p, 3).tolist()
+        return np.array([np.cos(t), np.sin(t), v_re, v_im])
 
     return LieGroupModel(dim=3, identity=e, compose=comp, inverse=inv,
                          from_params=from_params)
@@ -168,7 +180,8 @@ def se2_group() -> LieGroupModel:
 
 def project_to_quotient(g: np.ndarray) -> np.ndarray:
     """The quotient homomorphism SE(2) -> SE(2)/T2 = U(1): keep the rotation."""
-    return _cnormalize(as_vector(g, 4)[:2])
+    a_re, a_im, _, _ = as_vector(g, 4).tolist()
+    return np.array(_cnormalize(a_re, a_im))
 
 
 # --- concrete actions -----------------------------------------------------
@@ -178,8 +191,9 @@ def se2_plane_action() -> ActionModel:
     G = se2_group()
 
     def act(g, q):
-        a, v = g[:2], g[2:]
-        return _cmul(a, q) + v
+        a_re, a_im, v_re, v_im = g.tolist()
+        w_re, w_im = _cmul(a_re, a_im, *q.tolist())
+        return np.array([w_re + v_re, w_im + v_im])
 
     return ActionModel(group=G, space_dim=2, act=act)
 
@@ -189,19 +203,24 @@ def se2_two_point_action() -> ActionModel:
     G = se2_group()
 
     def act(g, q):
-        a, v = g[:2], g[2:]
-        return np.concatenate([_cmul(a, q[:2]) + v, _cmul(a, q[2:]) + v])
+        a_re, a_im, v_re, v_im = g.tolist()
+        x_re, x_im, y_re, y_im = q.tolist()
+        return np.array([a_re * x_re - a_im * x_im + v_re,
+                         a_re * x_im + a_im * x_re + v_im,
+                         a_re * y_re - a_im * y_im + v_re,
+                         a_re * y_im + a_im * y_re + v_im])
 
     def match(qa, qb):
         # Solve A(qa^x - qa^y) = qb^x - qb^y for the rotation, then read
         # the translation off the first point.
-        da, db = qa[:2] - qa[2:], qb[:2] - qb[2:]
-        na = float(np.hypot(*da))
-        if na == 0.0:
+        xa_re, xa_im, ya_re, ya_im = qa.tolist()
+        xb_re, xb_im, yb_re, yb_im = qb.tolist()
+        da_re, da_im = xa_re - ya_re, xa_im - ya_im
+        if float(np.hypot(da_re, da_im)) == 0.0:
             raise ZeroDivisionError("coincident source points")
-        a = _cnormalize(_cmul(db, _cconj(da)))
-        v = qb[:2] - _cmul(a, qa[:2])
-        return np.concatenate([a, v])
+        a_re, a_im = _cnormalize(*_cmul(xb_re - yb_re, xb_im - yb_im, da_re, -da_im))
+        w_re, w_im = _cmul(a_re, a_im, xa_re, xa_im)
+        return np.array([a_re, a_im, xb_re - w_re, xb_im - w_im])
 
     return ActionModel(group=G, space_dim=4, act=act, match=match)
 
@@ -211,10 +230,14 @@ def t2_two_point_action() -> ActionModel:
     G = t2_group()
 
     def act(g, q):
-        return np.concatenate([q[:2] + g, q[2:] + g])
+        g_re, g_im = g.tolist()
+        x_re, x_im, y_re, y_im = q.tolist()
+        return np.array([x_re + g_re, x_im + g_im, y_re + g_re, y_im + g_im])
 
     def match(qa, qb):
-        return qb[:2] - qa[:2]
+        xa_re, xa_im, _, _ = qa.tolist()
+        xb_re, xb_im, _, _ = qb.tolist()
+        return np.array([xb_re - xa_re, xb_im - xa_im])
 
     return ActionModel(group=G, space_dim=4, act=act, match=match)
 
@@ -224,10 +247,11 @@ def u1_plane_action() -> ActionModel:
     G = u1_group()
 
     def act(g, q):
-        return _cmul(g, q)
+        return np.array(_cmul(*g.tolist(), *q.tolist()))
 
     def match(qa, qb):
-        return _cnormalize(_cmul(qb, _cconj(qa)))
+        a_re, a_im = qa.tolist()
+        return np.array(_cnormalize(*_cmul(*qb.tolist(), a_re, -a_im)))
 
     return ActionModel(group=G, space_dim=2, act=act, match=match)
 

@@ -5,17 +5,43 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dlpsim.diagnostics import (bracket_of_pullbacks,
-                                bracket_via_legendre_chart, momentum,
-                                momentum_evolution_check,
+from dlpsim.diagnostics import (bracket_of_pullbacks, canonical_step_map,
+                                momentum, momentum_evolution_check,
                                 poisson_descent_check, symplectic_check)
-from dlpsim.dlps import (free_particle_dms, from_dms, harmonic_oscillator_dms,
-                         make_path, simulate)
+from dlpsim.dlps import (d1_lagrangian, free_particle_dms, from_dms,
+                         harmonic_oscillator_dms, make_path, simulate)
 from dlpsim.errors import RegularityError
 from dlpsim.example_se2 import sample_cprime
 from dlpsim.lie import ActionModel, LieGroupModel, t2_two_point_action
 from dlpsim.reduction import trivial_reduction
-from dlpsim.smooth import SmoothMapHandle
+from dlpsim.smooth import SmoothMapHandle, jacobian_fd
+
+
+def _pullback_gradient_legendre(sys, fn, model, z, q1_guess):
+    """Gradient in Legendre coordinates of a reduced function's pullback."""
+    n = sys.bundle.total_dim
+    step_map = canonical_step_map(sys, q1_guess)
+
+    def value(zz):
+        q1 = step_map(zz)[:n]
+        return fn(model.upsilon(np.concatenate([zz[:n], q1])))
+
+    return jacobian_fd(value, z)[0]
+
+
+def bracket_via_legendre_chart(sys, model, f1, f2, x):
+    """Canonical bracket of pullbacks computed in the Legendre chart.
+
+    Slow route (each perturbed evaluation re-solves the implicit Legendre
+    relation); the independent cross-check of ``bracket_of_pullbacks``.
+    """
+    n = sys.bundle.total_dim
+    q0, q1 = x[:n], x[n:]
+    p0 = -d1_lagrangian(sys, q0, q1)
+    z = np.concatenate([q0, p0])
+    g1 = _pullback_gradient_legendre(sys, f1, model, z, q1)
+    g2 = _pullback_gradient_legendre(sys, f2, model, z, q1)
+    return float(g1[:n] @ g2[n:] - g1[n:] @ g2[:n])
 
 
 def line_translation_action():

@@ -3,6 +3,8 @@ model, closed-form dynamics and the staged-reduction configuration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpsim.dlps import simulate
 from dlpsim.errors import DomainError
@@ -182,16 +184,23 @@ def test_residual_action_preserves_reduced_lagrangian(staged, rng):
         assert abs(sysr.lag(gy) - sysr.lag(y)) < 1e-12
 
 
-@pytest.mark.parametrize("symmetry", [
-    lambda full, staged: (full, t2_two_point_action(), t2_two_point_action(),
-                          sample_cprime, SYMMETRY_TOLS["chaining-map G-equivariance"]),
-    lambda full, staged: (full, se2_two_point_action(), se2_two_point_action(),
-                          sample_cprime, SYMMETRY_TOLS["chaining-map G-equivariance"]),
-    lambda full, staged: (staged.stage_h.system, staged.residual_action,
-                          staged.stage_gh.model.action_m,
-                          lambda r: staged.stage_h.model.upsilon(sample_cprime(r)),
-                          RESIDUAL_IVCM_TOL),
-], ids=["T2-full", "SE2-full", "residual-U1-reduced"])
+#: Each shipped symmetry as (system, action on E, action on M, sampler,
+#: the chaining-map bound its reduction validates).
+SHIPPED_SYMMETRIES = {
+    "T2-full": lambda full, staged: (
+        full, t2_two_point_action(), t2_two_point_action(), sample_cprime,
+        SYMMETRY_TOLS["chaining-map G-equivariance"]),
+    "SE2-full": lambda full, staged: (
+        full, se2_two_point_action(), se2_two_point_action(), sample_cprime,
+        SYMMETRY_TOLS["chaining-map G-equivariance"]),
+    "residual-U1-reduced": lambda full, staged: (
+        staged.stage_h.system, staged.residual_action, staged.stage_gh.model.action_m,
+        lambda r: staged.stage_h.model.upsilon(sample_cprime(r)), RESIDUAL_IVCM_TOL),
+}
+
+
+@pytest.mark.parametrize("symmetry", list(SHIPPED_SYMMETRIES.values()),
+                         ids=list(SHIPPED_SYMMETRIES))
 def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmetry):
     """Each shipped group acts by a genuine left action of bundle maps,
     leaving the Lagrangian invariant to 1e-12 and the chaining map
@@ -201,6 +210,21 @@ def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmet
     bounds = {**dict.fromkeys(report, 1e-12), "chaining-map G-equivariance": ivcm_tol}
     assert {name: worst for name, (worst, _) in report.items()
             if worst > bounds[name]} == {}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(SHIPPED_SYMMETRIES)))
+def test_shipped_symmetries_pass_check_symmetry_on_random_draws(full_system, staged,
+                                                                seed, name):
+    """For random seeds, every shipped symmetry stays within the bounds
+    ``build_upsilon`` validates: ``SYMMETRY_TOLS``, with the chaining map
+    bounded as its reduction bounds it."""
+    sys, action_e, action_m, sample, ivcm_tol = SHIPPED_SYMMETRIES[name](full_system, staged)
+    report = check_symmetry(sys, action_e, action_m, sample,
+                            rng=np.random.default_rng(seed))
+    bounds = {**SYMMETRY_TOLS, "chaining-map G-equivariance": ivcm_tol}
+    assert {cond: worst for cond, (worst, _) in report.items()
+            if not worst <= bounds[cond]} == {}
 
 
 def test_one_shot_reduction_roundtrip(staged):

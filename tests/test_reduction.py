@@ -18,8 +18,8 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
-from dlpsim.reduction import (build_upsilon, check_morphism, check_symmetry,
-                              project_path,
+from dlpsim.reduction import (SYMMETRY_TOLS, build_upsilon, check_morphism,
+                              check_symmetry, project_path,
                               reconstruct_path, reduce, solve_matching,
                               trivial_reduction, two_stage)
 from dlpsim.smooth import (SmoothMapHandle, gradient_fd5, identity_map,
@@ -295,6 +295,28 @@ def test_build_upsilon_names_broken_symmetry_condition(full_system, conn, action
         build_upsilon(conn, full_system, _distance_chart, section,
                       action_e=action_e, sample_cprime=sample_cprime)
     assert err.value.identity == identity
+
+
+#: The two negative controls on the full system: (action on E, action on
+#: M, the condition that breaks).
+NEGATIVE_CONTROLS = {
+    "bundle-map": (t2_two_point_action(), _double_translation(),
+                   "bundle-map G-equivariance"),
+    "right-action": (_right_se2_action(), _right_se2_action(),
+                     "action compatibility axiom"),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(NEGATIVE_CONTROLS)))
+def test_negative_controls_fail_check_symmetry_on_random_draws(full_system, seed,
+                                                               control):
+    """For random seeds, each negative control exceeds the ``SYMMETRY_TOLS``
+    bound of the condition it breaks."""
+    action_e, action_m, broken = NEGATIVE_CONTROLS[control]
+    report = check_symmetry(full_system, action_e, action_m, sample_cprime,
+                            rng=np.random.default_rng(seed))
+    assert report[broken][0] > SYMMETRY_TOLS[broken]
 
 
 @pytest.mark.parametrize("fiber_chart, fiber_section", [

@@ -1,0 +1,340 @@
+"""The planar group, action and connection closures against reference copies
+of their 2-element numpy formulations.
+
+The closures compute on Python floats read with ``.tolist()``; each
+reference below evaluates the same complex formula over numpy arrays.
+On seeded draws every closure must give the reference's result bit for
+bit (dtype, shape and bytes, so the sign of a zero counts too), raise the
+reference's exception at zero norm, and keep a NaN input as a NaN
+output without raising.
+"""
+
+import numpy as np
+import pytest
+
+from dlpsim import example_se2
+from dlpsim.errors import DomainError
+from dlpsim.example_se2 import (make_residual_u1_action, make_se2_connection,
+                                make_t2_connection, make_u1_connection)
+from dlpsim.lie import (project_to_quotient, se2_group, se2_plane_action,
+                        se2_two_point_action, t2_two_point_action, u1_group,
+                        u1_plane_action)
+from dlpsim.reduction import build_upsilon
+from dlpsim.smooth import as_vector
+
+SQRT2 = float(np.sqrt(2.0))
+FLOOR = 1e-12
+DRAWS = 200
+
+
+# --- reference formulas over 2-element arrays ------------------------------
+
+def _cmul(a, b):
+    return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
+
+
+def _cconj(a):
+    return np.array([a[0], -a[1]])
+
+
+def _cnormalize(a):
+    n = float(np.hypot(a[0], a[1]))
+    if n == 0.0:
+        raise ZeroDivisionError("cannot normalize the zero complex number")
+    return a / n
+
+
+def _sep(q):
+    return q[:2] - q[2:]
+
+
+def _phase(a):
+    n = float(np.hypot(*a))
+    if n < FLOOR:
+        raise DomainError("phase of a vanishing complex number")
+    return a / n
+
+
+def _check_off_diagonal(q):
+    if float(np.hypot(*_sep(q))) < FLOOR:
+        raise DomainError("coincident particles (excised diagonal)")
+
+
+def se2_comp(g1, g2):
+    a1, v1 = g1[:2], g1[2:]
+    a2, v2 = g2[:2], g2[2:]
+    return np.concatenate([_cnormalize(_cmul(a1, a2)), _cmul(a1, v2) + v1])
+
+
+def se2_inv(g):
+    a, v = _cnormalize(g[:2]), g[2:]
+    ainv = _cconj(a)
+    return np.concatenate([ainv, -_cmul(ainv, v)])
+
+
+def se2_from_params(p):
+    p = as_vector(p, 3)
+    return np.array([np.cos(p[0]), np.sin(p[0]), p[1], p[2]])
+
+
+def u1_from_params(p):
+    t = float(as_vector(p, 1)[0])
+    return np.array([np.cos(t), np.sin(t)])
+
+
+def se2_match(qa, qb):
+    da, db = qa[:2] - qa[2:], qb[:2] - qb[2:]
+    if float(np.hypot(*da)) == 0.0:
+        raise ZeroDivisionError("coincident source points")
+    a = _cnormalize(_cmul(db, _cconj(da)))
+    return np.concatenate([a, qb[:2] - _cmul(a, qa[:2])])
+
+
+def t2_hor_lift(q0, r1):
+    s0 = q0[:2] + q0[2:]
+    return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
+
+
+def se2_ad_form(q0, q1):
+    d0, d1 = _sep(q0), _sep(q1)
+    a = _phase(_cmul(d1, _cconj(d0)))
+    s0 = q0[:2] + q0[2:]
+    s1 = q1[:2] + q1[2:]
+    return np.concatenate([a, 0.5 * (s1 - _cmul(a, s0))])
+
+
+def se2_hor_lift(q0, rho1):
+    r1 = float(rho1[0]) * _phase(_sep(q0) / SQRT2)
+    s0 = q0[:2] + q0[2:]
+    return np.concatenate([0.5 * (s0 + SQRT2 * r1), 0.5 * (s0 - SQRT2 * r1)])
+
+
+def t2_chart(eps, w):
+    return np.concatenate([_sep(eps) / SQRT2, w])
+
+
+def t2_section(v):
+    r0, z0 = v[:2], v[2:]
+    return np.concatenate([r0, -r0]) / SQRT2, z0.copy()
+
+
+def u1_stage_chart(eps, b):
+    r, z = eps[:2], eps[2:]
+    rho0 = float(np.hypot(*r))
+    if rho0 < FLOOR:
+        raise DomainError("relative position vanishes in reduced chart")
+    zeta = _cmul(_cconj(r / rho0), z)
+    return np.array([rho0, float(np.arctan2(b[1], b[0])), zeta[0], zeta[1]])
+
+
+def u1_stage_section(v):
+    return (np.array([v[0], 0.0, v[2], v[3]]),
+            np.array([np.cos(v[1]), np.sin(v[1])]))
+
+
+def se2_chart(eps, g):
+    r0 = _sep(eps) / SQRT2
+    rho0 = float(np.hypot(*r0))
+    if rho0 < FLOOR:
+        raise DomainError("coincident particles in reduced chart")
+    a, w = g[:2], g[2:]
+    s0 = eps[:2] + eps[2:]
+    one_minus_a = np.array([1.0 - a[0], -a[1]])
+    zeta = _cmul(_cconj(r0 / rho0), w - 0.5 * _cmul(one_minus_a, s0))
+    return np.array([rho0, float(np.arctan2(a[1], a[0])), zeta[0], zeta[1]])
+
+
+def se2_section(v):
+    eps = np.array([v[0], 0.0, -v[0], 0.0]) / SQRT2
+    a = np.array([np.cos(v[1]), np.sin(v[1])])
+    return eps, np.concatenate([a, v[2:]])
+
+
+def sample_configuration(rng):
+    while True:
+        q = rng.uniform(-2.0, 2.0, size=4)
+        if float(np.hypot(*_sep(q))) >= 0.3:
+            return q
+
+
+def sample_annulus(rng, inner=0.3, outer=2.5):
+    while True:
+        r = rng.uniform(-outer, outer, size=2)
+        if inner <= float(np.hypot(*r)) <= outer:
+            return r
+
+
+# --- the closures and their references -------------------------------------
+
+@pytest.fixture(scope="module")
+def fiber_maps():
+    """The fiber charts and sections that ``make_staged_setup`` hands to
+    ``build_upsilon``: the translation model, stage two and the one-shot
+    model, in that order."""
+    seen = []
+
+    def recording(conn, sys, fiber_chart, fiber_section, **kw):
+        seen.append((fiber_chart, fiber_section))
+        return build_upsilon(conn, sys, fiber_chart, fiber_section, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(example_se2, "build_upsilon", recording)
+        example_se2.make_staged_setup(rng=np.random.default_rng(5))
+    assert len(seen) == 3
+    return seen
+
+
+def _flat(out):
+    """A section's (eps, g) pair as one array; any other value as it is."""
+    return np.concatenate(out) if isinstance(out, tuple) else out
+
+
+def _closures(fiber_maps):
+    """(name, closure, reference, argument lengths) for every rewritten closure."""
+    se2, u1 = se2_group(), u1_group()
+    two, t2, plane = se2_two_point_action(), t2_two_point_action(), se2_plane_action()
+    rot = u1_plane_action()
+    c_t2, c_se2, c_u1 = make_t2_connection(), make_se2_connection(), make_u1_connection()
+    (t2c, t2s), (u1c, u1s), (se2c, se2s) = fiber_maps
+    return [
+        ("se2.compose", se2.compose, se2_comp, (4, 4)),
+        ("se2.inverse", se2.inverse, se2_inv, (4,)),
+        ("se2.from_params", se2.from_params, se2_from_params, (3,)),
+        ("u1.compose", u1.compose, lambda a, b: _cnormalize(_cmul(a, b)), (2, 2)),
+        ("u1.inverse", u1.inverse, lambda g: _cconj(_cnormalize(g)), (2,)),
+        ("u1.from_params", u1.from_params, u1_from_params, (1,)),
+        ("project_to_quotient", project_to_quotient,
+         lambda g: _cnormalize(as_vector(g, 4)[:2]), (4,)),
+        ("se2_two_point.act", two.act,
+         lambda g, q: np.concatenate([_cmul(g[:2], q[:2]) + g[2:],
+                                      _cmul(g[:2], q[2:]) + g[2:]]), (4, 4)),
+        ("se2_two_point.match", two.match, se2_match, (4, 4)),
+        ("t2_two_point.act", t2.act,
+         lambda g, q: np.concatenate([q[:2] + g, q[2:] + g]), (2, 4)),
+        ("t2_two_point.match", t2.match, lambda qa, qb: qb[:2] - qa[:2], (4, 4)),
+        ("se2_plane.act", plane.act, lambda g, q: _cmul(g[:2], q) + g[2:], (4, 2)),
+        ("u1_plane.act", rot.act, _cmul, (2, 2)),
+        ("u1_plane.match", rot.match,
+         lambda qa, qb: _cnormalize(_cmul(qb, _cconj(qa))), (2, 2)),
+        ("t2.ad_form", c_t2.ad_form,
+         lambda q0, q1: 0.5 * ((q1[:2] + q1[2:]) - (q0[:2] + q0[2:])), (4, 4)),
+        ("t2.hor_lift", c_t2.hor_lift, t2_hor_lift, (4, 2)),
+        ("t2.project", c_t2.quotient.project.eval, lambda q: _sep(q) / SQRT2, (4,)),
+        ("t2.section", c_t2.quotient.section.eval,
+         lambda r: np.concatenate([r, -r]) / SQRT2, (2,)),
+        ("se2.ad_form", c_se2.ad_form, se2_ad_form, (4, 4)),
+        ("se2.hor_lift", c_se2.hor_lift, se2_hor_lift, (4, 1)),
+        ("se2.project", c_se2.quotient.project.eval,
+         lambda q: np.array([float(np.hypot(*_sep(q))) / SQRT2]), (4,)),
+        ("se2.section", c_se2.quotient.section.eval,
+         lambda rho: np.array([rho[0], 0.0, -rho[0], 0.0]) / SQRT2, (1,)),
+        ("u1.ad_form", c_u1.ad_form, lambda r0, r1: _phase(_cmul(r1, _cconj(r0))), (2, 2)),
+        ("u1.hor_lift", c_u1.hor_lift, lambda r0, rho1: float(rho1[0]) * _phase(r0),
+         (2, 1)),
+        ("u1.project", c_u1.quotient.project.eval,
+         lambda r: np.array([float(np.hypot(*r))]), (2,)),
+        ("u1.section", c_u1.quotient.section.eval,
+         lambda rho: np.array([rho[0], 0.0]), (1,)),
+        ("_phase", lambda a: np.array(example_se2._phase(*a.tolist())), _phase, (2,)),
+        ("residual_u1.act", make_residual_u1_action().act,
+         lambda g, y: np.concatenate([_cmul(g, y[:2]), _cmul(g, y[2:])]), (2, 4)),
+        ("conjugate_translation_by_se2", example_se2.conjugate_translation_by_se2,
+         lambda g, h: _cmul(g[:2], h), (4, 2)),
+        ("t2.fiber_chart", t2c, t2_chart, (4, 2)),
+        ("t2.fiber_section", t2s, t2_section, (4,)),
+        ("u1_stage.fiber_chart", u1c, u1_stage_chart, (4, 2)),
+        ("u1_stage.fiber_section", u1s, u1_stage_section, (4,)),
+        ("se2_one_shot.fiber_chart", se2c, se2_chart, (4, 4)),
+        ("se2_one_shot.fiber_section", se2s, se2_section, (4,)),
+    ]
+
+
+def _same_bits(out, ref):
+    out, ref = _flat(out), _flat(ref)
+    return (isinstance(out, np.ndarray) and out.dtype == ref.dtype
+            and out.shape == ref.shape and out.tobytes() == ref.tobytes())
+
+
+def test_closures_match_reference_bit_for_bit(fiber_maps):
+    """Seeded draws in [-2, 2] (group elements not normalized, so the
+    renormalizing products are exercised off the group too), then draws
+    whose entries are small integers, where exact zeros and their signs
+    appear."""
+    rng = np.random.default_rng(2027)
+    for name, closure, reference, dims in _closures(fiber_maps):
+        for k in range(DRAWS):
+            draw = ((lambda n: rng.uniform(-2.0, 2.0, n)) if k % 2 else
+                    (lambda n: rng.integers(-2, 3, n).astype(float)))
+            args = [draw(n) for n in dims]
+            try:
+                ref = reference(*args)
+            except (ZeroDivisionError, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    closure(*args)
+                continue
+            assert _same_bits(closure(*args), ref), (name, args)
+
+
+@pytest.mark.parametrize("name, args, exc", [
+    ("se2.compose", ([0.0, 0.0, 1.0, 2.0], [0.6, 0.8, 0.0, 1.0]), ZeroDivisionError),
+    ("se2.inverse", ([0.0, 0.0, 1.0, 2.0],), ZeroDivisionError),
+    ("u1.compose", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
+    ("u1.inverse", ([0.0, 0.0],), ZeroDivisionError),
+    ("project_to_quotient", ([0.0, 0.0, 3.0, 4.0],), ZeroDivisionError),
+    ("se2_two_point.match", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),
+     ZeroDivisionError),
+    ("se2_two_point.match", ([0.0, 1.0, 1.0, 0.0], [1.0, 2.0, 1.0, 2.0]),
+     ZeroDivisionError),
+    ("u1_plane.match", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
+    ("_phase", ([0.0, 0.0],), DomainError),
+    ("_phase", ([1e-13, 0.0],), DomainError),
+    ("se2.ad_form", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]), DomainError),
+    ("se2.hor_lift", ([1.0, 2.0, 1.0, 2.0], [0.5]), DomainError),
+    ("u1.ad_form", ([0.0, 0.0], [0.6, 0.8]), DomainError),
+    ("u1.hor_lift", ([0.0, 0.0], [0.5]), DomainError),
+    ("u1_stage.fiber_chart", ([0.0, 0.0, 1.0, 2.0], [1.0, 0.0]), DomainError),
+    ("se2_one_shot.fiber_chart", ([1.0, 2.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]),
+     DomainError),
+])
+def test_zero_norm_raises_as_reference(fiber_maps, name, args, exc):
+    """At zero norm each closure raises the reference's exception type."""
+    _, closure, reference, _ = next(c for c in _closures(fiber_maps) if c[0] == name)
+    args = [np.array(a) for a in args]
+    with pytest.raises(exc):
+        reference(*args)
+    with pytest.raises(exc):
+        closure(*args)
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5e-12, 1e-12, 2e-12, 0.3])
+def test_check_off_diagonal_as_reference(d):
+    """The excised diagonal: DomainError exactly where the reference raises."""
+    q = np.array([0.25, -1.0, 0.25 + d, -1.0])
+    try:
+        _check_off_diagonal(q)
+    except DomainError:
+        with pytest.raises(DomainError):
+            example_se2._check_off_diagonal(q)
+    else:
+        example_se2._check_off_diagonal(q)
+
+
+def test_nan_input_gives_nan_output(fiber_maps):
+    """A NaN argument propagates to the value; nothing raises or warns."""
+    for name, closure, _, dims in _closures(fiber_maps):
+        out = _flat(closure(*[np.full(n, np.nan) for n in dims]))
+        assert np.isnan(out).any(), name
+    example_se2._check_off_diagonal(np.full(4, np.nan))
+
+
+@pytest.mark.parametrize("sampler, reference, args", [
+    (example_se2.sample_configuration, sample_configuration, ()),
+    (example_se2.sample_annulus, sample_annulus, ()),
+    (example_se2.sample_annulus, sample_annulus, (0.7, 1.3)),
+])
+def test_samplers_match_reference(sampler, reference, args):
+    """Same draws and the same generator state after them."""
+    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(DRAWS):
+        assert _same_bits(sampler(rng_a, *args), reference(rng_b, *args))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
