@@ -73,8 +73,8 @@ class DlpsSystem:
     ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
     basis in one call, as a float array of shape (total_dim, total_dim);
     callers must not write to it, since a constant chaining map may
-    return one shared array (``from_dms`` does, and
-    ``example_se2.make_reduced_system`` returns a read-only one).
+    return one shared array (``from_dms`` does, and ``reduction.reduce``
+    returns a read-only one for an affine reduction of a DMS).
 
     ``del_jacobian(x_cur)``, when given, is the closed-form derivative of
     the discrete Euler-Lagrange covector with respect to the current row
@@ -82,14 +82,10 @@ class DlpsSystem:
     where that derivative depends on x_cur alone, which holds when d phi
     is constant and the chaining matrix does not depend on x_cur. It is
     then rows ``[:total_dim]`` of the Lagrangian's Hessian. Two producers
-    set it: ``from_dms``, for every DMS whose Lagrangian has ``hess``
-    (identity bundle, zero chaining map), and
-    ``example_se2.make_reduced_system``, for the translation-reduced
-    two-body system (a reduction of a DMS by a linear ``upsilon``, so
-    the reduced phi and chaining matrix are constant; that system
-    carries the matrix, read once, as its ``ivcm_matrix``). ``step`` then
-    builds its Newton Jacobian from it; without it, Newton differences
-    the step residual.
+    set it when the Lagrangian has ``hess``: ``from_dms``, for every DMS,
+    and ``reduction.reduce``, for every affine reduction of a DMS.
+    ``step`` then builds its Newton Jacobian from it; without it, Newton
+    differences the step residual.
     """
 
     bundle: FiberBundleModel

@@ -43,11 +43,11 @@ def potential_handle(name: str, coeff: float = 1.0) -> SmoothMapHandle:
     """Named potential families V(s), s the squared separation, with
     their closed-form V' (``jac``) and V'' (``hess``)."""
     if name == "zero":
-        return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=lambda s: np.zeros((1, 1)),
+        return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=np.zeros((1, 1)),
                                hess=lambda s: np.zeros((1, 1)))
     if name == "linear":
         return SmoothMapHandle(1, 1, lambda s: coeff * s,
-                               jac=lambda s: np.array([[coeff]]),
+                               jac=np.array([[coeff]]),
                                hess=lambda s: np.zeros((1, 1)))
     if name == "quadratic":
         return SmoothMapHandle(1, 1, lambda s: coeff * s ** 2,
@@ -192,9 +192,9 @@ def _sum_and_split(s_re, s_im, r1_re, r1_im) -> np.ndarray:
 def make_t2_quotient() -> QuotientModel:
     """Quotient by simultaneous translations: base coordinate r = (q^x - q^y)/sqrt(2)."""
     project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)),
-                              jac=lambda q: _T2_PROJECT_JAC)
+                              jac=_T2_PROJECT_JAC)
     section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()),
-                              jac=lambda r: _T2_SECTION_JAC)
+                              jac=_T2_SECTION_JAC)
     return QuotientModel(total_dim=4, base_dim=2, project=project,
                          section=section, action=t2_two_point_action(),
                          sample=sample_configuration)
@@ -213,34 +213,6 @@ def make_t2_connection() -> DiscreteConnection:
     def hor_lift(q0, r1):
         x_re, x_im, y_re, y_im = q0.tolist()
         return _sum_and_split(x_re + y_re, x_im + y_im, *r1.tolist())
-
-    return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
-
-
-def make_weighted_t2_connection(weight_x: float, weight_y: float) -> DiscreteConnection:
-    """Translation connection from an anisotropic particle weighting.
-
-    Horizontality balances the weighted displacements; the offset is the
-    weighted mean (w_x dx + w_y dy) / (w_x + w_y). Coincides with the
-    flat-metric construction for metric diag(w_x, w_x, w_y, w_y) and with
-    the unweighted connection when the weights agree.
-    """
-    if weight_x <= 0 or weight_y <= 0:
-        raise ValueError("weights must be positive")
-    quotient = make_t2_quotient()
-    total = weight_x + weight_y
-
-    def ad_form(q0, q1):
-        dx = q1[:2] - q0[:2]
-        dy = q1[2:] - q0[2:]
-        return (weight_x * dx + weight_y * dy) / total
-
-    def hor_lift(q0, r1):
-        # q1 = (a + wy*sqrt2*r1/total, a - wx*sqrt2*r1/total) with the
-        # weighted mean a matching q0's.
-        a = (weight_x * q0[:2] + weight_y * q0[2:]) / total
-        return np.concatenate([a + weight_y * SQRT2 * r1 / total,
-                               a - weight_x * SQRT2 * r1 / total])
 
     return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
@@ -270,11 +242,8 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     connection. Validated against a concrete system (default timestep 0.1,
     V(s) = s/2) since symmetry validation needs a Lagrangian. The model is
     linear in these coordinates, so ``upsilon``, ``lift_section`` and the
-    reduced bundle's ``phi`` carry their constant Jacobians as ``jac``:
-    the reduced Lagrangian then gets its gradient by the chain rule, the
-    reduced chaining map its derivative blocks in closed form, and
-    ``make_reduced_system`` its Hessian and exact step Jacobian through
-    the same constant ``lift_section`` Jacobian.
+    reduced bundle's ``phi`` carry their constant Jacobians as ``jac``
+    arrays, which makes the model affine for ``reduce``.
     """
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
@@ -293,47 +262,21 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     bundle = model.reduced_bundle
     return replace(
         model,
-        upsilon=replace(model.upsilon, jac=lambda x: _T2_UPSILON_JAC),
-        lift_section=replace(model.lift_section, jac=lambda y: _T2_LIFT_JAC),
-        reduced_bundle=replace(bundle, phi=replace(
-            bundle.phi, jac=lambda v: _T2_REDUCED_PHI_JAC)))
+        upsilon=replace(model.upsilon, jac=_T2_UPSILON_JAC),
+        lift_section=replace(model.lift_section, jac=_T2_LIFT_JAC),
+        reduced_bundle=replace(bundle, phi=replace(bundle.phi, jac=_T2_REDUCED_PHI_JAC)))
 
 
 def make_reduced_system(cfg: TwoBodyConfig | None = None,
                         rng: np.random.Generator | None = None) -> ReductionResult:
     """The two-body system reduced by translations.
 
-    The full system is a DMS (zero chaining map, identity bundle) and
-    ``upsilon`` is linear, so the reduced phi and chaining matrix are
-    constant. The reduced system reads that matrix C once off the
-    generic chaining map of ``reduce``, at r0 = r1 = (1, 0), z0 = 0
-    (every block it is built from is constant, so C is that map's value
-    at every point), and carries ``ivcm_matrix = C`` (read-only) and
-    ``ivcm = C @ delta``. When the full Lagrangian has a closed-form
-    ``hess``, the reduced one gets ``T^T hess(lift_section(y)) T``, T the
-    constant Jacobian of the linear ``lift_section``, and the reduced
-    system gets its rows ``[:4]`` as ``del_jacobian``, so ``step`` takes
-    an exact Newton Jacobian. Otherwise the step differences its
-    residual.
+    The full system is a DMS and the model is affine, so ``reduce`` gives
+    the reduced system its constant chaining matrix and, when the
+    potential has V'', the exact Newton Jacobian of its step.
     """
     cfg = cfg or TwoBodyConfig()
-    model = make_reduced_model(cfg, rng=rng)
-    full = make_full_system(cfg)
-    result = reduce(full, model)
-    point = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    C = result.system.ivcm_matrix(point, point)
-    C.flags.writeable = False
-    system = replace(result.system, ivcm=lambda y0, y1, d: C @ as_vector(d, 4),
-                     ivcm_matrix=lambda y0, y1: C)
-    L, lift = full.lagrangian, model.lift_section
-    if L.hess is not None:
-        def hess(y):
-            return _T2_LIFT_JAC.T @ L.hessian(lift(y)) @ _T2_LIFT_JAC
-
-        lagrangian = replace(system.lagrangian, hess=hess)
-        system = replace(system, lagrangian=lagrangian,
-                         del_jacobian=lambda y: lagrangian.hessian(y)[:4])
-    return replace(result, system=system)
+    return reduce(make_full_system(cfg), make_reduced_model(cfg, rng=rng))
 
 
 def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
@@ -467,11 +410,10 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     """Build and validate the SE(2)-over-T2 staged reduction data.
 
     Stage one is ``make_reduced_system``, the reduction by translations
-    onto C* x T2 with its constant chaining matrix; the residual circle
-    action (validated by ``build_upsilon`` as a symmetry of the reduced
-    system) drives stage two over the base |r|; the one-shot SE(2)
-    model uses the invariant coordinates (|r0|, rotation angle,
-    phase-aligned translation offset).
+    onto C* x T2; the residual circle action (validated by
+    ``build_upsilon`` as a symmetry of the reduced system) drives stage
+    two over the base |r|; the one-shot SE(2) model uses the invariant
+    coordinates (|r0|, rotation angle, phase-aligned translation offset).
     """
     cfg = cfg or TwoBodyConfig()
     rng = rng or np.random.default_rng(424242)

@@ -288,17 +288,22 @@ def _solve_isomorphism(J: np.ndarray) -> np.ndarray:
 def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     """The reduced system determined by a validated model.
 
-    The reduced Lagrangian is the original one through the lift section,
-    ``L o lift_section``. When both ``L`` and ``lift_section`` carry a
-    ``jac``, its gradient is the chain rule
-    ``L.jacobian(lift(y)) @ lift.jacobian(y)``; otherwise it has no
-    ``jac`` and D1/D2 take the stencil. The reduced chaining map lifts a
-    reduced second-order point to a compatible pair upstairs, converts
-    the reduced tangent through the fiber-slot derivative isomorphism (a
-    small dense solve), pushes it through the original chaining map and
-    the bundle projection, and maps both pieces back down with the two
-    partial derivatives of the fiber part of upsilon, read off
-    ``upsilon.jacobian`` (closed form when upsilon has a ``jac``).
+    The reduced Lagrangian is ``L o lift_section``, with the chain-rule
+    gradient ``L.jacobian(lift(y)) @ lift.jacobian(y)`` when ``L`` and
+    ``lift_section`` both carry a ``jac`` (else none, and D1/D2 take the
+    stencil). The generic chaining map lifts a reduced second-order point
+    to a compatible pair upstairs, converts the reduced tangent through
+    the fiber-slot derivative isomorphism (a small dense solve), pushes it
+    through the original chaining map and the bundle projection, and maps
+    both pieces back down with the partial derivatives of upsilon.
+
+    An affine reduction of a DMS has a constant chaining matrix and an
+    exact step: when the source bundle is square (its chaining map is
+    zero) and its ``phi``, ``upsilon``, ``lift_section`` and the reduced
+    ``phi`` carry ``jac`` arrays, the chaining matrix is one read-only C
+    computed from them, and a ``hess`` on ``L`` gives the reduced
+    Lagrangian ``T^T hess(lift_section(y)) T`` (T the ``lift_section``
+    array) and the system its rows ``[:n]`` as ``del_jacobian``.
     """
     nE = sys.bundle.total_dim
     nEr = model.reduced_bundle.total_dim
@@ -309,10 +314,25 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         def lagrangian_jac(y):
             return L.jacobian(lift(y)) @ lift.jacobian(y)
 
+    C = hess = del_jacobian = None
+    if nE == sys.bundle.base_dim and all(isinstance(f.jac, np.ndarray) for f in (
+            sys.bundle.phi, upsilon, lift, model.reduced_bundle.phi)):
+        K = upsilon.jac[:nEr]
+        C = (K[:, nE:] @ sys.bundle.phi.jac) @ _solve_isomorphism(K[:, :nE])
+        C.flags.writeable = False
+        if L.hess is not None:
+            def hess(y):
+                return lift.jac.T @ L.hessian(lift(y)) @ lift.jac
+
+            def del_jacobian(y):
+                return hess(y)[:nEr]
+
     lagrangian = SmoothMapHandle(nEr + model.reduced_bundle.base_dim, 1,
-                                 lambda y: L(lift(y)), jac=lagrangian_jac)
+                                 lambda y: L(lift(y)), jac=lagrangian_jac, hess=hess)
 
     def reduced_ivcm_matrix(y0, y1) -> np.ndarray:
+        if C is not None:
+            return C
         # Lift y0 over the base point carried by v1 = y1[:nEr] itself: on
         # the second-order compatibility set this equals y0's base point,
         # and off it (solver iterates between constraint projections) it
@@ -330,7 +350,8 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         return reduced_ivcm_matrix(y0, y1) @ as_vector(delta_v1, nEr)
 
     reduced_sys = DlpsSystem(bundle=model.reduced_bundle, lagrangian=lagrangian,
-                             ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix)
+                             ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix,
+                             del_jacobian=del_jacobian)
     return ReductionResult(system=reduced_sys, model=model)
 
 

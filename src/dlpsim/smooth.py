@@ -18,6 +18,7 @@ fixed here once:
 A handle's closed-form derivatives come first and the differences are
 their fallback and test oracle: ``jac`` replaces ``jacobian_fd`` in
 ``.jacobian``, and on a scalar map ``hess`` gives the Hessian. A
+constant ``jac`` may be the array itself, the mark of an affine map. A
 Lagrangian's ``jac`` drives D1/D2 of the equations of motion, and its
 ``hess`` the exact Newton Jacobian of a discrete mechanical system's
 step; without them, D1/D2 take ``gradient_fd5`` and ``newton_solve``
@@ -68,12 +69,13 @@ class SmoothMapHandle:
     """An evaluatable map R^in_dim -> R^out_dim with optional Jacobian.
 
     ``eval`` must accept a 1-d array of length ``in_dim`` and return a
-    1-d array of length ``out_dim`` (scalars are promoted). When ``jac``
-    is supplied it must agree with central finite differences; that is
-    checked by tests, not at call time. On a discrete Lagrangian the
-    ``jac`` (the gradient) drives the slot derivatives D1/D2 of the
-    equations of motion; without one they fall back to the fourth-order
-    stencil of ``gradient_fd5``.
+    1-d array of length ``out_dim`` (scalars are promoted). ``jac`` is a
+    callable of x or, when constant, the (out_dim, in_dim) array itself,
+    stored as a read-only copy. It must agree with central finite
+    differences; that is checked by tests, not at call time. On a
+    discrete Lagrangian the ``jac`` (the gradient) drives the slot
+    derivatives D1/D2 of the equations of motion; without one they fall
+    back to the fourth-order stencil of ``gradient_fd5``.
 
     A scalar map (``out_dim`` 1) may also carry ``hess``, its closed-form
     second derivative, an (in_dim, in_dim) matrix that must agree with
@@ -84,23 +86,30 @@ class SmoothMapHandle:
     in_dim: int
     out_dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jac: Optional[Callable[[np.ndarray], np.ndarray] | np.ndarray] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.hess is not None and self.out_dim != 1:
             raise ValueError("only a scalar map (out_dim 1) carries a hess")
+        if isinstance(self.jac, np.ndarray):
+            jac = np.array(self.jac, dtype=float)
+            if jac.shape != (self.out_dim, self.in_dim):
+                raise ValueError(f"jac has shape {jac.shape}, not {(self.out_dim, self.in_dim)}")
+            jac.flags.writeable = False
+            object.__setattr__(self, "jac", jac)
 
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.in_dim)
         return as_vector(self.eval(x), self.out_dim)
 
     def jacobian(self, x, step: float | None = None) -> np.ndarray:
-        """Analytic Jacobian when available, else central differences."""
+        """Analytic Jacobian (a constant one as stored), else central differences."""
         x = as_vector(x, self.in_dim)
+        if isinstance(self.jac, np.ndarray):
+            return self.jac
         if self.jac is not None:
-            J = np.asarray(self.jac(x), dtype=float).reshape(self.out_dim, self.in_dim)
-            return J
+            return np.asarray(self.jac(x), dtype=float).reshape(self.out_dim, self.in_dim)
         return jacobian_fd(self, x, step=step)
 
     def hessian(self, x) -> np.ndarray:
@@ -112,7 +121,7 @@ class SmoothMapHandle:
 
 
 def identity_map(dim: int) -> SmoothMapHandle:
-    return SmoothMapHandle(dim, dim, lambda x: x, jac=lambda x: np.eye(dim))
+    return SmoothMapHandle(dim, dim, lambda x: x, jac=np.eye(dim))
 
 
 def jacobian_fd(f, x, step: float | None = None) -> np.ndarray:
@@ -183,8 +192,8 @@ class NewtonConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

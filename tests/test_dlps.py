@@ -440,7 +440,7 @@ def test_del_jacobian_matches_fd_of_del_covector(case, rng):
         assert np.max(np.abs(sys.del_jacobian(x_cur) - fd)) <= HESS_RTOL * scale
 
 
-def test_exact_step_jacobian_only_with_closed_forms(reduced):
+def test_exact_step_jacobian_only_with_closed_forms(reduced, callable_jacs):
     """A Lagrangian without hess, a potential without V'' and the generic
     ``reduce`` output keep the finite-difference Newton Jacobian; the
     translation-reduced two-body system gets the exact one."""
@@ -452,7 +452,7 @@ def test_exact_step_jacobian_only_with_closed_forms(reduced):
     no_v2_reduced = make_reduced_system(no_v2, rng=np.random.default_rng(1))
     assert no_v2_reduced.system.del_jacobian is None
     assert no_v2_reduced.system.lagrangian.hess is None
-    generic = reduce(make_full_system(TwoBodyConfig()), reduced.model)
+    generic = reduce(make_full_system(TwoBodyConfig()), callable_jacs(reduced.model))
     assert generic.system.del_jacobian is None
     assert reduced.system.del_jacobian is not None
 
@@ -482,14 +482,14 @@ def test_exact_newton_step_matches_fd_newton_step(seed, potential, reduced):
         step(sys, x[:4], x[4:], cfg=NewtonConfig(max_iters=1))
 
 
-def test_reduced_step_jacobian_preconditions(body_cfg, reduced, rng):
+def test_reduced_step_jacobian_preconditions(body_cfg, reduced, callable_jacs, rng):
     """What makes del_jacobian exact on the translation-reduced system:
     its chaining matrix is one read-only constant C, bit for bit the
     generic ``reduce`` chaining matrix at every sampled pair, its chaining
     map is C @ delta, and d phi is constant. A potential without V''
     keeps the constant but gets no del_jacobian."""
     sys = reduced.system
-    generic = reduce(make_full_system(body_cfg), reduced.model).system
+    generic = reduce(make_full_system(body_cfg), callable_jacs(reduced.model)).system
     pot = dataclasses.replace(potential_handle("quadratic", 0.3), hess=None)
     no_v2 = make_reduced_system(TwoBodyConfig(potential=pot),
                                 rng=np.random.default_rng(1)).system

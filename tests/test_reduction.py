@@ -14,7 +14,7 @@ from dlpsim.errors import MatchingError, ValidationError
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
                                 make_se2_connection, make_t2_connection,
-                                make_weighted_t2_connection, potential_handle,
+                                potential_handle,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
@@ -24,6 +24,7 @@ from dlpsim.reduction import (SYMMETRY_TOLS, build_upsilon, check_morphism,
                               trivial_reduction, two_stage)
 from dlpsim.smooth import (SmoothMapHandle, gradient_fd5, identity_map,
                            jacobian_fd)
+from test_connection import make_weighted_t2_connection
 
 SQRT2 = np.sqrt(2.0)
 TRAJ_TOL = 1e-8
@@ -149,6 +150,78 @@ def test_trivial_group_reduction_is_identity(rng):
     e1r, m2r = step(triv.system, x[:2], x[2:])
     assert np.max(np.abs(e1 - e1r)) < 1e-10
     assert np.max(np.abs(m2 - m2r)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def oscillator_reduction(with_jacs):
+    """The harmonic oscillator on R^2 and the model of its trivial
+    reduction, whose maps declare their identity Jacobians as arrays."""
+    from dlpsim.dlps import harmonic_oscillator_dms
+    sys = harmonic_oscillator_dms(dim=2)
+    triv = trivial_reduction(sys, lambda r: r.uniform(-1, 1, 4),
+                             rng=np.random.default_rng(3))
+    return sys, with_jacs(triv.model, np.eye(4), np.eye(4), np.eye(2))
+
+
+def test_affine_reduction_of_a_dms_gets_the_exact_step(oscillator_reduction, rng):
+    """A second affine reduction of a DMS: ``reduce`` gives it the zero
+    chaining matrix as one read-only constant and a ``del_jacobian``, and
+    its steps are the DMS steps."""
+    sys, model = oscillator_reduction
+    red = reduce(sys, model).system
+    C = red.ivcm_matrix(np.zeros(4), np.ones(4))
+    assert np.array_equal(C, np.zeros((2, 2))) and not C.flags.writeable
+    assert red.del_jacobian is not None and red.lagrangian.hess is not None
+    for _ in range(20):
+        x = rng.uniform(-1, 1, 4)
+        assert red.ivcm_matrix(x, rng.uniform(-1, 1, 4)) is C
+        dms = np.concatenate(step(sys, x[:2], x[2:]))
+        assert np.max(np.abs(np.concatenate(step(red, x[:2], x[2:])) - dms)) <= 1e-14
+
+
+MODEL_MAPS = ("upsilon", "lift_section", "reduced phi")
+
+
+@pytest.mark.parametrize("case", ("source phi",) + MODEL_MAPS)
+def test_one_callable_jac_keeps_the_generic_path(oscillator_reduction, with_jacs,
+                                                 case, rng):
+    """One of the four Jacobians given as a callable: the chaining matrix
+    is rebuilt at every call (still zero) and there is no exact step."""
+    sys, model = oscillator_reduction
+    if case == "source phi":
+        phi = sys.bundle.phi
+        sys = dataclasses.replace(sys, bundle=dataclasses.replace(
+            sys.bundle, phi=dataclasses.replace(phi, jac=lambda x: phi.jac)))
+    else:
+        jacs = [f.jac for f in (model.upsilon, model.lift_section,
+                                model.reduced_bundle.phi)]
+        k = MODEL_MAPS.index(case)
+        jacs[k] = lambda x, J=jacs[k]: J
+        model = with_jacs(model, *jacs)
+    red = reduce(sys, model).system
+    assert red.del_jacobian is None and red.lagrangian.hess is None
+    y0, y1 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+    C = red.ivcm_matrix(y0, y1)
+    assert C is not red.ivcm_matrix(y0, y1)
+    assert np.array_equal(C, np.zeros((2, 2)))
+
+
+def test_non_square_source_keeps_the_generic_path(reduced, with_jacs, rng):
+    """The translation-reduced system is not a DMS (its bundle is not
+    square): identity maps with array Jacobians over it keep the generic
+    chaining map, equal to its own, and give no exact step although its
+    Lagrangian has a ``hess``."""
+    sys = reduced.system
+    assert isinstance(sys.bundle.phi.jac, np.ndarray) and sys.lagrangian.hess is not None
+    triv = trivial_reduction(sys, lambda r: reduced.model.upsilon(sample_cprime(r)),
+                             rng=np.random.default_rng(4))
+    red = reduce(sys, with_jacs(triv.model, np.eye(6), np.eye(6),
+                                sys.bundle.phi.jac)).system
+    assert red.del_jacobian is None and red.lagrangian.hess is None
+    for _ in range(5):
+        y0 = reduced.model.upsilon(sample_cprime(rng))
+        y1 = reduced.model.upsilon(sample_cprime(rng))
+        assert np.max(np.abs(red.ivcm_matrix(y0, y1) - sys.ivcm_matrix(y0, y1))) <= 1e-14
 
 
 def _t2_chart(e, w):

@@ -159,6 +159,29 @@ def test_newton_config_validation():
         NewtonConfig(max_iters=0)
 
 
+def test_newton_config_rejects_non_finite_tolerances():
+    """An infinite tolerance would accept the unsolved guess and a NaN one
+    would never stop the iteration."""
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            NewtonConfig(residual_tol=tol)
+
+
+def test_constant_jac_is_a_read_only_array():
+    """A constant Jacobian is passed as the array itself: its shape is
+    checked at construction, a read-only copy is stored, and ``.jacobian``
+    returns that copy after checking x."""
+    J = np.arange(6.0).reshape(3, 2)
+    f = SmoothMapHandle(2, 3, lambda x: J @ x, jac=J)
+    assert J.flags.writeable and not f.jac.flags.writeable
+    assert f.jacobian(np.ones(2)) is f.jac and np.array_equal(f.jac, J)
+    with pytest.raises(ValueError):
+        f.jacobian(np.ones(3))
+    for bad in (J.T, J[:, :1], J.ravel()):
+        with pytest.raises(ValueError):
+            SmoothMapHandle(2, 3, lambda x: J @ x, jac=bad)
+
+
 def test_smooth_handle_checks_dims():
     f = SmoothMapHandle(2, 1, lambda x: np.array([x[0]]))
     with pytest.raises(ValueError):
