@@ -15,7 +15,7 @@ residual handed to the damped Newton solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,23 +76,22 @@ class DlpsSystem:
     return one shared array (``from_dms`` does, and ``reduction.reduce``
     returns a read-only one for an affine reduction of a DMS).
 
-    ``del_jacobian(x_cur)``, when given, is the closed-form derivative of
-    the discrete Euler-Lagrange covector with respect to the current row
-    x_cur, of shape (total_dim, total_dim + base_dim). It may be given only
-    where that derivative depends on x_cur alone, which holds when d phi
-    is constant and the chaining matrix does not depend on x_cur. It is
-    then rows ``[:total_dim]`` of the Lagrangian's Hessian. Two producers
-    set it when the Lagrangian has ``hess``: ``from_dms``, for every DMS,
-    and ``reduction.reduce``, for every affine reduction of a DMS.
-    ``step`` then builds its Newton Jacobian from it; without it, Newton
-    differences the step residual.
+    A ``hess`` on the Lagrangian of a system whose ``phi`` has an array
+    ``jac`` (an affine bundle map) declares that the chaining matrix does
+    not depend on x_{k+1}: rows ``[:total_dim]`` of the Hessian are then
+    the derivative of the discrete Euler-Lagrange covector in the current
+    row, and ``step`` builds its Newton Jacobian from them. ``from_dms``
+    (a zero chaining map) and ``reduction.reduce`` (which gives the
+    reduced Lagrangian a ``hess`` only for an affine reduction of a DMS,
+    whose chaining matrix is constant) keep that declaration true. Were
+    it false, Newton would only converge more slowly: it stops on the
+    true residual, so it never returns a wrong point.
     """
 
     bundle: FiberBundleModel
     lagrangian: SmoothMapHandle
     ivcm: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     ivcm_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    del_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def lag(self, x) -> float:
         return float(self.lagrangian(x)[0])
@@ -254,8 +253,9 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
 
     Solves for (eps1, m2), from the ``_default_guess`` seed, such that
     phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
-    The Newton Jacobian is ``[[del_jacobian], [d phi, 0]]`` when the system
-    has a ``del_jacobian``, else central differences of the residual.
+    The Newton Jacobian is ``[[hess[:n]], [d phi, 0]]`` when the Lagrangian
+    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``), else
+    central differences of the residual.
     Raises NonConvergence or SingularJacobian when the implicit solve
     fails, which signals a failure of the flow's regularity hypotheses.
     """
@@ -272,12 +272,13 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
         out[n:] = b.phi(z[:n]) - m1
         return out
 
+    L = sys.lagrangian
     jac = None
-    if sys.del_jacobian is not None:
+    if L.hess is not None and isinstance(b.phi.jac, np.ndarray):
         def jac(z):
             J = np.zeros((n + nb, n + nb))
-            J[:n] = sys.del_jacobian(z)
-            J[n:, :n] = b.phi.jacobian(z[:n])
+            J[:n] = L.hessian(z)[:n]
+            J[n:, :n] = b.phi.jac
             return J
 
     handle = SmoothMapHandle(n + nb, n + nb, residual, jac=jac)
@@ -312,10 +313,8 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
     """Embed a discrete mechanical system (Q, L_d) as the identity bundle.
 
     The chaining map is identically zero, so the equations of motion
-    reduce to the usual two-term discrete Euler-Lagrange equation, whose
-    derivative in the current row is D1 of L_d differentiated: rows
-    ``[:config_dim]`` of the Lagrangian's ``hess``, when it has one, give
-    the system's ``del_jacobian``.
+    reduce to the usual two-term discrete Euler-Lagrange equation, and a
+    ``hess`` on the Lagrangian gives ``step`` its exact Newton Jacobian.
     """
     if lagrangian.in_dim != 2 * config_dim:
         raise ValueError("DMS Lagrangian must live on Q x Q")
@@ -323,15 +322,10 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
                               phi=identity_map(config_dim),
                               section=identity_map(config_dim))
     zero = np.zeros((config_dim, config_dim))
-    del_jacobian = None
-    if lagrangian.hess is not None:
-        def del_jacobian(x):
-            return lagrangian.hessian(x)[:config_dim]
-
     return DlpsSystem(
         bundle=bundle, lagrangian=lagrangian,
         ivcm=lambda x0, x1, d: np.zeros(config_dim),
-        ivcm_matrix=lambda x0, x1: zero, del_jacobian=del_jacobian)
+        ivcm_matrix=lambda x0, x1: zero)
 
 
 def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
@@ -425,6 +419,12 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
                             dim: int = 1) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2."""
     _check_timestep(h)
+    try:
+        omega_sq = float(omega) ** 2
+    except OverflowError:
+        omega_sq = np.inf
+    if not np.isfinite(h * omega_sq):
+        raise ValueError(f"h * omega^2 must be finite (got h={h}, omega={omega})")
     hess = _kinetic_hessian(dim, h)
     hess[:dim, :dim] -= h * omega ** 2 * np.eye(dim)
 

@@ -100,11 +100,11 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     """The two-body system as a DMS on R^4 (zero chaining map).
 
     The Lagrangian carries its closed-form gradient when the potential
-    has a closed-form derivative, and its closed-form Hessian (which
-    ``from_dms`` turns into the Newton Jacobian of the step) when the
-    potential has V'' as well; otherwise D1/D2 fall back to the
-    fourth-order stencil on L, which beats a second-order V', and the
-    Newton Jacobian to central differences.
+    has a closed-form derivative, and its closed-form Hessian (from which
+    ``step`` builds its Newton Jacobian) when the potential has V'' as
+    well; otherwise D1/D2 fall back to the fourth-order stencil on L,
+    which beats a second-order V', and the Newton Jacobian to central
+    differences.
     """
     h = cfg.h
     kinetic = _kinetic_hessian(4, h)

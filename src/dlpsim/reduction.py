@@ -303,7 +303,8 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     ``phi`` carry ``jac`` arrays, the chaining matrix is one read-only C
     computed from them, and a ``hess`` on ``L`` gives the reduced
     Lagrangian ``T^T hess(lift_section(y)) T`` (T the ``lift_section``
-    array) and the system its rows ``[:n]`` as ``del_jacobian``.
+    array), from which ``dlps.step`` builds its Newton Jacobian. Every
+    other reduced Lagrangian has no ``hess``.
     """
     nE = sys.bundle.total_dim
     nEr = model.reduced_bundle.total_dim
@@ -314,7 +315,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         def lagrangian_jac(y):
             return L.jacobian(lift(y)) @ lift.jacobian(y)
 
-    C = hess = del_jacobian = None
+    C = hess = None
     if nE == sys.bundle.base_dim and all(isinstance(f.jac, np.ndarray) for f in (
             sys.bundle.phi, upsilon, lift, model.reduced_bundle.phi)):
         K = upsilon.jac[:nEr]
@@ -323,9 +324,6 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         if L.hess is not None:
             def hess(y):
                 return lift.jac.T @ L.hessian(lift(y)) @ lift.jac
-
-            def del_jacobian(y):
-                return hess(y)[:nEr]
 
     lagrangian = SmoothMapHandle(nEr + model.reduced_bundle.base_dim, 1,
                                  lambda y: L(lift(y)), jac=lagrangian_jac, hess=hess)
@@ -350,8 +348,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         return reduced_ivcm_matrix(y0, y1) @ as_vector(delta_v1, nEr)
 
     reduced_sys = DlpsSystem(bundle=model.reduced_bundle, lagrangian=lagrangian,
-                             ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix,
-                             del_jacobian=del_jacobian)
+                             ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix)
     return ReductionResult(system=reduced_sys, model=model)
 
 

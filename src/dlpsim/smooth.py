@@ -20,8 +20,8 @@ their fallback and test oracle: ``jac`` replaces ``jacobian_fd`` in
 ``.jacobian``, and on a scalar map ``hess`` gives the Hessian. A
 constant ``jac`` may be the array itself, the mark of an affine map. A
 Lagrangian's ``jac`` drives D1/D2 of the equations of motion, and its
-``hess`` the exact Newton Jacobian of a discrete mechanical system's
-step; without them, D1/D2 take ``gradient_fd5`` and ``newton_solve``
+``hess`` the exact Newton Jacobian of a step on an affine bundle map;
+without them, D1/D2 take ``gradient_fd5`` and ``newton_solve``
 takes ``jacobian_fd`` of its residual.
 
 Shapes are checked once, at the boundary. ``SmoothMapHandle.__call__``
@@ -35,6 +35,7 @@ value of the wrong length is caught by the next handle it feeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,8 +80,8 @@ class SmoothMapHandle:
 
     A scalar map (``out_dim`` 1) may also carry ``hess``, its closed-form
     second derivative, an (in_dim, in_dim) matrix that must agree with
-    central differences of ``jac``. On a discrete mechanical system it
-    gives the Newton Jacobian of the step (see ``dlps.from_dms``).
+    central differences of ``jac``. On a discrete Lagrangian it gives the
+    exact Newton Jacobian of the step (see ``dlps.DlpsSystem``).
     """
 
     in_dim: int
@@ -211,11 +212,11 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
 
     Each iteration backtracks from the full Newton step, halving it until
     the residual's max norm falls. Returns x with
-    ``||residual(x)||_inf < cfg.residual_tol``; raises NonConvergence
-    when the iteration budget is exhausted or when ``MAX_HALVINGS``
-    halvings all fail to lower the residual (a stall), and
-    SingularJacobian when the dense linear solve fails. There are no
-    silent near-solutions.
+    ``||residual(x)||_inf < cfg.residual_tol``; raises NonConvergence at
+    once when the residual at ``x0`` is not finite, when the iteration
+    budget is exhausted or when ``MAX_HALVINGS`` halvings all fail to
+    lower the residual (a stall), and SingularJacobian when the dense
+    linear solve fails. There are no silent near-solutions.
     """
     cfg = cfg or NewtonConfig()
     if residual.in_dim != residual.out_dim:
@@ -225,6 +226,9 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
         return x
     r = residual(x)
     rnorm = _inf_norm(r)
+    if not math.isfinite(rnorm):
+        raise NonConvergence(f"Newton residual at the starting point is {rnorm}",
+                             residual_norm=rnorm, last_iterate=x)
     for it in range(cfg.max_iters):
         if rnorm < cfg.residual_tol:
             return x

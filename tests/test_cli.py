@@ -3,12 +3,17 @@
 import csv
 import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlpsim import example_se2
-from dlpsim.cli import main
+from dlpsim.cli import CONFIG_KEYS, main
 
 BODY_CONFIG = {
     "system": "se2-two-body",
@@ -299,6 +304,8 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "initial must be a list of numbers (got None)"),
     ("stages", {"initial": [1.0, 0.0, -1.0, 0.0, "1.04", 0.03, -0.97, True]},
      "initial must be a list of numbers (got [1.0, 0.0, -1.0, 0.0, '1.04', 0.03, -0.97, True])"),
+    ("simulate", {"system": "harmonic-oscillator", "omega": 1e200, "initial": [0, 1]},
+     "h * omega^2 must be finite (got h=0.1, omega=1e+200)"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -310,6 +317,109 @@ def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
         assert run(command, cfg, tmp_path) == 1
     assert f"validation failure: {message}" in caplog.text
     assert "identity '" not in caplog.text
+
+
+FREE_CONFIG = {"system": "free-particle", "dim": 2, "h": 1.0, "n_steps": 2,
+               "initial": [0.0, 0.0, 1.0, 1.0]}
+OSCILLATOR_CONFIG = {"system": "harmonic-oscillator", "h": 0.1, "omega": 1.0,
+                     "n_steps": 2, "initial": [1.0, 0.99]}
+SIMULATE_KEYS = ("system", "h", "initial", "n_steps", "newton")
+
+#: (command, a valid config, the keys that the command reads from it).
+VALID_CASES = [
+    ("simulate", BODY_CONFIG, SIMULATE_KEYS + ("potential",)),
+    ("simulate", FREE_CONFIG, SIMULATE_KEYS + ("dim",)),
+    ("simulate", OSCILLATOR_CONFIG, SIMULATE_KEYS + ("omega",)),
+    ("check", dict(BODY_CONFIG, n_check=2),
+     ("system", "h", "potential", "seed", "n_check", "perturb")),
+]
+
+_SCALAR_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
+#: JSON values that are not numbers.
+_JUNK = st.one_of(_SCALAR_JUNK, st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_A_COUNT = st.one_of(_JUNK, st.floats(), st.integers(max_value=-1))
+_NOT_AN_OBJECT = st.one_of(_SCALAR_JUNK, st.floats(), st.integers(),
+                           st.lists(st.integers(), max_size=2))
+
+MALFORMED = {
+    "system": st.one_of(_JUNK, st.integers(), st.floats()),
+    "h": st.one_of(_JUNK, _NON_FINITE, st.sampled_from([0, 0.0, -0.0])),
+    "omega": st.one_of(_JUNK, _NON_FINITE,
+                       st.floats(min_value=1e155, allow_infinity=False),
+                       st.floats(max_value=-1e155, allow_infinity=False)),
+    "perturb": st.one_of(_JUNK, _NON_FINITE),
+    "n_steps": _NOT_A_COUNT, "seed": _NOT_A_COUNT,
+    "dim": _NOT_A_COUNT, "n_check": _NOT_A_COUNT,
+    "potential": st.one_of(
+        _NOT_AN_OBJECT,
+        st.fixed_dictionaries({"coeff": st.floats()}),
+        st.fixed_dictionaries({"name": st.one_of(_JUNK, st.text(max_size=5).filter(
+            lambda name: name not in ("zero", "linear")))}),
+        st.fixed_dictionaries({"name": st.just("linear"),
+                               "coeff": st.one_of(_JUNK, _NON_FINITE)}),
+        st.fixed_dictionaries({"name": st.just("linear"), "coef": st.floats()})),
+    "newton": st.one_of(
+        _NOT_AN_OBJECT,
+        st.fixed_dictionaries({"residual_tol": st.one_of(
+            _JUNK, _NON_FINITE, st.floats(max_value=0.0))}),
+        st.fixed_dictionaries({"max_iters": st.one_of(
+            _JUNK, st.floats(), st.integers(max_value=0))}),
+        st.fixed_dictionaries({"fd_step": st.floats()})),
+}
+
+
+@st.composite
+def _malformed_initial(draw, length):
+    """Not a list, a list of another length, or one entry that is not a
+    finite number."""
+    kind = draw(st.sampled_from(["type", "length", "entry"]))
+    if kind == "type":
+        return draw(st.one_of(_SCALAR_JUNK, st.floats(), st.dictionaries(
+            st.text(max_size=2), st.integers(), max_size=1)))
+    if kind == "length":
+        return draw(st.lists(st.floats(-2.0, 2.0), max_size=10).filter(
+            lambda v: len(v) != length))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=length, max_size=length))
+    values[draw(st.integers(0, length - 1))] = draw(st.one_of(_JUNK, _NON_FINITE))
+    return values
+
+
+@st.composite
+def malformed_configs(draw):
+    """(command, config): a valid config with one key the command reads
+    set to a malformed value, or with one unknown key added."""
+    command, base, keys = draw(st.sampled_from(VALID_CASES))
+    key = draw(st.sampled_from(keys + (None,)))
+    if key is None:
+        key = draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in CONFIG_KEYS))
+        value = draw(_JUNK)
+    elif key == "initial":
+        value = draw(_malformed_initial(len(base["initial"])))
+    else:
+        value = draw(MALFORMED[key])
+    return command, dict(base, **{key: value})
+
+
+@pytest.mark.parametrize("command, payload, _keys", VALID_CASES)
+def test_malformed_config_bases_are_valid(tmp_path, command, payload, _keys):
+    assert run(command, write_config(tmp_path, payload), tmp_path / "out") == 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(malformed_configs())
+@example(("simulate", dict(OSCILLATOR_CONFIG, omega=1e200)))
+def test_malformed_configs_never_crash_the_cli(case):
+    """Every malformed config exits 1 as a config error: nothing raises
+    out of ``main`` and no output file is written."""
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run(command, write_config(Path(tmp), payload), out) == 1
+        assert list(out.glob("*")) == []
+
 
 def test_empty_newton_object_gives_defaults(tmp_path):
     outs = {}

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlpsim import dlps
 from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
                          action_sum, build_fixed_endpoint_variation,
                          d1_lagrangian, d2_lagrangian, del_residual,
                          free_particle_dms, from_dms, harmonic_oscillator_dms,
                          make_path, path_from_points, simulate, step)
-from dlpsim.errors import DomainError, SimulationError, worst_of
+from dlpsim.errors import (DomainError, NonConvergence, SimulationError,
+                           worst_of)
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_configuration, sample_cprime)
@@ -202,6 +204,15 @@ def test_bad_timestep_rejected_at_construction(make):
     not later inside a step."""
     with pytest.raises(ValueError, match="timestep must be finite and nonzero"):
         make()
+
+
+@pytest.mark.parametrize("h, omega", [(0.1, 1e200), (1e-300, 1e160),
+                                      (0.1, float("inf")), (0.1, np.float64(1e155))])
+def test_oscillator_rejects_an_overflowing_frequency(h, omega):
+    """An omega whose h omega^2 is not finite fails at construction with
+    a ValueError, not with a raw OverflowError or a RuntimeWarning."""
+    with pytest.raises(ValueError, match=r"h \* omega\^2 must be finite"):
+        harmonic_oscillator_dms(h=h, omega=omega)
 
 
 def test_simulate_free_particle_linear():
@@ -411,22 +422,20 @@ def test_exact_slot_gradients_match_fd_oracle(case, rng):
 
 @pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
 def test_exact_hessians_match_fd_of_jac(case, rng):
-    """Every shipped Lagrangian's hess matches central FD of its jac, and
-    from_dms reads the step's DEL derivative off its first rows."""
+    """Every shipped Lagrangian's hess matches central FD of its jac."""
     make, sample = EXACT_GRADIENT_CASES[case]
-    sys = make()
-    L, n = sys.lagrangian, sys.bundle.total_dim
+    L = make().lagrangian
     for _ in range(50):
         x = sample(rng)
         fd = jacobian_fd(lambda y: L.jacobian(y)[0], x)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(L.hessian(x) - fd)) <= HESS_RTOL * scale
-        assert np.array_equal(sys.del_jacobian(x), L.hessian(x)[:n])
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
 def test_del_jacobian_matches_fd_of_del_covector(case, rng):
-    """del_jacobian is the current-row derivative of the DEL covector,
+    """The DEL Jacobian that ``step`` builds, rows ``[:n]`` of the
+    Lagrangian's hess, is the current-row derivative of the DEL covector,
     chaining term included."""
     make, sample = EXACT_GRADIENT_CASES[case]
     sys = make()
@@ -437,7 +446,8 @@ def test_del_jacobian_matches_fd_of_del_covector(case, rng):
         g2 = d2_lagrangian(sys, x_prev[:n], x_prev[n:])
         fd = jacobian_fd(lambda z: _del_covector(sys, g1, g2, x_prev, z), x_cur)
         scale = max(1.0, float(np.max(np.abs(fd))))
-        assert np.max(np.abs(sys.del_jacobian(x_cur) - fd)) <= HESS_RTOL * scale
+        got = sys.lagrangian.hessian(x_cur)[:n]
+        assert np.max(np.abs(got - fd)) <= HESS_RTOL * scale
 
 
 def test_exact_step_jacobian_only_with_closed_forms(reduced, callable_jacs):
@@ -447,14 +457,13 @@ def test_exact_step_jacobian_only_with_closed_forms(reduced, callable_jacs):
     pot = potential_handle("quadratic", 0.3)
     no_v2 = TwoBodyConfig(potential=dataclasses.replace(pot, hess=None))
     L = _two_body("linear", 0.5).lagrangian
-    assert from_dms(4, dataclasses.replace(L, hess=None)).del_jacobian is None
-    assert make_full_system(no_v2).del_jacobian is None
+    assert from_dms(4, dataclasses.replace(L, hess=None)).lagrangian.hess is None
+    assert make_full_system(no_v2).lagrangian.hess is None
     no_v2_reduced = make_reduced_system(no_v2, rng=np.random.default_rng(1))
-    assert no_v2_reduced.system.del_jacobian is None
     assert no_v2_reduced.system.lagrangian.hess is None
     generic = reduce(make_full_system(TwoBodyConfig()), callable_jacs(reduced.model))
-    assert generic.system.del_jacobian is None
-    assert reduced.system.del_jacobian is not None
+    assert generic.system.lagrangian.hess is None
+    assert reduced.system.lagrangian.hess is not None
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -475,7 +484,8 @@ def test_exact_newton_step_matches_fd_newton_step(seed, potential, reduced):
     else:
         sys = _two_body(*potential)
     exact = np.concatenate(step(sys, x[:4], x[4:]))
-    fd_sys = dataclasses.replace(sys, del_jacobian=None)
+    fd_sys = dataclasses.replace(
+        sys, lagrangian=dataclasses.replace(sys.lagrangian, hess=None))
     fd = np.concatenate(step(fd_sys, x[:4], x[4:]))
     assert np.max(np.abs(exact - fd)) <= 1e-10
     if potential[0] == "linear":
@@ -483,17 +493,17 @@ def test_exact_newton_step_matches_fd_newton_step(seed, potential, reduced):
 
 
 def test_reduced_step_jacobian_preconditions(body_cfg, reduced, callable_jacs, rng):
-    """What makes del_jacobian exact on the translation-reduced system:
+    """What makes the hess step exact on the translation-reduced system:
     its chaining matrix is one read-only constant C, bit for bit the
     generic ``reduce`` chaining matrix at every sampled pair, its chaining
     map is C @ delta, and d phi is constant. A potential without V''
-    keeps the constant but gets no del_jacobian."""
+    keeps the constant but gets no hess."""
     sys = reduced.system
     generic = reduce(make_full_system(body_cfg), callable_jacs(reduced.model)).system
     pot = dataclasses.replace(potential_handle("quadratic", 0.3), hess=None)
     no_v2 = make_reduced_system(TwoBodyConfig(potential=pot),
                                 rng=np.random.default_rng(1)).system
-    assert no_v2.del_jacobian is None
+    assert no_v2.lagrangian.hess is None
 
     def sample():
         return reduced.model.upsilon(sample_cprime(rng))
@@ -510,6 +520,57 @@ def test_reduced_step_jacobian_preconditions(body_cfg, reduced, callable_jacs, r
         assert np.array_equal(no_v2.ivcm_matrix(y0, y1), C)
         assert no_v2.ivcm_matrix(y0, y1) is no_v2.ivcm_matrix(y1, y0)
         assert np.max(np.abs(sys.bundle.phi.jacobian(y0[:4]) - jphi)) <= 1e-12
+
+
+def _counting_newton(monkeypatch):
+    """Patch ``step``'s solver to record, per solve, whether its residual
+    has a closed-form Jacobian and the list of its evaluations."""
+    solves = []
+    solve = dlps.newton_solve
+
+    def counting(residual, x0, cfg=None):
+        evals = []
+        solves.append((residual.jac is not None, evals))
+        counted = dataclasses.replace(
+            residual, eval=lambda z: evals.append(1) or residual.eval(z))
+        return solve(counted, x0, cfg)
+
+    monkeypatch.setattr(dlps, "newton_solve", counting)
+    return solves
+
+
+def test_hess_over_callable_phi_jac_differences_the_residual(
+        full_system, full_start, monkeypatch):
+    """A hess gives the exact step only over an array phi jac: the README
+    step of the same DMS with phi's jac as a callable differences its
+    residual (1 + 16 FD + 1 trial evaluations where the exact step makes
+    2) and lands on the exact step to 1e-10."""
+    phi = full_system.bundle.phi
+    callable_phi = dataclasses.replace(full_system, bundle=dataclasses.replace(
+        full_system.bundle, phi=dataclasses.replace(phi, jac=lambda x: phi.jac)))
+    assert callable_phi.lagrangian.hess is not None
+    solves = _counting_newton(monkeypatch)
+    exact = np.concatenate(step(full_system, *full_start))
+    fd = np.concatenate(step(callable_phi, *full_start))
+    assert [(exact_jac, len(evals)) for exact_jac, evals in solves] == [
+        (True, 2), (False, 18)]
+    assert np.max(np.abs(exact - fd)) <= 1e-10
+
+
+def test_non_finite_row_stops_the_step_at_once(full_system, monkeypatch):
+    """A NaN in the row makes the residual at the guess NaN: the step
+    raises NonConvergence after that one residual evaluation, on the free
+    particle (which used to stall after 20 halvings) and on the two-body
+    system (which used to report a singular Jacobian)."""
+    solves = _counting_newton(monkeypatch)
+    cases = [(free_particle_dms(2), [np.nan, 0.0], [0.0, 1.0]),
+             (full_system, [1.0, np.nan, -1.0, 0.0], [1.04, 0.03, -0.97, 0.02])]
+    for sys, eps0, m1 in cases:
+        with pytest.raises(NonConvergence) as info:
+            step(sys, eps0, m1)
+        assert len(solves.pop()[1]) == 1
+        assert np.isnan(info.value.residual_norm)
+        assert info.value.last_iterate.shape == (2 * sys.bundle.total_dim,)
 
 
 def test_two_body_without_potential_jac_uses_fd(rng):

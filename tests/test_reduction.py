@@ -165,13 +165,13 @@ def oscillator_reduction(with_jacs):
 
 def test_affine_reduction_of_a_dms_gets_the_exact_step(oscillator_reduction, rng):
     """A second affine reduction of a DMS: ``reduce`` gives it the zero
-    chaining matrix as one read-only constant and a ``del_jacobian``, and
+    chaining matrix as one read-only constant and a reduced ``hess``, and
     its steps are the DMS steps."""
     sys, model = oscillator_reduction
     red = reduce(sys, model).system
     C = red.ivcm_matrix(np.zeros(4), np.ones(4))
     assert np.array_equal(C, np.zeros((2, 2))) and not C.flags.writeable
-    assert red.del_jacobian is not None and red.lagrangian.hess is not None
+    assert red.lagrangian.hess is not None
     for _ in range(20):
         x = rng.uniform(-1, 1, 4)
         assert red.ivcm_matrix(x, rng.uniform(-1, 1, 4)) is C
@@ -199,7 +199,7 @@ def test_one_callable_jac_keeps_the_generic_path(oscillator_reduction, with_jacs
         jacs[k] = lambda x, J=jacs[k]: J
         model = with_jacs(model, *jacs)
     red = reduce(sys, model).system
-    assert red.del_jacobian is None and red.lagrangian.hess is None
+    assert red.lagrangian.hess is None
     y0, y1 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
     C = red.ivcm_matrix(y0, y1)
     assert C is not red.ivcm_matrix(y0, y1)
@@ -217,7 +217,7 @@ def test_non_square_source_keeps_the_generic_path(reduced, with_jacs, rng):
                              rng=np.random.default_rng(4))
     red = reduce(sys, with_jacs(triv.model, np.eye(6), np.eye(6),
                                 sys.bundle.phi.jac)).system
-    assert red.del_jacobian is None and red.lagrangian.hess is None
+    assert red.lagrangian.hess is None
     for _ in range(5):
         y0 = reduced.model.upsilon(sample_cprime(rng))
         y1 = reduced.model.upsilon(sample_cprime(rng))

@@ -142,6 +142,23 @@ def test_newton_raises_when_line_search_stalls():
     assert info.value.last_iterate[0] == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_stops_at_once_on_non_finite_start(bad):
+    """A non-finite residual at x0 raises NonConvergence after that one
+    evaluation: no difference Jacobian, no halvings."""
+    calls = []
+
+    def res(x):
+        calls.append(x.copy())
+        return np.array([bad, x[1]])
+
+    with pytest.raises(NonConvergence, match="starting point") as info:
+        newton_solve(SmoothMapHandle(2, 2, res), np.array([1.0, 2.0]))
+    assert len(calls) == 1
+    assert np.array_equal(info.value.residual_norm, bad, equal_nan=True)
+    assert np.array_equal(info.value.last_iterate, [1.0, 2.0])
+
+
 def test_newton_postcondition_bound():
     rng = np.random.default_rng(7)
     for _ in range(10):

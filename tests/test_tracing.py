@@ -5,7 +5,6 @@ rename or deletion in the library would otherwise surface only when the
 benchmark runs.
 """
 
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -23,8 +22,8 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch, callable_jacs)
     evaluation goes to differencing, and the residual is evaluated at the
     guess and at one trial. Building the reduced system never reads the
     generic chaining matrix, and its step reads the constant, with no
-    group matching. The generic reduced system, without ``del_jacobian``,
-    differences its residual and rebuilds the matrix on every
+    group matching. The generic reduced system, whose Lagrangian has no
+    ``hess``, differences its residual and rebuilds the matrix on every
     evaluation."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
@@ -45,7 +44,7 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch, callable_jacs)
         dlps.step(red.system, eps0, r1)
         red_counts = dict(tracer.counts)
         tracer.counts.clear()
-        dlps.step(dataclasses.replace(generic, del_jacobian=None), eps0, r1)
+        dlps.step(generic, eps0, r1)
     for counts in (full_counts, red_counts):
         assert counts.get("smooth.newton.fd_evals", 0) == 0
         assert counts.get("smooth.jacobian_fd", 0) == 0
@@ -54,7 +53,7 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch, callable_jacs)
         assert counts["dlps.step"] == 1
     assert build_counts.get("reduction.reduced_ivcm_matrix", 0) == 0
     assert red_counts.get("reduction.solve_matching", 0) == 0
-    assert generic.del_jacobian is None
+    assert generic.lagrangian.hess is None
     assert tracer.counts["smooth.newton.fd_evals"] > 0
     assert tracer.counts["reduction.reduced_ivcm_matrix"] > 2
 
