@@ -10,7 +10,7 @@ outside the domain raises DomainError rather than extrapolating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class QuotientModel:
 
     ``project`` and ``section`` are coordinate realizations of the bundle
     projection and of one local section (project o section = id); the
-    abstract quotient never appears. ``sample`` draws points of Q used by
-    sampled validation.
+    abstract quotient never appears. ``sample`` draws the points of Q
+    that ``check_equivariance`` and ``reduction.two_stage`` test at.
     """
 
     total_dim: int
@@ -34,7 +34,7 @@ class QuotientModel:
     project: SmoothMapHandle
     section: SmoothMapHandle
     action: ActionModel
-    sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    sample: Callable[[np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +115,14 @@ def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConne
 
 def check_equivariance(conn: DiscreteConnection, n_samples: int,
                        rng: np.random.Generator | None = None) -> dict:
-    """Max violation of A_d(g0 q0, g1 q1) = g1 A_d(q0, q1) g0^{-1} at samples.
+    """Max violation of A_d(g0 q0, g1 q1) = g1 A_d(q0, q1) g0^{-1} at
+    ``n_samples`` pairs of points drawn by the quotient's ``sample``.
 
     Reports, never raises; a broken connection shows up as a large
     ``max_violation``, and a NaN violation is kept as the maximum.
     """
     rng = rng or np.random.default_rng(0)
     quotient = conn.quotient
-    if quotient.sample is None:
-        raise ValueError("the quotient model provides no domain sampler")
     G = quotient.action.group
     worst = 0.0
     worst_sample = None

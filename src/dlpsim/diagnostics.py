@@ -86,14 +86,13 @@ def _mixed_partial(sys: DlpsSystem, q0, q1) -> np.ndarray:
     return jacobian_fd(lambda q: d1_lagrangian(sys, q0, q), q1)
 
 
-def _check_regularity(sys: DlpsSystem, q0, q1) -> float:
+def _check_regularity(D12: np.ndarray) -> float:
     """Smallest singular value of the mixed-partial block, scale-guarded.
 
     The reference scale is max(sigma_max, 1): a block sitting at the FD
     noise floor is singular for every practical purpose even though its
     singular values are mutually balanced. Raises RegularityError at 1e-8.
     """
-    D12 = _mixed_partial(sys, q0, q1)
     sv = np.linalg.svd(D12, compute_uv=False)
     scale = max(float(sv[0]), 1.0)
     if sv[-1] <= 1e-8 * scale:
@@ -147,7 +146,7 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
     min_cond = np.inf
     for k in range(len(trajectory) - 1):
         q0, q1 = trajectory[k]
-        min_cond = min(min_cond, _check_regularity(dms, q0, q1))
+        min_cond = min(min_cond, _check_regularity(_mixed_partial(dms, q0, q1)))
         p0 = -d1_lagrangian(dms, q0, q1)
         z = np.concatenate([q0, p0])
         phi = canonical_step_map(dms, trajectory[k + 1][0])
@@ -177,9 +176,8 @@ def _bracket_table(sys: DlpsSystem, model: ReducedModel,
     """
     n = _require_dms(sys)
     x = as_vector(x, 2 * n)
-    q0, q1 = x[:n], x[n:]
-    _check_regularity(sys, q0, q1)
-    D12 = _mixed_partial(sys, q0, q1)
+    D12 = _mixed_partial(sys, x[:n], x[n:])
+    _check_regularity(D12)
     grads = [_pair_space_gradient(model, fn, x) for fn in test_fns]
     k = len(grads)
     table = np.zeros((k, k))

@@ -72,9 +72,9 @@ class DlpsSystem:
     eps_k, linearly in the last argument, with image in ker(d phi).
     ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
     basis in one call, as a float array of shape (total_dim, total_dim);
-    callers must not write to it, since a constant chaining map may
-    return one shared array (``from_dms`` does, and ``reduction.reduce``
-    returns a read-only one for an affine reduction of a DMS).
+    a constant chaining map may return one shared read-only array
+    (``from_dms`` and, for an affine reduction of a DMS,
+    ``reduction.reduce`` do).
 
     A ``hess`` on the Lagrangian of a system whose ``phi`` has an array
     ``jac`` (an affine bundle map) declares that the chaining matrix does
@@ -315,6 +315,7 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
     The chaining map is identically zero, so the equations of motion
     reduce to the usual two-term discrete Euler-Lagrange equation, and a
     ``hess`` on the Lagrangian gives ``step`` its exact Newton Jacobian.
+    ``ivcm_matrix`` returns one shared read-only zero matrix.
     """
     if lagrangian.in_dim != 2 * config_dim:
         raise ValueError("DMS Lagrangian must live on Q x Q")
@@ -322,6 +323,7 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
                               phi=identity_map(config_dim),
                               section=identity_map(config_dim))
     zero = np.zeros((config_dim, config_dim))
+    zero.flags.writeable = False
     return DlpsSystem(
         bundle=bundle, lagrangian=lagrangian,
         ivcm=lambda x0, x1, d: np.zeros(config_dim),
@@ -399,9 +401,11 @@ def _kinetic_hessian(dim: int, h: float) -> np.ndarray:
 
 
 def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
-    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim."""
+    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim; its constant ``hess``
+    is one shared read-only array."""
     _check_timestep(h)
     hess = _kinetic_hessian(dim, h)
+    hess.flags.writeable = False
 
     def L(x):
         d = x[dim:] - x[:dim]
@@ -417,7 +421,8 @@ def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
 
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
                             dim: int = 1) -> DlpsSystem:
-    """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2."""
+    """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2; its
+    constant ``hess`` is one shared read-only array."""
     _check_timestep(h)
     try:
         omega_sq = float(omega) ** 2
@@ -427,6 +432,7 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
         raise ValueError(f"h * omega^2 must be finite (got h={h}, omega={omega})")
     hess = _kinetic_hessian(dim, h)
     hess[:dim, :dim] -= h * omega ** 2 * np.eye(dim)
+    hess.flags.writeable = False
 
     def L(x):
         q0, q1 = x[:dim], x[dim:]

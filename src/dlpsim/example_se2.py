@@ -35,8 +35,6 @@ from .smooth import SmoothMapHandle, as_vector, jacobian_fd
 
 SQRT2 = float(np.sqrt(2.0))
 _SEPARATION_FLOOR = 1e-12
-#: Chaining-map equivariance bound of the residual circle action.
-RESIDUAL_IVCM_TOL = 1e-7
 
 
 def potential_handle(name: str, coeff: float = 1.0) -> SmoothMapHandle:
@@ -160,12 +158,6 @@ def sample_cprime(rng: np.random.Generator) -> np.ndarray:
 
 # --- translation-subgroup connection ---------------------------------------
 
-_T2_PROJECT_JAC = np.array([[1.0, 0.0, -1.0, 0.0],
-                            [0.0, 1.0, 0.0, -1.0]]) / SQRT2
-_T2_SECTION_JAC = np.array([[1.0, 0.0], [0.0, 1.0],
-                            [-1.0, 0.0], [0.0, -1.0]]) / SQRT2
-
-
 def _relative(q) -> tuple[float, float]:
     """The relative position r = (q^x - q^y)/sqrt(2)."""
     x_re, x_im, y_re, y_im = q.tolist()
@@ -191,10 +183,8 @@ def _sum_and_split(s_re, s_im, r1_re, r1_im) -> np.ndarray:
 
 def make_t2_quotient() -> QuotientModel:
     """Quotient by simultaneous translations: base coordinate r = (q^x - q^y)/sqrt(2)."""
-    project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)),
-                              jac=_T2_PROJECT_JAC)
-    section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()),
-                              jac=_T2_SECTION_JAC)
+    project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)))
+    section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()))
     return QuotientModel(total_dim=4, base_dim=2, project=project,
                          section=section, action=t2_two_point_action(),
                          sample=sample_configuration)
@@ -446,8 +436,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     model_gh = build_upsilon(conn_gh, stage_h.system, fiber_chart_gh,
                              fiber_section_gh, action_e=residual_action,
-                             sample_cprime=sample_cprime_gh, rng=rng,
-                             ivcm_tol=RESIDUAL_IVCM_TOL)
+                             sample_cprime=sample_cprime_gh, rng=rng)
     stage_gh = reduce(stage_h.system, model_gh)
 
     conn_g = make_se2_connection()

@@ -165,7 +165,7 @@ def test_check_clean(tmp_path):
     symmetry = {key: entry["tol"] for key, entry in checks.items()
                 if key.split(".")[0].endswith("_symmetry")}
     assert len(symmetry) == 10
-    assert symmetry["residual_u1_symmetry.chaining-map G-equivariance"] == 1e-7
+    assert symmetry["residual_u1_symmetry.chaining-map G-equivariance"] == 1e-8
     assert symmetry["se2_symmetry.bundle-map G-equivariance"] == 1e-10
 
 
@@ -306,6 +306,25 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "initial must be a list of numbers (got [1.0, 0.0, -1.0, 0.0, '1.04', 0.03, -0.97, True])"),
     ("simulate", {"system": "harmonic-oscillator", "omega": 1e200, "initial": [0, 1]},
      "h * omega^2 must be finite (got h=0.1, omega=1e+200)"),
+    # Keys the command never reads are checked all the same.
+    ("simulate", {"omega": "abc"}, "omega must be finite (got 'abc')"),
+    ("simulate", {"omega": 1e200}, "h * omega^2 must be finite (got h=0.1, omega=1e+200)"),
+    ("simulate", {"n_check": 2.5}, "n_check must be an integer (got 2.5)"),
+    ("simulate", {"dim": -3}, "dim must be at least 1 (got -3)"),
+    ("simulate", {"perturb": [1]}, "perturb must be finite (got [1])"),
+    ("simulate", {"seed": -1}, "seed must be nonnegative (got -1)"),
+    ("simulate", {"system": "free-particle", "initial": [0.0, 1.0],
+                  "potential": {"name": "cubic"}}, "unknown potential family 'cubic'"),
+    ("reduce", {"n_steps": -1}, "n_steps must be nonnegative (got -1)"),
+    ("reduce", {"newton": {"max_iters": 0}},
+     "newton.max_iters must be an integer of at least 1 (got 0)"),
+    ("stages", {"n_check": 0}, "n_check must be at least 1 (got 0)"),
+    ("check", {"initial": [1.0, 0.0]}, "initial must have length 8 (got shape (2,))"),
+    ("check", {"initial": "abc"}, "initial must be a list of numbers (got 'abc')"),
+    ("reduce", {"initial": [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -0.97, float("inf")]},
+     "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -0.97, inf])"),
+    ("check", {"initial": [1e-7, 0.0, -1e-7, 0.0, 0.5e-13, 0.0, -0.5e-13, 0.0]},
+     "coincident particles (excised diagonal)"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -323,15 +342,17 @@ FREE_CONFIG = {"system": "free-particle", "dim": 2, "h": 1.0, "n_steps": 2,
                "initial": [0.0, 0.0, 1.0, 1.0]}
 OSCILLATOR_CONFIG = {"system": "harmonic-oscillator", "h": 0.1, "omega": 1.0,
                      "n_steps": 2, "initial": [1.0, 0.99]}
-SIMULATE_KEYS = ("system", "h", "initial", "n_steps", "newton")
+SMALL_BODY_CONFIG = dict(BODY_CONFIG, n_steps=2, n_check=2)
 
-#: (command, a valid config, the keys that the command reads from it).
+#: (command, a valid config).
 VALID_CASES = [
-    ("simulate", BODY_CONFIG, SIMULATE_KEYS + ("potential",)),
-    ("simulate", FREE_CONFIG, SIMULATE_KEYS + ("dim",)),
-    ("simulate", OSCILLATOR_CONFIG, SIMULATE_KEYS + ("omega",)),
-    ("check", dict(BODY_CONFIG, n_check=2),
-     ("system", "h", "potential", "seed", "n_check", "perturb")),
+    ("simulate", BODY_CONFIG),
+    ("simulate", FREE_CONFIG),
+    ("simulate", OSCILLATOR_CONFIG),
+    ("check", SMALL_BODY_CONFIG),
+    ("reduce", SMALL_BODY_CONFIG),
+    ("reconstruct", SMALL_BODY_CONFIG),
+    ("stages", SMALL_BODY_CONFIG),
 ]
 
 _SCALAR_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
@@ -388,10 +409,11 @@ def _malformed_initial(draw, length):
 
 @st.composite
 def malformed_configs(draw):
-    """(command, config): a valid config with one key the command reads
-    set to a malformed value, or with one unknown key added."""
-    command, base, keys = draw(st.sampled_from(VALID_CASES))
-    key = draw(st.sampled_from(keys + (None,)))
+    """(command, config): a valid config with one known key, read by the
+    command or not, set to a malformed value, or with one unknown key
+    added."""
+    command, base = draw(st.sampled_from(VALID_CASES))
+    key = draw(st.sampled_from(CONFIG_KEYS + (None,)))
     if key is None:
         key = draw(st.text(min_size=1, max_size=8).filter(
             lambda k: k not in CONFIG_KEYS))
@@ -403,8 +425,8 @@ def malformed_configs(draw):
     return command, dict(base, **{key: value})
 
 
-@pytest.mark.parametrize("command, payload, _keys", VALID_CASES)
-def test_malformed_config_bases_are_valid(tmp_path, command, payload, _keys):
+@pytest.mark.parametrize("command, payload", VALID_CASES)
+def test_malformed_config_bases_are_valid(tmp_path, command, payload):
     assert run(command, write_config(tmp_path, payload), tmp_path / "out") == 0
 
 
@@ -419,6 +441,26 @@ def test_malformed_configs_never_crash_the_cli(case):
         out = Path(tmp) / "out"
         assert run(command, write_config(Path(tmp), payload), out) == 1
         assert list(out.glob("*")) == []
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["zero", "linear", "quadratic"]),
+       st.floats(0.0, 0.5))
+def test_every_command_is_deterministic(seed, name, coeff):
+    """Two runs of each subcommand on the same valid config and seed both
+    exit 0 and write the same, byte-identical files."""
+    payload = dict(SMALL_BODY_CONFIG, seed=seed,
+                   potential={"name": name, "coeff": coeff})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, payload)
+        for command in ("simulate", "reduce", "reconstruct", "stages", "check"):
+            runs = []
+            for out in (tmp / command / "a", tmp / command / "b"):
+                code = run(command, cfg, out)
+                runs.append((code, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == 0 and runs[0][1]
 
 
 def test_empty_newton_object_gives_defaults(tmp_path):

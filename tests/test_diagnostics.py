@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dlpsim import diagnostics
 from dlpsim.diagnostics import (bracket_of_pullbacks, canonical_step_map,
                                 momentum, momentum_evolution_check,
                                 poisson_descent_check, symplectic_check)
@@ -161,6 +162,23 @@ def test_bracket_constants_vanish(full_system, reduced, rng):
     c2 = SmoothMapHandle(6, 1, lambda y: np.array([-2.0]))
     x = sample_cprime(rng)
     assert abs(bracket_of_pullbacks(full_system, reduced.model, c1, c2, x)) < 1e-12
+
+
+def test_bracket_differences_the_mixed_partial_once(full_system, reduced, rng,
+                                                     monkeypatch):
+    """One bracket forms the mixed-partial block once: the regularity
+    check reads the block the bracket solves with."""
+    calls = []
+    mixed_partial = diagnostics._mixed_partial
+
+    def counting(*args):
+        calls.append(1)
+        return mixed_partial(*args)
+
+    monkeypatch.setattr(diagnostics, "_mixed_partial", counting)
+    f, g = (SmoothMapHandle(6, 1, lambda y, i=i: y[i:i + 1]) for i in (0, 4))
+    bracket_of_pullbacks(full_system, reduced.model, f, g, sample_cprime(rng))
+    assert len(calls) == 1
 
 
 def test_bracket_trivial_group_canonical_oracle():

@@ -324,6 +324,21 @@ def test_from_dms_zero_chaining(rng):
         assert np.max(np.abs(out)) == 0.0
 
 
+@pytest.mark.parametrize("read", [lambda sys, x: sys.ivcm_matrix(x, x),
+                                  lambda sys, x: sys.lagrangian.hessian(x)],
+                         ids=["ivcm_matrix", "hess"])
+@pytest.mark.parametrize("make", [free_particle_dms, harmonic_oscillator_dms])
+def test_shared_constant_matrices_are_read_only(make, read):
+    """The zero chaining matrix of ``from_dms`` and the constant Hessians of
+    the canonical DMS are shared by every call: a write raises instead of
+    changing later steps."""
+    sys = make(dim=2)
+    before = np.concatenate(step(sys, [0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValueError):
+        read(sys, np.zeros(4))[0, 0] = 5.0
+    assert np.array_equal(np.concatenate(step(sys, [0.0, 0.0], [1.0, 1.0])), before)
+
+
 def test_from_dms_two_term_residual(full_system, rng):
     """With the identity bundle the residual is D1 L(k) + D2 L(k-1)."""
     q0 = sample_cprime(rng)[:4]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from dlpsim.dlps import simulate
 from dlpsim.errors import DomainError
-from dlpsim.example_se2 import (RESIDUAL_IVCM_TOL, TwoBodyConfig,
-                                closed_form_reduced_step, make_full_system,
-                                make_reduced_system, potential_handle,
-                                sample_annulus, sample_cprime)
+from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
+                                make_full_system, make_reduced_system,
+                                potential_handle, sample_annulus,
+                                sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
 from dlpsim.reduction import (SYMMETRY_TOLS, check_symmetry, project_path,
                               reconstruct_path, two_stage)
@@ -184,18 +184,15 @@ def test_residual_action_preserves_reduced_lagrangian(staged, rng):
         assert abs(sysr.lag(gy) - sysr.lag(y)) < 1e-12
 
 
-#: Each shipped symmetry as (system, action on E, action on M, sampler,
-#: the chaining-map bound its reduction validates).
+#: Each shipped symmetry as (system, action on E, action on M, sampler).
 SHIPPED_SYMMETRIES = {
     "T2-full": lambda full, staged: (
-        full, t2_two_point_action(), t2_two_point_action(), sample_cprime,
-        SYMMETRY_TOLS["chaining-map G-equivariance"]),
+        full, t2_two_point_action(), t2_two_point_action(), sample_cprime),
     "SE2-full": lambda full, staged: (
-        full, se2_two_point_action(), se2_two_point_action(), sample_cprime,
-        SYMMETRY_TOLS["chaining-map G-equivariance"]),
+        full, se2_two_point_action(), se2_two_point_action(), sample_cprime),
     "residual-U1-reduced": lambda full, staged: (
         staged.stage_h.system, staged.residual_action, staged.stage_gh.model.action_m,
-        lambda r: staged.stage_h.model.upsilon(sample_cprime(r)), RESIDUAL_IVCM_TOL),
+        lambda r: staged.stage_h.model.upsilon(sample_cprime(r))),
 }
 
 
@@ -204,10 +201,10 @@ SHIPPED_SYMMETRIES = {
 def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmetry):
     """Each shipped group acts by a genuine left action of bundle maps,
     leaving the Lagrangian invariant to 1e-12 and the chaining map
-    equivariant to the bound its reduction validates."""
-    sys, action_e, action_m, sample, ivcm_tol = symmetry(full_system, staged)
-    report = check_symmetry(sys, action_e, action_m, sample, n_samples=100, rng=rng)
-    bounds = {**dict.fromkeys(report, 1e-12), "chaining-map G-equivariance": ivcm_tol}
+    equivariant to the bound ``build_upsilon`` validates."""
+    report = check_symmetry(*symmetry(full_system, staged), n_samples=100, rng=rng)
+    chaining = "chaining-map G-equivariance"
+    bounds = {**dict.fromkeys(report, 1e-12), chaining: SYMMETRY_TOLS[chaining]}
     assert {name: worst for name, (worst, _) in report.items()
             if worst > bounds[name]} == {}
 
@@ -217,14 +214,11 @@ def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmet
 def test_shipped_symmetries_pass_check_symmetry_on_random_draws(full_system, staged,
                                                                 seed, name):
     """For random seeds, every shipped symmetry stays within the bounds
-    ``build_upsilon`` validates: ``SYMMETRY_TOLS``, with the chaining map
-    bounded as its reduction bounds it."""
-    sys, action_e, action_m, sample, ivcm_tol = SHIPPED_SYMMETRIES[name](full_system, staged)
-    report = check_symmetry(sys, action_e, action_m, sample,
+    ``build_upsilon`` validates, ``SYMMETRY_TOLS``."""
+    report = check_symmetry(*SHIPPED_SYMMETRIES[name](full_system, staged),
                             rng=np.random.default_rng(seed))
-    bounds = {**SYMMETRY_TOLS, "chaining-map G-equivariance": ivcm_tol}
     assert {cond: worst for cond, (worst, _) in report.items()
-            if not worst <= bounds[cond]} == {}
+            if not worst <= SYMMETRY_TOLS[cond]} == {}
 
 
 def test_one_shot_reduction_roundtrip(staged):
@@ -246,7 +240,9 @@ def test_one_shot_reduction_roundtrip(staged):
     assert np.max(np.abs(traj.points - rebuilt.points)) <= 1e-8
 
     report, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
-                          staged.one_shot, traj)
+                          staged.one_shot, traj, conn_h=staged.conn_h,
+                          full_group_action=staged.action_g,
+                          conjugate_in_full=staged.conjugate_in_g)
     assert report["stage_comparison_max"] <= 1e-8
 
 

@@ -2,13 +2,14 @@
 two-stage reduction and the morphism checker."""
 
 import dataclasses
-import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlpsim.connection import DiscreteConnection, QuotientModel
 from dlpsim.dlps import del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
@@ -17,7 +18,8 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 potential_handle,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
-from dlpsim.lie import sample_group, se2_two_point_action, t2_group, t2_two_point_action
+from dlpsim.lie import (conjugate, sample_group, se2_two_point_action, t2_group,
+                        t2_two_point_action, trivial_action, trivial_group)
 from dlpsim.reduction import (SYMMETRY_TOLS, build_upsilon, check_morphism,
                               check_symmetry, project_path,
                               reconstruct_path, reduce, solve_matching,
@@ -544,40 +546,6 @@ def test_two_stage_real(staged, full_start):
     assert report["stage_comparison_max"] <= TRAJ_TOL
 
 
-_CONJUGATION_CHECK_ARGS = ("conn_h", "full_group_action", "conjugate_in_full")
-
-
-@pytest.mark.parametrize("given_args", [
-    combo for k in (1, 2)
-    for combo in itertools.combinations(_CONJUGATION_CHECK_ARGS, k)])
-def test_two_stage_rejects_partial_conjugation_check(staged, full_start,
-                                                     given_args):
-    """Some but not all of the conjugation-check arguments raise
-    ValueError instead of silently skipping the check."""
-    available = {"conn_h": staged.conn_h, "full_group_action": staged.action_g,
-                 "conjugate_in_full": staged.conjugate_in_g}
-    traj = simulate(staged.sys, *full_start, 0)
-    with pytest.raises(ValueError, match="given together"):
-        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
-                  staged.one_shot, traj,
-                  **{name: available[name] for name in given_args})
-
-
-def test_two_stage_requires_quotient_sampler(staged, full_start):
-    """A first-stage quotient without a sampler is rejected before any
-    draw, as check_equivariance rejects it."""
-    quotient = dataclasses.replace(staged.conn_h.quotient, sample=None)
-    rng = np.random.default_rng(0)
-    traj = simulate(staged.sys, *full_start, 0)
-    with pytest.raises(ValueError, match="provides no domain sampler"):
-        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
-                  staged.one_shot, traj,
-                  conn_h=dataclasses.replace(staged.conn_h, quotient=quotient),
-                  full_group_action=staged.action_g,
-                  conjugate_in_full=staged.conjugate_in_g, rng=rng)
-    assert rng.random() == np.random.default_rng(0).random()
-
-
 def test_two_stage_rejects_nan_conjugation(staged, full_start):
     """A conjugation that returns NaN fails the conjugation check."""
     traj = simulate(staged.sys, *full_start, 0)
@@ -605,33 +573,48 @@ def test_two_stage_keeps_nan_stage_comparison(staged, full_start):
         staged.one_shot.model, upsilon=dataclasses.replace(upsilon, eval=nan_first)))
     traj = simulate(staged.sys, *full_start, 3)
     report, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
-                          one_shot, traj)
+                          one_shot, traj, conn_h=staged.conn_h,
+                          full_group_action=staged.action_g,
+                          conjugate_in_full=staged.conjugate_in_g)
     assert np.isnan(report["per_step"][0])
     assert np.all(np.isfinite(report["per_step"][1:]))
     assert np.isnan(report["stage_comparison_max"])
 
 
 def test_two_stage_h_equals_g(staged, full_start):
-    """H = G: the second stage is trivial and F is a coordinate identity."""
+    """H = G: the second stage is trivial and F is a coordinate identity.
+    The G-connection is conjugation-equivariant under G itself."""
     triv = trivial_reduction(
         staged.one_shot.system,
         lambda r: staged.one_shot.model.upsilon(sample_cprime(r)),
         rng=np.random.default_rng(5))
     traj = simulate(staged.sys, *full_start, 10)
+    G = staged.action_g.group
     report, _ = two_stage(staged.sys, staged.one_shot, triv, staged.one_shot,
-                          traj)
+                          traj, conn_h=staged.conn_g,
+                          full_group_action=staged.action_g,
+                          conjugate_in_full=partial(conjugate, G))
+    assert report["conjugation_equivariance_max"] <= 1e-10
     assert report["stage_comparison_max"] <= 1e-10
 
 
 def test_two_stage_h_trivial(staged, full_start):
-    """H = {e}: the first stage is trivial; the comparison degenerates."""
+    """H = {e}: the first stage is trivial; the comparison degenerates.
+    The trivial connection's only value, e, is fixed by conjugation."""
     triv = trivial_reduction(staged.sys, sample_cprime,
                              rng=np.random.default_rng(6))
+    e = trivial_group().identity
+    quotient = QuotientModel(total_dim=4, base_dim=4, project=identity_map(4),
+                             section=identity_map(4), action=trivial_action(4),
+                             sample=sample_configuration)
+    conn_e = DiscreteConnection(quotient=quotient, ad_form=lambda q0, q1: e,
+                                hor_lift=lambda q0, r1: r1)
     traj = simulate(staged.sys, *full_start, 10)
     # stage 2 reduces the trivially-reduced system by the full group: its
     # phase space has the same coordinates, so the one-shot model applies.
     report, _ = two_stage(staged.sys, triv, staged.one_shot, staged.one_shot,
-                          traj)
+                          traj, conn_h=conn_e, full_group_action=staged.action_g,
+                          conjugate_in_full=lambda g, h: h)
     assert report["stage_comparison_max"] <= 1e-10
 
 

@@ -244,12 +244,10 @@ def test_as_vector_does_not_copy_float_vectors():
 
 def test_supplied_jacobians_agree_with_fd():
     """Every handle shipped with an analytic Jacobian matches central FD."""
-    from dlpsim.example_se2 import (make_t2_quotient, potential_handle)
+    from dlpsim.example_se2 import potential_handle
     rng = np.random.default_rng(13)
     handles = [potential_handle("linear", 0.5),
-               potential_handle("quadratic", 0.25),
-               make_t2_quotient().project,
-               make_t2_quotient().section]
+               potential_handle("quadratic", 0.25)]
     for handle in handles:
         assert handle.jac is not None
         for _ in range(10):
