@@ -344,20 +344,22 @@ def _check(cfg: dict) -> dict:
     checks = {}
     for name, args in symmetries.items():
         rep = check_symmetry(*args, n_samples=n_samples, rng=rng)
-        for cond, (worst, _sample) in rep.items():
-            checks[f"{name}.{cond}"] = (worst, SYMMETRY_TOLS[cond])
+        for cond, (worst, sample) in rep.items():
+            checks[f"{name}.{cond}"] = (worst, SYMMETRY_TOLS[cond], sample)
     for name, rep in reports.items():
+        samples = rep["worst_samples"]
         checks[f"{name}.cond1_submersion_rank"] = {
             "value": rep["cond1_submersion_rank_ok"], "note": rep["cond1_note"],
             "pass": bool(rep["cond1_submersion_rank_ok"])}
         checks[f"{name}.cond2_fiber_slot_rank"] = {
             "value": rep["cond2_fiber_slot_rank_ok"],
-            "pass": bool(rep["cond2_fiber_slot_rank_ok"])}
+            "pass": bool(rep["cond2_fiber_slot_rank_ok"]),
+            "sample": _row(samples["cond2_min_singular_value"])}
         for key in ("cond3_base_independence_max",
                     "cond4_base_compatibility_max",
                     "cond5_lagrangian_match_max",
                     "cond6_chaining_intertwine_max"):
-            checks[f"{name}.{key}"] = (rep[key], 1e-9)
+            checks[f"{name}.{key}"] = (rep[key], 1e-9, samples[key])
     return checks
 
 
@@ -365,16 +367,24 @@ REPORTS = {"reduce": _reduce, "reconstruct": _reconstruct,
            "stages": _stages, "check": _check}
 
 
+def _row(x) -> list | None:
+    return None if x is None else [float(v) for v in x]
+
+
 def _report(command: str, cfg: dict, out_dir: Path, tol: float | None) -> int:
     """Write ``command``'s checks to ``<command>.json``; a ``(value,
-    default_tol)`` check passes if value <= (``tol`` or default_tol)."""
+    default_tol)`` check passes if value <= (``tol`` or default_tol). A
+    third element, the sample attaining the value (or None), is written
+    as the entry's ``sample``."""
     checks = {}
     for key, entry in REPORTS[command](cfg).items():
         if isinstance(entry, tuple):
-            value, default = entry
+            value, default, *sample = entry
             limit = default if tol is None else tol
             entry = {"value": float(value), "tol": float(limit),
                      "pass": bool(value <= limit)}
+            if sample:
+                entry["sample"] = _row(*sample)
         checks[key] = entry
     ok = all(entry["pass"] for entry in checks.values())
     _write_json(out_dir / f"{command}.json",

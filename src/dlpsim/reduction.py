@@ -468,11 +468,20 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                    rng: np.random.Generator | None = None) -> dict:
     """Numeric point checks of the morphism conditions between systems.
 
-    Reports per-condition maxima over samples (NaN when any sample gives
-    NaN); never raises. The global surjectivity/submersion condition is
-    reported as a rank check only. The chaining condition is tested on 3
-    random tangents per sample. At x1 only the fiber-slot derivative
-    is read, so only the fiber slot is differenced there.
+    Derivatives come from ``candidate.jacobian``: the closed-form ``jac``
+    when the candidate carries one, otherwise central differences. A
+    supplied ``jac`` is trusted, not compared with differences here (the
+    tests do that); a wrong one shows in the chaining condition. At x1
+    only the fiber slot is read, so without a ``jac`` only that slot is
+    differenced there.
+
+    Reports per-condition maxima over samples and, in ``worst_samples``,
+    the x0 of the draw attaining each of them (None while it reads 0) and
+    the smallest fiber-slot singular value; never raises. A NaN reading
+    is kept as the maximum (as the minimum for the singular value), and a
+    non-finite Jacobian at x0 fails both rank checks. The global
+    surjectivity/submersion condition is reported as a rank check only.
+    The chaining condition is tested on 3 random tangents per sample.
     """
     rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
@@ -488,37 +497,49 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                             "cond4_base_compatibility_max",
                             "cond5_lagrangian_match_max",
                             "cond6_chaining_intertwine_max"), 0.0)
+    worst_samples = dict.fromkeys(("cond2_min_singular_value", *maxima))
 
-    def keep(name, value):
+    def keep(name, value, x0):
         value = float(value)
         if worse(value, maxima[name]):
             maxima[name] = value
+            worst_samples[name] = x0
 
     for _ in range(n_samples):
         x0, x1 = _sample_second_order(sys, sample_cprime, rng)
-        J0 = jacobian_fd(candidate, x0)
-        sv_full = np.linalg.svd(J0, compute_uv=False)
-        if sv_full[min(J0.shape) - 1] <= RANK_TOL * sv_full[0]:
-            full_rank_ok = False
-
+        J0 = candidate.jacobian(x0)
         D1p1 = J0[:nEr, :nE]
-        sv = np.linalg.svd(D1p1, compute_uv=False)
-        cond2_min_sv = min(cond2_min_sv, float(sv[-1]))
-        if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
-            cond2_rank_ok = False
+        if np.all(np.isfinite(J0)):
+            sv_full = np.linalg.svd(J0, compute_uv=False)
+            if sv_full[min(J0.shape) - 1] <= RANK_TOL * sv_full[0]:
+                full_rank_ok = False
+            sv = np.linalg.svd(D1p1, compute_uv=False)
+            sv_min = float(sv[-1])
+            if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
+                cond2_rank_ok = False
+        else:
+            full_rank_ok = cond2_rank_ok = False
+            sv_min = np.nan
+        if worse(-sv_min, -cond2_min_sv):  # the smaller one; a NaN is kept
+            cond2_min_sv = sv_min
+            worst_samples["cond2_min_singular_value"] = x0
 
-        keep("cond3_base_independence_max", np.max(np.abs(J0[nEr:, :nE])))
+        keep("cond3_base_independence_max", np.max(np.abs(J0[nEr:, :nE])), x0)
 
         y0 = candidate(x0)
         y1 = candidate(x1)
         base_defect = y0[nEr:] - sys_target.bundle.phi(y1[:nEr])
-        keep("cond4_base_compatibility_max", np.max(np.abs(base_defect)))
+        keep("cond4_base_compatibility_max", np.max(np.abs(base_defect)), x0)
 
-        keep("cond5_lagrangian_match_max", abs(sys.lag(x0) - sys_target.lag(y0)))
+        keep("cond5_lagrangian_match_max",
+             abs(sys.lag(x0) - sys_target.lag(y0)), x0)
 
-        m2 = x1[nE:]
-        D1p1_at_x1 = jacobian_fd(
-            lambda e: candidate(np.concatenate([e, m2]))[:nEr], x1[:nE])
+        if candidate.jac is None:
+            m2 = x1[nE:]
+            D1p1_at_x1 = jacobian_fd(
+                lambda e: candidate(np.concatenate([e, m2]))[:nEr], x1[:nE])
+        else:
+            D1p1_at_x1 = candidate.jacobian(x1)[:nEr, :nE]
         D2p1_at_x0 = J0[:nEr, nE:]
         jphi1 = sys.bundle.phi.jacobian(x1[:nE])
         inner = sys.ivcm_matrix(x0, x1)
@@ -528,7 +549,7 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
             lhs = ivcm_target @ (D1p1_at_x1 @ delta)
             rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)
             keep("cond6_chaining_intertwine_max",
-                 np.max(np.abs(lhs - rhs), initial=0.0))
+                 np.max(np.abs(lhs - rhs), initial=0.0), x0)
 
     return {
         "cond1_submersion_rank_ok": bool(full_rank_ok),
@@ -536,5 +557,6 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
         "cond2_fiber_slot_rank_ok": bool(cond2_rank_ok),
         "cond2_min_singular_value": float(cond2_min_sv),
         **maxima,
+        "worst_samples": worst_samples,
         "n_samples": int(n_samples),
     }

@@ -169,6 +169,28 @@ def test_check_clean(tmp_path):
     assert symmetry["se2_symmetry.bundle-map G-equivariance"] == 1e-10
 
 
+def test_check_writes_worst_samples(tmp_path):
+    """Each sampled maximum in check.json carries the x0 of the draw that
+    attains it: a row of the full system, or of the reduced one for the
+    residual circle action, and null where every draw reads 0. A rank
+    entry carries the draw with the smallest fiber-slot singular value."""
+    payload = dict(BODY_CONFIG, perturb=0.1, n_check=10)
+    assert run("check", write_config(tmp_path, payload), tmp_path) == 1
+    checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+    sampled = {key: entry for key, entry in checks.items() if "tol" in entry}
+    assert len(sampled) == 18
+    for key, entry in sampled.items():
+        if entry["value"] == 0.0:
+            assert entry["sample"] is None, key
+        else:
+            dim = 6 if key.startswith("residual_u1_symmetry.") else 8
+            assert len(entry["sample"]) == dim, key
+    for name in ("reduction_morphism", "group_translation"):
+        assert len(checks[f"{name}.cond2_fiber_slot_rank"]["sample"]) == 8
+    failed = checks["reduction_morphism.cond5_lagrangian_match_max"]
+    assert not failed["pass"] and len(failed["sample"]) == 8
+
+
 def test_determinism_byte_identical(tmp_path):
     """Same config and seed: byte-identical CSV and JSON outputs."""
     cfg = write_config(tmp_path, BODY_CONFIG)

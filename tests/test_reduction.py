@@ -695,16 +695,99 @@ def test_check_morphism_negative_control(full_system, reduced):
     assert rep["cond5_lagrangian_match_max"] >= 1e-2
 
 
+def _counting(handle, calls):
+    return dataclasses.replace(
+        handle, eval=lambda x: calls.append(1) or handle.eval(x))
+
+
 def test_check_morphism_candidate_evaluations_per_sample(full_system, reduced):
-    """Per sample: the full FD Jacobian at x0 (2 (nE + nM) = 16), the values
-    at x0 and x1 (2), and the fiber slot alone at x1 (2 nE = 8)."""
+    """The T2 upsilon carries its constant jac, so a sample evaluates it
+    only at x0 and x1."""
     calls = []
-    upsilon = reduced.model.upsilon
-    counting = dataclasses.replace(
-        upsilon, eval=lambda x: calls.append(1) or upsilon.eval(x))
-    check_morphism(counting, full_system, reduced.system, sample_cprime,
-                   n_samples=3, rng=np.random.default_rng(12))
+    check_morphism(_counting(reduced.model.upsilon, calls), full_system,
+                   reduced.system, sample_cprime, n_samples=3,
+                   rng=np.random.default_rng(12))
+    assert len(calls) == 3 * 2
+
+
+def test_check_morphism_fd_fallback_evaluations_per_sample(full_system, reduced):
+    """Without a jac, per sample: the full FD Jacobian at x0
+    (2 (nE + nM) = 16), the values at x0 and x1 (2), and the fiber slot
+    alone at x1 (2 nE = 8)."""
+    calls = []
+    upsilon = dataclasses.replace(reduced.model.upsilon, jac=None)
+    check_morphism(_counting(upsilon, calls), full_system, reduced.system,
+                   sample_cprime, n_samples=3, rng=np.random.default_rng(12))
     assert len(calls) == 3 * 26
+
+
+def test_check_morphism_closed_form_agrees_with_fd_fallback(full_system, reduced):
+    """The same draws with and without the jac: the value-only conditions
+    are bit-equal, and both derivative paths pass."""
+    upsilon = reduced.model.upsilon
+    exact, fd = (check_morphism(u, full_system, reduced.system, sample_cprime,
+                                n_samples=20, rng=np.random.default_rng(3))
+                 for u in (upsilon, dataclasses.replace(upsilon, jac=None)))
+    for key in ("cond1_submersion_rank_ok", "cond2_fiber_slot_rank_ok",
+                "cond4_base_compatibility_max", "cond5_lagrangian_match_max"):
+        assert exact[key] == fd[key], key
+    for key in ("cond3_base_independence_max", "cond6_chaining_intertwine_max"):
+        assert exact[key] <= 1e-9 and fd[key] <= 1e-9, key
+
+
+def test_check_morphism_fails_a_wrong_closed_form(full_system, reduced):
+    """A supplied jac is trusted: one whose fiber block is 1% off fails
+    the chaining condition, which central differences of the same map
+    pass."""
+    upsilon = reduced.model.upsilon
+    jac = upsilon.jacobian(np.zeros(8)).copy()
+    jac[:4, :4] *= 1.01
+    rep = check_morphism(dataclasses.replace(upsilon, jac=jac), full_system,
+                         reduced.system, sample_cprime, n_samples=20,
+                         rng=np.random.default_rng(3))
+    assert rep["cond6_chaining_intertwine_max"] >= 1e-3
+
+
+def test_check_morphism_keeps_nan_jacobian(full_system, reduced):
+    """A candidate that is NaN on part of the domain makes its Jacobian
+    there non-finite: both rank checks fail and the smallest singular
+    value and the maxima read NaN, with no LinAlgError."""
+    def partly_nan(x):
+        return reduced.model.upsilon(x) + (np.nan if x[0] > 1.5 else 0.0)
+
+    rep = check_morphism(SmoothMapHandle(8, 6, partly_nan), full_system,
+                         reduced.system, sample_cprime, n_samples=20,
+                         rng=np.random.default_rng(3))
+    assert not rep["cond1_submersion_rank_ok"]
+    assert not rep["cond2_fiber_slot_rank_ok"]
+    assert np.isnan(rep["cond2_min_singular_value"])
+    for key in ("cond3_base_independence_max", "cond4_base_compatibility_max",
+                "cond5_lagrangian_match_max", "cond6_chaining_intertwine_max"):
+        assert np.isnan(rep[key]), key
+    assert rep["worst_samples"]["cond5_lagrangian_match_max"][0] > 1.5
+
+
+def test_check_morphism_worst_samples(full_system, reduced):
+    """Each worst sample is the x0 of the draw attaining its maximum; a
+    condition that reads 0 on every draw has none."""
+    def perturbed(x):
+        y = reduced.model.upsilon(x).copy()
+        y[0] += 0.1
+        return y
+
+    rep = check_morphism(SmoothMapHandle(8, 6, perturbed), full_system,
+                         reduced.system, sample_cprime, n_samples=10,
+                         rng=np.random.default_rng(10))
+    x0 = rep["worst_samples"]["cond5_lagrangian_match_max"]
+    assert abs(full_system.lag(x0) - reduced.system.lag(perturbed(x0))) \
+        == rep["cond5_lagrangian_match_max"]
+    rep = check_morphism(reduced.model.upsilon, full_system, reduced.system,
+                         sample_cprime, n_samples=10,
+                         rng=np.random.default_rng(10))
+    assert rep["cond3_base_independence_max"] == 0.0
+    assert rep["worst_samples"]["cond3_base_independence_max"] is None
+    x0 = rep["worst_samples"]["cond2_min_singular_value"]
+    assert x0 is not None and x0.shape == (8,)
 
 
 def test_check_morphism_verifies_representative_independence(staged,
