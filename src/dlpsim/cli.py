@@ -290,7 +290,9 @@ def _reconstruct(cfg: dict) -> dict:
 
 
 def _stages(cfg: dict) -> dict:
-    """Two-stage reduction of a full trajectory against the one-shot one."""
+    """Two-stage reduction of a full trajectory against the one-shot one;
+    each sample is the worst one: the trajectory point (eps_k, m_k+1) of
+    the comparison, the (q0, q1) row of the conjugation check."""
     body, rng = _two_body(cfg)
     setup = example_se2.make_staged_setup(body, rng=rng)
     eps0, m1 = _initial_pair(cfg, setup.sys)
@@ -300,10 +302,13 @@ def _stages(cfg: dict) -> dict:
                            setup.one_shot, traj, conn_h=setup.conn_h,
                            full_group_action=setup.action_g,
                            conjugate_in_full=setup.conjugate_in_g, rng=rng)
+    step = report["stage_comparison_worst_step"]
     return {
-        "stage_comparison_max": (report["stage_comparison_max"], 1e-8),
+        "stage_comparison_max": (report["stage_comparison_max"], 1e-8,
+                                 None if step is None else traj.points[step]),
         "conjugation_equivariance_max": (
-            report["conjugation_equivariance_max"], 1e-10),
+            report["conjugation_equivariance_max"], 1e-10,
+            report["conjugation_worst_sample"]),
     }
 
 

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, SingularJacobian, worse
+from .errors import (DomainError, NonConvergence, SingularJacobian,
+                     draw_maxima, worst_draw)
 from .lie import ActionModel, orbit_frame, sample_group
 from .smooth import NewtonConfig, SmoothMapHandle, as_vector, newton_solve
 
@@ -119,22 +120,23 @@ def check_equivariance(conn: DiscreteConnection, n_samples: int,
     ``n_samples`` pairs of points drawn by the quotient's ``sample``.
 
     Reports, never raises; a broken connection shows up as a large
-    ``max_violation``, and a NaN violation is kept as the maximum.
+    ``max_violation``, and a NaN violation is kept as the maximum. The
+    draws are evaluated one by one and judged in bulk afterwards; the
+    maximum and its ``worst_sample`` (q0, q1) equal a per-draw fold by
+    ``errors.worse`` (None while every violation is 0).
     """
     rng = rng or np.random.default_rng(0)
     quotient = conn.quotient
     G = quotient.action.group
-    worst = 0.0
-    worst_sample = None
+    samples, lhs, rhs = [], [], []
     for _ in range(n_samples):
         q0 = quotient.sample(rng)
         q1 = quotient.sample(rng)
         g0 = sample_group(G, rng)
         g1 = sample_group(G, rng)
-        lhs = ad(conn, quotient.action.act(g0, q0), quotient.action.act(g1, q1))
-        rhs = G.compose(G.compose(g1, ad(conn, q0, q1)), G.inverse(g0))
-        violation = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        if worse(violation, worst):
-            worst, worst_sample = violation, (q0, q1)
+        samples.append((q0, q1))
+        lhs.append(ad(conn, quotient.action.act(g0, q0), quotient.action.act(g1, q1)))
+        rhs.append(G.compose(G.compose(g1, ad(conn, q0, q1)), G.inverse(g0)))
+    worst, i = worst_draw(draw_maxima(np.array(lhs) - np.array(rhs)))
     return {"max_violation": worst, "n_samples": int(n_samples),
-            "worst_sample": worst_sample}
+            "worst_sample": None if i is None else samples[i]}

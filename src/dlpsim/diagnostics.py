@@ -14,7 +14,7 @@ import numpy as np
 
 from .dlps import (DiscretePath, DlpsSystem, d1_lagrangian, d2_lagrangian,
                    del_residual)
-from .errors import RegularityError, worst_of
+from .errors import RegularityError, worst_draw, worst_of
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
 from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
@@ -91,8 +91,11 @@ def _check_regularity(D12: np.ndarray) -> float:
 
     The reference scale is max(sigma_max, 1): a block sitting at the FD
     noise floor is singular for every practical purpose even though its
-    singular values are mutually balanced. Raises RegularityError at 1e-8.
+    singular values are mutually balanced. Raises RegularityError at 1e-8,
+    and on a block with a non-finite entry, which has no singular values.
     """
+    if not np.all(np.isfinite(D12)):
+        raise RegularityError("mixed-partial block is not finite")
     sv = np.linalg.svd(D12, compute_uv=False)
     scale = max(float(sv[0]), 1.0)
     if sv[-1] <= 1e-8 * scale:
@@ -137,25 +140,26 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
     Each step is transported to canonical coordinates via the discrete
     Legendre transforms; the step map's Jacobian K is formed by central
     differences and the report gives max |K^T Omega K - Omega| per step.
-    Raises RegularityError when the mixed-partial block degenerates.
+    Raises RegularityError when the mixed-partial block degenerates or has
+    a non-finite entry; the smallest sigma ratio keeps a NaN.
     """
     n = _require_dms(dms)
     Omega = np.block([[np.zeros((n, n)), np.eye(n)],
                       [-np.eye(n), np.zeros((n, n))]])
-    per_step = []
-    min_cond = np.inf
+    per_step, ratios = [], []
     for k in range(len(trajectory) - 1):
         q0, q1 = trajectory[k]
-        min_cond = min(min_cond, _check_regularity(_mixed_partial(dms, q0, q1)))
+        ratios.append(_check_regularity(_mixed_partial(dms, q0, q1)))
         p0 = -d1_lagrangian(dms, q0, q1)
         z = np.concatenate([q0, p0])
         phi = canonical_step_map(dms, trajectory[k + 1][0])
         K = jacobian_fd(phi, z)
         per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
+    _, i = worst_draw(-np.array(ratios), -np.inf)  # the smallest
     return {
         "max_violation": float(worst_of(0.0, *per_step)),
         "per_step": per_step,
-        "min_mixed_partial_sigma_ratio": (float(min_cond) if per_step else None),
+        "min_mixed_partial_sigma_ratio": None if i is None else ratios[i],
         "n_steps": len(per_step),
     }
 

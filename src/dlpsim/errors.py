@@ -3,6 +3,8 @@ the violations that sampled checks report."""
 
 import math
 
+import numpy as np
+
 
 def worse(v: float, worst: float) -> bool:
     """Whether violation v replaces the running maximum worst; a NaN does,
@@ -17,6 +19,33 @@ def worst_of(worst: float, *values: float) -> float:
         if worse(v, worst):
             worst = v
     return worst
+
+
+def draw_maxima(diffs) -> np.ndarray:
+    """The violation of each draw: max |d| over every axis of ``diffs`` but
+    the first, which indexes the draws (0 for a draw with no entries; a
+    NaN entry makes its draw's violation NaN)."""
+    d = np.abs(np.asarray(diffs, dtype=float))
+    return np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0)
+
+
+def worst_draw(violations, start: float = 0.0) -> tuple[float, int | None]:
+    """The worst entry of an array of per-draw violations and its index.
+
+    Equals the left fold by ``worse`` from ``start``: the first NaN wins,
+    else the first strict maximum above ``start``; when no entry exceeds
+    ``start`` the result is ``(start, None)``. Negate both the array and
+    ``start`` to take a minimum the same way.
+    """
+    v = np.asarray(violations, dtype=float)
+    nan = np.isnan(v)
+    if nan.any():
+        i = int(np.argmax(nan))
+    elif v.size and v.max() > start:
+        i = int(np.argmax(v))
+    else:
+        return float(start), None
+    return float(v[i]), i
 
 
 class DomainError(ValueError):

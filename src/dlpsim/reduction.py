@@ -23,8 +23,8 @@ import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
 from .dlps import DiscretePath, DlpsSystem, FiberBundleModel
-from .errors import (MatchingError, SingularJacobian, ValidationError, worse,
-                     worst_of)
+from .errors import (MatchingError, SingularJacobian, ValidationError,
+                     draw_maxima, worst_draw)
 from .lie import ActionModel, sample_group, trivial_action, trivial_group
 from .smooth import (SmoothMapHandle, as_vector, directional_derivative,
                      identity_map, jacobian_fd)
@@ -162,12 +162,14 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
 
     Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
     sample is None while every violation is 0; a NaN violation is the
-    maximum); never raises on a violation.
+    maximum); never raises on a violation. The draws are evaluated one by
+    one and judged in bulk afterwards, and the report equals a per-draw
+    fold by ``errors.worse``.
     """
     rng = rng or np.random.default_rng(31)
     G, nE = action_e.group, sys.bundle.total_dim
     act = _diagonal_cprime_action(action_e, action_m).act
-    report = dict.fromkeys(SYMMETRY_TOLS, (0.0, None))
+    x0s, draws = [], []
     g_prev = G.identity
     for _ in range(n_samples):
         x0, x1 = _sample_second_order(sys, sample_cprime, rng)
@@ -176,16 +178,17 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
         gx0, gx1 = act(g, x0), act(g, x1)
         push = partial(directional_derivative, partial(action_e.act, g))
         pushed = push(x0[:nE], sys.ivcm(x0, x1, delta))
-        violations = (act(G.identity, x0) - x0,
+        x0s.append(x0)
+        draws.append((act(G.identity, x0) - x0,
                       act(g_prev, gx0) - act(G.compose(g_prev, g), x0),
                       sys.bundle.phi(gx1[:nE]) - gx0[nE:],
                       sys.lag(gx0) - sys.lag(x0),
-                      sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed)
-        for name, v in zip(report, violations):
-            v = float(np.max(np.abs(v), initial=0.0))
-            if worse(v, report[name][0]):
-                report[name] = (v, x0)
+                      sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed))
         g_prev = g
+    report = {}
+    for k, name in enumerate(SYMMETRY_TOLS):
+        worst, i = worst_draw(draw_maxima([d[k] for d in draws]))
+        report[name] = (worst, None if i is None else x0s[i])
     return report
 
 
@@ -205,11 +208,14 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     lift_section transports the horizontal lift by the stored group
     offset.
 
-    Validation (``VALIDATION_DRAWS`` draws each): upsilon o lift_section
-    is the identity and upsilon is constant on orbits (both to
+    Validation (``VALIDATION_DRAWS`` draws each): upsilon is constant on
+    orbits and upsilon o lift_section is the identity (both to
     ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``.
-    Violations, NaN included, raise ValidationError naming the identity
-    and the sample (its worst draw).
+    The draws of each identity are evaluated one by one and judged in
+    bulk, the roundtrip only once orbit invariance holds. A violation, NaN
+    included, raises ValidationError naming the identity and the sample
+    of its worst draw, the one a per-draw fold by ``errors.worse`` keeps
+    (the first NaN, else the first largest defect).
     """
     rng = rng or np.random.default_rng(20240817)
     quotient = conn.quotient
@@ -252,16 +258,22 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
                          action_m=action_m, sample_cprime=sample_cprime)
 
     # -- sampled validation ------------------------------------------------
+    xs, ys, moved = [], [], []
     for _ in range(VALIDATION_DRAWS):
         x = as_vector(sample_cprime(rng), nE + nM)
         g = sample_group(G, rng)
-        y = upsilon(x)
-        dU = float(np.max(np.abs(upsilon(group_action.act(g, x)) - y)))
-        if not dU <= ROUNDTRIP_TOL:
-            raise ValidationError("upsilon orbit invariance", sample=x, violation=dU)
-        dR = float(np.max(np.abs(upsilon(lift_section(y)) - y)))
-        if not dR <= ROUNDTRIP_TOL:
-            raise ValidationError("upsilon o lift_section = id", sample=y, violation=dR)
+        xs.append(x)
+        ys.append(upsilon(x))
+        moved.append(upsilon(group_action.act(g, x)))
+
+    def judge(identity, samples, images):
+        worst, i = worst_draw(draw_maxima(np.array(images) - np.array(ys)))
+        if not worst <= ROUNDTRIP_TOL:
+            raise ValidationError(identity, sample=samples[i], violation=worst)
+
+    judge("upsilon orbit invariance", xs, moved)
+    # lift_section reads upsilon's values, so only once they passed.
+    judge("upsilon o lift_section = id", ys, [upsilon(lift_section(y)) for y in ys])
 
     report = check_symmetry(sys, action_e, action_m, sample_cprime, VALIDATION_DRAWS, rng)
     for name, (worst, sample) in report.items():
@@ -423,42 +435,55 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     ``full_group_action``; a worst sample above 1e-10 raises
     ValidationError. Both maxima keep a NaN, so a NaN conjugation
     violation raises and a NaN comparison reads as the maximum.
+
+    The draws and the trajectory points are evaluated one by one and
+    judged in bulk afterwards; the maxima, and the report's
+    ``conjugation_worst_sample`` (q0 and q1 of the worst draw, as one
+    row) and ``stage_comparison_worst_step`` (the index of the worst
+    trajectory point), equal a per-draw fold by ``errors.worse`` (None
+    while every violation is 0).
     """
     rng = rng or np.random.default_rng(11235)
-    worst, worst_sample = 0.0, None
     quotient = conn_h.quotient
+    samples, lhs, rhs = [], [], []
     for _ in range(n_checks):
         q0 = quotient.sample(rng)
         q1 = quotient.sample(rng)
         g = sample_group(full_group_action.group, rng)
-        lhs = conn_h.ad_form(full_group_action.act(g, q0),
-                             full_group_action.act(g, q1))
-        rhs = conjugate_in_full(g, conn_h.ad_form(q0, q1))
-        v = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        if worse(v, worst):
-            worst, worst_sample = v, (q0, q1)
-    report: dict = {"conjugation_equivariance_max": worst}
+        samples.append((q0, q1))
+        lhs.append(conn_h.ad_form(full_group_action.act(g, q0),
+                                  full_group_action.act(g, q1)))
+        rhs.append(conjugate_in_full(g, conn_h.ad_form(q0, q1)))
+    worst, i = worst_draw(draw_maxima(np.array(lhs) - np.array(rhs)))
     if not worst <= 1e-10:
         raise ValidationError("subgroup connection conjugation-equivariance",
-                              sample=worst_sample, violation=worst)
+                              sample=samples[i], violation=worst)
+    report: dict = {"conjugation_equivariance_max": worst,
+                    "conjugation_worst_sample":
+                        None if i is None else np.concatenate(samples[i])}
 
     def F(y):
         x_h = stage_gh.model.lift_section(y)
         x = stage_h.model.lift_section(x_h)
         return one_shot.model.upsilon(x)
 
-    worst = 0.0
-    per_step = []
+    staged, direct = [], []
     for x in trajectory.points:
         y_h = stage_h.model.upsilon(x)
         y_gh = stage_gh.model.upsilon(y_h)
-        y_g = one_shot.model.upsilon(x)
-        d = float(np.max(np.abs(F(y_gh) - y_g)))
-        per_step.append(d)
-        worst = worst_of(worst, d)
-    report["stage_comparison_max"] = worst
-    report["per_step"] = per_step
+        direct.append(one_shot.model.upsilon(x))
+        staged.append(F(y_gh))
+    per_step = draw_maxima(np.array(staged) - np.array(direct))
+    worst, step = worst_draw(per_step)
+    report.update(stage_comparison_max=worst, stage_comparison_worst_step=step,
+                  per_step=per_step.tolist())
     return report, F
+
+
+def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A[i] @ v[i, k]`` for every draw i and tangent k, stacked: the
+    products per draw as matrix-vector products, bit for bit."""
+    return np.matmul(A[:, None], v[..., None])[..., 0]
 
 
 def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
@@ -477,11 +502,17 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
 
     Reports per-condition maxima over samples and, in ``worst_samples``,
     the x0 of the draw attaining each of them (None while it reads 0) and
-    the smallest fiber-slot singular value; never raises. A NaN reading
-    is kept as the maximum (as the minimum for the singular value), and a
-    non-finite Jacobian at x0 fails both rank checks. The global
+    the smallest fiber-slot singular value; never raises on a violation
+    (``n_samples`` below 1 is a ValueError). A NaN reading is kept as the
+    maximum (as the minimum for the singular value), and a non-finite
+    Jacobian at x0 fails both rank checks. The global
     surjectivity/submersion condition is reported as a rank check only.
     The chaining condition is tested on 3 random tangents per sample.
+
+    The draws are evaluated one by one (the maps, then the tangents) and
+    judged in bulk afterwards: one stacked SVD per rank check (a single
+    one for a constant ``jac``) and one maximum per condition. The report
+    equals a per-draw fold by ``errors.worse``.
     """
     rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
@@ -489,74 +520,60 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
     nMr = sys_target.bundle.base_dim
     if candidate.in_dim != nE + nM or candidate.out_dim != nEr + nMr:
         raise ValueError("candidate dimensions are incompatible with the systems")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
 
-    full_rank_ok = True
-    cond2_rank_ok = True
-    cond2_min_sv = np.inf
-    maxima = dict.fromkeys(("cond3_base_independence_max",
-                            "cond4_base_compatibility_max",
-                            "cond5_lagrangian_match_max",
-                            "cond6_chaining_intertwine_max"), 0.0)
-    worst_samples = dict.fromkeys(("cond2_min_singular_value", *maxima))
-
-    def keep(name, value, x0):
-        value = float(value)
-        if worse(value, maxima[name]):
-            maxima[name] = value
-            worst_samples[name] = x0
-
+    draws = []
     for _ in range(n_samples):
         x0, x1 = _sample_second_order(sys, sample_cprime, rng)
         J0 = candidate.jacobian(x0)
-        D1p1 = J0[:nEr, :nE]
-        if np.all(np.isfinite(J0)):
-            sv_full = np.linalg.svd(J0, compute_uv=False)
-            if sv_full[min(J0.shape) - 1] <= RANK_TOL * sv_full[0]:
-                full_rank_ok = False
-            sv = np.linalg.svd(D1p1, compute_uv=False)
-            sv_min = float(sv[-1])
-            if np.sum(sv > RANK_TOL * max(sv[0], 1.0)) < nEr:
-                cond2_rank_ok = False
-        else:
-            full_rank_ok = cond2_rank_ok = False
-            sv_min = np.nan
-        if worse(-sv_min, -cond2_min_sv):  # the smaller one; a NaN is kept
-            cond2_min_sv = sv_min
-            worst_samples["cond2_min_singular_value"] = x0
-
-        keep("cond3_base_independence_max", np.max(np.abs(J0[nEr:, :nE])), x0)
-
         y0 = candidate(x0)
         y1 = candidate(x1)
         base_defect = y0[nEr:] - sys_target.bundle.phi(y1[:nEr])
-        keep("cond4_base_compatibility_max", np.max(np.abs(base_defect)), x0)
-
-        keep("cond5_lagrangian_match_max",
-             abs(sys.lag(x0) - sys_target.lag(y0)), x0)
-
+        lag_defect = sys.lag(x0) - sys_target.lag(y0)
         if candidate.jac is None:
             m2 = x1[nE:]
             D1p1_at_x1 = jacobian_fd(
                 lambda e: candidate(np.concatenate([e, m2]))[:nEr], x1[:nE])
         else:
             D1p1_at_x1 = candidate.jacobian(x1)[:nEr, :nE]
-        D2p1_at_x0 = J0[:nEr, nE:]
-        jphi1 = sys.bundle.phi.jacobian(x1[:nE])
-        inner = sys.ivcm_matrix(x0, x1)
-        ivcm_target = sys_target.ivcm_matrix(y0, y1)
-        for _ in range(3):
-            delta = rng.standard_normal(nE)
-            lhs = ivcm_target @ (D1p1_at_x1 @ delta)
-            rhs = D1p1 @ (inner @ delta) + D2p1_at_x0 @ (jphi1 @ delta)
-            keep("cond6_chaining_intertwine_max",
-                 np.max(np.abs(lhs - rhs), initial=0.0), x0)
+        draws.append((x0, J0, base_defect, lag_defect, D1p1_at_x1,
+                      sys.bundle.phi.jacobian(x1[:nE]), sys.ivcm_matrix(x0, x1),
+                      sys_target.ivcm_matrix(y0, y1), rng.standard_normal((3, nE))))
+    x0s, *stacks = zip(*draws)
+    (J0, base_defect, lag_defect, D1p1_at_x1, jphi1, inner, ivcm_target,
+     delta) = map(np.array, stacks)
+    D1p1, D2p1 = J0[:, :nEr, :nE], J0[:, :nEr, nE:]
 
-    return {
+    finite = np.all(np.isfinite(J0), axis=(1, 2))
+    full_rank_ok = cond2_rank_ok = bool(np.all(finite))
+    sv_min = np.full(n_samples, np.nan)
+    if np.any(finite):
+        J = J0[:1] if isinstance(candidate.jac, np.ndarray) else J0[finite]
+        sv_full = np.linalg.svd(J, compute_uv=False)
+        full_rank_ok &= not np.any(sv_full[:, -1] <= RANK_TOL * sv_full[:, 0])
+        sv = np.linalg.svd(J[:, :nEr, :nE], compute_uv=False)
+        ranks = np.sum(sv > RANK_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
+        cond2_rank_ok &= not np.any(ranks < nEr)
+        sv_min[finite] = sv[:, -1]
+
+    lhs = _matvecs(ivcm_target, _matvecs(D1p1_at_x1, delta))
+    rhs = _matvecs(D1p1, _matvecs(inner, delta)) + _matvecs(D2p1, _matvecs(jphi1, delta))
+    report = {
         "cond1_submersion_rank_ok": bool(full_rank_ok),
         "cond1_note": "rank check only",
         "cond2_fiber_slot_rank_ok": bool(cond2_rank_ok),
-        "cond2_min_singular_value": float(cond2_min_sv),
-        **maxima,
-        "worst_samples": worst_samples,
-        "n_samples": int(n_samples),
     }
+    # The smallest, a NaN kept; every entry is finite or NaN, so a draw wins.
+    _, i = worst_draw(-sv_min, -np.inf)
+    report["cond2_min_singular_value"] = float(sv_min[i])
+    worst_samples = {"cond2_min_singular_value": x0s[i]}
+    for name, diffs in (("cond3_base_independence_max", J0[:, nEr:, :nE]),
+                        ("cond4_base_compatibility_max", base_defect),
+                        ("cond5_lagrangian_match_max", lag_defect),
+                        ("cond6_chaining_intertwine_max", lhs - rhs)):
+        report[name], i = worst_draw(draw_maxima(diffs))
+        worst_samples[name] = None if i is None else x0s[i]
+    report["worst_samples"] = worst_samples
+    report["n_samples"] = int(n_samples)
+    return report

@@ -145,6 +145,19 @@ def test_stages_report(tmp_path):
     assert rep["checks"]["stage_comparison_max"]["value"] <= 1e-8
 
 
+def test_stages_writes_worst_samples(tmp_path):
+    """The stage comparison names its worst trajectory point, a row of the
+    simulated path, and the conjugation check its worst (q0, q1) row."""
+    cfg = write_config(tmp_path, BODY_CONFIG)
+    assert run("stages", cfg, tmp_path) == 0
+    checks = json.loads((tmp_path / "stages.json").read_text())["checks"]
+    assert run("simulate", cfg, tmp_path) == 0
+    rows = [[float(r[f"eps{i}"]) for i in range(4)] + [float(r[f"m{i}"]) for i in range(4)]
+            for r in read_rows(tmp_path)]
+    assert checks["stage_comparison_max"]["sample"] in rows
+    assert len(checks["conjugation_equivariance_max"]["sample"]) == 8
+
+
 def test_check_negative_control_exit_code(tmp_path):
     payload = dict(BODY_CONFIG)
     payload["perturb"] = 0.1

@@ -157,6 +157,17 @@ def test_symplectic_regularity_error():
         symplectic_check(sys, traj)
 
 
+def test_symplectic_nan_block_is_a_regularity_error():
+    """A Lagrangian that is NaN for q0 > 0.5 makes the second step's
+    mixed-partial block NaN: a RegularityError, not numpy's LinAlgError."""
+    sys = from_dms(1, SmoothMapHandle(2, 1, lambda x: np.array(
+        [0.5 * (x[1] - x[0]) ** 2 + (np.nan if x[0] > 0.5 else 0.0)])))
+    traj = make_path([(np.array([float(k)]), np.array([k + 1.0]))
+                      for k in range(3)])
+    with pytest.raises(RegularityError, match="not finite"):
+        symplectic_check(sys, traj)
+
+
 def test_bracket_constants_vanish(full_system, reduced, rng):
     c1 = SmoothMapHandle(6, 1, lambda y: np.array([1.0]))
     c2 = SmoothMapHandle(6, 1, lambda y: np.array([-2.0]))

@@ -20,7 +20,8 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 sample_cprime)
 from dlpsim.lie import (conjugate, sample_group, se2_two_point_action, t2_group,
                         t2_two_point_action, trivial_action, trivial_group)
-from dlpsim.reduction import (SYMMETRY_TOLS, build_upsilon, check_morphism,
+from dlpsim.reduction import (ROUNDTRIP_TOL, SYMMETRY_TOLS, VALIDATION_DRAWS,
+                              build_upsilon, check_morphism,
                               check_symmetry, project_path,
                               reconstruct_path, reduce, solve_matching,
                               trivial_reduction, two_stage)
@@ -326,6 +327,35 @@ def test_build_upsilon_reports_tested_chaining_point(full_system):
     worst_row, worst = max(draws, key=lambda draw: draw[1])
     assert np.array_equal(err.value.sample, worst_row)
     assert err.value.violation == pytest.approx(worst, rel=1e-6)
+
+
+def test_build_upsilon_names_the_worst_failing_draw(full_system):
+    """A chart that breaks orbit invariance by 1e-9 |eps|^2 fails at many
+    draws; every draw is evaluated, and the error names the worst, which
+    here is not the first failing one."""
+    t2 = t2_two_point_action()
+    moves = []
+
+    def recording_act(g, q):
+        moves.append((q, t2.act(g, q)))
+        return moves[-1][1]
+
+    def chart(eps, w):
+        return _t2_chart(eps, w) + np.array([1e-9 * float(eps @ eps), 0, 0, 0])
+
+    with pytest.raises(ValidationError) as err:
+        build_upsilon(make_t2_connection(), full_system, fiber_chart=chart,
+                      fiber_section=_t2_section,
+                      action_e=dataclasses.replace(t2, act=recording_act),
+                      sample_cprime=sample_cprime)
+    assert err.value.identity == "upsilon orbit invariance"
+    assert len(moves) == VALIDATION_DRAWS
+    defects = [1e-9 * abs(float(gq @ gq - q @ q)) for q, gq in moves]
+    worst = int(np.argmax(defects))
+    first = next(i for i, d in enumerate(defects) if d > ROUNDTRIP_TOL)
+    assert first != worst
+    assert np.array_equal(err.value.sample[:4], moves[worst][0])
+    assert err.value.violation == pytest.approx(defects[worst], rel=1e-6)
 
 
 def _distance_chart(eps, w):
@@ -788,6 +818,13 @@ def test_check_morphism_worst_samples(full_system, reduced):
     assert rep["worst_samples"]["cond3_base_independence_max"] is None
     x0 = rep["worst_samples"]["cond2_min_singular_value"]
     assert x0 is not None and x0.shape == (8,)
+
+
+def test_check_morphism_needs_a_draw(full_system, reduced):
+    """Zero draws would check nothing: a ValueError, not a passing report."""
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        check_morphism(reduced.model.upsilon, full_system, reduced.system,
+                       sample_cprime, n_samples=0)
 
 
 def test_check_morphism_verifies_representative_independence(staged,
