@@ -123,8 +123,11 @@ def check_equivariance(conn: DiscreteConnection, n_samples: int,
     ``max_violation``, and a NaN violation is kept as the maximum. The
     draws are evaluated one by one and judged in bulk afterwards; the
     maximum and its ``worst_sample`` (q0, q1) equal a per-draw fold by
-    ``errors.worse`` (None while every violation is 0).
+    ``errors.worse`` (None while every violation is 0). ``n_samples``
+    below 1 is a ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
     rng = rng or np.random.default_rng(0)
     quotient = conn.quotient
     G = quotient.action.group

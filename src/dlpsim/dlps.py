@@ -171,7 +171,7 @@ def _lagrangian_grad(sys: DlpsSystem, eps, m, slot: int) -> np.ndarray:
     """
     L = sys.lagrangian
     if L.jac is not None:
-        return _slot_gradients(sys, eps, m)[slot - 1]
+        return _slot_gradients(sys, np.concatenate([eps, m]))[slot - 1]
     # The stencil never visits (eps, m) itself, so evaluate L there once:
     # off L's domain (e.g. on the two-body collision diagonal) this raises.
     L(np.concatenate([eps, m]))
@@ -188,14 +188,14 @@ def d2_lagrangian(sys: DlpsSystem, eps, m) -> np.ndarray:
     return _lagrangian_grad(sys, eps, m, 2)
 
 
-def _slot_gradients(sys: DlpsSystem, eps, m) -> Pair:
-    """(D1, D2) of L_d at (eps, m): one ``jac`` call split at the fiber
-    slot when the Lagrangian has one, else one stencil per slot."""
+def _slot_gradients(sys: DlpsSystem, x) -> Pair:
+    """(D1, D2) of L_d at the row x = (eps, m): one ``jac`` call split at
+    the fiber slot when the Lagrangian has one, else one stencil per slot."""
+    n = sys.bundle.total_dim
     L = sys.lagrangian
     if L.jac is None:
-        return d1_lagrangian(sys, eps, m), d2_lagrangian(sys, eps, m)
-    grad = L.jacobian(np.concatenate([eps, m]))[0]
-    n = sys.bundle.total_dim
+        return d1_lagrangian(sys, x[:n], x[n:]), d2_lagrangian(sys, x[:n], x[n:])
+    grad = L.jacobian(x)[0]
     return grad[:n], grad[n:]
 
 
@@ -223,21 +223,32 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
     x_prev, x_cur = np.concatenate([as_vector(eps_prev, n), as_vector(m_cur, nb),
                                     as_vector(eps_cur, n), as_vector(m_next, nb)]
                                    ).reshape(2, n + nb)
-    return _del_covector(sys, *_slot_gradients(sys, x_prev[:n], x_prev[n:]),
-                         x_prev, x_cur)
+    return _del_covector(sys, x_prev)(x_cur)
 
 
-def _del_covector(sys: DlpsSystem, g1_prev, g2_prev, x_prev, x_cur) -> np.ndarray:
-    """``del_residual`` at the rows x_prev, x_cur given x_prev's D1/D2.
+def _del_covector(sys: DlpsSystem, x_prev) -> Callable[[np.ndarray], np.ndarray]:
+    """``del_residual`` at the row x_prev as a function of the current row.
 
-    Those two gradients (g1_prev, g2_prev) do not depend on x_cur, so
-    ``step`` computes them once per solve, from one gradient call when
-    the Lagrangian has ``jac``, instead of once per residual evaluation.
+    What depends on x_prev alone is formed once, for every current row
+    the returned function is given (``step`` evaluates it once per Newton
+    residual): D1/D2 at x_prev, from one gradient call when the Lagrangian
+    has ``jac``, and, when ``phi`` has an array ``jac``, the term
+    D2 L_d(x_prev) o d phi. D1 at the current row is one ``jac`` call on
+    the row itself when the Lagrangian has one.
     """
     n = sys.bundle.total_dim
-    return (d1_lagrangian(sys, x_cur[:n], x_cur[n:])
-            + g2_prev @ sys.bundle.phi.jacobian(x_cur[:n])
-            + g1_prev @ sys.ivcm_matrix(x_prev, x_cur))
+    L, phi = sys.lagrangian, sys.bundle.phi
+    g1_prev, g2_prev = _slot_gradients(sys, x_prev)
+    g2_dphi = g2_prev @ phi.jac if isinstance(phi.jac, np.ndarray) else None
+
+    def covector(x_cur):
+        d1 = (d1_lagrangian(sys, x_cur[:n], x_cur[n:]) if L.jac is None
+              else L.jacobian(x_cur)[0, :n])
+        transported = (g2_prev @ phi.jacobian(x_cur[:n]) if g2_dphi is None
+                       else g2_dphi)
+        return d1 + transported + g1_prev @ sys.ivcm_matrix(x_prev, x_cur)
+
+    return covector
 
 
 def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
@@ -263,12 +274,11 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     eps0 = as_vector(eps0, b.total_dim)
     m1 = as_vector(m1, b.base_dim)
     n, nb = b.total_dim, b.base_dim
-    g1_prev, g2_prev = _slot_gradients(sys, eps0, m1)
-    x0 = np.concatenate([eps0, m1])
+    covector = _del_covector(sys, np.concatenate([eps0, m1]))
 
     def residual(z):
         out = np.empty(n + nb)
-        out[:n] = _del_covector(sys, g1_prev, g2_prev, x0, z)
+        out[:n] = covector(z)
         out[n:] = b.phi(z[:n]) - m1
         return out
 

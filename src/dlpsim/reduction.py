@@ -162,10 +162,12 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
 
     Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
     sample is None while every violation is 0; a NaN violation is the
-    maximum); never raises on a violation. The draws are evaluated one by
-    one and judged in bulk afterwards, and the report equals a per-draw
-    fold by ``errors.worse``.
+    maximum); never raises on a violation (``n_samples`` below 1 is a
+    ValueError). The draws are evaluated one by one and judged in bulk
+    afterwards, and the report equals a per-draw fold by ``errors.worse``.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
     rng = rng or np.random.default_rng(31)
     G, nE = action_e.group, sys.bundle.total_dim
     act = _diagonal_cprime_action(action_e, action_m).act
@@ -307,35 +309,52 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     both pieces back down with the partial derivatives of upsilon.
 
     An affine reduction of a DMS has a constant chaining matrix and an
-    exact step: when the source bundle is square (its chaining map is
-    zero) and its ``phi``, ``upsilon``, ``lift_section`` and the reduced
-    ``phi`` carry ``jac`` arrays, the chaining matrix is one read-only C
-    computed from them, and a ``hess`` on ``L`` gives the reduced
-    Lagrangian ``T^T hess(lift_section(y)) T`` (T the ``lift_section``
-    array), from which ``dlps.step`` builds its Newton Jacobian. Every
-    other reduced Lagrangian has no ``hess``.
+    exact step, and steps on its matrices: when the source bundle is
+    square (its chaining map is zero) and its ``phi``, ``upsilon``,
+    ``lift_section`` and the reduced ``phi`` carry ``jac`` arrays, the
+    chaining matrix is one read-only C computed from them, the lift is
+    evaluated as ``c + T y`` and the reduced system's bundle map as
+    ``p + P v`` (T and P the ``lift_section`` and reduced ``phi`` arrays,
+    c and p their values at 0, read once here), and a ``hess`` on ``L``
+    gives the reduced Lagrangian ``T^T hess(c + T y) T``, from which
+    ``dlps.step`` builds its Newton Jacobian. The model keeps its own
+    maps. Every other reduced Lagrangian has no ``hess``.
     """
     nE = sys.bundle.total_dim
-    nEr = model.reduced_bundle.total_dim
+    bundle = model.reduced_bundle
+    nEr, nMr = bundle.total_dim, bundle.base_dim
     L, lift, upsilon = sys.lagrangian, model.lift_section, model.upsilon
+
+    lifted, lift_jacobian = lift, lift.jacobian
+    C = hess = None
+    if nE == sys.bundle.base_dim and all(isinstance(f.jac, np.ndarray) for f in (
+            sys.bundle.phi, upsilon, lift, bundle.phi)):
+        K = upsilon.jac[:nEr]
+        C = (K[:, nE:] @ sys.bundle.phi.jac) @ _solve_isomorphism(K[:, :nE])
+        C.flags.writeable = False
+        T, c = lift.jac, lift(np.zeros(lift.in_dim))
+        P, p = bundle.phi.jac, bundle.phi(np.zeros(nEr))
+
+        def lifted(y):
+            return c + T @ y
+
+        def lift_jacobian(y):
+            return T
+
+        bundle = FiberBundleModel(
+            total_dim=nEr, base_dim=nMr, section=bundle.section,
+            phi=SmoothMapHandle(nEr, nMr, lambda v: p + P @ v, jac=P))
+        if L.hess is not None:
+            def hess(y):
+                return T.T @ L.hessian(lifted(y)) @ T
 
     lagrangian_jac = None
     if L.jac is not None and lift.jac is not None:
         def lagrangian_jac(y):
-            return L.jacobian(lift(y)) @ lift.jacobian(y)
+            return L.jacobian(lifted(y)) @ lift_jacobian(y)
 
-    C = hess = None
-    if nE == sys.bundle.base_dim and all(isinstance(f.jac, np.ndarray) for f in (
-            sys.bundle.phi, upsilon, lift, model.reduced_bundle.phi)):
-        K = upsilon.jac[:nEr]
-        C = (K[:, nE:] @ sys.bundle.phi.jac) @ _solve_isomorphism(K[:, :nE])
-        C.flags.writeable = False
-        if L.hess is not None:
-            def hess(y):
-                return lift.jac.T @ L.hessian(lift(y)) @ lift.jac
-
-    lagrangian = SmoothMapHandle(nEr + model.reduced_bundle.base_dim, 1,
-                                 lambda y: L(lift(y)), jac=lagrangian_jac, hess=hess)
+    lagrangian = SmoothMapHandle(nEr + nMr, 1, lambda y: L(lifted(y)),
+                                 jac=lagrangian_jac, hess=hess)
 
     def reduced_ivcm_matrix(y0, y1) -> np.ndarray:
         if C is not None:
@@ -344,7 +363,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         # the second-order compatibility set this equals y0's base point,
         # and off it (solver iterates between constraint projections) it
         # is the smooth extension that keeps the matching equation solvable.
-        x0 = lift(np.concatenate([y0[:nEr], model.reduced_bundle.phi(y1[:nEr])]))
+        x0 = lift(np.concatenate([y0[:nEr], bundle.phi(y1[:nEr])]))
         x1 = _lift_onto(model, y1, x0[nE:])
 
         Jinv = _solve_isomorphism(upsilon.jacobian(x1)[:nEr, :nE])
@@ -356,7 +375,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     def reduced_ivcm(y0, y1, delta_v1) -> np.ndarray:
         return reduced_ivcm_matrix(y0, y1) @ as_vector(delta_v1, nEr)
 
-    reduced_sys = DlpsSystem(bundle=model.reduced_bundle, lagrangian=lagrangian,
+    reduced_sys = DlpsSystem(bundle=bundle, lagrangian=lagrangian,
                              ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix)
     return ReductionResult(system=reduced_sys, model=model)
 
@@ -433,8 +452,9 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     connection ``conn_h`` is equivariant under conjugation
     (``conjugate_in_full``) by the full group acting by
     ``full_group_action``; a worst sample above 1e-10 raises
-    ValidationError. Both maxima keep a NaN, so a NaN conjugation
-    violation raises and a NaN comparison reads as the maximum.
+    ValidationError, and ``n_checks`` below 1 a ValueError. Both maxima
+    keep a NaN, so a NaN conjugation violation raises and a NaN
+    comparison reads as the maximum.
 
     The draws and the trajectory points are evaluated one by one and
     judged in bulk afterwards; the maxima, and the report's
@@ -443,6 +463,8 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     trajectory point), equal a per-draw fold by ``errors.worse`` (None
     while every violation is 0).
     """
+    if n_checks < 1:
+        raise ValueError(f"n_checks must be at least 1 (got {n_checks})")
     rng = rng or np.random.default_rng(11235)
     quotient = conn_h.quotient
     samples, lhs, rhs = [], [], []

@@ -204,7 +204,8 @@ MAX_HALVINGS = 20
 
 
 def _inf_norm(r):
-    return float(np.max(np.abs(r), initial=0.0))
+    """max |r_i| (0.0 for an empty r; NaN when any entry is NaN)."""
+    return float(np.abs(r).max()) if r.size else 0.0
 
 
 def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None) -> np.ndarray:

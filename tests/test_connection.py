@@ -226,6 +226,13 @@ def test_check_equivariance_keeps_nan_maximum(t2_conn):
     assert report["worst_sample"] is not None
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_check_equivariance_needs_a_draw(t2_conn, n_samples):
+    """Zero draws would check nothing: a ValueError, not a passing report."""
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        check_equivariance(t2_conn, n_samples)
+
+
 def test_phi_psi_roundtrip(t2_conn, rng):
     """The pair-space isomorphisms built from the connection invert each other."""
     for _ in range(200):

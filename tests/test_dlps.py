@@ -457,9 +457,7 @@ def test_del_jacobian_matches_fd_of_del_covector(case, rng):
     n = sys.bundle.total_dim
     for _ in range(20):
         x_prev, x_cur = sample(rng), sample(rng)
-        g1 = d1_lagrangian(sys, x_prev[:n], x_prev[n:])
-        g2 = d2_lagrangian(sys, x_prev[:n], x_prev[n:])
-        fd = jacobian_fd(lambda z: _del_covector(sys, g1, g2, x_prev, z), x_cur)
+        fd = jacobian_fd(_del_covector(sys, x_prev), x_cur)
         scale = max(1.0, float(np.max(np.abs(fd))))
         got = sys.lagrangian.hessian(x_cur)[:n]
         assert np.max(np.abs(got - fd)) <= HESS_RTOL * scale
@@ -647,15 +645,23 @@ def _covector_case(name):
 
 @pytest.mark.parametrize("name", ["exact", "fd", "reduced"])
 def test_del_covector_matches_del_residual_bitwise(name, rng):
-    """The hoisted-gradient helper is del_residual term for term."""
+    """The hoisted-gradient covector of ``step`` and ``del_residual`` is
+    the textbook sum of slot gradients, bit for bit: D1 at the current
+    row, D2 at the previous row through d phi, D1 at the previous row
+    through the chaining matrix."""
     sys, sample_pair = _covector_case(name)
     for _ in range(10):
         eps_prev, m_cur = sample_pair(rng)
         eps_cur, m_next = sample_pair(rng)
-        got = _del_covector(sys, d1_lagrangian(sys, eps_prev, m_cur),
-                            d2_lagrangian(sys, eps_prev, m_cur),
-                            np.concatenate([eps_prev, m_cur]),
-                            np.concatenate([eps_cur, m_next]))
+        x_prev = np.concatenate([eps_prev, m_cur])
+        x_cur = np.concatenate([eps_cur, m_next])
+        textbook = (d1_lagrangian(sys, eps_cur, m_next)
+                    + d2_lagrangian(sys, eps_prev, m_cur)
+                    @ sys.bundle.phi.jacobian(eps_cur)
+                    + d1_lagrangian(sys, eps_prev, m_cur)
+                    @ sys.ivcm_matrix(x_prev, x_cur))
+        got = _del_covector(sys, x_prev)(x_cur)
+        assert np.array_equal(got, textbook)
         assert np.array_equal(got, del_residual(sys, eps_prev, m_cur,
                                                 eps_cur, m_next))
 

@@ -412,6 +412,13 @@ NEGATIVE_CONTROLS = {
 }
 
 
+def test_check_symmetry_needs_a_draw(full_system):
+    """Zero draws would read 0.0 for every condition: a ValueError."""
+    act = se2_two_point_action()
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        check_symmetry(full_system, act, act, sample_cprime, n_samples=0)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(NEGATIVE_CONTROLS)))
 def test_negative_controls_fail_check_symmetry_on_random_draws(full_system, seed,
@@ -574,6 +581,17 @@ def test_two_stage_real(staged, full_start):
                           conjugate_in_full=staged.conjugate_in_g)
     assert report["conjugation_equivariance_max"] <= 1e-10
     assert report["stage_comparison_max"] <= TRAJ_TOL
+
+
+def test_two_stage_needs_a_draw(staged, full_start):
+    """Zero conjugation draws would skip the check that ``two_stage``
+    always runs: a ValueError, not a vacuous report."""
+    traj = simulate(staged.sys, *full_start, 0)
+    with pytest.raises(ValueError, match="n_checks must be at least 1"):
+        two_stage(staged.sys, staged.stage_h, staged.stage_gh,
+                  staged.one_shot, traj, conn_h=staged.conn_h,
+                  full_group_action=staged.action_g,
+                  conjugate_in_full=staged.conjugate_in_g, n_checks=0)
 
 
 def test_two_stage_rejects_nan_conjugation(staged, full_start):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dlpsim.dlps import del_residual, free_particle_dms
 from dlpsim.errors import NonConvergence, SingularJacobian
 from dlpsim.smooth import (MAX_HALVINGS, NewtonConfig, SmoothMapHandle,
-                           as_vector, gradient_fd5, jacobian_fd, newton_solve)
+                           _inf_norm, as_vector, gradient_fd5, jacobian_fd,
+                           newton_solve)
 
 FD_TOL = 1e-8
 #: V'' against central differences of V', relative to max(1, |V''|): the
@@ -157,6 +158,41 @@ def test_newton_stops_at_once_on_non_finite_start(bad):
     assert len(calls) == 1
     assert np.array_equal(info.value.residual_norm, bad, equal_nan=True)
     assert np.array_equal(info.value.last_iterate, [1.0, 2.0])
+
+
+def test_newton_stops_at_once_on_nan_after_finite_entries():
+    """A NaN behind larger finite entries still makes the start norm NaN:
+    one evaluation, then NonConvergence."""
+    calls = []
+
+    def res(x):
+        calls.append(1)
+        return np.array([1e3, -1e3, np.nan])
+
+    with pytest.raises(NonConvergence, match="starting point") as info:
+        newton_solve(SmoothMapHandle(3, 3, res), np.zeros(3))
+    assert len(calls) == 1 and np.isnan(info.value.residual_norm)
+
+
+INF_NORM_CASES = {
+    "empty": [], "zero": [0.0], "negative zero": [-0.0],
+    "negative zeros": [-0.0, -0.0], "signed zeros": [0.0, -0.0, 0.0],
+    "ordinary": [3e-13, -7.5e-12, 1e-15], "one negative": [-2.5],
+    "nan": [np.nan], "nan last": [1.0, -4.0, np.nan],
+    "nan first": [np.nan, 1e300], "inf": [1.0, np.inf], "-inf": [-np.inf, 2.0],
+    "inf and nan": [np.inf, np.nan], "tiny": [5e-324, -5e-324],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INF_NORM_CASES))
+def test_inf_norm_matches_masked_max(name):
+    """Newton's residual norm equals ``np.max(np.abs(r), initial=0.0)``
+    bit for bit, sign of zero and NaN included, as a Python float."""
+    r = np.array(INF_NORM_CASES[name], dtype=float)
+    got, want = _inf_norm(r), float(np.max(np.abs(r), initial=0.0))
+    assert type(got) is float
+    assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
+    assert np.signbit(got) == np.signbit(want)
 
 
 def test_newton_postcondition_bound():
