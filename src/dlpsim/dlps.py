@@ -254,8 +254,9 @@ def _del_covector(sys: DlpsSystem, x_prev) -> Callable[[np.ndarray], np.ndarray]
 def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
     """Linear extrapolation seed: section-transport of eps0 over m1."""
     b = sys.bundle
-    eps1 = eps0 + b.section(m1) - b.section(b.phi(eps0))
-    m2 = m1 + (m1 - b.phi(eps0))
+    m0 = b.phi(eps0)
+    eps1 = eps0 + b.section(m1) - b.section(m0)
+    m2 = m1 + (m1 - m0)
     return np.concatenate([eps1, m2])
 
 

@@ -75,19 +75,24 @@ class TwoBodyConfig:
         return float(self.potential.hessian(np.array([float(s)]))[0, 0])
 
 
-def _separation(q) -> np.ndarray:
-    return q[:2] - q[2:]
-
-
 def _distance(q) -> float:
     """|q^x - q^y| of a configuration."""
     x_re, x_im, y_re, y_im = q.tolist()
     return float(np.hypot(x_re - y_re, x_im - y_im))
 
 
-def _check_off_diagonal(q):
-    if _distance(q) < _SEPARATION_FLOOR:
+def _check_apart(d_re, d_im):
+    """Raise DomainError when the separation q^x - q^y = (d_re, d_im) is
+    below the floor; a NaN separation passes."""
+    if np.hypot(d_re, d_im) < _SEPARATION_FLOOR:
         raise DomainError("coincident particles (excised diagonal)")
+
+
+def _norm2(a, b) -> float:
+    """a^2 + b^2 as numpy's length-2 ``@`` rounds it, which differs in the
+    last bit from the float sum a*a + b*b on some inputs."""
+    d = np.array((a, b))
+    return float(d @ d)
 
 
 #: Half the Hessian of the squared separation |q^x - q^y|^2 on R^4.
@@ -103,40 +108,56 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     well; otherwise D1/D2 fall back to the fourth-order stencil on L,
     which beats a second-order V', and the Newton Jacobian to central
     differences.
+
+    L, its gradient and its Hessian read the row once with ``.tolist()``
+    and compute on Python floats, bit-identical to the numpy formulas
+    over q0 = x[:4], q1 = x[4:]: the squared lengths |q1^x - q0^x|^2,
+    |q1^y - q0^y|^2 and |q0^x - q0^y|^2 keep numpy's length-2 ``@``
+    (``_norm2``), and the Hessian's potential block is, entry by entry,
+    ``kin_ij - h*((2 V'')*(u_i*u_j) + V'*S_ij)`` with u = (sep, -sep)
+    and S = ``_SEPARATION_HESS``. Each raises DomainError when either
+    configuration is on the excised diagonal.
     """
     h = cfg.h
     kinetic = _kinetic_hessian(4, h)
+    # (i, j, kin_ij, S_ij) on and above the diagonal of the potential
+    # block, which is symmetric bit for bit since u_i*u_j == u_j*u_i.
+    upper = [(i, j, float(kinetic[i, j]), float(_SEPARATION_HESS[i, j]))
+             for i in range(4) for j in range(i, 4)]
+
+    def row(x):
+        """The row's eight floats, both configurations checked."""
+        x = x.tolist()
+        _check_apart(x[0] - x[2], x[1] - x[3])
+        _check_apart(x[4] - x[6], x[5] - x[7])
+        return x
 
     def L(x):
-        q0, q1 = x[:4], x[4:]
-        _check_off_diagonal(q0)
-        _check_off_diagonal(q1)
-        dx = q1[:2] - q0[:2]
-        dy = q1[2:] - q0[2:]
-        sep = _separation(q0)
+        x0, x1, x2, x3, x4, x5, x6, x7 = row(x)
         return np.array([
-            (float(dx @ dx) + float(dy @ dy)) / (2.0 * h)
-            - 0.5 * h * cfg.v(float(sep @ sep))])
+            (_norm2(x4 - x0, x5 - x1) + _norm2(x6 - x2, x7 - x3)) / (2.0 * h)
+            - 0.5 * h * cfg.v(_norm2(x0 - x2, x1 - x3))])
 
     def dL(x):
-        q0, q1 = x[:4], x[4:]
-        _check_off_diagonal(q0)
-        _check_off_diagonal(q1)
-        v = (q1 - q0) / h
-        sep = _separation(q0)
-        force = h * cfg.v_prime(float(sep @ sep)) * np.concatenate([sep, -sep])
-        return np.concatenate([-v - force, v])
+        x0, x1, x2, x3, x4, x5, x6, x7 = row(x)
+        v0, v1, v2, v3 = (x4 - x0) / h, (x5 - x1) / h, (x6 - x2) / h, (x7 - x3) / h
+        s0, s1 = x0 - x2, x1 - x3
+        c = h * cfg.v_prime(_norm2(s0, s1))
+        return np.array([-v0 - c * s0, -v1 - c * s1, -v2 - c * -s0, -v3 - c * -s1,
+                         v0, v1, v2, v3])
 
     def d2L(x):
-        q0, q1 = x[:4], x[4:]
-        _check_off_diagonal(q0)
-        _check_off_diagonal(q1)
-        sep = _separation(q0)
-        s = float(sep @ sep)
-        u = np.concatenate([sep, -sep])
+        x0, x1, x2, x3 = row(x)[:4]
+        s0, s1 = x0 - x2, x1 - x3
+        s = _norm2(s0, s1)
+        a = 2.0 * cfg.v_second(s)
+        vp = cfg.v_prime(s)
+        u = (s0, s1, -s0, -s1)
+        block = [[0.0] * 4 for _ in range(4)]
+        for i, j, k, S in upper:
+            block[i][j] = block[j][i] = k - h * (a * (u[i] * u[j]) + vp * S)
         H = kinetic.copy()
-        H[:4, :4] -= h * (2.0 * cfg.v_second(s) * np.outer(u, u)
-                          + cfg.v_prime(s) * _SEPARATION_HESS)
+        H[:4, :4] = block
         return H
 
     jac = dL if cfg.potential.jac is not None else None

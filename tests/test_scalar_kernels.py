@@ -1,26 +1,32 @@
-"""The planar group, action and connection closures against reference copies
-of their 2-element numpy formulations.
+"""The planar group, action and connection closures, and the two-body
+Lagrangian with its gradient and Hessian, against reference copies of
+their numpy formulations.
 
 The closures compute on Python floats read with ``.tolist()``; each
-reference below evaluates the same complex formula over numpy arrays.
-On seeded draws every closure must give the reference's result bit for
-bit (dtype, shape and bytes, so the sign of a zero counts too), raise the
-reference's exception at zero norm, and keep a NaN input as a NaN
-output without raising.
+reference below evaluates the same formula over numpy arrays. On seeded
+draws every closure must give the reference's result bit for bit (dtype,
+shape and bytes, so the sign of a zero counts too), raise the reference's
+exception at zero norm or on the excised diagonal, and keep a NaN input
+as a NaN output without raising.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from dlpsim import example_se2
+from dlpsim.dlps import _kinetic_hessian, from_dms, simulate
 from dlpsim.errors import DomainError
-from dlpsim.example_se2 import (make_residual_u1_action, make_se2_connection,
-                                make_t2_connection, make_u1_connection)
+from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
+                                make_residual_u1_action, make_se2_connection,
+                                make_t2_connection, make_u1_connection,
+                                potential_handle)
 from dlpsim.lie import (project_to_quotient, se2_group, se2_plane_action,
                         se2_two_point_action, t2_two_point_action, u1_group,
                         u1_plane_action)
 from dlpsim.reduction import build_upsilon
-from dlpsim.smooth import as_vector
+from dlpsim.smooth import SmoothMapHandle, as_vector
 
 SQRT2 = float(np.sqrt(2.0))
 FLOOR = 1e-12
@@ -308,15 +314,23 @@ def test_zero_norm_raises_as_reference(fiber_maps, name, args, exc):
 
 @pytest.mark.parametrize("d", [0.0, 0.5e-12, 1e-12, 2e-12, 0.3])
 def test_check_off_diagonal_as_reference(d):
-    """The excised diagonal: DomainError exactly where the reference raises."""
+    """The excised diagonal: the Lagrangian, its gradient and its Hessian
+    raise DomainError, with q in either row, exactly where the reference
+    check raises on q."""
     q = np.array([0.25, -1.0, 0.25 + d, -1.0])
+    far = np.array([1.0, 0.5, -1.0, 0.25])
+    L = make_full_system(TwoBodyConfig(potential=potential_handle("quadratic", 0.3))).lagrangian
+    calls = [(part, x) for part in (L.eval, L.jac, L.hess)
+             for x in (np.concatenate([q, far]), np.concatenate([far, q]))]
     try:
         _check_off_diagonal(q)
     except DomainError:
-        with pytest.raises(DomainError):
-            example_se2._check_off_diagonal(q)
+        for part, x in calls:
+            with pytest.raises(DomainError):
+                part(x)
     else:
-        example_se2._check_off_diagonal(q)
+        for part, x in calls:
+            part(x)
 
 
 def test_nan_input_gives_nan_output(fiber_maps):
@@ -324,7 +338,6 @@ def test_nan_input_gives_nan_output(fiber_maps):
     for name, closure, _, dims in _closures(fiber_maps):
         out = _flat(closure(*[np.full(n, np.nan) for n in dims]))
         assert np.isnan(out).any(), name
-    example_se2._check_off_diagonal(np.full(4, np.nan))
 
 
 @pytest.mark.parametrize("sampler, reference, args", [
@@ -338,3 +351,121 @@ def test_samplers_match_reference(sampler, reference, args):
     for _ in range(DRAWS):
         assert _same_bits(sampler(rng_a, *args), reference(rng_b, *args))
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# --- the two-body Lagrangian -----------------------------------------------
+
+SEPARATION_HESS = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(2))
+POTENTIALS = [("zero", 1.0), ("linear", 0.5), ("quadratic", 0.3)]
+
+
+def reference_lagrangian(cfg):
+    """The two-body Lagrangian handle with its gradient and Hessian written
+    over numpy arrays, wired as ``make_full_system`` wires its kernels."""
+    h = cfg.h
+    kinetic = _kinetic_hessian(4, h)
+
+    def L(x):
+        q0, q1 = x[:4], x[4:]
+        _check_off_diagonal(q0)
+        _check_off_diagonal(q1)
+        dx = q1[:2] - q0[:2]
+        dy = q1[2:] - q0[2:]
+        sep = _sep(q0)
+        return np.array([
+            (float(dx @ dx) + float(dy @ dy)) / (2.0 * h)
+            - 0.5 * h * cfg.v(float(sep @ sep))])
+
+    def dL(x):
+        q0, q1 = x[:4], x[4:]
+        _check_off_diagonal(q0)
+        _check_off_diagonal(q1)
+        v = (q1 - q0) / h
+        sep = _sep(q0)
+        force = h * cfg.v_prime(float(sep @ sep)) * np.concatenate([sep, -sep])
+        return np.concatenate([-v - force, v])
+
+    def d2L(x):
+        q0, q1 = x[:4], x[4:]
+        _check_off_diagonal(q0)
+        _check_off_diagonal(q1)
+        sep = _sep(q0)
+        s = float(sep @ sep)
+        u = np.concatenate([sep, -sep])
+        H = kinetic.copy()
+        H[:4, :4] -= h * (2.0 * cfg.v_second(s) * np.outer(u, u)
+                          + cfg.v_prime(s) * SEPARATION_HESS)
+        return H
+
+    jac = dL if cfg.potential.jac is not None else None
+    hess = d2L if jac is not None and cfg.potential.hess is not None else None
+    return SmoothMapHandle(8, 1, L, jac=jac, hess=hess)
+
+
+def _kernel_pairs(cfg):
+    """(name, kernel, reference) for the value, gradient and Hessian."""
+    kernel, reference = make_full_system(cfg).lagrangian, reference_lagrangian(cfg)
+    return [(name, getattr(kernel, name), getattr(reference, name))
+            for name in ("eval", "jac", "hess")]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5])
+@pytest.mark.parametrize("name, coeff", POTENTIALS)
+def test_lagrangian_kernels_match_reference_bit_for_bit(name, coeff, h):
+    """Seeded rows in [-2, 2]^8, then rows of small integers, where exact
+    zeros, signed zeros and coincident particles appear."""
+    cfg = TwoBodyConfig(h=h, potential=potential_handle(name, coeff))
+    rng = np.random.default_rng(2029)
+    for part, kernel, reference in _kernel_pairs(cfg):
+        for k in range(2 * DRAWS):
+            x = rng.uniform(-2.0, 2.0, 8) if k % 2 else rng.integers(-2, 3, 8).astype(float)
+            try:
+                ref = reference(x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    kernel(x)
+                continue
+            assert _same_bits(kernel(x), ref), (part, x)
+
+
+@pytest.mark.parametrize("name, coeff", POTENTIALS)
+def test_lagrangian_kernels_nan_row_gives_nan(name, coeff):
+    """A NaN row passes the collision check and gives NaN; nothing warns."""
+    cfg = TwoBodyConfig(potential=potential_handle(name, coeff))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for part, kernel, _ in _kernel_pairs(cfg):
+            assert np.isnan(kernel(np.full(8, np.nan))).any(), part
+
+
+def test_lagrangian_gradient_infinite_entry_gives_nan_silently():
+    """An infinite coordinate gives NaN where the numpy formula also gave
+    NaN but emitted a RuntimeWarning (inf - inf in -v - force)."""
+    cfg = TwoBodyConfig(potential=potential_handle("linear", 0.5))
+    _, (_, grad, ref_grad), _ = _kernel_pairs(cfg)
+    x = np.array([np.inf, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+    with pytest.warns(RuntimeWarning):
+        ref = ref_grad(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = grad(x)
+    assert np.array_equal(np.isnan(out), np.isnan(ref)) and np.isnan(out[0])
+    assert np.array_equal(out[~np.isnan(out)], ref[~np.isnan(ref)])
+
+
+def test_potential_without_hess_leaves_no_lagrangian_hess():
+    """A potential with V' but no V'' gives the gradient kernel only."""
+    potential = SmoothMapHandle(1, 1, lambda s: 0.5 * s, jac=np.array([[0.5]]))
+    L = make_full_system(TwoBodyConfig(potential=potential)).lagrangian
+    assert L.jac is not None and L.hess is None
+
+
+@pytest.mark.parametrize("name, coeff", [("linear", 0.5), ("quadratic", 0.3)])
+def test_simulation_on_kernels_matches_reference_handle(full_start, name, coeff):
+    """Fifty steps from the README start: the kernels and the numpy
+    reference handle give the same path bit for bit."""
+    cfg = TwoBodyConfig(h=0.1, potential=potential_handle(name, coeff))
+    path = simulate(make_full_system(cfg), *full_start, 50)
+    ref = simulate(from_dms(4, reference_lagrangian(cfg)), *full_start, 50)
+    assert path.points.shape == (51, 8)
+    assert path.points.tobytes() == ref.points.tobytes()
