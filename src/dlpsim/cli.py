@@ -33,7 +33,7 @@ from . import dlps, example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
 from .errors import (MatchingError, NonConvergence, RegularityError,
-                     SimulationError, SingularJacobian, worst_of)
+                     SimulationError, SingularJacobian, draw_maxima, worst_draw)
 from .lie import sample_group, se2_two_point_action, u1_plane_action
 from .reduction import (SYMMETRY_TOLS, check_morphism, check_symmetry,
                         project_path, reconstruct_path, two_stage)
@@ -223,53 +223,64 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if failure is None else EXIT_SOLVER
 
 
+def _judged(diffs, samples, tol: float) -> tuple:
+    """The check ``(value, tol, sample)`` of per-draw differences: the worst
+    draw's violation and sample (None while every violation is 0)."""
+    worst, i = worst_draw(draw_maxima(diffs))
+    return worst, tol, None if i is None else samples[i]
+
+
 def _reduce(cfg: dict) -> dict:
-    """The T2-reduced system against the full one and the closed-form step."""
+    """The T2-reduced system against the full one and the closed-form step;
+    each sample is the worst draw's full row x, for the step its reduced
+    start (r0, z0, r1)."""
     body, rng = _two_body(cfg)
     n_check = _integer(cfg, "n_check", 100, 1)
     red = example_se2.make_reduced_system(body, rng=rng)
     full = example_se2.make_full_system(body)
 
-    lag_max = roundtrip_max = orbit_max = ivcm_max = step_max = 0.0
+    xs, draws = [], []
     for _ in range(n_check):
         x = example_se2.sample_cprime(rng)
         y = red.model.upsilon(x)
-        lag_max = worst_of(lag_max, abs(
-            float(red.system.lagrangian(y)[0]) - float(full.lagrangian(x)[0])))
-        roundtrip_max = worst_of(roundtrip_max, float(np.max(np.abs(
-            red.model.upsilon(red.model.lift_section(y)) - y))))
+        lag = red.system.lagrangian(y)[0] - full.lagrangian(x)[0]
+        roundtrip = red.model.upsilon(red.model.lift_section(y)) - y
         g = sample_group(red.model.group_action.group, rng)
-        orbit_max = worst_of(orbit_max, float(np.max(np.abs(
-            red.model.upsilon(red.model.group_action.act(g, x)) - y))))
+        orbit = red.model.upsilon(red.model.group_action.act(g, x)) - y
         y1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2),
                              y[4:] + rng.uniform(-0.2, 0.2, 2)])
         delta = rng.standard_normal(4)
         out = red.system.ivcm(y, y1, delta)
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
-        ivcm_max = worst_of(ivcm_max, float(np.max(np.abs(out - expected))))
+        xs.append(x)
+        draws.append((lag, roundtrip, orbit, out - expected))
 
+    starts, steps = [], []
     for _ in range(20):
         r0 = example_se2.sample_annulus(rng, 0.7, 1.3)
         z0 = rng.uniform(-0.2, 0.2, 2)
         r1 = r0 + rng.uniform(-0.1, 0.1, 2)
         eps1, m2 = dlps.step(red.system, np.concatenate([r0, z0]), r1)
         _, z1c, r2c = example_se2.closed_form_reduced_step(body, r0, z0, r1)
-        step_max = worst_of(step_max,
-                            float(np.max(np.abs(eps1 - np.concatenate([r1, z1c])))),
-                            float(np.max(np.abs(m2 - r2c))))
+        starts.append(np.concatenate([r0, z0, r1]))
+        steps.append(np.concatenate([eps1 - np.concatenate([r1, z1c]),
+                                     m2 - r2c]))
 
+    lag, roundtrip, orbit, chaining = zip(*draws)
     return {
-        "lagrangian_match_max": (lag_max, 1e-10),
-        "upsilon_section_roundtrip_max": (roundtrip_max, 1e-10),
-        "orbit_invariance_max": (orbit_max, 1e-10),
-        "chaining_closed_form_max": (ivcm_max, 1e-9),
-        "closed_form_step_max": (step_max, 1e-10),
+        "lagrangian_match_max": _judged(lag, xs, 1e-10),
+        "upsilon_section_roundtrip_max": _judged(roundtrip, xs, 1e-10),
+        "orbit_invariance_max": _judged(orbit, xs, 1e-10),
+        "chaining_closed_form_max": _judged(chaining, xs, 1e-9),
+        "closed_form_step_max": _judged(steps, starts, 1e-10),
     }
 
 
 def _reconstruct(cfg: dict) -> dict:
     """A full trajectory projected, checked against the reduced DEL
-    equations and rebuilt."""
+    equations and rebuilt; each sample is the worst row: of the full
+    trajectory for the roundtrip, of the reduced one (the current row of
+    the residual) for the DEL check."""
     body, rng = _two_body(cfg)
     full = example_se2.make_full_system(body)
     eps0, m1 = _initial_pair(cfg, full)
@@ -278,14 +289,12 @@ def _reconstruct(cfg: dict) -> dict:
     red = example_se2.make_reduced_system(body, rng=rng)
     reduced = project_path(red.model, traj)
     rebuilt = reconstruct_path(red.model, reduced, eps0, m1)
-    res_max = 0.0
-    for k in range(1, len(reduced)):
-        r = del_residual(red.system, *reduced[k - 1], *reduced[k])
-        res_max = worst_of(res_max, float(np.max(np.abs(r))))
+    residuals = [del_residual(red.system, *reduced[k - 1], *reduced[k])
+                 for k in range(1, len(reduced))]
     return {
-        "roundtrip_max": (float(np.max(np.abs(traj.points - rebuilt.points))),
-                          1e-8),
-        "projected_residual_max": (res_max, 1e-8),
+        "roundtrip_max": _judged(traj.points - rebuilt.points, traj.points,
+                                 1e-8),
+        "projected_residual_max": _judged(residuals, reduced.points[1:], 1e-8),
     }
 
 

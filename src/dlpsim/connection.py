@@ -122,9 +122,9 @@ def check_equivariance(conn: DiscreteConnection, n_samples: int,
     Reports, never raises; a broken connection shows up as a large
     ``max_violation``, and a NaN violation is kept as the maximum. The
     draws are evaluated one by one and judged in bulk afterwards; the
-    maximum and its ``worst_sample`` (q0, q1) equal a per-draw fold by
-    ``errors.worse`` (None while every violation is 0). ``n_samples``
-    below 1 is a ValueError.
+    maximum and its ``worst_sample`` (q0, q1) are those of the first NaN
+    draw, else of the first largest (None while every violation is 0).
+    ``n_samples`` below 1 is a ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")

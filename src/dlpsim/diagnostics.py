@@ -14,7 +14,7 @@ import numpy as np
 
 from .dlps import (DiscretePath, DlpsSystem, d1_lagrangian, d2_lagrangian,
                    del_residual)
-from .errors import RegularityError, worst_draw, worst_of
+from .errors import RegularityError, draw_maxima, worst_draw
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
 from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
@@ -43,36 +43,42 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     conservation drift, which vanishes whenever the chaining correction
     does. A path that is not a trajectory (a discrete Euler-Lagrange
     residual above 1e-6) is flagged by ``precondition_ok``, not rejected.
+    Each maximum comes with its ``_step``, the pair index k of its worst
+    step (the first NaN, else the first largest; None while it is 0).
     """
     pairs = trajectory.pairs
-    max_residual = 0.0
-    for k in range(1, len(pairs)):
-        res = del_residual(sys, pairs[k - 1][0], pairs[k - 1][1],
-                           pairs[k][0], pairs[k][1])
-        max_residual = worst_of(max_residual, float(np.max(np.abs(res))))
-    precondition_ok = max_residual <= 1e-6
+    residuals = [del_residual(sys, *pairs[k - 1], *pairs[k])
+                 for k in range(1, len(pairs))]
+    max_residual, residual_step = _worst_step(residuals)
 
     grads = [d1_lagrangian(sys, eps, m) for eps, m in pairs]
     frames = [orbit_frame(action, eps) for eps, _ in pairs]
     momenta = [-(g1 @ frame) for g1, frame in zip(grads, frames)]
     points = trajectory.points
-    max_violation = 0.0
-    max_drift = 0.0
+    violations, drifts = [], []
     for k in range(1, len(pairs)):
         ivcm_m = sys.ivcm_matrix(points[k - 1], points[k])
         correction = grads[k - 1] @ (ivcm_m @ frames[k])
-        violation = momenta[k] - momenta[k - 1] - correction
-        max_violation = worst_of(max_violation,
-                                 float(np.max(np.abs(violation), initial=0.0)))
-        max_drift = worst_of(max_drift, float(np.max(np.abs(momenta[k] - momenta[0]),
-                                                     initial=0.0)))
+        violations.append(momenta[k] - momenta[k - 1] - correction)
+        drifts.append(momenta[k] - momenta[0])
+    max_violation, violation_step = _worst_step(violations)
+    max_drift, drift_step = _worst_step(drifts)
     return {
         "max_violation": max_violation,
+        "max_violation_step": violation_step,
         "max_conservation_drift": max_drift,
-        "precondition_ok": bool(precondition_ok),
+        "max_conservation_drift_step": drift_step,
+        "precondition_ok": bool(max_residual <= 1e-6),
         "max_del_residual": max_residual,
+        "max_del_residual_step": residual_step,
         "momenta": [m.tolist() for m in momenta],
     }
+
+
+def _worst_step(diffs) -> tuple[float, int | None]:
+    """The worst of per-step differences for steps 1, 2, ... and its step."""
+    worst, i = worst_draw(draw_maxima(diffs))
+    return worst, None if i is None else i + 1
 
 
 def _require_dms(sys: DlpsSystem) -> int:
@@ -139,14 +145,16 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
 
     Each step is transported to canonical coordinates via the discrete
     Legendre transforms; the step map's Jacobian K is formed by central
-    differences and the report gives max |K^T Omega K - Omega| per step.
-    Raises RegularityError when the mixed-partial block degenerates or has
-    a non-finite entry; the smallest sigma ratio keeps a NaN.
+    differences and the report gives max |K^T Omega K - Omega| per step,
+    their maximum and its ``worst_step`` (the first NaN, else the first
+    largest; None while every defect is 0). Raises RegularityError when
+    the mixed-partial block degenerates or has a non-finite entry; the
+    smallest sigma ratio keeps a NaN.
     """
     n = _require_dms(dms)
     Omega = np.block([[np.zeros((n, n)), np.eye(n)],
                       [-np.eye(n), np.zeros((n, n))]])
-    per_step, ratios = [], []
+    defects, ratios = [], []
     for k in range(len(trajectory) - 1):
         q0, q1 = trajectory[k]
         ratios.append(_check_regularity(_mixed_partial(dms, q0, q1)))
@@ -154,11 +162,14 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
         z = np.concatenate([q0, p0])
         phi = canonical_step_map(dms, trajectory[k + 1][0])
         K = jacobian_fd(phi, z)
-        per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
+        defects.append(K.T @ Omega @ K - Omega)
+    per_step = draw_maxima(defects)
+    worst, worst_step = worst_draw(per_step)
     _, i = worst_draw(-np.array(ratios), -np.inf)  # the smallest
     return {
-        "max_violation": float(worst_of(0.0, *per_step)),
-        "per_step": per_step,
+        "max_violation": worst,
+        "worst_step": worst_step,
+        "per_step": per_step.tolist(),
         "min_mixed_partial_sigma_ratio": None if i is None else ratios[i],
         "n_steps": len(per_step),
     }
@@ -217,18 +228,28 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
     through the quotient; the computable content is that the bracket of
     pullbacks is constant on group orbits. Reports the max variation over
     samples and ``n_group`` group elements each (parameters drawn from
-    [-1, 1]), for every function pair.
+    [-1, 1]), for every function pair, and the index of the sample
+    attaining it as ``worst_sample`` (the first NaN, else the first
+    largest; None while every variation is 0). ``n_samples`` or
+    ``n_group`` below 1 is a ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
+    if n_group < 1:
+        raise ValueError(f"n_group must be at least 1 (got {n_group})")
     rng = rng or np.random.default_rng(5)
-    worst = 0.0
     n_pairs = len(test_fns) * (len(test_fns) - 1) // 2
+    variations = []
     for _ in range(n_samples):
         x = model.sample_cprime(rng)
         base = _bracket_table(dms, model, test_fns, x)
+        moved = []
         for _ in range(n_group):
             g = sample_group(model.group_action.group, rng, scale=1.0)
             gx = model.group_action.act(g, x)
-            moved = _bracket_table(dms, model, test_fns, gx)
-            worst = worst_of(worst, float(np.max(np.abs(moved - base), initial=0.0)))
-    return {"max_orbit_variation": worst, "n_samples": int(n_samples),
-            "n_pairs": n_pairs, "n_group": int(n_group)}
+            moved.append(_bracket_table(dms, model, test_fns, gx) - base)
+        variations.append(moved)
+    worst, i = worst_draw(draw_maxima(variations))
+    return {"max_orbit_variation": worst, "worst_sample": i,
+            "n_samples": int(n_samples), "n_pairs": n_pairs,
+            "n_group": int(n_group)}

@@ -1,24 +1,7 @@
 """Exception types shared across the package, and the one ordering of
 the violations that sampled checks report."""
 
-import math
-
 import numpy as np
-
-
-def worse(v: float, worst: float) -> bool:
-    """Whether violation v replaces the running maximum worst; a NaN does,
-    and is then kept, so a NaN anywhere reads as the maximum."""
-    return v > worst or (math.isnan(v) and not math.isnan(worst))
-
-
-def worst_of(worst: float, *values: float) -> float:
-    """``max(worst, *values)`` by ``worse``: a NaN among them is the result
-    (the builtin drops one, ``max(0.0, nan) == 0.0``)."""
-    for v in values:
-        if worse(v, worst):
-            worst = v
-    return worst
 
 
 def draw_maxima(diffs) -> np.ndarray:
@@ -32,9 +15,8 @@ def draw_maxima(diffs) -> np.ndarray:
 def worst_draw(violations, start: float = 0.0) -> tuple[float, int | None]:
     """The worst entry of an array of per-draw violations and its index.
 
-    Equals the left fold by ``worse`` from ``start``: the first NaN wins,
-    else the first strict maximum above ``start``; when no entry exceeds
-    ``start`` the result is ``(start, None)``. Negate both the array and
+    The first NaN entry; else the first largest entry, provided it
+    exceeds ``start``; else ``(start, None)``. Negate both the array and
     ``start`` to take a minimum the same way.
     """
     v = np.asarray(violations, dtype=float)

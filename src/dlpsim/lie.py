@@ -88,11 +88,6 @@ def orbit_frame(action: ActionModel, q) -> np.ndarray:
                        np.zeros(action.group.dim))
 
 
-def infinitesimal_generator(action: ActionModel, xi_index: int, q) -> np.ndarray:
-    """d/dt|_0 act(from_params(t * xi_i), q): column ``xi_index`` of the orbit frame."""
-    return orbit_frame(action, q)[:, xi_index]
-
-
 # --- complex helpers over (re, im) float pairs ---------------------------
 
 def _cmul(a_re, a_im, b_re, b_im):

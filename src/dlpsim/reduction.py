@@ -164,7 +164,7 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
     sample is None while every violation is 0; a NaN violation is the
     maximum); never raises on a violation (``n_samples`` below 1 is a
     ValueError). The draws are evaluated one by one and judged in bulk
-    afterwards, and the report equals a per-draw fold by ``errors.worse``.
+    afterwards; the worst draw is the first NaN, else the first largest.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
@@ -216,8 +216,7 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     The draws of each identity are evaluated one by one and judged in
     bulk, the roundtrip only once orbit invariance holds. A violation, NaN
     included, raises ValidationError naming the identity and the sample
-    of its worst draw, the one a per-draw fold by ``errors.worse`` keeps
-    (the first NaN, else the first largest defect).
+    of its worst draw (the first NaN, else the first largest defect).
     """
     rng = rng or np.random.default_rng(20240817)
     quotient = conn.quotient
@@ -460,8 +459,8 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     judged in bulk afterwards; the maxima, and the report's
     ``conjugation_worst_sample`` (q0 and q1 of the worst draw, as one
     row) and ``stage_comparison_worst_step`` (the index of the worst
-    trajectory point), equal a per-draw fold by ``errors.worse`` (None
-    while every violation is 0).
+    trajectory point), are those of the first NaN, else the first largest
+    (None while every violation is 0).
     """
     if n_checks < 1:
         raise ValueError(f"n_checks must be at least 1 (got {n_checks})")
@@ -533,8 +532,8 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
 
     The draws are evaluated one by one (the maps, then the tangents) and
     judged in bulk afterwards: one stacked SVD per rank check (a single
-    one for a constant ``jac``) and one maximum per condition. The report
-    equals a per-draw fold by ``errors.worse``.
+    one for a constant ``jac``) and one maximum per condition, whose worst
+    draw is the first NaN, else the first largest.
     """
     rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim

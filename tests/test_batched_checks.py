@@ -3,14 +3,15 @@
 ``check_morphism``, ``check_equivariance``, ``check_symmetry`` and
 ``two_stage`` evaluate their draws one by one and judge them in bulk. Each
 reference below is the per-draw formulation: it judges every draw as it
-is taken and keeps a running maximum by ``errors.worse``. On seeded draws
-the reports, worst samples included, must be equal bit for bit (dtype,
-shape and bytes, so the sign of a zero and the payload of a NaN count
-too), and ``errors.worst_draw`` must agree with the left fold by
-``errors.worse`` that the references use.
+is taken and keeps a running maximum by ``worse``. On seeded draws the
+reports, worst samples included, must be equal bit for bit (dtype, shape
+and bytes, so the sign of a zero and the payload of a NaN count too), and
+``errors.worst_draw`` must agree with the left fold by ``worse`` that the
+references use.
 """
 
 import dataclasses
+import math
 import struct
 from functools import partial
 
@@ -22,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from dlpsim.connection import DiscreteConnection, QuotientModel, ad, check_equivariance
 from dlpsim.dlps import from_dms, simulate
-from dlpsim.errors import draw_maxima, worse, worst_draw
+from dlpsim.errors import draw_maxima, worst_draw
 from dlpsim.example_se2 import sample_configuration, sample_cprime
 from dlpsim.lie import (sample_group, se2_two_point_action, t2_two_point_action,
                         trivial_action, trivial_group)
@@ -34,6 +35,12 @@ from dlpsim.smooth import (SmoothMapHandle, directional_derivative, identity_map
 from test_reduction import _right_se2_action
 
 # --- reference per-draw loops ----------------------------------------------
+
+
+def worse(v: float, worst: float) -> bool:
+    """Whether violation v replaces the running maximum worst; a NaN does,
+    and is then kept, so a NaN anywhere reads as the maximum."""
+    return v > worst or (math.isnan(v) and not math.isnan(worst))
 
 
 def ref_check_morphism(candidate, sys, sys_target, sample, n_samples, rng):

@@ -105,6 +105,11 @@ def test_reduce_report(tmp_path):
     rep = json.loads((tmp_path / "reduce.json").read_text())
     assert rep["all_pass"]
     assert rep["checks"]["lagrangian_match_max"]["value"] <= 1e-10
+    # The worst draw's full row x; the step check's reduced start (r0, z0, r1).
+    for key, entry in rep["checks"].items():
+        dim = 6 if key == "closed_form_step_max" else 8
+        assert entry["sample"] is None or len(entry["sample"]) == dim, key
+    assert len(rep["checks"]["closed_form_step_max"]["sample"]) == 6
 
 
 def test_reconstruct_report(tmp_path):
@@ -112,6 +117,9 @@ def test_reconstruct_report(tmp_path):
     assert run("reconstruct", cfg, tmp_path) == 0
     rep = json.loads((tmp_path / "reconstruct.json").read_text())
     assert rep["checks"]["roundtrip_max"]["value"] <= 1e-8
+    # The worst full row and the worst reduced row.
+    assert len(rep["checks"]["roundtrip_max"]["sample"]) == 8
+    assert len(rep["checks"]["projected_residual_max"]["sample"]) == 6
 
 
 @pytest.mark.parametrize("command, key, field", [

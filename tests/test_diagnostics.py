@@ -227,3 +227,13 @@ def test_poisson_descent_two_body(full_system, reduced):
                                 n_samples=20, rng=np.random.default_rng(11),
                                 n_group=5)
     assert rep["max_orbit_variation"] <= 1e-6
+
+
+@pytest.mark.parametrize("counts", [(0, 5), (3, 0), (-1, 5)])
+def test_poisson_descent_rejects_empty_counts(full_system, reduced, counts):
+    """No sample or no group element would read as a vacuous 0.0 pass."""
+    n_samples, n_group = counts
+    fns = [SmoothMapHandle(6, 1, lambda y, i=i: y[i:i + 1]) for i in (0, 2)]
+    with pytest.raises(ValueError, match="at least 1"):
+        poisson_descent_check(reduced.model, full_system, fns,
+                              n_samples=n_samples, n_group=n_group)

@@ -15,8 +15,7 @@ from dlpsim.dlps import (DiscretePath, _del_covector, action_derivative,
                          d1_lagrangian, d2_lagrangian, del_residual,
                          free_particle_dms, from_dms, harmonic_oscillator_dms,
                          make_path, path_from_points, simulate, step)
-from dlpsim.errors import (DomainError, NonConvergence, SimulationError,
-                           worst_of)
+from dlpsim.errors import DomainError, NonConvergence, SimulationError
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_configuration, sample_cprime)
@@ -268,50 +267,6 @@ def test_simulate_reports_partial_path(body_cfg):
         simulate(sys, q0, q1, 5)
     assert isinstance(err.value.partial_path, DiscretePath)
     assert err.value.step_index >= 0
-
-
-def test_bundle_section_validation(reduced, rng):
-    """The reduced bundle's section hits every sampled base point."""
-    bundle = reduced.system.bundle
-    defect = bundle.validate(lambda r: r.uniform(-2, 2, 2), rng)
-    assert defect < 1e-9
-    from dlpsim.dlps import FiberBundleModel
-    broken = FiberBundleModel(
-        total_dim=2, base_dim=1,
-        phi=SmoothMapHandle(2, 1, lambda x: x[:1]),
-        section=SmoothMapHandle(1, 2, lambda r: np.array([r[0] + 1.0, 0.0])))
-    with pytest.raises(ValueError):
-        broken.validate(lambda r: r.uniform(-1, 1, 1), rng)
-
-
-def test_path_compatibility_validation(full_system):
-    good = path_from_points([np.zeros(4), np.ones(4) * 0.1])
-    good.validate(full_system.bundle)
-    bad = make_path([(np.zeros(4), np.ones(4)),
-                     (np.zeros(4), np.ones(4))])
-    with pytest.raises(ValueError):
-        bad.validate(full_system.bundle)
-
-
-def test_nan_defect_fails_path_and_bundle_validation(full_system, rng):
-    """A NaN phi makes the junction and section defects NaN, which are
-    reported and fail validation instead of reading 0.0."""
-    nan_phi = SmoothMapHandle(4, 4, lambda e: np.full(4, np.nan))
-    bundle = dataclasses.replace(full_system.bundle, phi=nan_phi)
-    path = path_from_points([np.zeros(4), np.ones(4) * 0.1, np.ones(4) * 0.2])
-    assert np.isnan(path.compatibility_defect(bundle))
-    with pytest.raises(ValueError):
-        path.validate(bundle)
-    with pytest.raises(ValueError):
-        bundle.validate(lambda r: r.uniform(-1, 1, 4), rng)
-
-
-def test_worst_of_keeps_nan():
-    """The running maximum keeps a NaN wherever it appears."""
-    assert worst_of(0.0, 1.0, 3.0, 2.0) == 3.0
-    assert worst_of(0.0) == 0.0
-    for values in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.nan, 5.0]):
-        assert np.isnan(worst_of(0.0, *values))
 
 
 def test_from_dms_zero_chaining(rng):
