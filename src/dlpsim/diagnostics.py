@@ -43,8 +43,8 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     conservation drift, which vanishes whenever the chaining correction
     does. A path that is not a trajectory (a discrete Euler-Lagrange
     residual above 1e-6) is flagged by ``precondition_ok``, not rejected.
-    Each maximum comes with its ``_step``, the pair index k of its worst
-    step (the first NaN, else the first largest; None while it is 0).
+    Each maximum ``<key>`` comes with ``<key>_step``, the pair index k of
+    its worst step (the first NaN, else the first largest; None while 0).
     """
     pairs = trajectory.pairs
     residuals = [del_residual(sys, *pairs[k - 1], *pairs[k])
