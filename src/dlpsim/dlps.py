@@ -67,7 +67,9 @@ class DlpsSystem:
     ``jac`` (an affine bundle map) declares that the chaining matrix does
     not depend on x_{k+1}: rows ``[:total_dim]`` of the Hessian are then
     the derivative of the discrete Euler-Lagrange covector in the current
-    row, and ``step`` builds its Newton Jacobian from them. ``from_dms``
+    row, and ``step`` builds its Newton Jacobian from them; an array
+    ``hess`` (a quadratic Lagrangian) gives the same Newton matrix at
+    every step, which ``step`` forms once from it. ``from_dms``
     (a zero chaining map) and ``reduction.reduce`` (which gives the
     reduced Lagrangian a ``hess`` only for an affine reduction of a DMS,
     whose chaining matrix is constant) keep that declaration true. Were
@@ -209,13 +211,28 @@ def _del_covector(sys: DlpsSystem, x_prev) -> Callable[[np.ndarray], np.ndarray]
     the row itself when the Lagrangian has one.
     """
     n = sys.bundle.total_dim
-    L, phi = sys.lagrangian, sys.bundle.phi
-    g1_prev, g2_prev = _slot_gradients(sys, x_prev)
+    L = sys.lagrangian
+    covector = _del_from_gradients(sys, x_prev, _slot_gradients(sys, x_prev))
+    if L.jac is None:
+        return lambda x_cur: covector(x_cur, d1_lagrangian(sys, x_cur[:n], x_cur[n:]))
+    return lambda x_cur: covector(x_cur, L.jacobian(x_cur)[0, :n])
+
+
+def _del_from_gradients(sys: DlpsSystem, x_prev,
+                        g_prev: Pair) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The discrete Euler-Lagrange covector after the row x_prev, whose
+    slot gradients are ``g_prev = (D1, D2)``, as a function of the current
+    row x_cur and D1 L_d at x_cur: the sum, in this order, of that D1,
+    D2 L_d(x_prev) o d phi(eps_cur) (formed once when ``phi`` has an array
+    ``jac``) and D1 L_d(x_prev) o ``ivcm_matrix(x_prev, x_cur)``. Every
+    DEL residual of the library is this sum.
+    """
+    n = sys.bundle.total_dim
+    phi = sys.bundle.phi
+    g1_prev, g2_prev = g_prev
     g2_dphi = g2_prev @ phi.jac if isinstance(phi.jac, np.ndarray) else None
 
-    def covector(x_cur):
-        d1 = (d1_lagrangian(sys, x_cur[:n], x_cur[n:]) if L.jac is None
-              else L.jacobian(x_cur)[0, :n])
+    def covector(x_cur, d1):
         transported = (g2_prev @ phi.jacobian(x_cur[:n]) if g2_dphi is None
                        else g2_dphi)
         return d1 + transported + g1_prev @ sys.ivcm_matrix(x_prev, x_cur)
@@ -238,8 +255,9 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     Solves for (eps1, m2), from the ``_default_guess`` seed, such that
     phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
     The Newton Jacobian is ``[[hess[:n]], [d phi, 0]]`` when the Lagrangian
-    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``), else
-    central differences of the residual.
+    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``), formed
+    once for the step when the ``hess`` is an array, else central
+    differences of the residual.
     Raises NonConvergence or SingularJacobian when the implicit solve
     fails, which signals a failure of the flow's regularity hypotheses.
     """
@@ -258,11 +276,20 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     L = sys.lagrangian
     jac = None
     if L.hess is not None and isinstance(b.phi.jac, np.ndarray):
-        def jac(z):
+        def newton_matrix(H):
             J = np.zeros((n + nb, n + nb))
-            J[:n] = L.hessian(z)[:n]
+            J[:n] = H[:n]
             J[n:, :n] = b.phi.jac
             return J
+
+        if isinstance(L.hess, np.ndarray):
+            J = newton_matrix(L.hess)
+
+            def jac(z):
+                return J
+        else:
+            def jac(z):
+                return newton_matrix(L.hessian(z))
 
     handle = SmoothMapHandle(n + nb, n + nb, residual, jac=jac)
     z = newton_solve(handle, _default_guess(sys, eps0, m1), cfg)
@@ -384,11 +411,9 @@ def _kinetic_hessian(dim: int, h: float) -> np.ndarray:
 
 
 def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
-    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim; its constant ``hess``
-    is one shared read-only array."""
+    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim; its ``hess`` is the
+    constant array."""
     _check_timestep(h)
-    hess = _kinetic_hessian(dim, h)
-    hess.flags.writeable = False
 
     def L(x):
         d = x[dim:] - x[:dim]
@@ -399,13 +424,13 @@ def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
         return np.concatenate([-v, v])
 
     return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL,
-                                         hess=lambda x: hess))
+                                         hess=_kinetic_hessian(dim, h)))
 
 
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
                             dim: int = 1) -> DlpsSystem:
     """L_d(q0, q1) = |q1 - q0|^2 / (2h) - (h/2) omega^2 |q0|^2; its
-    constant ``hess`` is one shared read-only array."""
+    ``hess`` is the constant array."""
     _check_timestep(h)
     try:
         omega_sq = float(omega) ** 2
@@ -415,7 +440,6 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
         raise ValueError(f"h * omega^2 must be finite (got h={h}, omega={omega})")
     hess = _kinetic_hessian(dim, h)
     hess[:dim, :dim] -= h * omega ** 2 * np.eye(dim)
-    hess.flags.writeable = False
 
     def L(x):
         q0, q1 = x[:dim], x[dim:]
@@ -428,5 +452,4 @@ def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,
         v = (q1 - q0) / h
         return np.concatenate([-v - h * omega ** 2 * q0, v])
 
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL,
-                                         hess=lambda x: hess))
+    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL, hess=hess))

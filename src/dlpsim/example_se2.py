@@ -19,6 +19,7 @@ Python floats as those of ``lie`` do, bit-identical to the complex formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -39,18 +40,18 @@ _SEPARATION_FLOOR = 1e-12
 
 def potential_handle(name: str, coeff: float = 1.0) -> SmoothMapHandle:
     """Named potential families V(s), s the squared separation, with
-    their closed-form V' (``jac``) and V'' (``hess``)."""
+    their closed-form V' (``jac``) and V'' (``hess``), each a constant
+    array where it is constant."""
     if name == "zero":
         return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=np.zeros((1, 1)),
-                               hess=lambda s: np.zeros((1, 1)))
+                               hess=np.zeros((1, 1)))
     if name == "linear":
         return SmoothMapHandle(1, 1, lambda s: coeff * s,
-                               jac=np.array([[coeff]]),
-                               hess=lambda s: np.zeros((1, 1)))
+                               jac=np.array([[coeff]]), hess=np.zeros((1, 1)))
     if name == "quadratic":
         return SmoothMapHandle(1, 1, lambda s: coeff * s ** 2,
                                jac=lambda s: np.array([[2.0 * coeff * s[0]]]),
-                               hess=lambda s: np.array([[2.0 * coeff]]))
+                               hess=np.array([[2.0 * coeff]]))
     raise ValueError(f"unknown potential family '{name}'")
 
 
@@ -69,9 +70,17 @@ class TwoBodyConfig:
         return float(self.potential(np.array([s]))[0])
 
     def v_prime(self, s: float) -> float:
+        """V'(s): the constant array's entry when V' is one."""
+        jac = self.potential.jac
+        if isinstance(jac, np.ndarray):
+            return float(jac[0, 0])
         return float(self.potential.jacobian(np.array([float(s)]))[0, 0])
 
     def v_second(self, s: float) -> float:
+        """V''(s): the constant array's entry when V'' is one."""
+        hess = self.potential.hess
+        if isinstance(hess, np.ndarray):
+            return float(hess[0, 0])
         return float(self.potential.hessian(np.array([float(s)]))[0, 0])
 
 
@@ -84,7 +93,7 @@ def _distance(q) -> float:
 def _check_apart(d_re, d_im):
     """Raise DomainError when the separation q^x - q^y = (d_re, d_im) is
     below the floor; a NaN separation passes."""
-    if np.hypot(d_re, d_im) < _SEPARATION_FLOOR:
+    if math.hypot(d_re, d_im) < _SEPARATION_FLOOR:
         raise DomainError("coincident particles (excised diagonal)")
 
 
@@ -117,6 +126,14 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     ``kin_ij - h*((2 V'')*(u_i*u_j) + V'*S_ij)`` with u = (sep, -sep)
     and S = ``_SEPARATION_HESS``. Each raises DomainError when either
     configuration is on the excised diagonal.
+
+    When V' is a constant array and V'' the zero array (the ``zero`` and
+    ``linear`` potentials), L is quadratic and its ``hess`` is the
+    constant array ``kin - h*(V'*S)`` on the q0 block instead of that
+    kernel: ``step`` and ``reduction.reduce`` then form their Newton
+    matrices once. For h > 0 it equals the kernel's value bit for bit
+    on every row the kernel accepts (for h < 0 a zero entry may differ
+    in sign); being data, it does not check the row.
     """
     h = cfg.h
     kinetic = _kinetic_hessian(4, h)
@@ -160,8 +177,13 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
         H[:4, :4] = block
         return H
 
-    jac = dL if cfg.potential.jac is not None else None
-    hess = d2L if jac is not None and cfg.potential.hess is not None else None
+    V1, V2 = cfg.potential.jac, cfg.potential.hess
+    jac = dL if V1 is not None else None
+    hess = d2L if jac is not None and V2 is not None else None
+    if (isinstance(V1, np.ndarray) and isinstance(V2, np.ndarray)
+            and not V2.any()):
+        hess = kinetic.copy()
+        hess[:4, :4] -= h * (float(V1[0, 0]) * _SEPARATION_HESS)
     return from_dms(4, SmoothMapHandle(8, 1, L, jac=jac, hess=hess))
 
 

@@ -316,7 +316,8 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     ``p + P v`` (T and P the ``lift_section`` and reduced ``phi`` arrays,
     c and p their values at 0, read once here), and a ``hess`` on ``L``
     gives the reduced Lagrangian ``T^T hess(c + T y) T``, from which
-    ``dlps.step`` builds its Newton Jacobian. The model keeps its own
+    ``dlps.step`` builds its Newton Jacobian; an array ``hess`` H gives
+    the array ``T^T H T``, formed once here. The model keeps its own
     maps. Every other reduced Lagrangian has no ``hess``.
     """
     nE = sys.bundle.total_dim
@@ -343,7 +344,9 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         bundle = FiberBundleModel(
             total_dim=nEr, base_dim=nMr, section=bundle.section,
             phi=SmoothMapHandle(nEr, nMr, lambda v: p + P @ v, jac=P))
-        if L.hess is not None:
+        if isinstance(L.hess, np.ndarray):
+            hess = T.T @ L.hess @ T
+        elif L.hess is not None:
             def hess(y):
                 return T.T @ L.hessian(lifted(y)) @ T
 

@@ -18,7 +18,8 @@ fixed here once:
 A handle's closed-form derivatives come first and the differences are
 their fallback and test oracle: ``jac`` replaces ``jacobian_fd`` in
 ``.jacobian``, and on a scalar map ``hess`` gives the Hessian. A
-constant ``jac`` may be the array itself, the mark of an affine map. A
+constant ``jac`` may be the array itself, the mark of an affine map, and
+a constant ``hess`` likewise, the mark of a quadratic one. A
 Lagrangian's ``jac`` drives D1/D2 of the equations of motion, and its
 ``hess`` the exact Newton Jacobian of a step on an affine bundle map;
 without them, D1/D2 take ``gradient_fd5`` and ``newton_solve``
@@ -79,26 +80,31 @@ class SmoothMapHandle:
     back to the fourth-order stencil of ``gradient_fd5``.
 
     A scalar map (``out_dim`` 1) may also carry ``hess``, its closed-form
-    second derivative, an (in_dim, in_dim) matrix that must agree with
-    central differences of ``jac``. On a discrete Lagrangian it gives the
-    exact Newton Jacobian of the step (see ``dlps.DlpsSystem``).
+    second derivative: a callable of x returning an (in_dim, in_dim)
+    matrix or, when constant, that array itself, checked and stored
+    read-only as ``jac`` is. It must agree with central differences of
+    ``jac``. On a discrete Lagrangian it gives the exact Newton Jacobian
+    of the step (see ``dlps.DlpsSystem``).
     """
 
     in_dim: int
     out_dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray] | np.ndarray] = None
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess: Optional[Callable[[np.ndarray], np.ndarray] | np.ndarray] = None
 
     def __post_init__(self):
         if self.hess is not None and self.out_dim != 1:
             raise ValueError("only a scalar map (out_dim 1) carries a hess")
-        if isinstance(self.jac, np.ndarray):
-            jac = np.array(self.jac, dtype=float)
-            if jac.shape != (self.out_dim, self.in_dim):
-                raise ValueError(f"jac has shape {jac.shape}, not {(self.out_dim, self.in_dim)}")
-            jac.flags.writeable = False
-            object.__setattr__(self, "jac", jac)
+        for name, shape in (("jac", (self.out_dim, self.in_dim)),
+                            ("hess", (self.in_dim, self.in_dim))):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = np.array(value, dtype=float)
+                if value.shape != shape:
+                    raise ValueError(f"{name} has shape {value.shape}, not {shape}")
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.in_dim)
@@ -114,10 +120,13 @@ class SmoothMapHandle:
         return jacobian_fd(self, x, step=step)
 
     def hessian(self, x) -> np.ndarray:
-        """The closed-form ``hess`` at x; there is no difference fallback."""
+        """The closed-form ``hess`` at x (a constant one as stored); there
+        is no difference fallback."""
         if self.hess is None:
             raise ValueError("this map carries no closed-form hess")
         x = as_vector(x, self.in_dim)
+        if isinstance(self.hess, np.ndarray):
+            return self.hess
         return np.asarray(self.hess(x), dtype=float).reshape(self.in_dim, self.in_dim)
 
 

@@ -204,3 +204,38 @@ def test_exact_full_step_calls_no_d1_lagrangian(full_system, newton_counts):
                                                     jac=None, hess=None))
     step(stencil, *README_FULL_START)
     assert newton_counts["d1_lagrangian"] > 0
+
+
+def test_reduced_constant_hessian_is_the_callable_one(reduced, full_system, rng):
+    """The README Lagrangian is quadratic: its ``hess`` is an array, and
+    the reduced one is the array ``T^T H T``, equal bit for bit to what a
+    copy with a callable ``hess`` evaluates at every y."""
+    L = full_system.lagrangian
+    assert isinstance(L.hess, np.ndarray)
+    copy = dataclasses.replace(full_system, lagrangian=dataclasses.replace(
+        L, hess=lambda x, H=L.hess: H))
+    generic = reduce(copy, reduced.model).system.lagrangian
+    H = reduced.system.lagrangian.hess
+    assert isinstance(H, np.ndarray) and callable(generic.hess)
+    for _ in range(20):
+        y = np.concatenate(_reduced_start(rng.random(6)))
+        assert generic.hessian(y).tobytes() == H.tobytes()
+
+
+@pytest.mark.parametrize("potential, kernel_calls",
+                         [(("linear", 0.5), 0), (("quadratic", 0.3), 1)])
+def test_hessian_kernel_calls_per_step(monkeypatch, newton_counts, potential,
+                                       kernel_calls):
+    """One Newton iteration per step, full and reduced: the README steps
+    (``linear 0.5``, a constant Hessian) call the Hessian kernel 0 times,
+    the ``quadratic 0.3`` steps once. Each kernel call reads V'' once."""
+    full, red = _systems(*potential)
+    reads = Counter()
+    monkeypatch.setattr(TwoBodyConfig, "v_second",
+                        _counted(reads, "v_second", TwoBodyConfig.v_second))
+    for sys, start in ((full, README_FULL_START), (red.system, REDUCED_START)):
+        reads.clear()
+        newton_counts.clear()
+        step(sys, *start)
+        assert reads["v_second"] == kernel_calls
+        assert newton_counts["jacobian"] == 1

@@ -88,6 +88,19 @@ def test_momentum_conserved_dms(full_system, full_start):
     assert rep["max_conservation_drift"] <= 1e-10
 
 
+def test_momentum_evolution_check_takes_one_gradient_per_pair(full_system,
+                                                              full_start):
+    """An 11-pair path costs 11 Lagrangian gradient calls: each pair's
+    gradient feeds both its DEL residuals and its momentum."""
+    traj = simulate(full_system, *full_start, 10)
+    L = full_system.lagrangian
+    calls = []
+    counting = dataclasses.replace(full_system, lagrangian=dataclasses.replace(
+        L, jac=lambda x: calls.append(x) or L.jac(x)))
+    momentum_evolution_check(counting, t2_two_point_action(), traj)
+    assert len(traj) == 11 and len(calls) == 11
+
+
 def test_momentum_evolution_reduced(reduced, staged, full_start):
     """The evolution identity holds with the residual circle action."""
     y0 = reduced.model.upsilon(np.concatenate(full_start))

@@ -307,6 +307,17 @@ def test_momentum_evolution_check_matches_the_fold(full_case):
                      ref_momentum_evolution_check(sys, t2_two_point_action(), traj))
 
 
+def test_momentum_evolution_check_matches_the_fold_without_jac(full_case):
+    """The stencil path: without a ``jac`` the slot gradients are the
+    fourth-order differences, and the check still matches the fold."""
+    sys, traj = full_case
+    stencil = dataclasses.replace(sys, lagrangian=dataclasses.replace(
+        sys.lagrangian, jac=None, hess=None))
+    short = dlps.DiscretePath(traj.points[:6], 4)
+    assert_bit_equal(D.momentum_evolution_check(stencil, t2_two_point_action(), short),
+                     ref_momentum_evolution_check(stencil, t2_two_point_action(), short))
+
+
 def test_reduced_momentum_evolution_check_matches_the_fold(reduced, staged,
                                                            full_start):
     y0 = reduced.model.upsilon(np.concatenate(full_start))

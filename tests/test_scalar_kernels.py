@@ -7,17 +7,21 @@ reference below evaluates the same formula over numpy arrays. On seeded
 draws every closure must give the reference's result bit for bit (dtype,
 shape and bytes, so the sign of a zero counts too), raise the reference's
 exception at zero norm or on the excised diagonal, and keep a NaN input
-as a NaN output without raising.
+as a NaN output without raising. The one exception is the constant
+Hessian of a quadratic two-body Lagrangian (``zero``, ``linear``), which
+is an array: it matches the reference on every row the reference
+accepts, and a step from a row is what raises or fails there.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from dlpsim import example_se2
-from dlpsim.dlps import _kinetic_hessian, from_dms, simulate
-from dlpsim.errors import DomainError
+from dlpsim import dlps, example_se2
+from dlpsim.dlps import _kinetic_hessian, from_dms, simulate, step
+from dlpsim.errors import DomainError, NonConvergence
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_residual_u1_action, make_se2_connection,
                                 make_t2_connection, make_u1_connection,
@@ -356,7 +360,7 @@ def test_samplers_match_reference(sampler, reference, args):
 # --- the two-body Lagrangian -----------------------------------------------
 
 SEPARATION_HESS = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(2))
-POTENTIALS = [("zero", 1.0), ("linear", 0.5), ("quadratic", 0.3)]
+POTENTIALS = [("zero", 1.0), ("linear", 0.5), ("linear", -0.5), ("quadratic", 0.3)]
 
 
 def reference_lagrangian(cfg):
@@ -403,7 +407,8 @@ def reference_lagrangian(cfg):
 
 
 def _kernel_pairs(cfg):
-    """(name, kernel, reference) for the value, gradient and Hessian."""
+    """(name, kernel, reference) for the value, gradient and Hessian; a
+    constant Hessian's kernel is the array itself."""
     kernel, reference = make_full_system(cfg).lagrangian, reference_lagrangian(cfg)
     return [(name, getattr(kernel, name), getattr(reference, name))
             for name in ("eval", "jac", "hess")]
@@ -413,29 +418,52 @@ def _kernel_pairs(cfg):
 @pytest.mark.parametrize("name, coeff", POTENTIALS)
 def test_lagrangian_kernels_match_reference_bit_for_bit(name, coeff, h):
     """Seeded rows in [-2, 2]^8, then rows of small integers, where exact
-    zeros, signed zeros and coincident particles appear."""
+    zeros, signed zeros and coincident particles appear. A constant
+    Hessian cannot raise: on a row the reference rejects, a step from
+    that row raises DomainError instead."""
     cfg = TwoBodyConfig(h=h, potential=potential_handle(name, coeff))
+    sys = make_full_system(cfg)
     rng = np.random.default_rng(2029)
     for part, kernel, reference in _kernel_pairs(cfg):
+        constant = isinstance(kernel, np.ndarray)
         for k in range(2 * DRAWS):
             x = rng.uniform(-2.0, 2.0, 8) if k % 2 else rng.integers(-2, 3, 8).astype(float)
             try:
                 ref = reference(x)
             except DomainError:
                 with pytest.raises(DomainError):
-                    kernel(x)
+                    step(sys, x[:4], x[4:]) if constant else kernel(x)
                 continue
-            assert _same_bits(kernel(x), ref), (part, x)
+            assert _same_bits(kernel if constant else kernel(x), ref), (part, x)
 
 
 @pytest.mark.parametrize("name, coeff", POTENTIALS)
-def test_lagrangian_kernels_nan_row_gives_nan(name, coeff):
-    """A NaN row passes the collision check and gives NaN; nothing warns."""
+def test_lagrangian_kernels_nan_row_gives_nan(name, coeff, monkeypatch):
+    """A NaN row passes the collision check and gives NaN; nothing warns.
+    A constant Hessian has no NaN to give: a step from the NaN row fails
+    with NonConvergence after one residual evaluation instead."""
     cfg = TwoBodyConfig(potential=potential_handle(name, coeff))
+    nan = np.full(8, np.nan)
+    evals = []
+    newton = dlps.newton_solve
+
+    def counting_newton(residual, x0, cfg=None):
+        def counted(z):
+            evals.append(z)
+            return residual.eval(z)
+
+        return newton(dataclasses.replace(residual, eval=counted), x0, cfg)
+
+    monkeypatch.setattr(dlps, "newton_solve", counting_newton)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for part, kernel, _ in _kernel_pairs(cfg):
-            assert np.isnan(kernel(np.full(8, np.nan))).any(), part
+            if isinstance(kernel, np.ndarray):
+                with pytest.raises(NonConvergence):
+                    step(make_full_system(cfg), nan[:4], nan[4:])
+                assert len(evals) == 1, part
+            else:
+                assert np.isnan(kernel(nan)).any(), part
 
 
 def test_lagrangian_gradient_infinite_entry_gives_nan_silently():

@@ -234,6 +234,19 @@ def test_constant_jac_is_a_read_only_array():
         with pytest.raises(ValueError):
             SmoothMapHandle(2, 3, lambda x: J @ x, jac=bad)
 
+    # A constant Hessian likewise: an (in_dim, in_dim) array, stored as a
+    # read-only copy that ``.hessian`` returns after checking x.
+    H = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    q = SmoothMapHandle(2, 1, lambda x: np.array([0.5 * x @ H @ x]),
+                        jac=lambda x: H @ x, hess=H)
+    assert H.flags.writeable and not q.hess.flags.writeable
+    assert q.hessian(np.ones(2)) is q.hess and np.array_equal(q.hess, H)
+    with pytest.raises(ValueError):
+        q.hessian(np.ones(3))
+    for bad in (H[:1], np.ones((3, 3)), H.ravel()):
+        with pytest.raises(ValueError):
+            SmoothMapHandle(2, 1, q.eval, jac=q.jac, hess=bad)
+
 
 def test_smooth_handle_checks_dims():
     f = SmoothMapHandle(2, 1, lambda x: np.array([x[0]]))
