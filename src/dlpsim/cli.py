@@ -150,7 +150,7 @@ def _initial_pair(cfg: dict, sys):
     if initial.shape != (n + nb,):
         raise ValueError(
             f"initial must have length {n + nb} (got shape {initial.shape})")
-    if not np.all(np.isfinite(initial)):
+    if not np.isfinite(initial).all():
         raise ValueError(f"initial must be finite (got {initial.tolist()})")
     # Raises DomainError (a validation failure) off the Lagrangian's
     # domain, e.g. on the two-body collision diagonal, before any solve.

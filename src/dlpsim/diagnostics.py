@@ -48,13 +48,16 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     its worst step (the first NaN, else the first largest; None while 0).
 
     The slot gradients of each pair are taken once (one ``jac`` call when
-    the Lagrangian has one) and feed both the DEL residuals and the
-    momenta.
+    the Lagrangian has one), and so is the chaining matrix of each step:
+    both feed the DEL residuals and the momentum identity.
     """
     points = trajectory.points
     slot_grads = [_slot_gradients(sys, x) for x in points]
+    chaining = [sys.ivcm_matrix(points[k - 1], points[k])
+                for k in range(1, len(points))]
     residuals = [_del_from_gradients(sys, points[k - 1], slot_grads[k - 1])(
-                     points[k], slot_grads[k][0]) for k in range(1, len(points))]
+                     points[k], slot_grads[k][0], chaining[k - 1])
+                 for k in range(1, len(points))]
     max_residual, residual_step = _worst_step(residuals)
 
     grads = [g1 for g1, _ in slot_grads]
@@ -62,8 +65,7 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     momenta = [-(g1 @ frame) for g1, frame in zip(grads, frames)]
     violations, drifts = [], []
     for k in range(1, len(points)):
-        ivcm_m = sys.ivcm_matrix(points[k - 1], points[k])
-        correction = grads[k - 1] @ (ivcm_m @ frames[k])
+        correction = grads[k - 1] @ (chaining[k - 1] @ frames[k])
         violations.append(momenta[k] - momenta[k - 1] - correction)
         drifts.append(momenta[k] - momenta[0])
     max_violation, violation_step = _worst_step(violations)
@@ -105,7 +107,7 @@ def _check_regularity(D12: np.ndarray) -> float:
     singular values are mutually balanced. Raises RegularityError at 1e-8,
     and on a block with a non-finite entry, which has no singular values.
     """
-    if not np.all(np.isfinite(D12)):
+    if not np.isfinite(D12).all():
         raise RegularityError("mixed-partial block is not finite")
     sv = np.linalg.svd(D12, compute_uv=False)
     scale = max(float(sv[0]), 1.0)

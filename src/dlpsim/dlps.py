@@ -15,6 +15,7 @@ residual handed to the damped Newton solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +70,10 @@ class DlpsSystem:
     the derivative of the discrete Euler-Lagrange covector in the current
     row, and ``step`` builds its Newton Jacobian from them; an array
     ``hess`` (a quadratic Lagrangian) gives the same Newton matrix at
-    every step, which ``step`` forms once from it. ``from_dms``
+    every step, formed once per system, not per step: a read-only array
+    derived from the system's own fields on its first step and handed to
+    every Newton iteration after it (a ``dataclasses.replace`` copy
+    derives its own). ``from_dms``
     (a zero chaining map) and ``reduction.reduce`` (which gives the
     reduced Lagrangian a ``hess`` only for an affine reduction of a DMS,
     whose chaining matrix is constant) keep that declaration true. Were
@@ -84,6 +88,17 @@ class DlpsSystem:
 
     def lag(self, x) -> float:
         return float(self.lagrangian(x)[0])
+
+    @cached_property
+    def _newton_matrix(self) -> np.ndarray | None:
+        """``step``'s Newton matrix when it is constant (an array ``hess``
+        and an array ``jac`` of ``phi``), read-only; else None."""
+        if not (isinstance(self.lagrangian.hess, np.ndarray)
+                and isinstance(self.bundle.phi.jac, np.ndarray)):
+            return None
+        J = _newton_jacobian(self.bundle, self.lagrangian.hess)
+        J.flags.writeable = False
+        return J
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,26 +233,38 @@ def _del_covector(sys: DlpsSystem, x_prev) -> Callable[[np.ndarray], np.ndarray]
     return lambda x_cur: covector(x_cur, L.jacobian(x_cur)[0, :n])
 
 
-def _del_from_gradients(sys: DlpsSystem, x_prev,
-                        g_prev: Pair) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _del_from_gradients(sys: DlpsSystem, x_prev, g_prev: Pair) -> Callable[..., np.ndarray]:
     """The discrete Euler-Lagrange covector after the row x_prev, whose
     slot gradients are ``g_prev = (D1, D2)``, as a function of the current
-    row x_cur and D1 L_d at x_cur: the sum, in this order, of that D1,
-    D2 L_d(x_prev) o d phi(eps_cur) (formed once when ``phi`` has an array
-    ``jac``) and D1 L_d(x_prev) o ``ivcm_matrix(x_prev, x_cur)``. Every
-    DEL residual of the library is this sum.
+    row x_cur, D1 L_d at x_cur and, optionally, the chaining matrix
+    ``ivcm_matrix(x_prev, x_cur)`` when the caller has it already: the
+    sum, in this order, of that D1, D2 L_d(x_prev) o d phi(eps_cur)
+    (formed once when ``phi`` has an array ``jac``) and D1 L_d(x_prev) o
+    the chaining matrix. Every DEL residual of the library is this sum.
     """
     n = sys.bundle.total_dim
     phi = sys.bundle.phi
     g1_prev, g2_prev = g_prev
     g2_dphi = g2_prev @ phi.jac if isinstance(phi.jac, np.ndarray) else None
 
-    def covector(x_cur, d1):
+    def covector(x_cur, d1, chaining=None):
         transported = (g2_prev @ phi.jacobian(x_cur[:n]) if g2_dphi is None
                        else g2_dphi)
-        return d1 + transported + g1_prev @ sys.ivcm_matrix(x_prev, x_cur)
+        if chaining is None:
+            chaining = sys.ivcm_matrix(x_prev, x_cur)
+        return d1 + transported + g1_prev @ chaining
 
     return covector
+
+
+def _newton_jacobian(bundle: FiberBundleModel, H: np.ndarray) -> np.ndarray:
+    """``[[H[:n]], [d phi, 0]]``: the Newton Jacobian of a step from the
+    Lagrangian's Hessian H, ``phi`` having an array ``jac``."""
+    n, nb = bundle.total_dim, bundle.base_dim
+    J = np.zeros((n + nb, n + nb))
+    J[:n] = H[:n]
+    J[n:, :n] = bundle.phi.jac
+    return J
 
 
 def _default_guess(sys: DlpsSystem, eps0, m1) -> np.ndarray:
@@ -255,9 +282,10 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     Solves for (eps1, m2), from the ``_default_guess`` seed, such that
     phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
     The Newton Jacobian is ``[[hess[:n]], [d phi, 0]]`` when the Lagrangian
-    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``), formed
-    once for the step when the ``hess`` is an array, else central
-    differences of the residual.
+    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``),
+    formed once per system, not per step, when the ``hess`` is an array
+    (every Newton iteration of every step gets that one read-only
+    matrix), else central differences of the residual.
     Raises NonConvergence or SingularJacobian when the implicit solve
     fails, which signals a failure of the flow's regularity hypotheses.
     """
@@ -275,21 +303,13 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
 
     L = sys.lagrangian
     jac = None
-    if L.hess is not None and isinstance(b.phi.jac, np.ndarray):
-        def newton_matrix(H):
-            J = np.zeros((n + nb, n + nb))
-            J[:n] = H[:n]
-            J[n:, :n] = b.phi.jac
+    J = sys._newton_matrix
+    if J is not None:
+        def jac(z):
             return J
-
-        if isinstance(L.hess, np.ndarray):
-            J = newton_matrix(L.hess)
-
-            def jac(z):
-                return J
-        else:
-            def jac(z):
-                return newton_matrix(L.hessian(z))
+    elif L.hess is not None and isinstance(b.phi.jac, np.ndarray):
+        def jac(z):
+            return _newton_jacobian(b, L.hessian(z))
 
     handle = SmoothMapHandle(n + nb, n + nb, residual, jac=jac)
     z = newton_solve(handle, _default_guess(sys, eps0, m1), cfg)

@@ -127,11 +127,13 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     and S = ``_SEPARATION_HESS``. Each raises DomainError when either
     configuration is on the excised diagonal.
 
-    When V' is a constant array and V'' the zero array (the ``zero`` and
-    ``linear`` potentials), L is quadratic and its ``hess`` is the
-    constant array ``kin - h*(V'*S)`` on the q0 block instead of that
-    kernel: ``step`` and ``reduction.reduce`` then form their Newton
-    matrices once. For h > 0 it equals the kernel's value bit for bit
+    A constant V' (an array ``jac`` on the potential: ``zero``,
+    ``linear``) is read once, here: the gradient kernel then takes no
+    squared separation, which only a varying V' (``quadratic``) reads.
+    When V' is a constant array and V'' the zero array, L is quadratic
+    and its ``hess`` is the constant array ``kin - h*(V'*S)`` on the q0
+    block instead of that kernel: ``step`` and ``reduction.reduce`` then
+    form their Newton matrices once. For h > 0 it equals the kernel's value bit for bit
     on every row the kernel accepts (for h < 0 a zero entry may differ
     in sign); being data, it does not check the row.
     """
@@ -155,11 +157,14 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
             (_norm2(x4 - x0, x5 - x1) + _norm2(x6 - x2, x7 - x3)) / (2.0 * h)
             - 0.5 * h * cfg.v(_norm2(x0 - x2, x1 - x3))])
 
+    V1, V2 = cfg.potential.jac, cfg.potential.hess
+    h_vp = h * float(V1[0, 0]) if isinstance(V1, np.ndarray) else None
+
     def dL(x):
         x0, x1, x2, x3, x4, x5, x6, x7 = row(x)
         v0, v1, v2, v3 = (x4 - x0) / h, (x5 - x1) / h, (x6 - x2) / h, (x7 - x3) / h
         s0, s1 = x0 - x2, x1 - x3
-        c = h * cfg.v_prime(_norm2(s0, s1))
+        c = h_vp if h_vp is not None else h * cfg.v_prime(_norm2(s0, s1))
         return np.array([-v0 - c * s0, -v1 - c * s1, -v2 - c * -s0, -v3 - c * -s1,
                          v0, v1, v2, v3])
 
@@ -177,7 +182,6 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
         H[:4, :4] = block
         return H
 
-    V1, V2 = cfg.potential.jac, cfg.potential.hess
     jac = dL if V1 is not None else None
     hess = d2L if jac is not None and V2 is not None else None
     if (isinstance(V1, np.ndarray) and isinstance(V2, np.ndarray)
@@ -267,6 +271,19 @@ _T2_LIFT_JAC = np.block([[_I2 / SQRT2, _O2, _O2],
 _T2_REDUCED_PHI_JAC = np.block([_I2, _O2])
 
 
+def _t2_reduced_section(r) -> np.ndarray:
+    """The reduced bundle's section r -> (r', 0) in one scalar kernel.
+
+    Bit for bit the section ``build_upsilon`` composes for the T2 model
+    (the full identity section, the quotient section ``_symmetric_pair``
+    and the fiber chart at the identity offset): r' = ((a/sqrt2 -
+    (-a)/sqrt2)/sqrt2, (b/sqrt2 - (-b)/sqrt2)/sqrt2) for r = (a, b).
+    """
+    a, b = r.tolist()
+    return np.array([(a / SQRT2 - -a / SQRT2) / SQRT2,
+                     (b / SQRT2 - -b / SQRT2) / SQRT2, 0.0, 0.0])
+
+
 def make_reduced_model(cfg: TwoBodyConfig | None = None,
                        rng: np.random.Generator | None = None) -> ReducedModel:
     """Reduced coordinates ((r0, z0), r1): relative position and stored offset.
@@ -276,7 +293,10 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
     V(s) = s/2) since symmetry validation needs a Lagrangian. The model is
     linear in these coordinates, so ``upsilon``, ``lift_section`` and the
     reduced bundle's ``phi`` carry their constant Jacobians as ``jac``
-    arrays, which makes the model affine for ``reduce``.
+    arrays, which makes the model affine for ``reduce``. The reduced
+    bundle's ``section``, which seeds every step's Newton guess, is the
+    scalar kernel ``_t2_reduced_section``; the section ``build_upsilon``
+    composes is its oracle, equal to it bit for bit (NaN kept).
     """
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
@@ -297,7 +317,9 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
         model,
         upsilon=replace(model.upsilon, jac=_T2_UPSILON_JAC),
         lift_section=replace(model.lift_section, jac=_T2_LIFT_JAC),
-        reduced_bundle=replace(bundle, phi=replace(bundle.phi, jac=_T2_REDUCED_PHI_JAC)))
+        reduced_bundle=replace(
+            bundle, phi=replace(bundle.phi, jac=_T2_REDUCED_PHI_JAC),
+            section=SmoothMapHandle(2, 4, _t2_reduced_section)))
 
 
 def make_reduced_system(cfg: TwoBodyConfig | None = None,

@@ -243,7 +243,7 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
         if rnorm < cfg.residual_tol:
             return x
         J = residual.jacobian(x)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise SingularJacobian("non-finite Jacobian entries")
         try:
             delta = np.linalg.solve(J, -r)
