@@ -12,12 +12,10 @@ from .errors import (DomainError, MatchingError, NonConvergence,
                      ValidationError)
 from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      jacobian_fd, newton_solve)
-from .lie import (ActionModel, LieGroupModel, conjugate, project_to_quotient,
-                  se2_group, se2_plane_action, se2_two_point_action, t2_group,
-                  t2_two_point_action, u1_group, u1_plane_action)
+from .lie import (ActionModel, LieGroupModel, se2_group, se2_two_point_action,
+                  t2_group, t2_two_point_action, u1_group, u1_plane_action)
 from .connection import (DiscreteConnection, QuotientModel, ad,
-                         check_equivariance, horizontal_lift,
-                         mechanical_connection_flat)
+                         check_equivariance)
 from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel,
                    action_derivative, action_sum,
                    build_fixed_endpoint_variation, del_residual,
@@ -26,7 +24,7 @@ from .dlps import (DiscretePath, DlpsSystem, FiberBundleModel,
 from .reduction import (ReducedModel, ReductionResult, build_upsilon,
                         check_morphism, check_symmetry, project_path,
                         reconstruct_path, reduce, solve_matching,
-                        trivial_reduction, two_stage)
+                        two_stage)
 from .diagnostics import (bracket_of_pullbacks, momentum,
                           momentum_evolution_check, poisson_descent_check,
                           symplectic_check)

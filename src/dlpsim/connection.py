@@ -5,6 +5,9 @@ unique group element measuring how far the pair sits from a chosen
 horizontal submanifold; its horizontal lift inverts the base projection
 along that submanifold. Connections here are partial maps: evaluating
 outside the domain raises DomainError rather than extrapolating.
+
+The concrete T2, SE(2) and U(1) connections are closed forms, built in
+``example_se2``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergence, SingularJacobian,
-                     draw_maxima, worst_draw)
-from .lie import ActionModel, orbit_frame, sample_group
-from .smooth import NewtonConfig, SmoothMapHandle, as_vector, newton_solve
+from .errors import draw_maxima, worst_draw
+from .lie import ActionModel, sample_group
+from .smooth import SmoothMapHandle, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,67 +53,6 @@ def ad(conn: DiscreteConnection, q0, q1) -> np.ndarray:
     """The unique g with (q0, g^{-1} q1) horizontal."""
     n = conn.quotient.total_dim
     return conn.ad_form(as_vector(q0, n), as_vector(q1, n))
-
-
-def horizontal_lift(conn: DiscreteConnection, q0, r1) -> np.ndarray:
-    """The point q1 over r1 with ad(q0, q1) = e."""
-    q0 = as_vector(q0, conn.quotient.total_dim)
-    r1 = as_vector(r1, conn.quotient.base_dim)
-    return as_vector(conn.hor_lift(q0, r1), conn.quotient.total_dim)
-
-
-def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConnection:
-    """Discrete connection from a flat metric and an isometric action.
-
-    Horizontal pairs are those whose difference is metric-orthogonal to
-    the group orbit at the first point (geodesics are straight lines, so
-    the geodesic construction degenerates to this orthogonality). The
-    group offset is solved by Newton (to 1e-13) over the group parameters,
-    starting at the identity; a failed solve surfaces as DomainError.
-    """
-    action = quotient.action
-    G = action.group
-    M = np.asarray(metric, dtype=float)
-    if M.shape != (quotient.total_dim, quotient.total_dim):
-        raise ValueError("metric shape does not match the total space")
-    if not np.allclose(M, M.T):
-        raise ValueError("metric must be symmetric")
-    cfg = NewtonConfig(residual_tol=1e-13)
-
-    def _horizontality(q0, q1):
-        frame = orbit_frame(action, q0)
-        return frame.T @ (M @ (q1 - q0))
-
-    def ad_form(q0, q1):
-        def res(theta):
-            g = G.from_params(theta)
-            q1h = action.act(G.inverse(g), q1)
-            return _horizontality(q0, q1h)
-
-        handle = SmoothMapHandle(G.dim, G.dim, res)
-        try:
-            theta = newton_solve(handle, np.zeros(G.dim), cfg)
-        except (NonConvergence, SingularJacobian) as exc:
-            raise DomainError(
-                f"no group offset renders ({q0}, {q1}) horizontal: {exc}") from exc
-        return G.from_params(theta)
-
-    def hor_lift(q0, r1):
-        base = quotient.section(r1)
-
-        def res(theta):
-            q1 = action.act(G.from_params(theta), base)
-            return _horizontality(q0, q1)
-
-        handle = SmoothMapHandle(G.dim, G.dim, res)
-        try:
-            theta = newton_solve(handle, np.zeros(G.dim), cfg)
-        except (NonConvergence, SingularJacobian) as exc:
-            raise DomainError(
-                f"no horizontal point over {r1} from {q0}: {exc}") from exc
-        return action.act(G.from_params(theta), base)
-
-    return DiscreteConnection(quotient=quotient, ad_form=ad_form, hor_lift=hor_lift)
 
 
 def check_equivariance(conn: DiscreteConnection, n_samples: int,

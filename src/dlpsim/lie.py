@@ -1,19 +1,20 @@
 """Lie groups, Lie algebras and smooth left actions.
 
 Concrete models for the planar special Euclidean group SE(2), the circle
-group U(1), the translation group T2 (isomorphic to the complex plane)
-and the quotient homomorphism SE(2) -> SE(2)/T2 = U(1). A group element
-is its 1-D float coordinate array; SE(2) stores its rotation as a unit
-complex number (a_re, a_im, v_re, v_im) and renormalizes after every
-product so |A| = 1 survives long composition chains.
+group U(1) and the translation group T2 (isomorphic to the complex
+plane), with their actions on pairs of plane points and U(1)'s rotation
+of the plane. A group element is its 1-D float coordinate array; SE(2)
+stores its rotation as a unit complex number (a_re, a_im, v_re, v_im)
+and renormalizes after every product so |A| = 1 survives long
+composition chains.
 
-Model closures take 1-D float ndarrays. Those of SE(2), U(1), the
-quotient map and the planar actions read their inputs once with
-``.tolist()``, do the complex arithmetic on Python floats, term by term
-in the order of the complex formulas, and build one array for the
-result, so their values are bit-identical to the complex formulas
-evaluated over 2-element numpy arrays. Norms use ``np.hypot``:
-``math.hypot`` differs from it in the last bit on some inputs.
+Model closures take 1-D float ndarrays. Those of SE(2), U(1) and the
+planar actions read their inputs once with ``.tolist()``, do the
+complex arithmetic on Python floats, term by term in the order of the
+complex formulas, and build one array for the result, so their values
+are bit-identical to the complex formulas evaluated over 2-element
+numpy arrays. Norms use ``np.hypot``: ``math.hypot`` differs from it in
+the last bit on some inputs.
 
 Lie-algebra elements are coordinate vectors against the standard basis of
 each group's parameter space; no abstract bracket is implemented.
@@ -69,11 +70,6 @@ class ActionModel:
     match: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
-def conjugate(G: LieGroupModel, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Conjugation g h g^{-1}."""
-    return G.compose(G.compose(g, h), G.inverse(g))
-
-
 def sample_group(G: LieGroupModel, rng: np.random.Generator, scale: float = 1.5) -> np.ndarray:
     """A pseudo-random group element via the parameter chart."""
     return G.from_params(rng.uniform(-scale, scale, size=G.dim))
@@ -102,17 +98,6 @@ def _cnormalize(re, im):
 
 
 # --- concrete groups ------------------------------------------------------
-
-def trivial_group() -> LieGroupModel:
-    """The one-element group, useful for degenerate reductions."""
-    e = np.zeros(0)
-    return LieGroupModel(
-        dim=0, identity=e,
-        compose=lambda g1, g2: e,
-        inverse=lambda g: e,
-        from_params=lambda p: e,
-    )
-
 
 def u1_group() -> LieGroupModel:
     """U(1) as unit complex numbers (a_re, a_im)."""
@@ -173,25 +158,7 @@ def se2_group() -> LieGroupModel:
                          from_params=from_params)
 
 
-def project_to_quotient(g: np.ndarray) -> np.ndarray:
-    """The quotient homomorphism SE(2) -> SE(2)/T2 = U(1): keep the rotation."""
-    a_re, a_im, _, _ = as_vector(g, 4).tolist()
-    return np.array(_cnormalize(a_re, a_im))
-
-
 # --- concrete actions -----------------------------------------------------
-
-def se2_plane_action() -> ActionModel:
-    """SE(2) acting on the plane by z -> A z + v."""
-    G = se2_group()
-
-    def act(g, q):
-        a_re, a_im, v_re, v_im = g.tolist()
-        w_re, w_im = _cmul(a_re, a_im, *q.tolist())
-        return np.array([w_re + v_re, w_im + v_im])
-
-    return ActionModel(group=G, space_dim=2, act=act)
-
 
 def se2_two_point_action() -> ActionModel:
     """The diagonal SE(2) action on pairs of plane points (R^4)."""
@@ -249,10 +216,3 @@ def u1_plane_action() -> ActionModel:
         return np.array(_cnormalize(*_cmul(*qb.tolist(), a_re, -a_im)))
 
     return ActionModel(group=G, space_dim=2, act=act, match=match)
-
-
-def trivial_action(space_dim: int) -> ActionModel:
-    G = trivial_group()
-    return ActionModel(group=G, space_dim=space_dim,
-                       act=lambda g, q: as_vector(q, space_dim).copy(),
-                       match=lambda qa, qb: G.identity)

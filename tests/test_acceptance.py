@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from dlpsim.cli import main as cli_main
-from dlpsim.connection import ad, check_equivariance, horizontal_lift, \
-    mechanical_connection_flat
+from dlpsim.connection import ad, check_equivariance
 from dlpsim.diagnostics import momentum_evolution_check, symplectic_check
 from dlpsim.dlps import (action_derivative, build_fixed_endpoint_variation,
                          del_residual, free_particle_dms,
@@ -25,6 +24,7 @@ from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
 from dlpsim.reduction import (check_morphism, project_path, reconstruct_path,
                               two_stage)
 from dlpsim.smooth import SmoothMapHandle
+from oracles import horizontal_lift, mechanical_connection_flat
 
 
 def report(criterion, label, value, tol, ok=None):

@@ -20,8 +20,9 @@ from dlpsim.dlps import harmonic_oscillator_dms, step
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_reduced_system, potential_handle,
                                 sample_configuration)
-from dlpsim.reduction import reduce, trivial_reduction
+from dlpsim.reduction import reduce
 from dlpsim.smooth import SmoothMapHandle
+from oracles import trivial_reduction
 
 POTENTIALS = (("zero", 0.0), ("linear", 0.5), ("quadratic", 0.3))
 #: The matrix step against the generic ``reduce`` step (closure lift,

@@ -25,13 +25,13 @@ from dlpsim.connection import DiscreteConnection, QuotientModel, ad, check_equiv
 from dlpsim.dlps import from_dms, simulate
 from dlpsim.errors import draw_maxima, worst_draw
 from dlpsim.example_se2 import sample_configuration, sample_cprime
-from dlpsim.lie import (sample_group, se2_two_point_action, t2_two_point_action,
-                        trivial_action, trivial_group)
+from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
 from dlpsim.reduction import (RANK_TOL, SYMMETRY_TOLS, _diagonal_cprime_action,
                               _matvecs, _sample_second_order, check_morphism,
-                              check_symmetry, trivial_reduction, two_stage)
+                              check_symmetry, two_stage)
 from dlpsim.smooth import (SmoothMapHandle, directional_derivative, identity_map,
                            jacobian_fd)
+from oracles import trivial_action, trivial_group, trivial_reduction
 from test_reduction import _right_se2_action
 
 # --- reference per-draw loops ----------------------------------------------

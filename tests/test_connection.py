@@ -4,13 +4,13 @@ equivariance laws and the pair-space isomorphism roundtrip."""
 import numpy as np
 import pytest
 
-from dlpsim.connection import (DiscreteConnection, ad, check_equivariance,
-                               horizontal_lift, mechanical_connection_flat)
+from dlpsim.connection import DiscreteConnection, ad, check_equivariance
 from dlpsim.errors import DomainError
 from dlpsim.example_se2 import (make_se2_connection, make_t2_connection,
                                 make_t2_quotient,
                                 sample_configuration)
 from dlpsim.lie import sample_group
+from oracles import horizontal_lift, mechanical_connection_flat
 
 TOL = 1e-10
 SQRT2 = np.sqrt(2.0)

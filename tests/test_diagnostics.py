@@ -14,8 +14,8 @@ from dlpsim.dlps import (d1_lagrangian, free_particle_dms, from_dms,
 from dlpsim.errors import RegularityError
 from dlpsim.example_se2 import sample_cprime
 from dlpsim.lie import ActionModel, LieGroupModel, t2_two_point_action
-from dlpsim.reduction import trivial_reduction
 from dlpsim.smooth import SmoothMapHandle, jacobian_fd
+from oracles import trivial_reduction
 
 
 def _pullback_gradient_legendre(sys, fn, model, z, q1_guess):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dlpsim.lie import (conjugate, orbit_frame, project_to_quotient,
-                        sample_group, se2_group, se2_plane_action,
+from dlpsim.lie import (orbit_frame, sample_group, se2_group,
                         se2_two_point_action, t2_group, t2_two_point_action,
-                        trivial_group, u1_group, u1_plane_action)
+                        u1_group, u1_plane_action)
+from oracles import conjugate, trivial_group
 
 TOL = 1e-12
 
@@ -131,28 +131,7 @@ def test_generator_vanishes_at_fixed_point():
     assert np.max(np.abs(xi)) < 1e-12
 
 
-def test_quotient_projection_kernel():
-    out = project_to_quotient(se2(1, 0, 3.0, 4.0))
-    assert np.max(np.abs(out - np.array([1.0, 0.0]))) < TOL
-
-
-def test_quotient_projection_strips_translation():
-    out = project_to_quotient(se2(0, 1, 3.0, 4.0))
-    assert np.max(np.abs(out - np.array([0.0, 1.0]))) < TOL
-
-
-def test_quotient_projection_homomorphism():
-    G, U = se2_group(), u1_group()
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        g1, g2 = sample_group(G, rng), sample_group(G, rng)
-        lhs = project_to_quotient(G.compose(g1, g2))
-        rhs = U.compose(project_to_quotient(g1), project_to_quotient(g2))
-        assert np.max(np.abs(lhs - rhs)) < TOL
-
-
 @pytest.mark.parametrize("action_maker,sampler", [
-    (se2_plane_action, lambda r: r.uniform(-2, 2, 2)),
     (se2_two_point_action, lambda r: r.uniform(-2, 2, 4)),
     (t2_two_point_action, lambda r: r.uniform(-2, 2, 4)),
     (u1_plane_action, lambda r: r.uniform(-2, 2, 2)),

@@ -18,15 +18,16 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 potential_handle,
                                 sample_annulus, sample_configuration,
                                 sample_cprime)
-from dlpsim.lie import (conjugate, sample_group, se2_two_point_action, t2_group,
-                        t2_two_point_action, trivial_action, trivial_group)
+from dlpsim.lie import (sample_group, se2_two_point_action, t2_group,
+                        t2_two_point_action)
 from dlpsim.reduction import (ROUNDTRIP_TOL, SYMMETRY_TOLS, VALIDATION_DRAWS,
                               build_upsilon, check_morphism,
                               check_symmetry, project_path,
                               reconstruct_path, reduce, solve_matching,
-                              trivial_reduction, two_stage)
+                              two_stage)
 from dlpsim.smooth import (SmoothMapHandle, gradient_fd5, identity_map,
                            jacobian_fd)
+from oracles import conjugate, trivial_action, trivial_group, trivial_reduction
 from test_connection import make_weighted_t2_connection
 
 SQRT2 = np.sqrt(2.0)
@@ -571,6 +572,66 @@ def test_matching_generic_fallback(rng):
         target = bare.act(g, q)
         found = solve_matching(bare, q, target)
         assert np.max(np.abs(bare.act(found, q) - target)) < 1e-9
+
+
+@pytest.mark.parametrize("make_action", [t2_two_point_action, se2_two_point_action])
+@pytest.mark.parametrize("generic", [False, True], ids=["match", "generic"])
+def test_matching_rejects_nan(make_action, generic):
+    """A NaN target or source raises MatchingError, through the action's
+    closed-form matcher and through the generic solve: a NaN defect is
+    not within ``MATCH_TOL``."""
+    act = make_action()
+    if generic:
+        act = dataclasses.replace(act, match=None)
+    q = np.array([1.0, 0.0, -1.0, 0.0])
+    nan_q = np.array([np.nan, 0.0, -1.0, 0.0])
+    for q_from, q_to in ((q, nan_q), (nan_q, q)):
+        with pytest.raises(MatchingError):
+            solve_matching(act, q_from, q_to)
+
+
+def test_matching_zero_dimensional_group():
+    """An action of the one-element group without a matcher takes the
+    generic solve: equal points match to the identity, differing points
+    raise MatchingError."""
+    bare = dataclasses.replace(trivial_action(3), match=None)
+    q = np.array([0.3, -1.2, 2.0])
+    g = solve_matching(bare, q, q.copy())
+    assert g.dtype == np.float64 and g.shape == bare.group.identity.shape == (0,)
+    for q_to in (q + np.array([0.0, 1e-6, 0.0]), np.array([0.3, np.nan, 2.0])):
+        with pytest.raises(MatchingError):
+            solve_matching(bare, q, q_to)
+
+
+def _with_nan(path, row, col):
+    points = path.points.copy()
+    points[row, col] = np.nan
+    return dataclasses.replace(path, points=points)
+
+
+def test_reconstruction_rejects_nan_start(reduced, full_system, full_start):
+    """A NaN start, or a NaN in the first reduced pair, is a ValueError."""
+    red_path = project_path(reduced.model, simulate(full_system, *full_start, 3))
+    eps0, m1 = full_start
+    for k in range(4):
+        nan_at_k = np.arange(4) == k
+        with pytest.raises(ValueError):
+            reconstruct_path(reduced.model, red_path, np.where(nan_at_k, np.nan, eps0), m1)
+        with pytest.raises(ValueError):
+            reconstruct_path(reduced.model, red_path, eps0, np.where(nan_at_k, np.nan, m1))
+    for col in range(red_path.points.shape[1]):
+        with pytest.raises(ValueError):
+            reconstruct_path(reduced.model, _with_nan(red_path, 0, col), *full_start)
+
+
+def test_reconstruction_rejects_nan_reduced_pair(reduced, full_system, full_start):
+    """A NaN anywhere in an interior reduced pair raises MatchingError."""
+    red_path = project_path(reduced.model, simulate(full_system, *full_start, 5))
+    n_rows, n_cols = red_path.points.shape
+    for row, col in np.ndindex(n_rows - 2, n_cols):
+        with pytest.raises(MatchingError):
+            reconstruct_path(reduced.model, _with_nan(red_path, row + 1, col),
+                             *full_start)
 
 
 def test_two_stage_real(staged, full_start):

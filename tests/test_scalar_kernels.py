@@ -26,9 +26,8 @@ from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 make_residual_u1_action, make_se2_connection,
                                 make_t2_connection, make_u1_connection,
                                 potential_handle)
-from dlpsim.lie import (project_to_quotient, se2_group, se2_plane_action,
-                        se2_two_point_action, t2_two_point_action, u1_group,
-                        u1_plane_action)
+from dlpsim.lie import (se2_group, se2_two_point_action, t2_two_point_action,
+                        u1_group, u1_plane_action)
 from dlpsim.reduction import build_upsilon
 from dlpsim.smooth import SmoothMapHandle, as_vector
 
@@ -202,7 +201,7 @@ def _flat(out):
 def _closures(fiber_maps):
     """(name, closure, reference, argument lengths) for every rewritten closure."""
     se2, u1 = se2_group(), u1_group()
-    two, t2, plane = se2_two_point_action(), t2_two_point_action(), se2_plane_action()
+    two, t2 = se2_two_point_action(), t2_two_point_action()
     rot = u1_plane_action()
     c_t2, c_se2, c_u1 = make_t2_connection(), make_se2_connection(), make_u1_connection()
     (t2c, t2s), (u1c, u1s), (se2c, se2s) = fiber_maps
@@ -213,8 +212,6 @@ def _closures(fiber_maps):
         ("u1.compose", u1.compose, lambda a, b: _cnormalize(_cmul(a, b)), (2, 2)),
         ("u1.inverse", u1.inverse, lambda g: _cconj(_cnormalize(g)), (2,)),
         ("u1.from_params", u1.from_params, u1_from_params, (1,)),
-        ("project_to_quotient", project_to_quotient,
-         lambda g: _cnormalize(as_vector(g, 4)[:2]), (4,)),
         ("se2_two_point.act", two.act,
          lambda g, q: np.concatenate([_cmul(g[:2], q[:2]) + g[2:],
                                       _cmul(g[:2], q[2:]) + g[2:]]), (4, 4)),
@@ -222,7 +219,6 @@ def _closures(fiber_maps):
         ("t2_two_point.act", t2.act,
          lambda g, q: np.concatenate([q[:2] + g, q[2:] + g]), (2, 4)),
         ("t2_two_point.match", t2.match, lambda qa, qb: qb[:2] - qa[:2], (4, 4)),
-        ("se2_plane.act", plane.act, lambda g, q: _cmul(g[:2], q) + g[2:], (4, 2)),
         ("u1_plane.act", rot.act, _cmul, (2, 2)),
         ("u1_plane.match", rot.match,
          lambda qa, qb: _cnormalize(_cmul(qb, _cconj(qa))), (2, 2)),
@@ -285,27 +281,34 @@ def test_closures_match_reference_bit_for_bit(fiber_maps):
             assert _same_bits(closure(*args), ref), (name, args)
 
 
-@pytest.mark.parametrize("name, args, exc", [
-    ("se2.compose", ([0.0, 0.0, 1.0, 2.0], [0.6, 0.8, 0.0, 1.0]), ZeroDivisionError),
-    ("se2.inverse", ([0.0, 0.0, 1.0, 2.0],), ZeroDivisionError),
-    ("u1.compose", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
-    ("u1.inverse", ([0.0, 0.0],), ZeroDivisionError),
-    ("project_to_quotient", ([0.0, 0.0, 3.0, 4.0],), ZeroDivisionError),
-    ("se2_two_point.match", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),
+#: (case, closure name, arguments, exception). The case number is the
+#: ``args<case>`` of the test id, written out so that removing a case
+#: renames no other test.
+ZERO_NORM_CASES = [
+    (0, "se2.compose", ([0.0, 0.0, 1.0, 2.0], [0.6, 0.8, 0.0, 1.0]), ZeroDivisionError),
+    (1, "se2.inverse", ([0.0, 0.0, 1.0, 2.0],), ZeroDivisionError),
+    (2, "u1.compose", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
+    (3, "u1.inverse", ([0.0, 0.0],), ZeroDivisionError),
+    (5, "se2_two_point.match", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),
      ZeroDivisionError),
-    ("se2_two_point.match", ([0.0, 1.0, 1.0, 0.0], [1.0, 2.0, 1.0, 2.0]),
+    (6, "se2_two_point.match", ([0.0, 1.0, 1.0, 0.0], [1.0, 2.0, 1.0, 2.0]),
      ZeroDivisionError),
-    ("u1_plane.match", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
-    ("_phase", ([0.0, 0.0],), DomainError),
-    ("_phase", ([1e-13, 0.0],), DomainError),
-    ("se2.ad_form", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]), DomainError),
-    ("se2.hor_lift", ([1.0, 2.0, 1.0, 2.0], [0.5]), DomainError),
-    ("u1.ad_form", ([0.0, 0.0], [0.6, 0.8]), DomainError),
-    ("u1.hor_lift", ([0.0, 0.0], [0.5]), DomainError),
-    ("u1_stage.fiber_chart", ([0.0, 0.0, 1.0, 2.0], [1.0, 0.0]), DomainError),
-    ("se2_one_shot.fiber_chart", ([1.0, 2.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]),
+    (7, "u1_plane.match", ([0.0, 0.0], [0.6, 0.8]), ZeroDivisionError),
+    (8, "_phase", ([0.0, 0.0],), DomainError),
+    (9, "_phase", ([1e-13, 0.0],), DomainError),
+    (10, "se2.ad_form", ([1.0, 2.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]), DomainError),
+    (11, "se2.hor_lift", ([1.0, 2.0, 1.0, 2.0], [0.5]), DomainError),
+    (12, "u1.ad_form", ([0.0, 0.0], [0.6, 0.8]), DomainError),
+    (13, "u1.hor_lift", ([0.0, 0.0], [0.5]), DomainError),
+    (14, "u1_stage.fiber_chart", ([0.0, 0.0, 1.0, 2.0], [1.0, 0.0]), DomainError),
+    (15, "se2_one_shot.fiber_chart", ([1.0, 2.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]),
      DomainError),
-])
+]
+
+
+@pytest.mark.parametrize("name, args, exc", [
+    pytest.param(name, args, exc, id=f"{name}-args{case}-{exc.__name__}")
+    for case, name, args, exc in ZERO_NORM_CASES])
 def test_zero_norm_raises_as_reference(fiber_maps, name, args, exc):
     """At zero norm each closure raises the reference's exception type."""
     _, closure, reference, _ = next(c for c in _closures(fiber_maps) if c[0] == name)
