@@ -62,7 +62,9 @@ class DlpsSystem:
     basis in one call, as a float array of shape (total_dim, total_dim);
     a constant chaining map may return one shared read-only array
     (``from_dms`` and, for an affine reduction of a DMS,
-    ``reduction.reduce`` do).
+    ``reduction.reduce`` do). Symmetry validation
+    (``reduction.check_symmetry``) reads ``ivcm_matrix``, as ``step``
+    does, not ``ivcm``.
 
     A ``hess`` on the Lagrangian of a system whose ``phi`` has an array
     ``jac`` (an affine bundle map) declares that the chaining matrix does

@@ -84,11 +84,14 @@ def solve_matching(action: ActionModel, q_from, q_to) -> np.ndarray:
     Gauss-Newton iterations over the group parameters (a non-finite
     residual ends them early). A zero-dimensional group takes the same
     solve, whose empty steps leave the identity, and the defect check
-    decides. The result is always verified; a defect above ``MATCH_TOL``,
-    or a NaN defect, raises MatchingError.
+    decides. A non-finite entry in ``q_from`` or ``q_to`` raises
+    MatchingError before any solve. The result is always verified; a
+    defect above ``MATCH_TOL``, or a NaN defect, raises MatchingError.
     """
     q_from = as_vector(q_from, action.space_dim)
     q_to = as_vector(q_to, action.space_dim)
+    if not (np.isfinite(q_from).all() and np.isfinite(q_to).all()):
+        raise MatchingError(f"cannot match non-finite points {q_from} and {q_to}")
     G = action.group
     if action.match is not None:
         try:
@@ -160,9 +163,14 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
       previous draw's element (the identity on the first draw);
     - "bundle-map G-equivariance": phi(g eps1) = g phi(eps1);
     - "lagrangian G-invariance": L(g x0) = L(x0);
-    - "chaining-map G-equivariance": the chaining map at (g x0, g x1)
-      applied to the push-forward of delta equals the push-forward of its
-      value at (x0, x1); push-forwards by central differences.
+    - "chaining-map G-equivariance": ``Cg @ push(x1, delta)`` equals
+      ``push(x0, C0 @ delta)``, with C0 and Cg the chaining matrices
+      ``sys.ivcm_matrix`` gives at (x0, x1) and at (g x0, g x1) (the ones
+      ``dlps.step`` reads) and push the push-forward by g, a central
+      difference. A term whose matrix is zero is the zero vector, which
+      is what the difference gives there, so it takes no push-forward: a
+      DMS (``dlps.from_dms``) takes none per draw. A NaN entry counts as
+      nonzero, so a NaN matrix reads NaN.
 
     Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
     sample is None while every violation is 0; a NaN violation is the
@@ -175,6 +183,7 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
     rng = rng or np.random.default_rng(31)
     G, nE = action_e.group, sys.bundle.total_dim
     act = _diagonal_cprime_action(action_e, action_m).act
+    zero = np.zeros(nE)
     x0s, draws = [], []
     g_prev = G.identity
     for _ in range(n_samples):
@@ -183,13 +192,15 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
         delta = rng.standard_normal(nE)
         gx0, gx1 = act(g, x0), act(g, x1)
         push = partial(directional_derivative, partial(action_e.act, g))
-        pushed = push(x0[:nE], sys.ivcm(x0, x1, delta))
+        C0, Cg = sys.ivcm_matrix(x0, x1), sys.ivcm_matrix(gx0, gx1)
+        pushed = push(x0[:nE], C0 @ delta) if C0.any() else zero
+        chained = Cg @ push(x1[:nE], delta) if Cg.any() else zero
         x0s.append(x0)
         draws.append((act(G.identity, x0) - x0,
                       act(g_prev, gx0) - act(G.compose(g_prev, g), x0),
                       sys.bundle.phi(gx1[:nE]) - gx0[nE:],
                       sys.lag(gx0) - sys.lag(x0),
-                      sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed))
+                      chained - pushed))
         g_prev = g
     report = {}
     for k, name in enumerate(SYMMETRY_TOLS):
@@ -401,8 +412,8 @@ def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
     the next reduced pair by the section, then acts by the unique group
     element matching the base condition (the new fiber point must
     project onto the previous base point). Inconsistent input surfaces
-    as MatchingError, and so does a NaN in any reduced pair but the
-    last, whose entries are checked only where its matching reads them.
+    as MatchingError, and so does a non-finite entry in any reduced pair
+    after the first, rejected before the first step is lifted.
     """
     nE = model.source_bundle.total_dim
     x = np.concatenate([as_vector(eps0, nE),
@@ -412,6 +423,10 @@ def reconstruct_path(model: ReducedModel, reduced_path: DiscretePath,
         raise ValueError(
             f"starting point does not project onto the reduced path "
             f"(defect {start_defect:.3e})")
+    bad = ~np.isfinite(reduced_path.points[1:]).all(axis=1)
+    if bad.any():
+        raise MatchingError(
+            f"reduced pair {int(np.argmax(bad)) + 1} is not finite")
     rows = [x]
     for y in reduced_path.points[1:]:
         rows.append(_lift_onto(model, y, rows[-1][nE:]))

@@ -189,9 +189,10 @@ def directional_derivative(f, x, v) -> np.ndarray:
     """Central difference of ``t -> f(x + t v)`` at ``t = 0``."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-    h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(x), initial=0.0))) / scale
-    return (as_vector(f(x + h * v)) - as_vector(f(x - h * v))) / (2.0 * h)
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+    h = DEFAULT_FD_STEP * (1.0 + float(np.abs(x).max(initial=0.0))) / scale
+    hv = h * v
+    return (as_vector(f(x + hv)) - as_vector(f(x - hv))) / (2.0 * h)
 
 
 @dataclass(frozen=True)

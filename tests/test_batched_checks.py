@@ -21,11 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dlpsim import reduction
 from dlpsim.connection import DiscreteConnection, QuotientModel, ad, check_equivariance
 from dlpsim.dlps import from_dms, simulate
 from dlpsim.errors import draw_maxima, worst_draw
-from dlpsim.example_se2 import sample_configuration, sample_cprime
-from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
+from dlpsim.example_se2 import (make_residual_u1_action, sample_configuration,
+                                sample_cprime)
+from dlpsim.lie import (sample_group, se2_two_point_action, t2_two_point_action,
+                        u1_plane_action)
 from dlpsim.reduction import (RANK_TOL, SYMMETRY_TOLS, _diagonal_cprime_action,
                               _matvecs, _sample_second_order, check_morphism,
                               check_symmetry, two_stage)
@@ -334,18 +337,59 @@ def _nan_lagrangian_past(bound):
         8, 1, lambda x: np.array([np.nan if x[0] > bound else x[0]])))
 
 
-@pytest.mark.parametrize("which", ["se2", "t2", "right-action", "nan-lagrangian"])
-def test_check_symmetry_matches_per_draw_loop(full_system, which):
+def _symmetry_case(which, full_system, reduced):
+    """(sys, action_e, action_m, sample_cprime) of a ``check_symmetry`` case."""
+    if which == "t2-reduced-u1":
+        # The residual circle action on the translation-reduced system,
+        # whose chaining matrix is not zero: the push-forward branch.
+        return (reduced.system, make_residual_u1_action(), u1_plane_action(),
+                lambda r: reduced.model.upsilon(sample_cprime(r)))
     sys, action = {"se2": (full_system, se2_two_point_action()),
                    "t2": (full_system, t2_two_point_action()),
                    "right-action": (full_system, _right_se2_action()),
                    "nan-lagrangian": (_nan_lagrangian_past(1.5),
                                       t2_two_point_action())}[which]
-    got = check_symmetry(sys, action, action, sample_cprime, n_samples=20,
-                         rng=np.random.default_rng(7))
-    want = ref_check_symmetry(sys, action, action, sample_cprime, 20,
-                              np.random.default_rng(7))
+    return sys, action, action, sample_cprime
+
+
+@pytest.mark.parametrize("which", ["se2", "t2", "right-action", "nan-lagrangian",
+                                   "t2-reduced-u1"])
+def test_check_symmetry_matches_per_draw_loop(full_system, reduced, which):
+    args = _symmetry_case(which, full_system, reduced)
+    got = check_symmetry(*args, n_samples=20, rng=np.random.default_rng(7))
+    want = ref_check_symmetry(*args, 20, np.random.default_rng(7))
     assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("which, pushes", [("se2", 0), ("t2", 0),
+                                           ("nan-lagrangian", 0),
+                                           ("t2-reduced-u1", 2)])
+def test_check_symmetry_pushes_only_through_nonzero_matrices(
+        monkeypatch, full_system, reduced, which, pushes):
+    """A draw takes a push-forward only for a chaining term whose matrix
+    has a nonzero entry: none on a DMS (zero chaining matrix), two on the
+    translation-reduced system."""
+    calls = []
+
+    def counted(f, x, v):
+        calls.append(1)
+        return directional_derivative(f, x, v)
+
+    monkeypatch.setattr(reduction, "directional_derivative", counted)
+    check_symmetry(*_symmetry_case(which, full_system, reduced), n_samples=5,
+                   rng=np.random.default_rng(3))
+    assert len(calls) == 5 * pushes
+
+
+def test_check_symmetry_reads_a_nan_chaining_matrix_as_nan(full_system):
+    """A NaN entry counts as nonzero, so a NaN chaining matrix reads NaN."""
+    nan = np.full((4, 4), np.nan)
+    broken = dataclasses.replace(full_system, ivcm_matrix=lambda x0, x1: nan)
+    act = t2_two_point_action()
+    report = check_symmetry(broken, act, act, sample_cprime, n_samples=3,
+                            rng=np.random.default_rng(3))
+    worst, sample = report["chaining-map G-equivariance"]
+    assert np.isnan(worst) and sample is not None
 
 
 def _nan_at_first_call(result):

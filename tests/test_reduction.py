@@ -2,6 +2,7 @@
 two-stage reduction and the morphism checker."""
 
 import dataclasses
+import itertools
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlpsim import reduction
 from dlpsim.connection import DiscreteConnection, QuotientModel
 from dlpsim.dlps import del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
@@ -25,8 +27,8 @@ from dlpsim.reduction import (ROUNDTRIP_TOL, SYMMETRY_TOLS, VALIDATION_DRAWS,
                               check_symmetry, project_path,
                               reconstruct_path, reduce, solve_matching,
                               two_stage)
-from dlpsim.smooth import (SmoothMapHandle, gradient_fd5, identity_map,
-                           jacobian_fd)
+from dlpsim.smooth import (SmoothMapHandle, directional_derivative,
+                           gradient_fd5, identity_map, jacobian_fd)
 from oracles import conjugate, trivial_action, trivial_group, trivial_reduction
 from test_connection import make_weighted_t2_connection
 
@@ -298,21 +300,27 @@ def test_check_morphism_reports_nan_lagrangian_match():
     assert rep["cond3_base_independence_max"] == 0.0
 
 
-def test_build_upsilon_reports_tested_chaining_point(full_system):
-    """A chaining map that is not equivariant fails validation, reporting
-    the row x0 = (eps0, phi(eps1)) of the tested draw with the largest
-    violation."""
-    drawn, calls = [], []
+def test_build_upsilon_reports_tested_chaining_point(monkeypatch, full_system):
+    """A chaining matrix that is not equivariant fails validation,
+    reporting the row x0 = (eps0, phi(eps1)) of the tested draw with the
+    largest violation."""
+    drawn, matrices, directions = [], [], []
 
     def recording_sample(rng):
         drawn.append(sample_cprime(rng))
         return drawn[-1]
 
-    def broken_ivcm(x0, x1, d):
-        calls.append((x0, x0[:4] * d[0]))
-        return calls[-1][1]
+    def broken_ivcm_matrix(x0, x1):
+        # The matrix of delta -> x0[:4] * delta[0].
+        matrices.append((x0, np.outer(x0[:4], np.eye(4)[0])))
+        return matrices[-1][1]
 
-    broken = dataclasses.replace(full_system, ivcm=broken_ivcm)
+    def recording_push(f, x, v):
+        directions.append(v)
+        return directional_derivative(f, x, v)
+
+    monkeypatch.setattr(reduction, "directional_derivative", recording_push)
+    broken = dataclasses.replace(full_system, ivcm_matrix=broken_ivcm_matrix)
     with pytest.raises(ValidationError) as err:
         build_upsilon(make_t2_connection(), broken, fiber_chart=_t2_chart,
                       fiber_section=_t2_section,
@@ -321,10 +329,12 @@ def test_build_upsilon_reports_tested_chaining_point(full_system):
     assert err.value.identity == "chaining-map G-equivariance"
     assert any(np.array_equal(err.value.sample, np.concatenate([xa[:4], xb[:4]]))
                for xa, xb in zip(drawn, drawn[1:]))
-    # A draw evaluates the map at (x0, x1), then at (g x0, g x1); a
-    # translation pushes tangents forward by the identity.
-    draws = [(x0, float(np.max(np.abs(out_g - out))))
-             for (x0, out), (_, out_g) in zip(calls[::2], calls[1::2])]
+    # A draw reads the matrix at (x0, x1), then at (g x0, g x1), and
+    # pushes C0 delta, then delta; a translation pushes tangents forward
+    # by the identity.
+    draws = [(x0, float(np.max(np.abs(Cg @ delta - C0 @ delta))))
+             for (x0, C0), (_, Cg), delta
+             in zip(matrices[::2], matrices[1::2], directions[1::2])]
     worst_row, worst = max(draws, key=lambda draw: draw[1])
     assert np.array_equal(err.value.sample, worst_row)
     assert err.value.violation == pytest.approx(worst, rel=1e-6)
@@ -577,17 +587,19 @@ def test_matching_generic_fallback(rng):
 @pytest.mark.parametrize("make_action", [t2_two_point_action, se2_two_point_action])
 @pytest.mark.parametrize("generic", [False, True], ids=["match", "generic"])
 def test_matching_rejects_nan(make_action, generic):
-    """A NaN target or source raises MatchingError, through the action's
-    closed-form matcher and through the generic solve: a NaN defect is
-    not within ``MATCH_TOL``."""
+    """A NaN or infinite target or source, in any entry, raises
+    MatchingError at the boundary, for the action's closed-form matcher
+    and for the generic solve alike, before any arithmetic on it (an
+    ``inf - inf`` would warn first)."""
     act = make_action()
     if generic:
         act = dataclasses.replace(act, match=None)
     q = np.array([1.0, 0.0, -1.0, 0.0])
-    nan_q = np.array([np.nan, 0.0, -1.0, 0.0])
-    for q_from, q_to in ((q, nan_q), (nan_q, q)):
-        with pytest.raises(MatchingError):
-            solve_matching(act, q_from, q_to)
+    for k, bad in itertools.product(range(4), (np.nan, np.inf, -np.inf)):
+        bad_q = np.where(np.arange(4) == k, bad, q)
+        for q_from, q_to in ((q, bad_q), (bad_q, q)):
+            with pytest.raises(MatchingError, match="non-finite"):
+                solve_matching(act, q_from, q_to)
 
 
 def test_matching_zero_dimensional_group():
@@ -625,13 +637,20 @@ def test_reconstruction_rejects_nan_start(reduced, full_system, full_start):
 
 
 def test_reconstruction_rejects_nan_reduced_pair(reduced, full_system, full_start):
-    """A NaN anywhere in an interior reduced pair raises MatchingError."""
+    """A NaN or an infinity anywhere in a reduced pair after the first,
+    the last included (in the cells its matching does not read too),
+    raises MatchingError naming that pair."""
     red_path = project_path(reduced.model, simulate(full_system, *full_start, 5))
     n_rows, n_cols = red_path.points.shape
-    for row, col in np.ndindex(n_rows - 2, n_cols):
-        with pytest.raises(MatchingError):
+    for row, col in np.ndindex(n_rows - 1, n_cols):
+        with pytest.raises(MatchingError, match=f"reduced pair {row + 1} "):
             reconstruct_path(reduced.model, _with_nan(red_path, row + 1, col),
                              *full_start)
+    points = red_path.points.copy()
+    points[-1, -1] = np.inf
+    with pytest.raises(MatchingError, match=f"reduced pair {n_rows - 1} "):
+        reconstruct_path(reduced.model, dataclasses.replace(red_path, points=points),
+                         *full_start)
 
 
 def test_two_stage_real(staged, full_start):

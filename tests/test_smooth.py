@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from dlpsim.dlps import del_residual, free_particle_dms
 from dlpsim.errors import NonConvergence, SingularJacobian
-from dlpsim.smooth import (MAX_HALVINGS, NewtonConfig, SmoothMapHandle,
-                           _inf_norm, as_vector, gradient_fd5, jacobian_fd,
+from dlpsim.lie import se2_two_point_action
+from dlpsim.smooth import (DEFAULT_FD_STEP, MAX_HALVINGS, NewtonConfig,
+                           SmoothMapHandle, _inf_norm, as_vector,
+                           directional_derivative, gradient_fd5, jacobian_fd,
                            newton_solve)
 
 FD_TOL = 1e-8
@@ -193,6 +195,41 @@ def test_inf_norm_matches_masked_max(name):
     assert type(got) is float
     assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
     assert np.signbit(got) == np.signbit(want)
+
+
+def _directional_derivative_reference(f, x, v):
+    """The ``np.max`` formulation, with ``h * v`` formed twice."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
+    h = DEFAULT_FD_STEP * (1.0 + float(np.max(np.abs(x), initial=0.0))) / scale
+    return (as_vector(f(x + h * v)) - as_vector(f(x - h * v))) / (2.0 * h)
+
+
+def test_directional_derivative_matches_reference_bit_for_bit():
+    """Through a fixed SE(2) map, seeded draws of points (scaled from
+    1e-2 to 1e2) and directions (1e-3 to 1e3), plus a zero and a NaN
+    direction, give the bytes of the reference formulation; so does an
+    empty direction through the identity."""
+    act = se2_two_point_action()
+    g = np.array([0.6, 0.8, 0.1, -0.2])
+
+    def f(q):
+        return act.act(g, q) if q.size else q
+
+    rng = np.random.default_rng(17)
+    x0 = np.array([1.0, 0.2, -1.0, 0.5])
+    cases = [(x0, np.zeros(4)), (x0, np.array([0.3, np.nan, 1.0, 0.0])),
+             (np.zeros(0), np.zeros(0))]
+    for _ in range(2000):
+        cases.append((rng.standard_normal(4) * 10.0 ** rng.uniform(-2, 2),
+                      rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3)))
+    for x, v in cases:
+        got = directional_derivative(f, x, v)
+        want = _directional_derivative_reference(f, x, v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not directional_derivative(f, *cases[0]).any()
+    assert np.isnan(directional_derivative(f, *cases[1])).any()
 
 
 def test_newton_postcondition_bound():
