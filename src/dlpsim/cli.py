@@ -9,8 +9,10 @@ the report commands sample from ``seed`` (a nonnegative integer, default
 samples, and the finite ``perturb`` is ``check``'s negative control.
 Results are written as CSV (full double precision) plus JSON reports
 with per-identity violations, so CI can gate on the exit code: 0 all
-checks pass, 1 validation failure, 2 solver failure (partial output
-written), 3 I/O failure.
+checks pass, 1 validation failure, 2 solver failure (``simulate``
+writes the trajectory up to the failing step and a ``simulate.json``
+whose ``failure`` names it; a report command writes no report), 3 I/O
+failure.
 
 Identical config and seed produce byte-identical outputs; timing goes to
 the log (env var DLPS_LOG sets verbosity), never into the files.
@@ -250,7 +252,7 @@ def _reduce(cfg: dict) -> dict:
         y1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2),
                              y[4:] + rng.uniform(-0.2, 0.2, 2)])
         delta = rng.standard_normal(4)
-        out = red.system.ivcm(y, y1, delta)
+        out = red.system.ivcm_matrix(y, y1) @ delta
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         xs.append(x)
         draws.append((lag, roundtrip, orbit, out - expected))

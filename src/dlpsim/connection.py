@@ -29,15 +29,22 @@ class QuotientModel:
     ``project`` and ``section`` are coordinate realizations of the bundle
     projection and of one local section (project o section = id); the
     abstract quotient never appears. ``sample`` draws the points of Q
-    that ``check_equivariance`` and ``reduction.two_stage`` test at.
+    that ``check_equivariance`` and ``reduction.two_stage`` test at. The
+    dimensions of Q and Q/G are those of ``project``.
     """
 
-    total_dim: int
-    base_dim: int
     project: SmoothMapHandle
     section: SmoothMapHandle
     action: ActionModel
     sample: Callable[[np.random.Generator], np.ndarray]
+
+    @property
+    def total_dim(self) -> int:
+        return self.project.in_dim
+
+    @property
+    def base_dim(self) -> int:
+        return self.project.out_dim
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,13 +41,19 @@ class FiberBundleModel:
     """A fiber bundle in coordinates: phi: R^total_dim -> R^base_dim.
 
     ``section`` is any smooth right inverse of ``phi``; it seeds Newton
-    guesses.
+    guesses. The dimensions are those of ``phi``.
     """
 
-    total_dim: int
-    base_dim: int
     phi: SmoothMapHandle
     section: SmoothMapHandle
+
+    @property
+    def total_dim(self) -> int:
+        return self.phi.in_dim
+
+    @property
+    def base_dim(self) -> int:
+        return self.phi.out_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +62,14 @@ class DlpsSystem:
 
     A point of E x M is one row x = (eps, m) of length
     total_dim + base_dim. ``lagrangian`` is a scalar handle on such rows.
-    ``ivcm`` maps (x_k, x_{k+1}, delta_eps_{k+1}) to a tangent vector at
-    eps_k, linearly in the last argument, with image in ker(d phi).
-    ``ivcm_matrix(x_k, x_{k+1})`` returns its matrix on the standard
-    basis in one call, as a float array of shape (total_dim, total_dim);
-    a constant chaining map may return one shared read-only array
-    (``from_dms`` and, for an affine reduction of a DMS,
-    ``reduction.reduce`` do). Symmetry validation
-    (``reduction.check_symmetry``) reads ``ivcm_matrix``, as ``step``
-    does, not ``ivcm``.
+    The chaining map is ``ivcm_matrix``: ``ivcm_matrix(x_k, x_{k+1})`` is a
+    float array of shape (total_dim, total_dim) whose product with a
+    tangent delta_eps_{k+1} at eps_{k+1} is the chained tangent at eps_k,
+    with image in ker(d phi). A constant chaining map may return one
+    shared read-only array (``from_dms`` and, for an affine reduction of
+    a DMS, ``reduction.reduce`` do). Every reader of the chaining map
+    (``step``, ``build_fixed_endpoint_variation``, symmetry and morphism
+    checks, diagnostics) reads this matrix.
 
     A ``hess`` on the Lagrangian of a system whose ``phi`` has an array
     ``jac`` (an affine bundle map) declares that the chaining matrix does
@@ -85,8 +90,11 @@ class DlpsSystem:
 
     bundle: FiberBundleModel
     lagrangian: SmoothMapHandle
-    ivcm: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     ivcm_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # Set and read by nothing in the library. It stays only because
+    # perfbench/tracing.py passes ``ivcm=`` to ``dataclasses.replace``; it
+    # goes once the tracer wraps ``ivcm_matrix`` alone.
+    ivcm: Callable | None = None
 
     def lag(self, x) -> float:
         return float(self.lagrangian(x)[0])
@@ -292,9 +300,9 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
     fails, which signals a failure of the flow's regularity hypotheses.
     """
     b = sys.bundle
-    eps0 = as_vector(eps0, b.total_dim)
-    m1 = as_vector(m1, b.base_dim)
     n, nb = b.total_dim, b.base_dim
+    eps0 = as_vector(eps0, n)
+    m1 = as_vector(m1, nb)
     covector = _del_covector(sys, np.concatenate([eps0, m1]))
 
     def residual(z):
@@ -351,15 +359,12 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
     """
     if lagrangian.in_dim != 2 * config_dim:
         raise ValueError("DMS Lagrangian must live on Q x Q")
-    bundle = FiberBundleModel(total_dim=config_dim, base_dim=config_dim,
-                              phi=identity_map(config_dim),
+    bundle = FiberBundleModel(phi=identity_map(config_dim),
                               section=identity_map(config_dim))
     zero = np.zeros((config_dim, config_dim))
     zero.flags.writeable = False
-    return DlpsSystem(
-        bundle=bundle, lagrangian=lagrangian,
-        ivcm=lambda x0, x1, d: np.zeros(config_dim),
-        ivcm_matrix=lambda x0, x1: zero)
+    return DlpsSystem(bundle=bundle, lagrangian=lagrangian,
+                      ivcm_matrix=lambda x0, x1: zero)
 
 
 def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
@@ -383,9 +388,8 @@ def build_fixed_endpoint_variation(sys: DlpsSystem, path: DiscretePath,
     d_eps = [None] * n_pairs
     d_eps[n_pairs - 1] = tilde[-1]
     for k in range(n_pairs - 2, 0, -1):
-        chained = sys.ivcm(x[k], x[k + 1], tilde[k])
-        d_eps[k] = tilde[k - 1] + as_vector(chained, sys.bundle.total_dim)
-    d_eps[0] = as_vector(sys.ivcm(x[0], x[1], tilde[0]), sys.bundle.total_dim)
+        d_eps[k] = tilde[k - 1] + sys.ivcm_matrix(x[k], x[k + 1]) @ tilde[k]
+    d_eps[0] = sys.ivcm_matrix(x[0], x[1]) @ tilde[0]
 
     deltas = []
     for k in range(n_pairs):

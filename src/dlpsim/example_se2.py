@@ -232,8 +232,8 @@ def make_t2_quotient() -> QuotientModel:
     """Quotient by simultaneous translations: base coordinate r = (q^x - q^y)/sqrt(2)."""
     project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)))
     section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()))
-    return QuotientModel(total_dim=4, base_dim=2, project=project,
-                         section=section, action=t2_two_point_action(),
+    return QuotientModel(project=project, section=section,
+                         action=t2_two_point_action(),
                          sample=sample_configuration)
 
 
@@ -362,8 +362,8 @@ def make_se2_quotient() -> QuotientModel:
     """Quotient by the full planar isometry group: base coordinate |r|."""
     project = SmoothMapHandle(4, 1, lambda q: np.array([_distance(q) / SQRT2]))
     section = SmoothMapHandle(1, 4, lambda rho: _on_real_axis(*rho.tolist()))
-    return QuotientModel(total_dim=4, base_dim=1, project=project,
-                         section=section, action=se2_two_point_action(),
+    return QuotientModel(project=project, section=section,
+                         action=se2_two_point_action(),
                          sample=sample_configuration)
 
 
@@ -406,8 +406,8 @@ def make_u1_base_quotient() -> QuotientModel:
     """U(1) acting on the punctured plane of relative positions; base |r|."""
     project = SmoothMapHandle(2, 1, lambda r: np.array([np.hypot(*r.tolist())]))
     section = SmoothMapHandle(1, 2, lambda rho: np.array([*rho.tolist(), 0.0]))
-    return QuotientModel(total_dim=2, base_dim=1, project=project,
-                         section=section, action=u1_plane_action(),
+    return QuotientModel(project=project, section=section,
+                         action=u1_plane_action(),
                          sample=sample_annulus)
 
 

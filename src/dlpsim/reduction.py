@@ -165,12 +165,11 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
     - "lagrangian G-invariance": L(g x0) = L(x0);
     - "chaining-map G-equivariance": ``Cg @ push(x1, delta)`` equals
       ``push(x0, C0 @ delta)``, with C0 and Cg the chaining matrices
-      ``sys.ivcm_matrix`` gives at (x0, x1) and at (g x0, g x1) (the ones
-      ``dlps.step`` reads) and push the push-forward by g, a central
-      difference. A term whose matrix is zero is the zero vector, which
-      is what the difference gives there, so it takes no push-forward: a
-      DMS (``dlps.from_dms``) takes none per draw. A NaN entry counts as
-      nonzero, so a NaN matrix reads NaN.
+      ``sys.ivcm_matrix`` gives at (x0, x1) and at (g x0, g x1) and push
+      the push-forward by g, a central difference. A term whose matrix is
+      zero is the zero vector, which is what the difference gives there,
+      so it takes no push-forward: a DMS (``dlps.from_dms``) takes none
+      per draw. A NaN entry counts as nonzero, so a NaN matrix reads NaN.
 
     Returns ``{condition: (maximum, x0 of the draw attaining it)}`` (the
     sample is None while every violation is 0; a NaN violation is the
@@ -263,7 +262,6 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
         return fiber_chart(eps, G.identity)
 
     reduced_bundle = FiberBundleModel(
-        total_dim=nEr, base_dim=nMr,
         phi=SmoothMapHandle(nEr, nMr, reduced_phi_eval),
         section=SmoothMapHandle(nMr, nEr, reduced_section_eval))
 
@@ -357,7 +355,7 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
             return T
 
         bundle = FiberBundleModel(
-            total_dim=nEr, base_dim=nMr, section=bundle.section,
+            section=bundle.section,
             phi=SmoothMapHandle(nEr, nMr, lambda v: p + P @ v, jac=P))
         if isinstance(L.hess, np.ndarray):
             hess = T.T @ L.hess @ T
@@ -374,8 +372,6 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
                                  jac=lagrangian_jac, hess=hess)
 
     def reduced_ivcm_matrix(y0, y1) -> np.ndarray:
-        if C is not None:
-            return C
         # Lift y0 over the base point carried by v1 = y1[:nEr] itself: on
         # the second-order compatibility set this equals y0's base point,
         # and off it (solver iterates between constraint projections) it
@@ -389,11 +385,9 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
         inner = sys.ivcm_matrix(x0, x1)
         return (K[:, :nE] @ inner + K[:, nE:] @ jphi1) @ Jinv
 
-    def reduced_ivcm(y0, y1, delta_v1) -> np.ndarray:
-        return reduced_ivcm_matrix(y0, y1) @ as_vector(delta_v1, nEr)
-
-    reduced_sys = DlpsSystem(bundle=bundle, lagrangian=lagrangian,
-                             ivcm=reduced_ivcm, ivcm_matrix=reduced_ivcm_matrix)
+    reduced_sys = DlpsSystem(
+        bundle=bundle, lagrangian=lagrangian,
+        ivcm_matrix=reduced_ivcm_matrix if C is None else lambda y0, y1: C)
     return ReductionResult(system=reduced_sys, model=model)
 
 

@@ -197,7 +197,9 @@ def directional_derivative(f, x, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerance and iteration budget of the damped Newton iteration."""
+    """Tolerance and iteration budget of the damped Newton iteration:
+    ``max_iters`` is an integer (a numpy integer too, a bool not) of at
+    least 1."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
@@ -205,8 +207,11 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("residual_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        iters = self.max_iters
+        if (isinstance(iters, bool) or not isinstance(iters, (int, np.integer))
+                or iters < 1):
+            raise ValueError(
+                f"max_iters must be an integer of at least 1 (got {iters!r})")
 
 
 #: Backtracking halvings tried per Newton iteration before it stalls.

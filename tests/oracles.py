@@ -122,8 +122,7 @@ def trivial_reduction(sys: DlpsSystem,
     dynamics coincide with the input's.
     """
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
-    quotient = QuotientModel(total_dim=nM, base_dim=nM,
-                             project=identity_map(nM), section=identity_map(nM),
+    quotient = QuotientModel(project=identity_map(nM), section=identity_map(nM),
                              action=trivial_action(nM),
                              sample=lambda r: sample_cprime(r)[nE:])
     G = trivial_group()

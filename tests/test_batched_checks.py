@@ -143,12 +143,12 @@ def ref_check_symmetry(sys, action_e, action_m, sample, n_samples, rng):
         delta = rng.standard_normal(nE)
         gx0, gx1 = act(g, x0), act(g, x1)
         push = partial(directional_derivative, partial(action_e.act, g))
-        pushed = push(x0[:nE], sys.ivcm(x0, x1, delta))
+        pushed = push(x0[:nE], sys.ivcm_matrix(x0, x1) @ delta)
         violations = (act(G.identity, x0) - x0,
                       act(g_prev, gx0) - act(G.compose(g_prev, g), x0),
                       sys.bundle.phi(gx1[:nE]) - gx0[nE:],
                       sys.lag(gx0) - sys.lag(x0),
-                      sys.ivcm(gx0, gx1, push(x1[:nE], delta)) - pushed)
+                      sys.ivcm_matrix(gx0, gx1) @ push(x1[:nE], delta) - pushed)
         for name, v in zip(report, violations):
             v = float(np.max(np.abs(v), initial=0.0))
             if worse(v, report[name][0]):
@@ -311,8 +311,8 @@ def _nan_past(conn, bound):
 
 def _trivial_connection():
     e = trivial_group().identity
-    quotient = QuotientModel(total_dim=4, base_dim=4, project=identity_map(4),
-                             section=identity_map(4), action=trivial_action(4),
+    quotient = QuotientModel(project=identity_map(4), section=identity_map(4),
+                             action=trivial_action(4),
                              sample=sample_configuration)
     return DiscreteConnection(quotient=quotient, ad_form=lambda q0, q1: e,
                               hor_lift=lambda q0, r1: r1)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import tempfile
@@ -90,6 +91,18 @@ def test_simulate_solver_failure_writes_partial(tmp_path):
     assert len(read_rows(tmp_path)) == meta["failure"]["step_index"] + 1 > 1
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "stages"])
+def test_report_solver_failure_writes_no_report(tmp_path, command):
+    """On the same collision a report command exits 2 and writes nothing:
+    only ``simulate`` keeps partial output."""
+    payload = dict(BODY_CONFIG, potential={"name": "linear", "coeff": 0.0},
+                   initial=[1.0, 0.0, -1.0, 0.0, 0.75, 0.0, -0.75, 0.0])
+    cfg = write_config(tmp_path, payload)
+    assert run(command, cfg, tmp_path) == 2
+    assert not (tmp_path / f"{command}.json").exists()
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command", ["simulate", "reconstruct", "stages"])
 def test_collision_initial_data_is_validation_failure(tmp_path, command):
     payload = dict(BODY_CONFIG)
@@ -122,21 +135,26 @@ def test_reconstruct_report(tmp_path):
     assert len(rep["checks"]["projected_residual_max"]["sample"]) == 6
 
 
-@pytest.mark.parametrize("command, key, field", [
-    ("reduce", "chaining_closed_form_max", "ivcm"),
-    ("reconstruct", "projected_residual_max", "ivcm_matrix")])
-def test_nan_report_value_fails(tmp_path, monkeypatch, command, key, field):
-    """A NaN chaining map (``reduce``) or matrix (``reconstruct``'s DEL
-    residuals) is reported as NaN and fails, instead of passing as 0.0."""
+@pytest.mark.parametrize("command, key", [
+    ("reduce", "chaining_closed_form_max"),
+    ("reconstruct", "projected_residual_max")])
+def test_nan_report_value_fails(tmp_path, monkeypatch, command, key):
+    """A NaN chaining matrix (``reduce``'s closed-form comparison,
+    ``reconstruct``'s DEL residuals) is reported as NaN and fails, instead
+    of passing as 0.0. Only the first matrix read is NaN, so ``reduce``'s
+    steps, which come after its chaining draws, still converge."""
     make = example_se2.make_reduced_system
 
     def nan_chaining(body, rng):
         red = make(body, rng=rng)
+        matrix, reads = red.system.ivcm_matrix, itertools.count()
         nan = np.full((4, 4), np.nan)
-        broken = {"ivcm": lambda y0, y1, d: nan[0],
-                  "ivcm_matrix": lambda y0, y1: nan}[field]
-        return dataclasses.replace(
-            red, system=dataclasses.replace(red.system, **{field: broken}))
+
+        def first_nan(y0, y1):
+            return nan if next(reads) == 0 else matrix(y0, y1)
+
+        return dataclasses.replace(red, system=dataclasses.replace(
+            red.system, ivcm_matrix=first_nan))
 
     monkeypatch.setattr(example_se2, "make_reduced_system", nan_chaining)
     cfg = write_config(tmp_path, BODY_CONFIG)

@@ -274,9 +274,8 @@ def test_from_dms_zero_chaining(rng):
     for _ in range(100):
         p0 = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         p1 = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        out = sys.ivcm(np.concatenate(p0), np.concatenate(p1),
-                       rng.standard_normal(3))
-        assert np.max(np.abs(out)) == 0.0
+        out = sys.ivcm_matrix(np.concatenate(p0), np.concatenate(p1))
+        assert out.shape == (3, 3) and np.max(np.abs(out)) == 0.0
 
 
 @pytest.mark.parametrize("read", [lambda sys, x: sys.ivcm_matrix(x, x),
@@ -350,28 +349,15 @@ def test_variational_principle_reduced(reduced, rng):
         assert abs(action_derivative(reduced.system, path, var)) < VAR_TOL
 
 
-def test_chaining_map_linearity(reduced, rng):
-    """The reduced chaining map is linear in the tangent argument."""
-    x0 = np.array([1.0, 0.1, 0.2, -0.1, 1.05, 0.12])
-    x1 = np.array([1.05, 0.12, 0.2, -0.1, 1.1, 0.15])
-    ivcm = reduced.system.ivcm
-    for _ in range(10):
-        a, b = rng.standard_normal(2)
-        x, y = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = ivcm(x0, x1, a * x + b * y)
-        rhs = a * ivcm(x0, x1, x) + b * ivcm(x0, x1, y)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
 def test_chaining_map_vertical(reduced, rng):
     """The reduced chaining map lands in the kernel of the bundle map."""
     bundle = reduced.system.bundle
     x0 = np.array([1.0, 0.1, 0.2, -0.1, 1.05, 0.12])
     x1 = np.array([1.05, 0.12, 0.2, -0.1, 1.1, 0.15])
+    out = reduced.system.ivcm_matrix(x0, x1)
+    jphi = bundle.phi.jacobian(x0[:4])
     for _ in range(10):
-        out = reduced.system.ivcm(x0, x1, rng.standard_normal(4))
-        jphi = bundle.phi.jacobian(x0[:4])
-        assert np.max(np.abs(jphi @ out)) < 1e-8
+        assert np.max(np.abs(jphi @ (out @ rng.standard_normal(4)))) < 1e-8
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_GRADIENT_CASES))
@@ -481,10 +467,8 @@ def test_reduced_step_jacobian_preconditions(body_cfg, reduced, callable_jacs, r
     jphi = sys.bundle.phi.jacobian(sample()[:4])
     for _ in range(20):
         y0, y1 = sample(), sample()
-        delta = rng.standard_normal(4)
         assert sys.ivcm_matrix(y0, y1) is C
         assert np.array_equal(generic.ivcm_matrix(y0, y1), C)
-        assert np.array_equal(sys.ivcm(y0, y1, delta), C @ delta)
         assert np.array_equal(no_v2.ivcm_matrix(y0, y1), C)
         assert no_v2.ivcm_matrix(y0, y1) is no_v2.ivcm_matrix(y1, y0)
         assert np.max(np.abs(sys.bundle.phi.jacobian(y0[:4]) - jphi)) <= 1e-12

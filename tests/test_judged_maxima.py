@@ -66,7 +66,7 @@ def ref_reduce(cfg):
         y1 = np.concatenate([y[4:], rng.uniform(-1, 1, 2),
                              y[4:] + rng.uniform(-0.2, 0.2, 2)])
         delta = rng.standard_normal(4)
-        out = red.system.ivcm(y, y1, delta)
+        out = red.system.ivcm_matrix(y, y1) @ delta
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         ivcm = keep(ivcm, [float(np.max(np.abs(out - expected)))], x)
 

@@ -95,8 +95,8 @@ def test_reduced_chaining_closed_form(reduced, rng):
         z1 = rng.uniform(-1, 1, 2)
         r2 = sample_annulus(rng, 0.5, 1.5)
         delta = rng.standard_normal(4)
-        out = reduced.system.ivcm(np.concatenate([r0, z0, r1]),
-                                  np.concatenate([r1, z1, r2]), delta)
+        out = reduced.system.ivcm_matrix(np.concatenate([r0, z0, r1]),
+                                         np.concatenate([r1, z1, r2])) @ delta
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         assert np.max(np.abs(out - expected)) < 1e-9
 
@@ -732,8 +732,8 @@ def test_two_stage_h_trivial(staged, full_start):
     triv = trivial_reduction(staged.sys, sample_cprime,
                              rng=np.random.default_rng(6))
     e = trivial_group().identity
-    quotient = QuotientModel(total_dim=4, base_dim=4, project=identity_map(4),
-                             section=identity_map(4), action=trivial_action(4),
+    quotient = QuotientModel(project=identity_map(4), section=identity_map(4),
+                             action=trivial_action(4),
                              sample=sample_configuration)
     conn_e = DiscreteConnection(quotient=quotient, ad_form=lambda q0, q1: e,
                                 hor_lift=lambda q0, r1: r1)

@@ -247,6 +247,11 @@ def test_newton_config_validation():
         NewtonConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
+    # A non-integer budget would fail later, inside newton_solve's range().
+    for bad in (2.5, 3.0, True, "3", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            NewtonConfig(max_iters=bad)
+    assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_newton_config_rejects_non_finite_tolerances():
