@@ -9,7 +9,7 @@ descent) numerically.
 
 from .errors import (DomainError, MatchingError, NonConvergence,
                      RegularityError, SimulationError, SingularJacobian,
-                     ValidationError)
+                     SolverError, ValidationError)
 from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      jacobian_fd, newton_solve)
 from .lie import (ActionModel, LieGroupModel, se2_group, se2_two_point_action,

@@ -34,8 +34,7 @@ import numpy as np
 from . import dlps, example_se2
 from .dlps import (DiscretePath, del_residual, free_particle_dms,
                    harmonic_oscillator_dms, simulate)
-from .errors import (MatchingError, NonConvergence, RegularityError,
-                     SimulationError, SingularJacobian, draw_maxima, worst_draw)
+from .errors import SimulationError, SolverError, draw_maxima, worst_draw
 from .lie import sample_group, se2_two_point_action, u1_plane_action
 from .reduction import (SYMMETRY_TOLS, check_morphism, check_symmetry,
                         project_path, reconstruct_path, two_stage)
@@ -47,9 +46,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
-
-SOLVER_ERRORS = (NonConvergence, SingularJacobian, SimulationError,
-                 MatchingError, RegularityError)
 
 #: The keys a config may have; any other key is rejected.
 CONFIG_KEYS = ("system", "h", "potential", "initial", "n_steps", "newton",
@@ -91,19 +87,16 @@ def _unknown_keys(obj: dict, allowed, name: str):
 
 
 def _newton_config(cfg: dict) -> NewtonConfig:
-    """The ``newton`` object (absent: the defaults): ``residual_tol`` (positive,
-    finite) and ``max_iters`` (an integer of at least 1), nothing else."""
+    """The ``newton`` object (absent: the defaults) as a ``NewtonConfig``,
+    which checks its ``residual_tol`` and ``max_iters``; no other key."""
     overrides = cfg.get("newton", {})
     if not isinstance(overrides, dict):
         raise ValueError(f"newton must be an object (got {overrides!r})")
     _unknown_keys(overrides, ("residual_tol", "max_iters"), "newton")
-    tol = _finite(overrides, "residual_tol", NewtonConfig.residual_tol,
-                  "positive and finite", "newton.residual_tol")
-    iters = overrides.get("max_iters", NewtonConfig.max_iters)
-    if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
-        raise ValueError(
-            f"newton.max_iters must be an integer of at least 1 (got {iters!r})")
-    return NewtonConfig(residual_tol=tol, max_iters=iters)
+    try:
+        return NewtonConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"newton.{exc}") from exc
 
 
 def _two_body_config(cfg: dict) -> example_se2.TwoBodyConfig:
@@ -456,7 +449,7 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         logger.error("validation failure: %s", exc)
         return EXIT_VALIDATION
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         logger.error("solver failure: %s", exc)
         return EXIT_SOLVER
     except OSError as exc:

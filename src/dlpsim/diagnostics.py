@@ -1,28 +1,27 @@
 """Structure-preservation diagnostics.
 
-Discrete momentum maps and their evolution identity, symplecticity of the
-one-step map of a regular discrete mechanical system in discrete Legendre
-coordinates, and the orbit-invariance form of Poisson descent. Everything
-here reports; only regularity failures raise.
+Discrete momentum maps and their evolution identity, symplecticity of
+``dlps.step`` on a regular discrete mechanical system (the step preserves
+the discrete Lagrangian two-form in pair coordinates), and the
+orbit-invariance form of Poisson descent. Everything here reports; only
+regularity failures and a failing step raise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# del_residual is unused here, but the benchmark tracer patches it in this module.
+# d2_lagrangian and del_residual are unused here, but the benchmark tracer
+# patches them in this module.
 from .dlps import (DiscretePath, DlpsSystem, _del_from_gradients,
-                   _slot_gradients, d1_lagrangian, d2_lagrangian, del_residual)
+                   _slot_gradients, d1_lagrangian, d2_lagrangian, del_residual,
+                   step)
 from .errors import RegularityError, draw_maxima, worst_draw
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
-from .smooth import (NewtonConfig, SmoothMapHandle, as_vector, jacobian_fd,
-                     newton_solve)
-
-#: Newton settings of the inverse discrete Legendre transform.
-_LEGENDRE_NEWTON = NewtonConfig(residual_tol=1e-10)
+from .smooth import SmoothMapHandle, as_vector, jacobian_fd
 
 
 def momentum(sys: DlpsSystem, action: ActionModel, eps0, m1) -> np.ndarray:
@@ -118,58 +117,42 @@ def _check_regularity(D12: np.ndarray) -> float:
     return float(sv[-1] / scale)
 
 
-def _inverse_minus_legendre(sys: DlpsSystem, q0, p0, q1_guess) -> np.ndarray:
-    """Solve the fiber-slot gradient equation: find q1 with -D1 L(q0,q1) = p0."""
-    n = sys.bundle.total_dim
-
-    def res(q1):
-        return d1_lagrangian(sys, q0, q1) + p0
-
-    return newton_solve(SmoothMapHandle(n, n, res), q1_guess, _LEGENDRE_NEWTON)
-
-
-def canonical_step_map(sys: DlpsSystem, q1_guess) -> Callable[[np.ndarray], np.ndarray]:
-    """The one-step map in discrete Legendre coordinates (q, p) -> (q', p').
-
-    Given (q0, p0), the next configuration solves the implicit
-    discrete Legendre relation; the new momentum is the second-slot
-    gradient there. ``q1_guess`` warm-starts the inner Newton solve.
-    """
-    n = _require_dms(sys)
-    state = {"guess": as_vector(q1_guess, n).copy()}
-
-    def phi(z):
-        q0, p0 = z[:n], z[n:]
-        q1 = _inverse_minus_legendre(sys, q0, p0, state["guess"])
-        state["guess"] = q1
-        return np.concatenate([q1, d2_lagrangian(sys, q0, q1)])
-
-    return phi
+def _two_form(D12: np.ndarray) -> np.ndarray:
+    """The discrete Lagrangian two-form D12 L_d dq0 ^ dq1 in pair
+    coordinates: ``[[0, D12], [-D12^T, 0]]``."""
+    zero = np.zeros_like(D12)
+    return np.block([[zero, D12], [-D12.T, zero]])
 
 
 def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
-    """Per-step symplecticity defect of the flow in Legendre coordinates.
+    """Per-step symplecticity defect of ``dlps.step`` in pair coordinates.
 
-    Each step is transported to canonical coordinates via the discrete
-    Legendre transforms; the step map's Jacobian K is formed by central
-    differences and the report gives max |K^T Omega K - Omega| per step,
-    their maximum and its ``worst_step`` (the first NaN, else the first
-    largest; None while every defect is 0). Raises RegularityError when
-    the mixed-partial block degenerates or has a non-finite entry; the
-    smallest sigma ratio keeps a NaN.
+    For each row x = (q_k, q_{k+1}) but the last, the step's Jacobian K at
+    x is formed by central differences of x -> concat(step(x)), and the
+    defect is max |K^T W(F(x)) K - W(x)|, W being the discrete Lagrangian
+    two-form (see ``_two_form``) and F(x) the stepped row. The report
+    gives the per-step defects, their maximum and its ``worst_step`` (the
+    first NaN, else the first largest; None while every defect is 0).
+    The mixed-partial block of every stepped row is checked before any
+    step, and that of each F(x) before it is used: RegularityError when
+    one degenerates or has a non-finite entry. A failing step raises its
+    own exception. The smallest sigma ratio (rows 0..N-2) keeps a NaN.
     """
     n = _require_dms(dms)
-    Omega = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-np.eye(n), np.zeros((n, n))]])
-    defects, ratios = [], []
-    for k in range(len(trajectory) - 1):
-        q0, q1 = trajectory[k]
-        ratios.append(_check_regularity(_mixed_partial(dms, q0, q1)))
-        p0 = -d1_lagrangian(dms, q0, q1)
-        z = np.concatenate([q0, p0])
-        phi = canonical_step_map(dms, trajectory[k + 1][0])
-        K = jacobian_fd(phi, z)
-        defects.append(K.T @ Omega @ K - Omega)
+    rows = trajectory.points[:-1]
+    blocks = [_mixed_partial(dms, x[:n], x[n:]) for x in rows]
+    ratios = [_check_regularity(D12) for D12 in blocks]
+
+    def flow(x):
+        return np.concatenate(step(dms, x[:n], x[n:]))
+
+    defects = []
+    for x, D12 in zip(rows, blocks):
+        y = flow(x)
+        D12_next = _mixed_partial(dms, y[:n], y[n:])
+        _check_regularity(D12_next)
+        K = jacobian_fd(flow, x)
+        defects.append(K.T @ _two_form(D12_next) @ K - _two_form(D12))
     per_step = draw_maxima(defects)
     worst, worst_step = worst_draw(per_step)
     _, i = worst_draw(-np.array(ratios), -np.inf)  # the smallest

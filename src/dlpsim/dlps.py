@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, MatchingError, NonConvergence,
-                     RegularityError, SimulationError, SingularJacobian)
+from .errors import DomainError, SimulationError, SolverError
 from .smooth import (DEFAULT_FD_STEP, NewtonConfig, SmoothMapHandle,
                      as_vector, gradient_fd5, identity_map, jacobian_fd,
                      newton_solve)
@@ -32,8 +31,7 @@ Pair = tuple[np.ndarray, np.ndarray]
 
 #: Failures of a step's implicit solve. Anything else (a TypeError, a bad
 #: shape) is a defect in the caller's maps, not a solver failure.
-_STEP_FAILURES = (NonConvergence, SingularJacobian, DomainError,
-                 MatchingError, RegularityError)
+_STEP_FAILURES = (SolverError, DomainError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,8 +328,8 @@ def simulate(sys: DlpsSystem, eps0, m1, n_steps: int,
              cfg: NewtonConfig | None = None) -> DiscretePath:
     """Chain ``step`` n_steps times from (eps0, m1).
 
-    When a step's solve fails (NonConvergence, SingularJacobian,
-    DomainError, MatchingError or RegularityError), raises SimulationError
+    When a step's solve fails (a SolverError, such as NonConvergence or
+    SingularJacobian, or a DomainError), raises SimulationError
     carrying the partial path and the failing step index, so diagnostics
     can run on partial data. Any other exception propagates as itself.
     A negative ``n_steps`` raises ValueError.

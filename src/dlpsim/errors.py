@@ -34,7 +34,11 @@ class DomainError(ValueError):
     """A map was evaluated outside its declared domain."""
 
 
-class NonConvergence(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver failed: the base of every failure the CLI exits 2 on."""
+
+
+class NonConvergence(SolverError):
     """An iterative solver exhausted its iteration budget or stalled."""
 
     def __init__(self, message, residual_norm=None, last_iterate=None):
@@ -43,7 +47,7 @@ class NonConvergence(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class SingularJacobian(RuntimeError):
+class SingularJacobian(SolverError):
     """A dense linear solve failed (singular or rank-deficient matrix)."""
 
 
@@ -66,15 +70,15 @@ class ValidationError(ValueError):
         self.violation = violation
 
 
-class MatchingError(RuntimeError):
+class MatchingError(SolverError):
     """No group element solves the base-matching condition."""
 
 
-class RegularityError(RuntimeError):
+class RegularityError(SolverError):
     """A regularity hypothesis (invertible mixed-partial block) fails."""
 
 
-class SimulationError(RuntimeError):
+class SimulationError(SolverError):
     """A multi-step run failed; carries the partial path and step index."""
 
     def __init__(self, step_index, partial_path, cause):

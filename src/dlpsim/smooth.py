@@ -198,21 +198,30 @@ def directional_derivative(f, x, v) -> np.ndarray:
 @dataclass(frozen=True)
 class NewtonConfig:
     """Tolerance and iteration budget of the damped Newton iteration:
-    ``max_iters`` is an integer (a numpy integer too, a bool not) of at
-    least 1."""
+    ``residual_tol`` is a positive and finite number (a bool not), stored
+    as a float, and ``max_iters`` an integer (a numpy integer too, a bool
+    not) of at least 1."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < np.inf:
-            raise ValueError("residual_tol must be positive and finite")
+        tol = self.residual_tol
+        if (isinstance(tol, bool)
+                or not isinstance(tol, (int, float, np.integer, np.floating))
+                or not 0 < tol < np.inf):
+            raise ValueError(
+                f"residual_tol must be positive and finite (got {tol!r})")
+        object.__setattr__(self, "residual_tol", float(tol))
         iters = self.max_iters
         if (isinstance(iters, bool) or not isinstance(iters, (int, np.integer))
                 or iters < 1):
             raise ValueError(
                 f"max_iters must be an integer of at least 1 (got {iters!r})")
 
+
+#: The settings of a ``newton_solve`` given no config.
+_DEFAULT_NEWTON = NewtonConfig()
 
 #: Backtracking halvings tried per Newton iteration before it stalls.
 MAX_HALVINGS = 20
@@ -234,7 +243,7 @@ def newton_solve(residual: SmoothMapHandle, x0, cfg: NewtonConfig | None = None)
     lower the residual (a stall), and SingularJacobian when the dense
     linear solve fails. There are no silent near-solutions.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_NEWTON
     if residual.in_dim != residual.out_dim:
         raise ValueError("newton_solve needs a square residual map")
     x = as_vector(x0, residual.in_dim).copy()

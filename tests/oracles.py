@@ -12,6 +12,10 @@ benchmark; the tests import them with ``from oracles import ...``.
   horizontal lift, and the discrete connection of a flat metric solved
   by Newton over the group parameters, the oracle of the closed-form
   T2 and SE(2) connections.
+- ``canonical_step_map``: the one-step map of a DMS in discrete Legendre
+  coordinates (q, p), each step re-solving -D1 L_d(q0, q1) = p0 for q1
+  by Newton: the Legendre-chart oracle of ``bracket_of_pullbacks``,
+  whose preservation of the canonical form is tested too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from dlpsim.connection import DiscreteConnection, QuotientModel
-from dlpsim.dlps import DlpsSystem
+from dlpsim.dlps import DlpsSystem, d1_lagrangian, d2_lagrangian
 from dlpsim.errors import DomainError, NonConvergence, SingularJacobian
 from dlpsim.lie import ActionModel, LieGroupModel, orbit_frame
 from dlpsim.reduction import ReductionResult, build_upsilon, reduce
@@ -136,3 +140,25 @@ def trivial_reduction(sys: DlpsSystem,
                           action_e=trivial_action(nE),
                           sample_cprime=sample_cprime, rng=rng)
     return reduce(sys, model)
+
+
+def canonical_step_map(sys: DlpsSystem, q1_guess) -> Callable[[np.ndarray], np.ndarray]:
+    """The one-step map of a DMS in discrete Legendre coordinates
+    (q, p) -> (q', p').
+
+    Given (q0, p0), the next configuration q1 solves -D1 L_d(q0, q1) = p0
+    (Newton to 1e-10, warm-started at ``q1_guess`` and then at the last
+    solution); the new momentum is D2 L_d(q0, q1).
+    """
+    n = sys.bundle.total_dim
+    cfg = NewtonConfig(residual_tol=1e-10)
+    state = {"guess": as_vector(q1_guess, n).copy()}
+
+    def phi(z):
+        q0, p0 = z[:n], z[n:]
+        res = SmoothMapHandle(n, n, lambda q1: d1_lagrangian(sys, q0, q1) + p0)
+        q1 = newton_solve(res, state["guess"], cfg)
+        state["guess"] = q1
+        return np.concatenate([q1, d2_lagrangian(sys, q0, q1)])
+
+    return phi

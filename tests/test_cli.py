@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlpsim import example_se2
+from dlpsim import cli, example_se2
 from dlpsim.cli import CONFIG_KEYS, main
+from dlpsim.errors import (DomainError, MatchingError, NonConvergence,
+                           RegularityError, SimulationError, SingularJacobian,
+                           ValidationError)
 
 BODY_CONFIG = {
     "system": "se2-two-body",
@@ -101,6 +104,25 @@ def test_report_solver_failure_writes_no_report(tmp_path, command):
     assert run(command, cfg, tmp_path) == 2
     assert not (tmp_path / f"{command}.json").exists()
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (NonConvergence("no convergence"), 2),
+    (SingularJacobian("singular"), 2),
+    (MatchingError("no match"), 2),
+    (RegularityError("degenerate"), 2),
+    (SimulationError(3, None, "step failed"), 2),
+    (DomainError("outside the domain"), 1),
+    (ValidationError("identity"), 1),
+])
+def test_exit_code_of_each_failure(tmp_path, monkeypatch, exc, code):
+    """Every SolverError exits 2; a DomainError or a ValidationError (both
+    ValueErrors) exits 1."""
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_report", failing)
+    assert run("reduce", write_config(tmp_path, BODY_CONFIG), tmp_path) == code
 
 
 @pytest.mark.parametrize("command", ["simulate", "reconstruct", "stages"])

@@ -1,21 +1,26 @@
 """Tests for momentum maps, symplecticity and Poisson descent."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpsim import diagnostics
-from dlpsim.diagnostics import (bracket_of_pullbacks, canonical_step_map,
-                                momentum, momentum_evolution_check,
+from dlpsim.diagnostics import (bracket_of_pullbacks, momentum,
+                                momentum_evolution_check,
                                 poisson_descent_check, symplectic_check)
 from dlpsim.dlps import (d1_lagrangian, free_particle_dms, from_dms,
-                         harmonic_oscillator_dms, make_path, simulate)
+                         harmonic_oscillator_dms, make_path, simulate, step)
 from dlpsim.errors import RegularityError
-from dlpsim.example_se2 import sample_cprime
+from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
+                                potential_handle, sample_configuration,
+                                sample_cprime)
 from dlpsim.lie import ActionModel, LieGroupModel, t2_two_point_action
 from dlpsim.smooth import SmoothMapHandle, jacobian_fd
-from oracles import trivial_reduction
+from oracles import canonical_step_map, trivial_reduction
 
 
 def _pullback_gradient_legendre(sys, fn, model, z, q1_guess):
@@ -158,6 +163,70 @@ def test_symplectic_free_particle():
     traj = simulate(sys, np.zeros(2), np.array([0.1, 0.05]), 20)
     rep = symplectic_check(sys, traj)
     assert rep["max_violation"] <= 1e-6
+
+
+def test_symplectic_check_differences_the_step(full_system, full_start,
+                                               monkeypatch):
+    """Negative control: a step whose q2 is off by -1e-3 (q1 - q0) does
+    not preserve the two-form, and the check, which differences the step
+    it is given, reads that (1.0e-2 on the README trajectory)."""
+    traj = simulate(full_system, *full_start, 20)
+
+    def off_step(dms, q0, q1, cfg=None):
+        q1_next, q2 = step(dms, q0, q1, cfg)
+        return q1_next, q2 - 1e-3 * (q1 - q0)
+
+    monkeypatch.setattr(diagnostics, "step", off_step)
+    assert symplectic_check(full_system, traj)["max_violation"] > 1e-6
+
+
+def legendre_symplectic_defect(sys, traj):
+    """max |K^T Omega K - Omega| of the Legendre-chart step map of
+    ``oracles`` over a trajectory's steps, Omega the canonical form."""
+    n = sys.bundle.total_dim
+    Omega = np.block([[np.zeros((n, n)), np.eye(n)],
+                      [-np.eye(n), np.zeros((n, n))]])
+    worst = 0.0
+    for k in range(len(traj) - 1):
+        q0, q1 = traj[k]
+        z = np.concatenate([q0, -d1_lagrangian(sys, q0, q1)])
+        K = jacobian_fd(canonical_step_map(sys, traj[k + 1][0]), z)
+        worst = max(worst, float(np.max(np.abs(K.T @ Omega @ K - Omega))))
+    return worst
+
+
+def test_legendre_chart_step_map_is_symplectic(full_system, full_start):
+    """The Legendre-chart identity the check read before it differenced
+    ``dlps.step``: the oracle's canonical map preserves Omega."""
+    ho = harmonic_oscillator_dms(h=0.1)
+    assert legendre_symplectic_defect(
+        ho, simulate(ho, [1.0], [0.995], 20)) <= 1e-6
+    assert legendre_symplectic_defect(
+        full_system, simulate(full_system, *full_start, 20)) <= 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _dms(name):
+    if name == "oscillator":
+        return harmonic_oscillator_dms(h=0.1)
+    family, coeff = name.split()
+    return make_full_system(TwoBodyConfig(
+        h=0.1, potential=potential_handle(family, float(coeff))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["linear 0.5", "quadratic 0.3", "zero 0", "oscillator"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_symplectic_from_random_starts(name, seed):
+    """Three steps from a start in the ``sample_configuration`` box, with a
+    first step of at most 0.05 per coordinate, preserve the two-form."""
+    sys = _dms(name)
+    rng = np.random.default_rng(seed)
+    n = sys.bundle.total_dim
+    q0 = sample_configuration(rng) if n == 4 else rng.uniform(-2.0, 2.0, 1)
+    q1 = q0 + rng.uniform(-0.05, 0.05, n)
+    rep = symplectic_check(sys, simulate(sys, q0, q1, 3))
+    assert rep["n_steps"] == 3 and rep["max_violation"] <= 1e-6
 
 
 def test_symplectic_regularity_error():

@@ -23,7 +23,7 @@ from dlpsim import diagnostics as D
 from dlpsim.dlps import d1_lagrangian, del_residual, simulate
 from dlpsim.example_se2 import TwoBodyConfig, make_full_system, potential_handle
 from dlpsim.lie import orbit_frame, sample_group, t2_two_point_action
-from dlpsim.smooth import SmoothMapHandle, jacobian_fd
+from dlpsim.smooth import SmoothMapHandle
 from test_batched_checks import assert_bit_equal, worse
 
 README = {"system": "se2-two-body", "h": 0.1,
@@ -150,18 +150,26 @@ def ref_momentum_evolution_check(sys, action, trajectory):
 
 def ref_symplectic_check(dms, trajectory):
     n = D._require_dms(dms)
-    Omega = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-np.eye(n), np.zeros((n, n))]])
-    per_step, ratios = [], []
+
+    def two_form(D12):
+        zero = np.zeros((n, n))
+        return np.block([[zero, D12], [-D12.T, zero]])
+
+    def flow(x):
+        return np.concatenate(dlps.step(dms, x[:n], x[n:]))
+
+    rows = trajectory.points[:-1]
+    blocks = [D._mixed_partial(dms, x[:n], x[n:]) for x in rows]
+    ratios = [D._check_regularity(D12) for D12 in blocks]
+    per_step = []
     worst = (0.0, None)
-    for k in range(len(trajectory) - 1):
-        q0, q1 = trajectory[k]
-        ratios.append(D._check_regularity(D._mixed_partial(dms, q0, q1)))
-        p0 = -d1_lagrangian(dms, q0, q1)
-        z = np.concatenate([q0, p0])
-        phi = D.canonical_step_map(dms, trajectory[k + 1][0])
-        K = jacobian_fd(phi, z)
-        per_step.append(float(np.max(np.abs(K.T @ Omega @ K - Omega))))
+    for k, (x, D12) in enumerate(zip(rows, blocks)):
+        y = flow(x)
+        D12_next = D._mixed_partial(dms, y[:n], y[n:])
+        D._check_regularity(D12_next)
+        K = D.jacobian_fd(flow, x)
+        per_step.append(float(np.max(np.abs(
+            K.T @ two_form(D12_next) @ K - two_form(D12)))))
         worst = keep(worst, per_step[-1:], k)
     smallest = (-np.inf, None)
     for k, ratio in enumerate(ratios):
@@ -349,17 +357,16 @@ def test_symplectic_check_matches_the_fold(full_case):
 
 
 def test_symplectic_check_reports_an_injected_nan(full_case, monkeypatch):
-    """A NaN step map at step 3 makes that step's defect NaN: the maximum,
-    with ``worst_step`` 3."""
+    """A NaN step Jacobian K at step 3 makes that step's defect NaN: the
+    maximum, with ``worst_step`` 3."""
     sys, traj = full_case
-    step_map, guess = D.canonical_step_map, traj[4][0].tobytes()
+    jacobian, row = D.jacobian_fd, traj.points[3].tobytes()
 
-    def nan_at_step_3(dms, q1_guess):
-        if np.asarray(q1_guess).tobytes() == guess:
-            return lambda z: np.full(len(z), np.nan)
-        return step_map(dms, q1_guess)
+    def nan_at_step_3(f, x, *args):
+        J = jacobian(f, x, *args)
+        return np.full_like(J, np.nan) if np.asarray(x).tobytes() == row else J
 
-    monkeypatch.setattr(D, "canonical_step_map", nan_at_step_3)
+    monkeypatch.setattr(D, "jacobian_fd", nan_at_step_3)
     got = D.symplectic_check(sys, traj)
     assert_bit_equal(got, ref_symplectic_check(sys, traj))
     assert np.isnan(got["max_violation"]) and got["worst_step"] == 3

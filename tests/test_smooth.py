@@ -1,5 +1,7 @@
 """Tests for the numerical calculus substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,13 @@ def test_newton_config_validation():
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             NewtonConfig(max_iters=bad)
     assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
+    # A bool or a non-number is no tolerance; the message names the value.
+    for bad in (True, False, "1e-10", None, [1e-10], -1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"residual_tol must be positive and finite (got {bad!r})")):
+            NewtonConfig(residual_tol=bad)
+    tol = NewtonConfig(residual_tol=1).residual_tol
+    assert tol == 1.0 and type(tol) is float
 
 
 def test_newton_config_rejects_non_finite_tolerances():
