@@ -38,7 +38,7 @@ from .errors import SimulationError, SolverError, draw_maxima, worst_draw
 from .lie import sample_group, se2_two_point_action, u1_plane_action
 from .reduction import (SYMMETRY_TOLS, check_morphism, check_symmetry,
                         project_path, reconstruct_path, two_stage)
-from .smooth import NewtonConfig, SmoothMapHandle
+from .smooth import NewtonConfig, SmoothMapHandle, _float_or_inf
 
 logger = logging.getLogger("dlpsim.cli")
 
@@ -62,7 +62,7 @@ def _finite(cfg: dict, key: str, default: float, rule: str = "finite",
     nonzero" or "positive and finite". Errors call it ``name`` or ``key``."""
     value = cfg.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not math.isfinite(_float_or_inf(value))
             or (rule == "finite and nonzero" and value == 0)
             or (rule == "positive and finite" and value <= 0)):
         raise ValueError(f"{name or key} must be {rule} (got {value!r})")
@@ -141,7 +141,7 @@ def _initial_pair(cfg: dict, sys):
     if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
         raise ValueError(f"initial must be a list of numbers (got {value!r})")
-    initial = np.array(value, dtype=float)
+    initial = np.array([_float_or_inf(v) for v in value])
     if initial.shape != (n + nb,):
         raise ValueError(
             f"initial must have length {n + nb} (got shape {initial.shape})")

@@ -15,9 +15,8 @@ import numpy as np
 
 # d2_lagrangian and del_residual are unused here, but the benchmark tracer
 # patches them in this module.
-from .dlps import (DiscretePath, DlpsSystem, _del_from_gradients,
-                   _slot_gradients, d1_lagrangian, d2_lagrangian, del_residual,
-                   step)
+from .dlps import (DiscretePath, DlpsSystem, _del_covector, _slot_gradients,
+                   d1_lagrangian, d2_lagrangian, del_residual, step)
 from .errors import RegularityError, draw_maxima, worst_draw
 from .lie import ActionModel, orbit_frame, sample_group
 from .reduction import ReducedModel
@@ -54,7 +53,7 @@ def momentum_evolution_check(sys: DlpsSystem, action: ActionModel,
     slot_grads = [_slot_gradients(sys, x) for x in points]
     chaining = [sys.ivcm_matrix(points[k - 1], points[k])
                 for k in range(1, len(points))]
-    residuals = [_del_from_gradients(sys, points[k - 1], slot_grads[k - 1])(
+    residuals = [_del_covector(sys, points[k - 1], slot_grads[k - 1])(
                      points[k], slot_grads[k][0], chaining[k - 1])
                  for k in range(1, len(points))]
     max_residual, residual_step = _worst_step(residuals)
@@ -94,7 +93,11 @@ def _require_dms(sys: DlpsSystem) -> int:
 
 
 def _mixed_partial(sys: DlpsSystem, q0, q1) -> np.ndarray:
-    """d^2 L_d / dq0 dq1 by differencing the fiber-slot gradient."""
+    """d^2 L_d / dq0 dq1: the [:n, n:] block of the Lagrangian's ``hess``
+    when it has one, else differences of the fiber-slot gradient."""
+    L = sys.lagrangian
+    if L.hess is not None:
+        return L.hessian(np.concatenate([q0, q1]))[:len(q0), len(q0):]
     return jacobian_fd(lambda q: d1_lagrangian(sys, q0, q), q1)
 
 
@@ -175,7 +178,7 @@ def _bracket_table(sys: DlpsSystem, model: ReducedModel,
     """All pairwise brackets of pulled-back functions at one point.
 
     Uses the inverse of the discrete Lagrangian two-form in pair
-    coordinates, whose only block is the FD mixed partial:
+    coordinates, whose only block is the mixed partial D12:
 
         {F, G} = -F_q0^T D12^{-T} G_q1 + F_q1^T D12^{-1} G_q0.
     """
@@ -201,8 +204,8 @@ def bracket_of_pullbacks(sys: DlpsSystem, model: ReducedModel,
     """Poisson bracket of two pulled-back reduced functions.
 
     Computed from the inverse of the discrete Lagrangian two-form in pair
-    coordinates (mixed partials and gradients by FD); agrees with the
-    canonical bracket in the Legendre chart.
+    coordinates (gradients by FD); agrees with the canonical bracket in
+    the Legendre chart.
     """
     return float(_bracket_table(sys, model, [f1, f2], as_vector(x))[0, 1])
 

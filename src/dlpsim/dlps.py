@@ -69,21 +69,8 @@ class DlpsSystem:
     (``step``, ``build_fixed_endpoint_variation``, symmetry and morphism
     checks, diagnostics) reads this matrix.
 
-    A ``hess`` on the Lagrangian of a system whose ``phi`` has an array
-    ``jac`` (an affine bundle map) declares that the chaining matrix does
-    not depend on x_{k+1}: rows ``[:total_dim]`` of the Hessian are then
-    the derivative of the discrete Euler-Lagrange covector in the current
-    row, and ``step`` builds its Newton Jacobian from them; an array
-    ``hess`` (a quadratic Lagrangian) gives the same Newton matrix at
-    every step, formed once per system, not per step: a read-only array
-    derived from the system's own fields on its first step and handed to
-    every Newton iteration after it (a ``dataclasses.replace`` copy
-    derives its own). ``from_dms``
-    (a zero chaining map) and ``reduction.reduce`` (which gives the
-    reduced Lagrangian a ``hess`` only for an affine reduction of a DMS,
-    whose chaining matrix is constant) keep that declaration true. Were
-    it false, Newton would only converge more slowly: it stops on the
-    true residual, so it never returns a wrong point.
+    ``step`` takes its Newton Jacobian from ``_newton_jac``, which states
+    the rule.
     """
 
     bundle: FiberBundleModel
@@ -98,15 +85,31 @@ class DlpsSystem:
         return float(self.lagrangian(x)[0])
 
     @cached_property
-    def _newton_matrix(self) -> np.ndarray | None:
-        """``step``'s Newton matrix when it is constant (an array ``hess``
-        and an array ``jac`` of ``phi``), read-only; else None."""
-        if not (isinstance(self.lagrangian.hess, np.ndarray)
-                and isinstance(self.bundle.phi.jac, np.ndarray)):
+    def _newton_jac(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """``step``'s Newton Jacobian as a function of the unknown row, or
+        None for central differences of the residual.
+
+        The rule: a function exactly when the Lagrangian has a ``hess``
+        and ``phi`` an array ``jac``, giving ``[[hess[:n]], [d phi, 0]]``.
+        Rows ``[:n]`` of the Hessian are the derivative of the DEL
+        covector in the current row only when the chaining matrix does
+        not depend on that row, which ``from_dms`` (a zero chaining map)
+        and ``reduction.reduce`` (a ``hess`` only for an affine reduction
+        of a DMS, whose chaining matrix is constant) keep true. A
+        hand-built system that breaks it gets a wrong Jacobian: Newton
+        converges more slowly or stalls, but it stops on the true residual
+        and never returns a wrong point. An array ``hess`` gives one
+        read-only matrix, formed once per system (a ``dataclasses.replace``
+        copy forms its own); a callable one is read once per iteration.
+        """
+        bundle, L = self.bundle, self.lagrangian
+        if L.hess is None or not isinstance(bundle.phi.jac, np.ndarray):
             return None
-        J = _newton_jacobian(self.bundle, self.lagrangian.hess)
-        J.flags.writeable = False
-        return J
+        if isinstance(L.hess, np.ndarray):
+            J = _newton_jacobian(bundle, L.hess)
+            J.flags.writeable = False
+            return lambda z: J
+        return lambda z: _newton_jacobian(bundle, L.hessian(z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,39 +226,32 @@ def del_residual(sys: DlpsSystem, eps_prev, m_cur, eps_cur, m_next) -> np.ndarra
     return _del_covector(sys, x_prev)(x_cur)
 
 
-def _del_covector(sys: DlpsSystem, x_prev) -> Callable[[np.ndarray], np.ndarray]:
-    """``del_residual`` at the row x_prev as a function of the current row.
+def _del_covector(sys: DlpsSystem, x_prev,
+                  g_prev: Pair | None = None) -> Callable[..., np.ndarray]:
+    """The discrete Euler-Lagrange covector after the row x_prev, as a
+    function ``covector(x_cur, d1=None, chaining=None)`` of the current row.
 
-    What depends on x_prev alone is formed once, for every current row
-    the returned function is given (``step`` evaluates it once per Newton
-    residual): D1/D2 at x_prev, from one gradient call when the Lagrangian
-    has ``jac``, and, when ``phi`` has an array ``jac``, the term
-    D2 L_d(x_prev) o d phi. D1 at the current row is one ``jac`` call on
-    the row itself when the Lagrangian has one.
+    Every DEL residual of the library is this sum, in this order: D1 L_d
+    at x_cur, D2 L_d(x_prev) o d phi(eps_cur) and D1 L_d(x_prev) o the
+    chaining matrix ``ivcm_matrix(x_prev, x_cur)``. What depends on x_prev
+    alone is formed once, for every current row the function is given
+    (``step`` evaluates it once per Newton residual): the slot gradients
+    ``g_prev = (D1, D2)`` at x_prev (by default ``_slot_gradients``) and,
+    when ``phi`` has an array ``jac``, D2 L_d(x_prev) o d phi. A caller
+    that has D1 at x_cur or the chaining matrix passes them; else D1 is
+    one ``jac`` call on x_cur when the Lagrangian has one (else
+    ``d1_lagrangian``) and the matrix one ``ivcm_matrix`` call.
     """
     n = sys.bundle.total_dim
     L = sys.lagrangian
-    covector = _del_from_gradients(sys, x_prev, _slot_gradients(sys, x_prev))
-    if L.jac is None:
-        return lambda x_cur: covector(x_cur, d1_lagrangian(sys, x_cur[:n], x_cur[n:]))
-    return lambda x_cur: covector(x_cur, L.jacobian(x_cur)[0, :n])
-
-
-def _del_from_gradients(sys: DlpsSystem, x_prev, g_prev: Pair) -> Callable[..., np.ndarray]:
-    """The discrete Euler-Lagrange covector after the row x_prev, whose
-    slot gradients are ``g_prev = (D1, D2)``, as a function of the current
-    row x_cur, D1 L_d at x_cur and, optionally, the chaining matrix
-    ``ivcm_matrix(x_prev, x_cur)`` when the caller has it already: the
-    sum, in this order, of that D1, D2 L_d(x_prev) o d phi(eps_cur)
-    (formed once when ``phi`` has an array ``jac``) and D1 L_d(x_prev) o
-    the chaining matrix. Every DEL residual of the library is this sum.
-    """
-    n = sys.bundle.total_dim
     phi = sys.bundle.phi
-    g1_prev, g2_prev = g_prev
+    g1_prev, g2_prev = _slot_gradients(sys, x_prev) if g_prev is None else g_prev
     g2_dphi = g2_prev @ phi.jac if isinstance(phi.jac, np.ndarray) else None
 
-    def covector(x_cur, d1, chaining=None):
+    def covector(x_cur, d1=None, chaining=None):
+        if d1 is None:
+            d1 = (d1_lagrangian(sys, x_cur[:n], x_cur[n:]) if L.jac is None
+                  else L.jacobian(x_cur)[0, :n])
         transported = (g2_prev @ phi.jacobian(x_cur[:n]) if g2_dphi is None
                        else g2_dphi)
         if chaining is None:
@@ -289,11 +285,7 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
 
     Solves for (eps1, m2), from the ``_default_guess`` seed, such that
     phi(eps1) = m1 and the discrete Euler-Lagrange covector vanishes.
-    The Newton Jacobian is ``[[hess[:n]], [d phi, 0]]`` when the Lagrangian
-    has a ``hess`` and ``phi`` an array ``jac`` (see ``DlpsSystem``),
-    formed once per system, not per step, when the ``hess`` is an array
-    (every Newton iteration of every step gets that one read-only
-    matrix), else central differences of the residual.
+    The Newton Jacobian is ``sys._newton_jac`` (see there).
     Raises NonConvergence or SingularJacobian when the implicit solve
     fails, which signals a failure of the flow's regularity hypotheses.
     """
@@ -309,17 +301,7 @@ def step(sys: DlpsSystem, eps0, m1, cfg: NewtonConfig | None = None) -> Pair:
         out[n:] = b.phi(z[:n]) - m1
         return out
 
-    L = sys.lagrangian
-    jac = None
-    J = sys._newton_matrix
-    if J is not None:
-        def jac(z):
-            return J
-    elif L.hess is not None and isinstance(b.phi.jac, np.ndarray):
-        def jac(z):
-            return _newton_jacobian(b, L.hessian(z))
-
-    handle = SmoothMapHandle(n + nb, n + nb, residual, jac=jac)
+    handle = SmoothMapHandle(n + nb, n + nb, residual, jac=sys._newton_jac)
     z = newton_solve(handle, _default_guess(sys, eps0, m1), cfg)
     return z[:n], z[n:]
 
@@ -352,7 +334,8 @@ def from_dms(config_dim: int, lagrangian: SmoothMapHandle) -> DlpsSystem:
 
     The chaining map is identically zero, so the equations of motion
     reduce to the usual two-term discrete Euler-Lagrange equation, and a
-    ``hess`` on the Lagrangian gives ``step`` its exact Newton Jacobian.
+    ``hess`` on the Lagrangian gives ``step`` its exact Newton Jacobian
+    (``DlpsSystem._newton_jac``).
     ``ivcm_matrix`` returns one shared read-only zero matrix.
     """
     if lagrangian.in_dim != 2 * config_dim:
@@ -435,20 +418,9 @@ def _kinetic_hessian(dim: int, h: float) -> np.ndarray:
 
 
 def free_particle_dms(dim: int = 1, h: float = 1.0) -> DlpsSystem:
-    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim; its ``hess`` is the
-    constant array."""
-    _check_timestep(h)
-
-    def L(x):
-        d = x[dim:] - x[:dim]
-        return np.array([float(d @ d) / (2.0 * h)])
-
-    def dL(x):
-        v = (x[dim:] - x[:dim]) / h
-        return np.concatenate([-v, v])
-
-    return from_dms(dim, SmoothMapHandle(2 * dim, 1, L, jac=dL,
-                                         hess=_kinetic_hessian(dim, h)))
+    """L_d(q0, q1) = |q1 - q0|^2 / (2h) on R^dim: the harmonic oscillator
+    with omega = 0."""
+    return harmonic_oscillator_dms(h=h, omega=0.0, dim=dim)
 
 
 def harmonic_oscillator_dms(h: float = 0.1, omega: float = 1.0,

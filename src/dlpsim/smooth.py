@@ -195,6 +195,15 @@ def directional_derivative(f, x, v) -> np.ndarray:
     return (as_vector(f(x + hv)) - as_vector(f(x - hv))) / (2.0 * h)
 
 
+def _float_or_inf(value) -> float:
+    """``float(value)``; a real number too large for a float, such as a
+    400-digit integer, is +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Tolerance and iteration budget of the damped Newton iteration:
@@ -209,7 +218,7 @@ class NewtonConfig:
         tol = self.residual_tol
         if (isinstance(tol, bool)
                 or not isinstance(tol, (int, float, np.integer, np.floating))
-                or not 0 < tol < np.inf):
+                or not 0 < _float_or_inf(tol) < np.inf):
             raise ValueError(
                 f"residual_tol must be positive and finite (got {tol!r})")
         object.__setattr__(self, "residual_tol", float(tol))

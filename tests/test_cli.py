@@ -329,6 +329,10 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
     assert not (tmp_path / "simulate.json").exists()
 
 
+#: A 401-digit integer, which no float holds.
+HUGE = 10 ** 400
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("simulate", {"newton": {"max_iters": 2.5}},
      "newton.max_iters must be an integer of at least 1 (got 2.5)"),
@@ -408,6 +412,15 @@ def test_simulate_rejects_non_finite_initial(tmp_path, bad):
      "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -0.97, inf])"),
     ("check", {"initial": [1e-7, 0.0, -1e-7, 0.0, 0.5e-13, 0.0, -0.5e-13, 0.0]},
      "coincident particles (excised diagonal)"),
+    # A JSON integer too large for a float is a config error, not a crash;
+    # the messages show the number's first digits.
+    ("simulate", {"omega": HUGE}, "omega must be finite (got 1000000000"),
+    ("reduce", {"potential": {"name": "linear", "coeff": -HUGE}},
+     "coeff must be finite (got -1000000000"),
+    ("simulate", {"newton": {"residual_tol": HUGE}},
+     "newton.residual_tol must be positive and finite (got 1000000000"),
+    ("simulate", {"initial": [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -HUGE, 0.02]},
+     "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -inf, 0.02])"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -442,7 +455,11 @@ _SCALAR_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
 #: JSON values that are not numbers.
 _JUNK = st.one_of(_SCALAR_JUNK, st.lists(st.integers(), max_size=2),
                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Numbers that are not finite floats: NaN, the infinities and JSON
+#: integers too large for a float.
+_NON_FINITE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.integers(min_value=2 ** 1024),
+                        st.integers(max_value=-2 ** 1024))
 _NOT_A_COUNT = st.one_of(_JUNK, st.floats(), st.integers(max_value=-1))
 _NOT_AN_OBJECT = st.one_of(_SCALAR_JUNK, st.floats(), st.integers(),
                            st.lists(st.integers(), max_size=2))
@@ -516,6 +533,7 @@ def test_malformed_config_bases_are_valid(tmp_path, command, payload):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(malformed_configs())
 @example(("simulate", dict(OSCILLATOR_CONFIG, omega=1e200)))
+@example(("simulate", dict(OSCILLATOR_CONFIG, omega=HUGE)))
 def test_malformed_configs_never_crash_the_cli(case):
     """Every malformed config exits 1 as a config error: nothing raises
     out of ``main`` and no output file is written."""
@@ -574,3 +592,14 @@ def test_config_must_be_json_object(tmp_path, caplog, extra):
         assert run("simulate", cfg, tmp_path, *extra) == 1
     assert ("validation failure: config must be a JSON object (got [1, 2])"
             in caplog.text)
+
+
+def test_config_must_be_valid_json(tmp_path, caplog):
+    """A config file that is not JSON exits 1 with a logged message and
+    writes nothing."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"system": "free-particle",')
+    with caplog.at_level("ERROR", logger="dlpsim.cli"):
+        assert run("simulate", cfg, tmp_path / "out") == 1
+    assert "config is not valid JSON" in caplog.text
+    assert not (tmp_path / "out").exists()

@@ -190,6 +190,28 @@ def test_simulate_rejects_negative_steps():
         simulate(free_particle_dms(dim=1), [0.0], [1.0], -3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sys, path: DiscretePath(np.zeros(4), 2), "cannot split rows"),
+    (lambda sys, path: DiscretePath(np.zeros((3, 4)), 0), "cannot split rows"),
+    (lambda sys, path: DiscretePath(np.zeros((3, 4)), 5), "cannot split rows"),
+    (lambda sys, path: from_dms(2, SmoothMapHandle(3, 1, lambda x: x[:1])),
+     "must live on Q x Q"),
+    (lambda sys, path: build_fixed_endpoint_variation(
+        sys, DiscretePath(path.points[:1], 2), []), "at least two pairs"),
+    (lambda sys, path: build_fixed_endpoint_variation(
+        sys, path, [np.zeros(2)]), "one free vector per interior index"),
+    (lambda sys, path: action_derivative(
+        sys, path, DiscretePath(np.zeros((2, 4)), 2)), "lengths differ"),
+], ids=["flat-points", "no-fiber", "too-many-fiber", "dms-dims",
+        "one-pair-path", "free-vector-count", "variation-length"])
+def test_malformed_arguments_raise_value_error(call, message):
+    """Shapes and lengths that do not fit are ValueErrors that say so."""
+    sys = free_particle_dms(dim=2)
+    path = simulate(sys, [0.0, 0.0], [1.0, 0.5], 3)
+    with pytest.raises(ValueError, match=message):
+        call(sys, path)
+
+
 @pytest.mark.parametrize("make", [
     lambda: TwoBodyConfig(h=float("nan")),
     lambda: TwoBodyConfig(h=float("inf")),
@@ -407,17 +429,18 @@ def test_del_jacobian_matches_fd_of_del_covector(case, rng):
 def test_exact_step_jacobian_only_with_closed_forms(reduced, callable_jacs):
     """A Lagrangian without hess, a potential without V'' and the generic
     ``reduce`` output keep the finite-difference Newton Jacobian; the
-    translation-reduced two-body system gets the exact one."""
+    translation-reduced two-body system gets the exact one: a system
+    without a hess has no ``_newton_jac``."""
     pot = potential_handle("quadratic", 0.3)
     no_v2 = TwoBodyConfig(potential=dataclasses.replace(pot, hess=None))
     L = _two_body("linear", 0.5).lagrangian
-    assert from_dms(4, dataclasses.replace(L, hess=None)).lagrangian.hess is None
-    assert make_full_system(no_v2).lagrangian.hess is None
     no_v2_reduced = make_reduced_system(no_v2, rng=np.random.default_rng(1))
-    assert no_v2_reduced.system.lagrangian.hess is None
     generic = reduce(make_full_system(TwoBodyConfig()), callable_jacs(reduced.model))
-    assert generic.system.lagrangian.hess is None
+    for sys in (from_dms(4, dataclasses.replace(L, hess=None)),
+                make_full_system(no_v2), no_v2_reduced.system, generic.system):
+        assert sys.lagrangian.hess is None and sys._newton_jac is None
     assert reduced.system.lagrangian.hess is not None
+    assert reduced.system._newton_jac is not None
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -501,6 +524,7 @@ def test_hess_over_callable_phi_jac_differences_the_residual(
     callable_phi = dataclasses.replace(full_system, bundle=dataclasses.replace(
         full_system.bundle, phi=dataclasses.replace(phi, jac=lambda x: phi.jac)))
     assert callable_phi.lagrangian.hess is not None
+    assert callable_phi._newton_jac is None
     solves = _counting_newton(monkeypatch)
     exact = np.concatenate(step(full_system, *full_start))
     fd = np.concatenate(step(callable_phi, *full_start))

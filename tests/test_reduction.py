@@ -571,6 +571,14 @@ def test_matching_error_surfaces(reduced):
                        np.array([2.0, 0.0, -1.0, 0.0]))
 
 
+def test_matcher_division_by_zero_is_a_matching_error():
+    """SE(2)'s matcher divides by the source separation: coincident source
+    points raise MatchingError, not ZeroDivisionError."""
+    with pytest.raises(MatchingError, match="coincident source points"):
+        solve_matching(se2_two_point_action(), np.array([1.0, 0.5, 1.0, 0.5]),
+                       np.array([1.0, 0.0, -1.0, 0.0]))
+
+
 def test_matching_generic_fallback(rng):
     """Without a closed-form matcher, the Gauss-Newton fallback solves it."""
     from dlpsim.lie import ActionModel
@@ -923,6 +931,14 @@ def test_check_morphism_needs_a_draw(full_system, reduced):
     with pytest.raises(ValueError, match="n_samples must be at least 1"):
         check_morphism(reduced.model.upsilon, full_system, reduced.system,
                        sample_cprime, n_samples=0)
+
+
+def test_check_morphism_rejects_incompatible_dimensions(full_system, reduced):
+    """A candidate whose dimensions do not fit the two systems is a
+    ValueError before any draw."""
+    with pytest.raises(ValueError, match="dimensions are incompatible"):
+        check_morphism(reduced.model.upsilon, full_system, full_system,
+                       sample_cprime)
 
 
 def test_check_morphism_verifies_representative_independence(staged,

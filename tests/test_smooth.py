@@ -147,6 +147,40 @@ def test_newton_raises_when_line_search_stalls():
     assert info.value.last_iterate[0] == 3.0
 
 
+def test_newton_raises_when_the_budget_is_exhausted():
+    """x^3 - 2 from x0 = 5 needs more than two iterations: with a budget
+    of two, Newton raises NonConvergence with the second iterate."""
+    f = SmoothMapHandle(1, 1, lambda x: x ** 3 - 2.0,
+                        jac=lambda x: np.array([[3.0 * x[0] ** 2]]))
+    with pytest.raises(NonConvergence, match="in 2 iterations") as info:
+        newton_solve(f, np.array([5.0]), NewtonConfig(max_iters=2))
+    x = 5.0
+    for _ in range(2):
+        x -= (x ** 3 - 2.0) / (3.0 * x ** 2)
+    assert info.value.last_iterate[0] == x
+    assert info.value.residual_norm == abs(x ** 3 - 2.0) > 1e-12
+
+
+def test_newton_raises_on_a_finite_singular_jacobian():
+    """A finite but singular Newton matrix is a SingularJacobian, raised
+    from the failed dense solve."""
+    f = SmoothMapHandle(2, 2, lambda x: x - 1.0, jac=np.ones((2, 2)))
+    with pytest.raises(SingularJacobian, match="Singular matrix"):
+        newton_solve(f, np.zeros(2))
+
+
+def test_newton_shapes():
+    """A non-square residual is a ValueError; an empty unknown is its own
+    solution, returned without evaluating the residual."""
+    with pytest.raises(ValueError, match="square residual"):
+        newton_solve(SmoothMapHandle(2, 1, lambda x: x[:1]), np.zeros(2))
+
+    def never(x):
+        raise AssertionError("evaluated")
+
+    assert newton_solve(SmoothMapHandle(0, 0, never), np.zeros(0)).shape == (0,)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_newton_stops_at_once_on_non_finite_start(bad):
     """A non-finite residual at x0 raises NonConvergence after that one
@@ -255,7 +289,7 @@ def test_newton_config_validation():
             NewtonConfig(max_iters=bad)
     assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
     # A bool or a non-number is no tolerance; the message names the value.
-    for bad in (True, False, "1e-10", None, [1e-10], -1.0):
+    for bad in (True, False, "1e-10", None, [1e-10], -1.0, 10 ** 400):
         with pytest.raises(ValueError, match=re.escape(
                 f"residual_tol must be positive and finite (got {bad!r})")):
             NewtonConfig(residual_tol=bad)

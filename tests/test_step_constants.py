@@ -75,6 +75,11 @@ def _per_step_hess(sys):
         L, hess=lambda x, H=L.hess: H))
 
 
+def _newton_matrix_is_constant(sys, z):
+    """Whether two reads of ``sys``'s Newton Jacobian at z give one object."""
+    return sys._newton_jac(z) is sys._newton_jac(z)
+
+
 def _chained_rows(sys, starts, n_steps):
     """Every row of ``n_steps`` chained steps from each start, as bytes."""
     rows = []
@@ -121,7 +126,8 @@ def test_chained_steps_equal_the_per_step_paths(name, coeff):
     got_red = _chained_rows(red, red_starts, 4)
     assert got_red == _chained_rows(composed, red_starts, 4)
     if name == "quadratic":
-        assert full._newton_matrix is None and red._newton_matrix is None
+        assert not _newton_matrix_is_constant(full, np.concatenate(README_FULL_START))
+        assert not _newton_matrix_is_constant(red, np.concatenate(REDUCED_START))
         return
     assert got_full == _chained_rows(_per_step_hess(full), full_starts, 10)
     assert got_red == _chained_rows(_per_step_hess(red), red_starts, 4)
@@ -135,7 +141,7 @@ def test_constant_v_prime_steps_equal_the_per_call_read(name, coeff):
     V = potential_handle(name, coeff)
     per_call = make_full_system(TwoBodyConfig(h=0.1, potential=dataclasses.replace(
         V, jac=lambda s, J=V.jac: J)))
-    assert per_call._newton_matrix is None
+    assert not _newton_matrix_is_constant(per_call, np.concatenate(README_FULL_START))
     starts = _full_starts(np.random.default_rng(99), 20)
     assert (_chained_rows(_systems(name, coeff)[0], starts, 10)
             == _chained_rows(per_call, starts, 10))
@@ -192,6 +198,7 @@ def test_steps_of_one_system_share_one_read_only_newton_matrix(monkeypatch):
         step(sys, *step(sys, *start))
         first, second, third = seen
         assert first is second is third and not first.flags.writeable
+        assert sys._newton_jac(np.zeros_like(first[0])) is first
         n = sys.bundle.total_dim
         assert np.array_equal(first[:n], sys.lagrangian.hess[:n])
 
@@ -203,6 +210,35 @@ def test_steps_of_one_system_share_one_read_only_newton_matrix(monkeypatch):
         step(doubled, *start)
         assert seen[3] is not first and seen[3].tobytes() == first.tobytes()
         assert np.array_equal(seen[4][:n], 2.0 * L.hess[:n])
+
+
+def test_callable_hess_is_read_once_per_newton_iteration(monkeypatch):
+    """A callable ``hess`` is read once per Newton iteration and each read
+    gives a fresh matrix: chained quadratic-potential steps, full and
+    reduced, read it exactly as often as ``newton_solve`` asks for a
+    Jacobian."""
+    counts, matrices = Counter(), []
+    newton = dlps.newton_solve
+
+    def spy(residual, x0, cfg=None):
+        def jac(z):
+            counts["jac"] += 1
+            matrices.append(residual.jac(z))
+            return matrices[-1]
+        return newton(dataclasses.replace(residual, jac=jac), x0, cfg)
+
+    monkeypatch.setattr(dlps, "newton_solve", spy)
+    full, red, _ = _systems("quadratic", 0.3)
+    for sys, (eps, m) in ((full, README_FULL_START), (red, REDUCED_START)):
+        L = sys.lagrangian
+        counting = dataclasses.replace(sys, lagrangian=dataclasses.replace(
+            L, hess=_counted(counts, "hess", L.hess)))
+        counts.clear()
+        matrices.clear()
+        for _ in range(5):
+            eps, m = step(counting, eps, m)
+        assert counts["hess"] == counts["jac"] >= 5
+        assert len({id(J) for J in matrices}) == len(matrices)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
