@@ -16,7 +16,7 @@ from dlpsim.reduction import project_path, reconstruct_path
 
 cfg = TwoBodyConfig(h=0.1, potential=potential_handle("linear", 0.5))
 full = make_full_system(cfg)
-red = make_reduced_system(cfg)
+red = make_reduced_system(cfg, rng=np.random.default_rng(0))
 
 q0 = np.array([1.0, 0.0, -1.0, 0.0])
 q1 = np.array([1.04, 0.03, -0.97, 0.02])

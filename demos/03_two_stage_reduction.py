@@ -14,7 +14,7 @@ from dlpsim import TwoBodyConfig, make_staged_setup, potential_handle, simulate
 from dlpsim.reduction import two_stage
 
 cfg = TwoBodyConfig(h=0.1, potential=potential_handle("linear", 0.5))
-setup = make_staged_setup(cfg)
+setup = make_staged_setup(cfg, rng=np.random.default_rng(0))
 
 q0 = np.array([1.0, 0.0, -1.0, 0.0])
 q1 = np.array([1.04, 0.03, -0.97, 0.02])
@@ -23,7 +23,8 @@ trajectory = simulate(setup.sys, q0, q1, 50)
 report, F = two_stage(setup.sys, setup.stage_h, setup.stage_gh,
                       setup.one_shot, trajectory, conn_h=setup.conn_h,
                       full_group_action=setup.action_g,
-                      conjugate_in_full=setup.conjugate_in_g)
+                      conjugate_in_full=setup.conjugate_in_g,
+                      rng=np.random.default_rng(11235))
 
 print("first-stage connection conjugation-equivariance:",
       f"{report['conjugation_equivariance_max']:.3e}")

@@ -21,8 +21,8 @@ from dlpsim.smooth import SmoothMapHandle
 
 cfg = TwoBodyConfig(h=0.1, potential=potential_handle("linear", 0.5))
 full = make_full_system(cfg)
-red = make_reduced_system(cfg)
-setup = make_staged_setup(cfg)
+red = make_reduced_system(cfg, rng=np.random.default_rng(3))
+setup = make_staged_setup(cfg, rng=np.random.default_rng(4))
 
 q0 = np.array([1.0, 0.0, -1.0, 0.0])
 q1 = np.array([1.04, 0.03, -0.97, 0.02])

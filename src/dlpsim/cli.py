@@ -1,18 +1,18 @@
 """Command-line frontend.
 
-Subcommands: simulate, reduce, reconstruct, stages, check. Configuration
-is a JSON object with no keys outside ``CONFIG_KEYS`` (``potential``,
-when given, an object with a ``name`` and an optional ``coeff``), each
-checked before any command runs, also where that command never reads it;
-the report commands sample from ``seed`` (a nonnegative integer, default
-0, also set by ``--seed``), ``reduce`` and ``check`` take ``n_check``
-samples, and the finite ``perturb`` is ``check``'s negative control.
-Results are written as CSV (full double precision) plus JSON reports
-with per-identity violations, so CI can gate on the exit code: 0 all
-checks pass, 1 validation failure, 2 solver failure (``simulate``
-writes the trajectory up to the failing step and a ``simulate.json``
-whose ``failure`` names it; a report command writes no report), 3 I/O
-failure.
+Subcommands: simulate, reduce, reconstruct, stages, check. Configuration is
+a JSON object with no keys outside ``CONFIG_KEYS`` (``potential``, when
+given, an object with a ``name`` and an optional ``coeff``), each checked
+before any command runs, also where that command never reads it; the report
+commands draw from ``seed`` (a nonnegative integer, default 0, also set by
+``--seed``), one stream per consumer of draws (``_two_body``),
+``reduce`` and ``check`` take ``n_check`` samples, and the finite
+``perturb`` is ``check``'s negative control. Results are written as CSV
+(full double precision) plus JSON reports with per-identity violations, so
+CI can gate on the exit code: 0 all checks pass, 1 validation failure, 2
+solver failure (``simulate`` writes the trajectory up to the failing step
+and a ``simulate.json`` whose ``failure`` names it; a report command writes
+no report), 3 I/O failure.
 
 Identical config and seed produce byte-identical outputs; timing goes to
 the log (env var DLPS_LOG sets verbosity), never into the files.
@@ -50,6 +50,8 @@ EXIT_IO = 3
 #: The keys a config may have; any other key is rejected.
 CONFIG_KEYS = ("system", "h", "potential", "initial", "n_steps", "newton",
                "dim", "omega", "seed", "n_check", "perturb")
+#: The largest free-particle ``dim``; its (2 dim)^2 Hessian is 32 MB.
+MAX_DIM = 1000
 
 
 def _fmt(x: float) -> str:
@@ -69,13 +71,15 @@ def _finite(cfg: dict, key: str, default: float, rule: str = "finite",
     return float(value)
 
 
-def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
-    """The integer ``cfg[key]``, at least ``minimum``."""
+def _integer(cfg: dict, key: str, default: int, minimum: int,
+             maximum: float = math.inf) -> int:
+    """The integer ``cfg[key]``, at least ``minimum``, at most ``maximum``."""
     value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer (got {value!r})")
-    if value < minimum:
-        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+    if not minimum <= value <= maximum:
+        bound = (f"at most {maximum}" if value > maximum else
+                 "nonnegative" if minimum == 0 else f"at least {minimum}")
         raise ValueError(f"{key} must be {bound} (got {value})")
     return value
 
@@ -116,7 +120,7 @@ def _build_system(cfg: dict):
     if name == "se2-two-body":
         return example_se2.make_full_system(_two_body_config(cfg))
     if name == "free-particle":
-        return free_particle_dms(dim=_integer(cfg, "dim", 1, 1),
+        return free_particle_dms(dim=_integer(cfg, "dim", 1, 1, MAX_DIM),
                                  h=_finite(cfg, "h", 1.0, "finite and nonzero"))
     if name == "harmonic-oscillator":
         return harmonic_oscillator_dms(
@@ -125,14 +129,15 @@ def _build_system(cfg: dict):
     raise ValueError(f"unknown system {name!r}")
 
 
-def _two_body(cfg: dict) -> tuple[example_se2.TwoBodyConfig,
-                                  np.random.Generator]:
-    """The two-body config of a report command and its seeded generator."""
+def _two_body(cfg: dict):
+    """The two-body config of a report command, and ``stream``: the generator
+    of each consumer of draws, seeded by ``seed`` and its name alone."""
     if cfg.get("system") != "se2-two-body":
         raise ValueError("command requires system 'se2-two-body' "
                          f"(got {cfg.get('system')!r})")
+    seed = _integer(cfg, "seed", 0, 0)
     return (_two_body_config(cfg),
-            np.random.default_rng(_integer(cfg, "seed", 0, 0)))
+            lambda name: np.random.default_rng([seed, *name.encode()]))
 
 
 def _initial_pair(cfg: dict, sys):
@@ -167,7 +172,7 @@ def _check_config(command: str, cfg: dict):
     sys_ = _build_system(cfg)
     _two_body_config(cfg)
     _build_system(dict(cfg, system="harmonic-oscillator"))
-    _integer(cfg, "dim", 1, 1)
+    _integer(cfg, "dim", 1, 1, MAX_DIM)
     _integer(cfg, "n_steps", 0, 0)
     _integer(cfg, "seed", 0, 0)
     _integer(cfg, "n_check", 1, 1)
@@ -229,12 +234,12 @@ def _reduce(cfg: dict) -> dict:
     """The T2-reduced system against the full one and the closed-form step;
     each sample is the worst draw's full row x, for the step its reduced
     start (r0, z0, r1)."""
-    body, rng = _two_body(cfg)
+    body, stream = _two_body(cfg)
     n_check = _integer(cfg, "n_check", 100, 1)
-    red = example_se2.make_reduced_system(body, rng=rng)
+    red = example_se2.make_reduced_system(body, rng=stream("build"))
     full = example_se2.make_full_system(body)
 
-    xs, draws = [], []
+    xs, draws, rng = [], [], stream("draws")
     for _ in range(n_check):
         x = example_se2.sample_cprime(rng)
         y = red.model.upsilon(x)
@@ -250,7 +255,7 @@ def _reduce(cfg: dict) -> dict:
         xs.append(x)
         draws.append((lag, roundtrip, orbit, out - expected))
 
-    starts, steps = [], []
+    starts, steps, rng = [], [], stream("starts")
     for _ in range(20):
         r0 = example_se2.sample_annulus(rng, 0.7, 1.3)
         z0 = rng.uniform(-0.2, 0.2, 2)
@@ -276,12 +281,12 @@ def _reconstruct(cfg: dict) -> dict:
     equations and rebuilt; each sample is the worst row: of the full
     trajectory for the roundtrip, of the reduced one (the current row of
     the residual) for the DEL check."""
-    body, rng = _two_body(cfg)
+    body, stream = _two_body(cfg)
     full = example_se2.make_full_system(body)
     eps0, m1 = _initial_pair(cfg, full)
     n_steps = _integer(cfg, "n_steps", 50, 0)
     traj = simulate(full, eps0, m1, n_steps, cfg=_newton_config(cfg))
-    red = example_se2.make_reduced_system(body, rng=rng)
+    red = example_se2.make_reduced_system(body, rng=stream("build"))
     reduced = project_path(red.model, traj)
     rebuilt = reconstruct_path(red.model, reduced, eps0, m1)
     residuals = [del_residual(red.system, *reduced[k - 1], *reduced[k])
@@ -297,15 +302,16 @@ def _stages(cfg: dict) -> dict:
     """Two-stage reduction of a full trajectory against the one-shot one;
     each sample is the worst one: the trajectory point (eps_k, m_k+1) of
     the comparison, the (q0, q1) row of the conjugation check."""
-    body, rng = _two_body(cfg)
-    setup = example_se2.make_staged_setup(body, rng=rng)
+    body, stream = _two_body(cfg)
+    setup = example_se2.make_staged_setup(body, rng=stream("build"))
     eps0, m1 = _initial_pair(cfg, setup.sys)
     n_steps = _integer(cfg, "n_steps", 50, 0)
     traj = simulate(setup.sys, eps0, m1, n_steps, cfg=_newton_config(cfg))
     report, _f = two_stage(setup.sys, setup.stage_h, setup.stage_gh,
                            setup.one_shot, traj, conn_h=setup.conn_h,
                            full_group_action=setup.action_g,
-                           conjugate_in_full=setup.conjugate_in_g, rng=rng)
+                           conjugate_in_full=setup.conjugate_in_g,
+                           rng=stream("two_stage"))
     step = report["stage_comparison_worst_step"]
     return {
         "stage_comparison_max": (report["stage_comparison_max"], 1e-8,
@@ -318,44 +324,39 @@ def _stages(cfg: dict) -> dict:
 
 def _check(cfg: dict) -> dict:
     """The morphism conditions for upsilon (shifted by ``perturb``, the
-    negative control) and for a sampled SE(2) translation, then the
+    negative control) and for a sampled SE(2) translation; the
     symmetry conditions of SE(2) on the full system and of the residual
     circle action on the translation-reduced one."""
-    body, rng = _two_body(cfg)
+    body, stream = _two_body(cfg)
     n_samples = _integer(cfg, "n_check", 50, 1)
     perturb = _finite(cfg, "perturb", 0.0)
     full = example_se2.make_full_system(body)
-    red = example_se2.make_reduced_system(body, rng=rng)
+    red = example_se2.make_reduced_system(body, rng=stream("build"))
 
     upsilon = red.model.upsilon
     if perturb:
         shift = perturb * np.eye(6)[0]
         upsilon = SmoothMapHandle(8, 6, lambda x: red.model.upsilon(x) + shift)
-    reports = {"reduction_morphism": check_morphism(
-        upsilon, full, red.system, example_se2.sample_cprime,
-        n_samples=n_samples, rng=rng)}
-    # g is drawn after upsilon's samples; drawing it earlier changes check.json.
     act = se2_two_point_action()
-    g = sample_group(act.group, rng)
+    g = sample_group(act.group, stream("translation_element"))
     translation = SmoothMapHandle(
         8, 8, lambda x: np.concatenate([act.act(g, x[:4]), act.act(g, x[4:])]))
-    reports["group_translation"] = check_morphism(
-        translation, full, full, example_se2.sample_cprime,
-        n_samples=n_samples, rng=rng)
-
-    # The symmetries are drawn after every morphism sample, which keeps the
-    # fields above; their bounds are the ones build_upsilon applies.
+    sample = example_se2.sample_cprime
+    morphisms = {"reduction_morphism": (upsilon, full, red.system, sample),
+                 "group_translation": (translation, full, full, sample)}
+    # Their bounds are the ones build_upsilon applies.
     symmetries = {
-        "se2_symmetry": (full, act, act, example_se2.sample_cprime),
+        "se2_symmetry": (full, act, act, sample),
         "residual_u1_symmetry": (
             red.system, example_se2.make_residual_u1_action(), u1_plane_action(),
-            lambda r: red.model.upsilon(example_se2.sample_cprime(r)))}
+            lambda r: red.model.upsilon(sample(r)))}
     checks = {}
     for name, args in symmetries.items():
-        rep = check_symmetry(*args, n_samples=n_samples, rng=rng)
-        for cond, (worst, sample) in rep.items():
-            checks[f"{name}.{cond}"] = (worst, SYMMETRY_TOLS[cond], sample)
-    for name, rep in reports.items():
+        rep = check_symmetry(*args, n_samples=n_samples, rng=stream(name))
+        for cond, (worst, x0) in rep.items():
+            checks[f"{name}.{cond}"] = (worst, SYMMETRY_TOLS[cond], x0)
+    for name, args in morphisms.items():
+        rep = check_morphism(*args, n_samples=n_samples, rng=stream(name))
         samples = rep["worst_samples"]
         checks[f"{name}.cond1_submersion_rank"] = {
             "value": rep["cond1_submersion_rank_ok"], "note": rep["cond1_note"],

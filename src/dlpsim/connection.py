@@ -62,21 +62,20 @@ def ad(conn: DiscreteConnection, q0, q1) -> np.ndarray:
     return conn.ad_form(as_vector(q0, n), as_vector(q1, n))
 
 
-def check_equivariance(conn: DiscreteConnection, n_samples: int,
-                       rng: np.random.Generator | None = None) -> dict:
+def check_equivariance(conn: DiscreteConnection, n_samples: int, *,
+                       rng: np.random.Generator) -> dict:
     """Max violation of A_d(g0 q0, g1 q1) = g1 A_d(q0, q1) g0^{-1} at
     ``n_samples`` pairs of points drawn by the quotient's ``sample``.
 
     Reports, never raises; a broken connection shows up as a large
     ``max_violation``, and a NaN violation is kept as the maximum. The
-    draws are evaluated one by one and judged in bulk afterwards; the
-    maximum and its ``worst_sample`` (q0, q1) are those of the first NaN
-    draw, else of the first largest (None while every violation is 0).
-    ``n_samples`` below 1 is a ValueError.
+    draws, all from ``rng``, are evaluated one by one and judged in bulk
+    afterwards; the maximum and its ``worst_sample`` (q0, q1) are those of
+    the first NaN draw, else of the first largest (None while every
+    violation is 0). ``n_samples`` below 1 is a ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
-    rng = rng or np.random.default_rng(0)
     quotient = conn.quotient
     G = quotient.action.group
     samples, lhs, rhs = [], [], []

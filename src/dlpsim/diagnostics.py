@@ -212,8 +212,8 @@ def bracket_of_pullbacks(sys: DlpsSystem, model: ReducedModel,
 
 def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
                           test_fns: Sequence[SmoothMapHandle],
-                          n_samples: int,
-                          rng: np.random.Generator | None = None,
+                          n_samples: int, *,
+                          rng: np.random.Generator,
                           n_group: int = 5) -> dict:
     """Orbit-invariance of the bracket of pulled-back reduced functions.
 
@@ -221,16 +221,15 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
     through the quotient; the computable content is that the bracket of
     pullbacks is constant on group orbits. Reports the max variation over
     samples and ``n_group`` group elements each (parameters drawn from
-    [-1, 1]), for every function pair, and the index of the sample
-    attaining it as ``worst_sample`` (the first NaN, else the first
-    largest; None while every variation is 0). ``n_samples`` or
-    ``n_group`` below 1 is a ValueError.
+    [-1, 1]), all drawn from ``rng``, for every function pair, and the
+    index of the sample attaining it as ``worst_sample`` (the first NaN,
+    else the first largest; None while every variation is 0).
+    ``n_samples`` or ``n_group`` below 1 is a ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
     if n_group < 1:
         raise ValueError(f"n_group must be at least 1 (got {n_group})")
-    rng = rng or np.random.default_rng(5)
     n_pairs = len(test_fns) * (len(test_fns) - 1) // 2
     variations = []
     for _ in range(n_samples):

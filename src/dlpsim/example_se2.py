@@ -284,19 +284,19 @@ def _t2_reduced_section(r) -> np.ndarray:
                      (b / SQRT2 - -b / SQRT2) / SQRT2, 0.0, 0.0])
 
 
-def make_reduced_model(cfg: TwoBodyConfig | None = None,
-                       rng: np.random.Generator | None = None) -> ReducedModel:
+def make_reduced_model(cfg: TwoBodyConfig | None = None, *,
+                       rng: np.random.Generator) -> ReducedModel:
     """Reduced coordinates ((r0, z0), r1): relative position and stored offset.
 
     r = (q^x - q^y)/sqrt(2); z is the translation offset assigned by the
-    connection. Validated against a concrete system (default timestep 0.1,
-    V(s) = s/2) since symmetry validation needs a Lagrangian. The model is
-    linear in these coordinates, so ``upsilon``, ``lift_section`` and the
-    reduced bundle's ``phi`` carry their constant Jacobians as ``jac``
-    arrays, which makes the model affine for ``reduce``. The reduced
-    bundle's ``section``, which seeds every step's Newton guess, is the
-    scalar kernel ``_t2_reduced_section``; the section ``build_upsilon``
-    composes is its oracle, equal to it bit for bit (NaN kept).
+    connection. Validated with ``rng`` against a concrete system (default
+    timestep 0.1, V(s) = s/2) since symmetry validation needs a Lagrangian.
+    The model is linear in these coordinates, so ``upsilon``, ``lift_section``
+    and the reduced bundle's ``phi`` carry their constant Jacobians as ``jac``
+    arrays, which makes the model affine for ``reduce``. The reduced bundle's
+    ``section``, which seeds every step's Newton guess, is the scalar kernel
+    ``_t2_reduced_section``; the section ``build_upsilon`` composes is its
+    oracle, equal to it bit for bit (NaN kept).
     """
     cfg = cfg or TwoBodyConfig()
     sys = make_full_system(cfg)
@@ -322,9 +322,9 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None,
             section=SmoothMapHandle(2, 4, _t2_reduced_section)))
 
 
-def make_reduced_system(cfg: TwoBodyConfig | None = None,
-                        rng: np.random.Generator | None = None) -> ReductionResult:
-    """The two-body system reduced by translations.
+def make_reduced_system(cfg: TwoBodyConfig | None = None, *,
+                        rng: np.random.Generator) -> ReductionResult:
+    """The two-body system reduced by translations, validated with ``rng``.
 
     The full system is a DMS and the model is affine, so ``reduce`` gives
     the reduced system its constant chaining matrix and, when the
@@ -460,8 +460,8 @@ class StagedSetup:
     conjugate_in_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def make_staged_setup(cfg: TwoBodyConfig | None = None,
-                      rng: np.random.Generator | None = None) -> StagedSetup:
+def make_staged_setup(cfg: TwoBodyConfig | None = None, *,
+                      rng: np.random.Generator) -> StagedSetup:
     """Build and validate the SE(2)-over-T2 staged reduction data.
 
     Stage one is ``make_reduced_system``, the reduction by translations
@@ -469,14 +469,15 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
     ``build_upsilon`` as a symmetry of the reduced system) drives stage
     two over the base |r|; the one-shot SE(2) model uses the invariant
     coordinates (|r0|, rotation angle, phase-aligned translation offset).
+    Each of the three builds validates with its own child of ``rng``.
     """
     cfg = cfg or TwoBodyConfig()
-    rng = rng or np.random.default_rng(424242)
+    rng_h, rng_gh, rng_g = rng.spawn(3)
     sys = make_full_system(cfg)
     action_g = se2_two_point_action()
 
     conn_h = make_t2_connection()
-    stage_h = make_reduced_system(cfg, rng=rng)
+    stage_h = make_reduced_system(cfg, rng=rng_h)
     model_h = stage_h.model
 
     residual_action = make_residual_u1_action()
@@ -501,7 +502,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     model_gh = build_upsilon(conn_gh, stage_h.system, fiber_chart_gh,
                              fiber_section_gh, action_e=residual_action,
-                             sample_cprime=sample_cprime_gh, rng=rng)
+                             sample_cprime=sample_cprime_gh, rng=rng_gh)
     stage_gh = reduce(stage_h.system, model_gh)
 
     conn_g = make_se2_connection()
@@ -525,7 +526,7 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None,
 
     model_g = build_upsilon(conn_g, sys, fiber_chart_g, fiber_section_g,
                             action_e=action_g, sample_cprime=sample_cprime,
-                            rng=rng)
+                            rng=rng_g)
     one_shot = reduce(sys, model_g)
 
     return StagedSetup(sys=sys, action_g=action_g, conn_h=conn_h,

@@ -148,15 +148,15 @@ def _diagonal_cprime_action(action_e: ActionModel, action_m: ActionModel) -> Act
 
 def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel,
                    sample_cprime: Callable[[np.random.Generator], np.ndarray],
-                   n_samples: int = 50,
-                   rng: np.random.Generator | None = None) -> dict:
+                   n_samples: int = 50, *,
+                   rng: np.random.Generator) -> dict:
     """Numeric point checks that G, acting on E by ``action_e`` and on M by
     ``action_m``, is a symmetry of sys.
 
-    Each draw takes a second-order pair x0 = (eps0, phi(eps1)),
-    x1 = (eps1, m2), a group element g and a tangent delta at eps1, and
-    tests, for the diagonal action on E x M, the conditions (the keys of
-    ``SYMMETRY_TOLS``, in its order):
+    Each draw takes from ``rng`` a second-order pair x0 = (eps0,
+    phi(eps1)), x1 = (eps1, m2), a group element g and a tangent delta at
+    eps1, and tests, for the diagonal action on E x M, the conditions (the
+    keys of ``SYMMETRY_TOLS``, in its order):
 
     - "action identity axiom": e x0 = x0;
     - "action compatibility axiom": g' (g x0) = (g' g) x0, with g' the
@@ -179,7 +179,6 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
-    rng = rng or np.random.default_rng(31)
     G, nE = action_e.group, sys.bundle.total_dim
     act = _diagonal_cprime_action(action_e, action_m).act
     zero = np.zeros(nE)
@@ -212,7 +211,7 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
                   fiber_chart: FiberChart, fiber_section: FiberSection,
                   action_e: ActionModel,
                   sample_cprime: Callable[[np.random.Generator], np.ndarray],
-                  rng: np.random.Generator | None = None) -> ReducedModel:
+                  *, rng: np.random.Generator) -> ReducedModel:
     """Assemble and validate the reduction morphism for (sys, conn).
 
     ``fiber_chart(eps, w)`` are invariant coordinates of the class of
@@ -226,13 +225,14 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
     Validation (``VALIDATION_DRAWS`` draws each): upsilon is constant on
     orbits and upsilon o lift_section is the identity (both to
-    ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``.
-    The draws of each identity are evaluated one by one and judged in
-    bulk, the roundtrip only once orbit invariance holds. A violation, NaN
-    included, raises ValidationError naming the identity and the sample
-    of its worst draw (the first NaN, else the first largest defect).
+    ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``;
+    each draws from its own child of ``rng``. The draws of each identity
+    are evaluated one by one and judged in bulk, the roundtrip only once
+    orbit invariance holds. A violation, NaN included, raises
+    ValidationError naming the identity and the sample of its worst draw
+    (the first NaN, else the first largest defect).
     """
-    rng = rng or np.random.default_rng(20240817)
+    draws_rng, symmetry_rng = rng.spawn(2)
     quotient = conn.quotient
     action_m = quotient.action
     G = action_m.group
@@ -274,8 +274,8 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     # -- sampled validation ------------------------------------------------
     xs, ys, moved = [], [], []
     for _ in range(VALIDATION_DRAWS):
-        x = as_vector(sample_cprime(rng), nE + nM)
-        g = sample_group(G, rng)
+        x = as_vector(sample_cprime(draws_rng), nE + nM)
+        g = sample_group(G, draws_rng)
         xs.append(x)
         ys.append(upsilon(x))
         moved.append(upsilon(group_action.act(g, x)))
@@ -289,7 +289,8 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     # lift_section reads upsilon's values, so only once they passed.
     judge("upsilon o lift_section = id", ys, [upsilon(lift_section(y)) for y in ys])
 
-    report = check_symmetry(sys, action_e, action_m, sample_cprime, VALIDATION_DRAWS, rng)
+    report = check_symmetry(sys, action_e, action_m, sample_cprime,
+                            VALIDATION_DRAWS, rng=symmetry_rng)
     for name, (worst, sample) in report.items():
         if not worst <= SYMMETRY_TOLS[name]:
             raise ValidationError(name, sample=sample, violation=worst)
@@ -432,15 +433,15 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
               trajectory: DiscretePath, conn_h: DiscreteConnection,
               full_group_action: ActionModel,
               conjugate_in_full: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              rng: np.random.Generator | None = None,
+              *, rng: np.random.Generator,
               n_checks: int = 100) -> tuple[dict, Callable]:
     """Compare two-stage reduction with one-shot reduction on a trajectory.
 
     Returns a report and the comparison map F, realized as lift through
     both stage sections followed by the one-shot morphism. First the
     condition that makes the second stage possible is validated on
-    ``n_checks`` samples of ``conn_h``'s quotient: the first-stage
-    connection ``conn_h`` is equivariant under conjugation
+    ``n_checks`` samples of ``conn_h``'s quotient drawn from ``rng``: the
+    first-stage connection ``conn_h`` is equivariant under conjugation
     (``conjugate_in_full``) by the full group acting by
     ``full_group_action``; a worst sample above 1e-10 raises
     ValidationError, and ``n_checks`` below 1 a ValueError. Both maxima
@@ -456,7 +457,6 @@ def two_stage(sys: DlpsSystem, stage_h: ReductionResult,
     """
     if n_checks < 1:
         raise ValueError(f"n_checks must be at least 1 (got {n_checks})")
-    rng = rng or np.random.default_rng(11235)
     quotient = conn_h.quotient
     samples, lhs, rhs = [], [], []
     for _ in range(n_checks):
@@ -502,8 +502,8 @@ def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
                    sys_target: DlpsSystem,
                    sample_cprime: Callable[[np.random.Generator], np.ndarray],
-                   n_samples: int = 50,
-                   rng: np.random.Generator | None = None) -> dict:
+                   n_samples: int = 50, *,
+                   rng: np.random.Generator) -> dict:
     """Numeric point checks of the morphism conditions between systems.
 
     Derivatives come from ``candidate.jacobian``: the closed-form ``jac``
@@ -522,12 +522,11 @@ def check_morphism(candidate: SmoothMapHandle, sys: DlpsSystem,
     surjectivity/submersion condition is reported as a rank check only.
     The chaining condition is tested on 3 random tangents per sample.
 
-    The draws are evaluated one by one (the maps, then the tangents) and
-    judged in bulk afterwards: one stacked SVD per rank check (a single
-    one for a constant ``jac``) and one maximum per condition, whose worst
-    draw is the first NaN, else the first largest.
+    The draws, all from ``rng``, are evaluated one by one (the maps, then
+    the tangents) and judged in bulk afterwards: one stacked SVD per rank
+    check (a single one for a constant ``jac``) and one maximum per
+    condition, whose worst draw is the first NaN, else the first largest.
     """
-    rng = rng or np.random.default_rng(97)
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
     nEr = sys_target.bundle.total_dim
     nMr = sys_target.bundle.base_dim

@@ -13,7 +13,7 @@ from dlpsim.cli import main as cli_main
 from dlpsim.connection import ad, check_equivariance
 from dlpsim.diagnostics import momentum_evolution_check, symplectic_check
 from dlpsim.dlps import (action_derivative, build_fixed_endpoint_variation,
-                         del_residual, free_particle_dms,
+                         del_residual, free_particle_dms, from_dms,
                          harmonic_oscillator_dms, simulate, step)
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
@@ -22,7 +22,7 @@ from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 sample_configuration)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
 from dlpsim.reduction import (check_morphism, project_path, reconstruct_path,
-                              two_stage)
+                              reduce, two_stage)
 from dlpsim.smooth import SmoothMapHandle
 from oracles import horizontal_lift, mechanical_connection_flat
 
@@ -114,9 +114,21 @@ def test_criterion_4_two_stage(staged, full_traj):
     rep, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                        staged.one_shot, full_traj, conn_h=staged.conn_h,
                        full_group_action=staged.action_g,
-                       conjugate_in_full=staged.conjugate_in_g)
+                       conjugate_in_full=staged.conjugate_in_g,
+                       rng=np.random.default_rng(11235))
     report(4, "stage comparison over 50 steps",
            rep["stage_comparison_max"], 1e-8)
+    # Each staged system, stepped from the projected trajectory, stays on
+    # it: the twice-reduced step exercises the generic chaining map.
+    twice = project_path(staged.stage_gh.model,
+                         project_path(staged.stage_h.model, full_traj))
+    once = project_path(staged.one_shot.model, full_traj)
+    for label, system, projected in (
+            ("twice-reduced", staged.stage_gh.system, twice),
+            ("one-shot", staged.one_shot.system, once)):
+        stepped = simulate(system, *projected[0], 5)
+        report(4, f"{label} steps vs projection (5 steps)", float(np.max(
+            np.abs(stepped.points - projected.points[:6]))), 1e-10)
 
 
 def test_criterion_5_connection_laws():
@@ -140,8 +152,19 @@ def test_criterion_5_connection_laws():
     report(5, "closed-form vs flat-metric agreement", agree, 1e-10)
 
 
+def unequal_masses(h):
+    """The two-body DMS with masses 1 and 3 and V(s) = s/2, by hand: L
+    only, so its slot gradients are differenced."""
+    def L(x):
+        q0, q1 = x[:4], x[4:]
+        dx, dy, sep = q1[:2] - q0[:2], q1[2:] - q0[2:], q0[:2] - q0[2:]
+        return np.array([(dx @ dx + 3.0 * (dy @ dy)) / (2.0 * h)
+                         - 0.5 * h * 0.5 * (sep @ sep)])
+    return from_dms(4, SmoothMapHandle(8, 1, L))
+
+
 def test_criterion_6_momentum(full_system, full_traj, reduced, reduced_traj,
-                              staged):
+                              staged, body_cfg, full_start):
     rep = momentum_evolution_check(full_system, t2_two_point_action(),
                                    full_traj)
     report(6, "translation momentum constant along DMS trajectory",
@@ -150,6 +173,19 @@ def test_criterion_6_momentum(full_system, full_traj, reduced, reduced_traj,
                                        reduced_traj)
     report(6, "momentum evolution identity on reduced trajectory",
            rep_red["max_violation"], 1e-8)
+    # With equal masses the chaining correction vanishes identically; with
+    # masses 1 and 3 it carries the momentum, which then drifts.
+    red_13 = reduce(unequal_masses(body_cfg.h), reduced.model)
+    y0 = reduced.model.upsilon(np.concatenate(full_start))
+    rep_13 = momentum_evolution_check(
+        red_13.system, staged.residual_action,
+        simulate(red_13.system, y0[:4], y0[4:], 50))
+    report(6, "momentum evolution identity, masses 1 and 3",
+           rep_13["max_violation"], 1e-8, ok=rep_13["precondition_ok"]
+           and rep_13["max_violation"] <= 1e-8)
+    report(6, "momentum drift is material, masses 1 and 3",
+           rep_13["max_conservation_drift"], 0.1,
+           ok=rep_13["max_conservation_drift"] >= 0.1)
 
 
 def test_criterion_7_symplecticity(full_system, full_start):

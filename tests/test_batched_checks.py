@@ -422,8 +422,10 @@ def test_two_stage_matches_per_draw_loop(staged, full_start, which):
         one_shot = (_nan_at_first_call(staged.one_shot) if which == "nan-first"
                     else staged.one_shot)
         args = (stage_h, stage_gh, one_shot, traj, conn_h, staged.action_g,
-                conjugate, np.random.default_rng(9), 20)
-        reports.append(run(staged.sys, *args)[0] if run is two_stage else run(*args))
+                conjugate)
+        draws = {"rng": np.random.default_rng(9), "n_checks": 20}
+        reports.append(run(staged.sys, *args, **draws)[0] if run is two_stage
+                       else run(*args, **draws))
     assert_bit_equal(*reports)
     if which == "nan-first":
         assert reports[0]["stage_comparison_worst_step"] == 0

@@ -421,6 +421,12 @@ HUGE = 10 ** 400
      "newton.residual_tol must be positive and finite (got 1000000000"),
     ("simulate", {"initial": [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -HUGE, 0.02]},
      "initial must be finite (got [1.0, 0.0, -1.0, 0.0, 1.04, 0.03, -inf, 0.02])"),
+    # dim is bounded before the free particle allocates its Hessian.
+    ("simulate", {"system": "free-particle", "dim": 10 ** 10},
+     "dim must be at most 1000 (got 10000000000)"),
+    ("simulate", {"system": "free-particle", "dim": HUGE},
+     "dim must be at most 1000 (got 1000000000"),
+    ("reduce", {"dim": 1001}, "dim must be at most 1000 (got 1001)"),
 ])
 def test_config_errors_logged_as_config_messages(tmp_path, caplog, command,
                                                  overrides, message):
@@ -563,6 +569,29 @@ def test_every_command_is_deterministic(seed, name, coeff):
             assert runs[0] == runs[1]
             assert runs[0][0] == 0 and runs[0][1]
 
+
+
+@pytest.mark.parametrize("command", ["reduce", "check", "stages"])
+def test_extra_build_draws_leave_the_report_bit_identical(tmp_path, monkeypatch,
+                                                          command):
+    """A model build that consumes extra draws moves no sample of the
+    report: each consumer of draws reads its own stream, not the next
+    draws of one generator shared in order."""
+    cfg = write_config(tmp_path, SMALL_BODY_CONFIG)
+    assert run(command, cfg, tmp_path / "plain") == 0
+
+    def greedy(build):
+        def greedy_build(body, *, rng):
+            rng.standard_normal(16)
+            return build(body, rng=rng)
+        return greedy_build
+
+    for name in ("make_reduced_system", "make_staged_setup"):
+        monkeypatch.setattr(example_se2, name, greedy(getattr(example_se2, name)))
+    assert run(command, cfg, tmp_path / "greedy") == 0
+    report = f"{command}.json"
+    assert ((tmp_path / "greedy" / report).read_bytes()
+            == (tmp_path / "plain" / report).read_bytes())
 
 def test_empty_newton_object_gives_defaults(tmp_path):
     outs = {}

@@ -230,7 +230,8 @@ def test_check_equivariance_keeps_nan_maximum(t2_conn):
 def test_check_equivariance_needs_a_draw(t2_conn, n_samples):
     """Zero draws would check nothing: a ValueError, not a passing report."""
     with pytest.raises(ValueError, match="n_samples must be at least 1"):
-        check_equivariance(t2_conn, n_samples)
+        check_equivariance(t2_conn, n_samples,
+                           rng=np.random.default_rng(0))
 
 
 def test_phi_psi_roundtrip(t2_conn, rng):

@@ -352,4 +352,5 @@ def test_poisson_descent_rejects_empty_counts(full_system, reduced, counts):
     fns = [SmoothMapHandle(6, 1, lambda y, i=i: y[i:i + 1]) for i in (0, 2)]
     with pytest.raises(ValueError, match="at least 1"):
         poisson_descent_check(reduced.model, full_system, fns,
-                              n_samples=n_samples, n_group=n_group)
+                              n_samples=n_samples, n_group=n_group,
+                              rng=np.random.default_rng(5))

@@ -12,8 +12,9 @@ from dlpsim.dlps import simulate, step
 from dlpsim.errors import DomainError
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
-                                potential_handle, sample_annulus,
-                                sample_configuration, sample_cprime)
+                                make_staged_setup, potential_handle,
+                                sample_annulus, sample_configuration,
+                                sample_cprime)
 from dlpsim.lie import sample_group, se2_two_point_action, t2_two_point_action
 from dlpsim.reduction import (SYMMETRY_TOLS, check_symmetry, project_path,
                               reconstruct_path, two_stage)
@@ -181,6 +182,15 @@ def test_project_reconstruct_roundtrip_potentials(pot_name, coeff, full_start):
                for p in red_path.pairs) <= 1e-10
 
 
+@pytest.mark.parametrize("build", [make_reduced_system, make_staged_setup])
+def test_builds_leave_the_given_generator_untouched(body_cfg, build):
+    """A build validates with children of ``rng`` (``rng.spawn``), so the
+    generator it was given draws on as if the build had not run."""
+    rng = np.random.default_rng(3)
+    build(body_cfg, rng=rng)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
 def test_staged_setup_conjugation_condition(staged, rng):
     """The first-stage form is conjugation-equivariant under the full group."""
     for _ in range(100):
@@ -272,7 +282,8 @@ def test_one_shot_reduction_roundtrip(staged):
     report, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                           staged.one_shot, traj, conn_h=staged.conn_h,
                           full_group_action=staged.action_g,
-                          conjugate_in_full=staged.conjugate_in_g)
+                          conjugate_in_full=staged.conjugate_in_g,
+                          rng=np.random.default_rng(11235))
     assert report["stage_comparison_max"] <= 1e-8
 
 
@@ -300,7 +311,8 @@ def test_two_stage_report(staged, full_start):
     report, F = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                           staged.one_shot, traj, conn_h=staged.conn_h,
                           full_group_action=staged.action_g,
-                          conjugate_in_full=staged.conjugate_in_g)
+                          conjugate_in_full=staged.conjugate_in_g,
+                          rng=np.random.default_rng(11235))
     assert report["stage_comparison_max"] <= 1e-8
 
     # F maps second-stage coordinates onto one-shot coordinates pointwise

@@ -47,12 +47,13 @@ def keep(best, values, where):
 
 
 def ref_reduce(cfg):
-    body, rng = cli._two_body(cfg)
+    body, stream = cli._two_body(cfg)
     n_check = cli._integer(cfg, "n_check", 100, 1)
-    red = example_se2.make_reduced_system(body, rng=rng)
+    red = example_se2.make_reduced_system(body, rng=stream("build"))
     full = example_se2.make_full_system(body)
 
     lag = roundtrip = orbit = ivcm = step = (0.0, None)
+    rng = stream("draws")
     for _ in range(n_check):
         x = example_se2.sample_cprime(rng)
         y = red.model.upsilon(x)
@@ -70,6 +71,7 @@ def ref_reduce(cfg):
         expected = np.array([0.0, 0.0, -delta[2], -delta[3]])
         ivcm = keep(ivcm, [float(np.max(np.abs(out - expected)))], x)
 
+    rng = stream("starts")
     for _ in range(20):
         r0 = example_se2.sample_annulus(rng, 0.7, 1.3)
         z0 = rng.uniform(-0.2, 0.2, 2)
@@ -91,12 +93,12 @@ def ref_reduce(cfg):
 
 
 def ref_reconstruct(cfg):
-    body, rng = cli._two_body(cfg)
+    body, stream = cli._two_body(cfg)
     full = example_se2.make_full_system(body)
     eps0, m1 = cli._initial_pair(cfg, full)
     n_steps = cli._integer(cfg, "n_steps", 50, 0)
     traj = cli.simulate(full, eps0, m1, n_steps, cfg=cli._newton_config(cfg))
-    red = example_se2.make_reduced_system(body, rng=rng)
+    red = example_se2.make_reduced_system(body, rng=stream("build"))
     reduced = cli.project_path(red.model, traj)
     rebuilt = cli.reconstruct_path(red.model, reduced, eps0, m1)
     res = (0.0, None)

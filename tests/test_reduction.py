@@ -249,7 +249,8 @@ def test_build_upsilon_rejects_broken_symmetry():
         build_upsilon(conn, bad, fiber_chart=_t2_chart,
                       fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
-                      sample_cprime=sample_cprime)
+                      sample_cprime=sample_cprime,
+                      rng=np.random.default_rng(20240817))
 
 
 def _nan_lagrangian_system():
@@ -274,7 +275,8 @@ def test_build_upsilon_rejects_nan(full_system, nan_part, identity):
         build_upsilon(make_t2_connection(), sys, fiber_chart=chart,
                       fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
-                      sample_cprime=sample_cprime)
+                      sample_cprime=sample_cprime,
+                      rng=np.random.default_rng(20240817))
     assert err.value.identity == identity
     assert np.isnan(err.value.violation)
 
@@ -325,7 +327,8 @@ def test_build_upsilon_reports_tested_chaining_point(monkeypatch, full_system):
         build_upsilon(make_t2_connection(), broken, fiber_chart=_t2_chart,
                       fiber_section=_t2_section,
                       action_e=t2_two_point_action(),
-                      sample_cprime=recording_sample)
+                      sample_cprime=recording_sample,
+                      rng=np.random.default_rng(20240817))
     assert err.value.identity == "chaining-map G-equivariance"
     assert any(np.array_equal(err.value.sample, np.concatenate([xa[:4], xb[:4]]))
                for xa, xb in zip(drawn, drawn[1:]))
@@ -358,7 +361,8 @@ def test_build_upsilon_names_the_worst_failing_draw(full_system):
         build_upsilon(make_t2_connection(), full_system, fiber_chart=chart,
                       fiber_section=_t2_section,
                       action_e=dataclasses.replace(t2, act=recording_act),
-                      sample_cprime=sample_cprime)
+                      sample_cprime=sample_cprime,
+                      rng=np.random.default_rng(20240817))
     assert err.value.identity == "upsilon orbit invariance"
     assert len(moves) == VALIDATION_DRAWS
     defects = [1e-9 * abs(float(gq @ gq - q @ q)) for q, gq in moves]
@@ -409,7 +413,8 @@ def test_build_upsilon_names_broken_symmetry_condition(full_system, conn, action
 
     with pytest.raises(ValidationError) as err:
         build_upsilon(conn, full_system, _distance_chart, section,
-                      action_e=action_e, sample_cprime=sample_cprime)
+                      action_e=action_e, sample_cprime=sample_cprime,
+                      rng=np.random.default_rng(20240817))
     assert err.value.identity == identity
 
 
@@ -427,7 +432,8 @@ def test_check_symmetry_needs_a_draw(full_system):
     """Zero draws would read 0.0 for every condition: a ValueError."""
     act = se2_two_point_action()
     with pytest.raises(ValueError, match="n_samples must be at least 1"):
-        check_symmetry(full_system, act, act, sample_cprime, n_samples=0)
+        check_symmetry(full_system, act, act, sample_cprime, n_samples=0,
+                       rng=np.random.default_rng(31))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -455,7 +461,8 @@ def test_build_upsilon_rejects_wrong_length_model_maps(full_system,
     with pytest.raises(ValueError) as excinfo:
         build_upsilon(make_t2_connection(), full_system, fiber_chart,
                       fiber_section, action_e=t2_two_point_action(),
-                      sample_cprime=sample_cprime)
+                      sample_cprime=sample_cprime,
+                      rng=np.random.default_rng(20240817))
     assert excinfo.type is ValueError
 
 
@@ -666,7 +673,8 @@ def test_two_stage_real(staged, full_start):
     report, F = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                           staged.one_shot, traj, conn_h=staged.conn_h,
                           full_group_action=staged.action_g,
-                          conjugate_in_full=staged.conjugate_in_g)
+                          conjugate_in_full=staged.conjugate_in_g,
+                          rng=np.random.default_rng(11235))
     assert report["conjugation_equivariance_max"] <= 1e-10
     assert report["stage_comparison_max"] <= TRAJ_TOL
 
@@ -679,7 +687,8 @@ def test_two_stage_needs_a_draw(staged, full_start):
         two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                   staged.one_shot, traj, conn_h=staged.conn_h,
                   full_group_action=staged.action_g,
-                  conjugate_in_full=staged.conjugate_in_g, n_checks=0)
+                  conjugate_in_full=staged.conjugate_in_g, n_checks=0,
+                  rng=np.random.default_rng(11235))
 
 
 def test_two_stage_rejects_nan_conjugation(staged, full_start):
@@ -689,7 +698,8 @@ def test_two_stage_rejects_nan_conjugation(staged, full_start):
         two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                   staged.one_shot, traj, conn_h=staged.conn_h,
                   full_group_action=staged.action_g,
-                  conjugate_in_full=lambda g, h: np.full(2, np.nan))
+                  conjugate_in_full=lambda g, h: np.full(2, np.nan),
+                  rng=np.random.default_rng(11235))
     assert err.value.identity == "subgroup connection conjugation-equivariance"
     assert np.isnan(err.value.violation)
 
@@ -711,7 +721,8 @@ def test_two_stage_keeps_nan_stage_comparison(staged, full_start):
     report, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                           one_shot, traj, conn_h=staged.conn_h,
                           full_group_action=staged.action_g,
-                          conjugate_in_full=staged.conjugate_in_g)
+                          conjugate_in_full=staged.conjugate_in_g,
+                          rng=np.random.default_rng(11235))
     assert np.isnan(report["per_step"][0])
     assert np.all(np.isfinite(report["per_step"][1:]))
     assert np.isnan(report["stage_comparison_max"])
@@ -729,7 +740,8 @@ def test_two_stage_h_equals_g(staged, full_start):
     report, _ = two_stage(staged.sys, staged.one_shot, triv, staged.one_shot,
                           traj, conn_h=staged.conn_g,
                           full_group_action=staged.action_g,
-                          conjugate_in_full=partial(conjugate, G))
+                          conjugate_in_full=partial(conjugate, G),
+                          rng=np.random.default_rng(11235))
     assert report["conjugation_equivariance_max"] <= 1e-10
     assert report["stage_comparison_max"] <= 1e-10
 
@@ -750,7 +762,8 @@ def test_two_stage_h_trivial(staged, full_start):
     # phase space has the same coordinates, so the one-shot model applies.
     report, _ = two_stage(staged.sys, triv, staged.one_shot, staged.one_shot,
                           traj, conn_h=conn_e, full_group_action=staged.action_g,
-                          conjugate_in_full=lambda g, h: h)
+                          conjugate_in_full=lambda g, h: h,
+                          rng=np.random.default_rng(11235))
     assert report["stage_comparison_max"] <= 1e-10
 
 
@@ -930,7 +943,8 @@ def test_check_morphism_needs_a_draw(full_system, reduced):
     """Zero draws would check nothing: a ValueError, not a passing report."""
     with pytest.raises(ValueError, match="n_samples must be at least 1"):
         check_morphism(reduced.model.upsilon, full_system, reduced.system,
-                       sample_cprime, n_samples=0)
+                       sample_cprime, n_samples=0,
+                       rng=np.random.default_rng(97))
 
 
 def test_check_morphism_rejects_incompatible_dimensions(full_system, reduced):
@@ -938,7 +952,8 @@ def test_check_morphism_rejects_incompatible_dimensions(full_system, reduced):
     ValueError before any draw."""
     with pytest.raises(ValueError, match="dimensions are incompatible"):
         check_morphism(reduced.model.upsilon, full_system, full_system,
-                       sample_cprime)
+                       sample_cprime,
+                       rng=np.random.default_rng(97))
 
 
 def test_check_morphism_verifies_representative_independence(staged,
