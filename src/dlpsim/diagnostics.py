@@ -26,7 +26,8 @@ from .smooth import SmoothMapHandle, as_vector, jacobian_fd
 def momentum(sys: DlpsSystem, action: ActionModel, eps0, m1) -> np.ndarray:
     """Minus the fiber-slot Lagrangian gradient paired with the generators:
     component i is the momentum paired with the i-th Lie-algebra basis
-    element."""
+    element. The generators are ``orbit_frame``'s: exact where the action
+    carries them in closed form, else central differences."""
     eps0 = as_vector(eps0, sys.bundle.total_dim)
     m1 = as_vector(m1, sys.bundle.base_dim)
     return -(d1_lagrangian(sys, eps0, m1) @ orbit_frame(action, eps0))

@@ -436,7 +436,11 @@ def make_residual_u1_action() -> ActionModel:
         r_re, r_im, z_re, z_im = y.tolist()
         return np.array([*_cmul(a_re, a_im, r_re, r_im), *_cmul(a_re, a_im, z_re, z_im)])
 
-    return ActionModel(group=G, space_dim=4, act=act)
+    def generators(y):
+        r_re, r_im, z_re, z_im = y.tolist()
+        return np.array([[-r_im], [r_re], [-z_im], [z_re]])
+
+    return ActionModel(group=G, space_dim=4, act=act, generators=generators)
 
 
 def conjugate_translation_by_se2(g: np.ndarray, h: np.ndarray) -> np.ndarray:

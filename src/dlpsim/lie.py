@@ -17,7 +17,11 @@ numpy arrays. Norms use ``np.hypot``: ``math.hypot`` differs from it in
 the last bit on some inputs.
 
 Lie-algebra elements are coordinate vectors against the standard basis of
-each group's parameter space; no abstract bracket is implemented.
+each group's parameter space; no abstract bracket is implemented. Each
+shipped action carries its infinitesimal generators in closed form, so
+``orbit_frame`` is exact on it; an action without them gets the central
+difference of the action at the identity, which also serves the tests as
+the oracle of every closed form.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ class LieGroupModel:
     arrays. ``dim`` is the Lie-algebra dimension; ``from_params`` is a
     chart R^dim -> G with ``from_params(0) = identity`` whose differential
     at 0 is the identity on algebra coordinates. It serves the
-    Newton-based solves over the group, sampling, and the infinitesimal
-    generators. SE(2) and U(1) compute in float arithmetic on
-    ``g.tolist()``, bit-identical to their complex formulas (see the
-    module docstring).
+    Newton-based solves over the group, sampling, and the difference
+    fallback of the infinitesimal generators. SE(2) and U(1) compute in
+    float arithmetic on ``g.tolist()``, bit-identical to their complex
+    formulas (see the module docstring).
     """
 
     dim: int
@@ -58,16 +62,33 @@ class ActionModel:
 
     ``match``, when given, solves ``act(g, a) = b`` for g in closed form;
     callers verify the result and fall back to a generic solve otherwise.
-    Both receive 1-D float ndarrays of length ``space_dim`` that their
-    callers have checked, and do not check them again. The shipped planar
-    actions compute in float arithmetic on ``.tolist()``, bit-identical to
-    their complex formulas (see the module docstring).
+    ``generators``, when given, is the infinitesimal generators in closed
+    form: a callable of q returning the (space_dim, group.dim) matrix
+    whose i-th column is d/dt act(from_params(t e_i), q) at t = 0 or, for
+    a linear action, that constant array itself, checked and stored
+    read-only as a constant ``SmoothMapHandle.jac`` is. It must agree
+    with ``orbit_frame``'s central differences; that is checked by tests,
+    not at call time. The closures receive 1-D float ndarrays of length
+    ``space_dim`` that their callers have checked, and do not check them
+    again. The shipped planar actions compute in float arithmetic on
+    ``.tolist()``, bit-identical to their complex formulas (see the
+    module docstring).
     """
 
     group: LieGroupModel
     space_dim: int
     act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     match: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    generators: Optional[Callable[[np.ndarray], np.ndarray] | np.ndarray] = None
+
+    def __post_init__(self):
+        if isinstance(self.generators, np.ndarray):
+            value = np.array(self.generators, dtype=float)
+            shape = (self.space_dim, self.group.dim)
+            if value.shape != shape:
+                raise ValueError(f"generators has shape {value.shape}, not {shape}")
+            value.flags.writeable = False
+            object.__setattr__(self, "generators", value)
 
 
 def sample_group(G: LieGroupModel, rng: np.random.Generator, scale: float = 1.5) -> np.ndarray:
@@ -77,9 +98,15 @@ def sample_group(G: LieGroupModel, rng: np.random.Generator, scale: float = 1.5)
 
 def orbit_frame(action: ActionModel, q) -> np.ndarray:
     """Matrix whose columns are the infinitesimal generators at q: the
-    central-difference Jacobian of theta -> act(from_params(theta), q)
+    action's closed-form ``generators`` (a constant one as stored), else
+    the central-difference Jacobian of theta -> act(from_params(theta), q)
     at 0, where the chart's differential is the identity."""
     q = as_vector(q, action.space_dim)
+    if isinstance(action.generators, np.ndarray):
+        return action.generators
+    if action.generators is not None:
+        return np.asarray(action.generators(q), dtype=float).reshape(
+            action.space_dim, action.group.dim)
     return jacobian_fd(lambda theta: action.act(action.group.from_params(theta), q),
                        np.zeros(action.group.dim))
 
@@ -184,7 +211,16 @@ def se2_two_point_action() -> ActionModel:
         w_re, w_im = _cmul(a_re, a_im, xa_re, xa_im)
         return np.array([a_re, a_im, xb_re - w_re, xb_im - w_im])
 
-    return ActionModel(group=G, space_dim=4, act=act, match=match)
+    def generators(q):
+        # Columns: the rotation i x, i y, then the two translations.
+        x_re, x_im, y_re, y_im = q.tolist()
+        return np.array([[-x_im, 1.0, 0.0],
+                         [x_re, 0.0, 1.0],
+                         [-y_im, 1.0, 0.0],
+                         [y_re, 0.0, 1.0]])
+
+    return ActionModel(group=G, space_dim=4, act=act, match=match,
+                       generators=generators)
 
 
 def t2_two_point_action() -> ActionModel:
@@ -201,7 +237,8 @@ def t2_two_point_action() -> ActionModel:
         xb_re, xb_im, _, _ = qb.tolist()
         return np.array([xb_re - xa_re, xb_im - xa_im])
 
-    return ActionModel(group=G, space_dim=4, act=act, match=match)
+    return ActionModel(group=G, space_dim=4, act=act, match=match,
+                       generators=np.vstack([np.eye(2), np.eye(2)]))
 
 
 def u1_plane_action() -> ActionModel:
@@ -215,4 +252,9 @@ def u1_plane_action() -> ActionModel:
         a_re, a_im = qa.tolist()
         return np.array(_cnormalize(*_cmul(*qb.tolist(), a_re, -a_im)))
 
-    return ActionModel(group=G, space_dim=2, act=act, match=match)
+    def generators(q):
+        q_re, q_im = q.tolist()
+        return np.array([[-q_im], [q_re]])
+
+    return ActionModel(group=G, space_dim=2, act=act, match=match,
+                       generators=generators)

@@ -53,7 +53,8 @@ def trivial_action(space_dim: int) -> ActionModel:
     G = trivial_group()
     return ActionModel(group=G, space_dim=space_dim,
                        act=lambda g, q: as_vector(q, space_dim).copy(),
-                       match=lambda qa, qb: G.identity)
+                       match=lambda qa, qb: G.identity,
+                       generators=np.zeros((space_dim, 0)))
 
 
 def horizontal_lift(conn: DiscreteConnection, q0, r1) -> np.ndarray:
@@ -69,8 +70,11 @@ def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConne
     Horizontal pairs are those whose difference is metric-orthogonal to
     the group orbit at the first point (geodesics are straight lines, so
     the geodesic construction degenerates to this orthogonality). The
-    group offset is solved by Newton (to 1e-13) over the group parameters,
-    starting at the identity; a failed solve surfaces as DomainError.
+    orbit is spanned by ``orbit_frame``, exact for an action with
+    closed-form generators (every shipped one) and central differences
+    otherwise. The group offset is solved by Newton (to 1e-13) over the
+    group parameters, starting at the identity; a failed solve surfaces
+    as DomainError.
     """
     action = quotient.action
     G = action.group
