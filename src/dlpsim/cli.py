@@ -344,7 +344,7 @@ def _check(cfg: dict) -> dict:
     sample = example_se2.sample_cprime
     morphisms = {"reduction_morphism": (upsilon, full, red.system, sample),
                  "group_translation": (translation, full, full, sample)}
-    # Their bounds are the ones build_upsilon applies.
+    # Their bounds are the ones reduce applies.
     symmetries = {
         "se2_symmetry": (full, act, act, sample),
         "residual_u1_symmetry": (

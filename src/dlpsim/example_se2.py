@@ -26,13 +26,14 @@ from typing import Callable
 import numpy as np
 
 from .connection import DiscreteConnection, QuotientModel
-from .dlps import DlpsSystem, _check_timestep, _kinetic_hessian, from_dms
+from .dlps import (DlpsSystem, FiberBundleModel, _check_timestep,
+                   _kinetic_hessian, from_dms)
 from .errors import DomainError
 from .lie import (ActionModel, _cmul, se2_two_point_action,
                   t2_two_point_action, u1_group, u1_plane_action)
 from .reduction import ReducedModel, ReductionResult, build_upsilon, reduce
 # jacobian_fd is unused here, but the benchmark tracer patches it in this module.
-from .smooth import SmoothMapHandle, as_vector, jacobian_fd
+from .smooth import SmoothMapHandle, as_vector, identity_map, jacobian_fd
 
 SQRT2 = float(np.sqrt(2.0))
 _SEPARATION_FLOOR = 1e-12
@@ -284,13 +285,12 @@ def _t2_reduced_section(r) -> np.ndarray:
                      (b / SQRT2 - -b / SQRT2) / SQRT2, 0.0, 0.0])
 
 
-def make_reduced_model(cfg: TwoBodyConfig | None = None, *,
-                       rng: np.random.Generator) -> ReducedModel:
+def make_reduced_model(*, rng: np.random.Generator) -> ReducedModel:
     """Reduced coordinates ((r0, z0), r1): relative position and stored offset.
 
     r = (q^x - q^y)/sqrt(2); z is the translation offset assigned by the
-    connection. Validated with ``rng`` against a concrete system (default
-    timestep 0.1, V(s) = s/2) since symmetry validation needs a Lagrangian.
+    connection. Built on the configuration bundle of a DMS (the identity)
+    with no Lagrangian, and validated with ``rng``.
     The model is linear in these coordinates, so ``upsilon``, ``lift_section``
     and the reduced bundle's ``phi`` carry their constant Jacobians as ``jac``
     arrays, which makes the model affine for ``reduce``. The reduced bundle's
@@ -298,9 +298,8 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None, *,
     ``_t2_reduced_section``; the section ``build_upsilon`` composes is its
     oracle, equal to it bit for bit (NaN kept).
     """
-    cfg = cfg or TwoBodyConfig()
-    sys = make_full_system(cfg)
     conn = make_t2_connection()
+    configurations = FiberBundleModel(phi=identity_map(4), section=identity_map(4))
 
     def fiber_chart(eps, w):
         return np.array([*_relative(eps), *w.tolist()])
@@ -309,7 +308,7 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None, *,
         r_re, r_im, z_re, z_im = v.tolist()
         return _symmetric_pair(r_re, r_im), np.array([z_re, z_im])
 
-    model = build_upsilon(conn, sys, fiber_chart, fiber_section,
+    model = build_upsilon(conn, configurations, fiber_chart, fiber_section,
                           action_e=t2_two_point_action(),
                           sample_cprime=sample_cprime, rng=rng)
     bundle = model.reduced_bundle
@@ -324,14 +323,15 @@ def make_reduced_model(cfg: TwoBodyConfig | None = None, *,
 
 def make_reduced_system(cfg: TwoBodyConfig | None = None, *,
                         rng: np.random.Generator) -> ReductionResult:
-    """The two-body system reduced by translations, validated with ``rng``.
-
-    The full system is a DMS and the model is affine, so ``reduce`` gives
-    the reduced system its constant chaining matrix and, when the
-    potential has V'', the exact Newton Jacobian of its step.
+    """The two-body system reduced by translations, validated with the
+    children of ``rng``: the model's with the first, the symmetry's with
+    the second. The full system is a DMS and the model is affine, so
+    ``reduce`` gives the reduced system its constant chaining matrix and,
+    when the potential has V'', the exact Newton Jacobian of its step.
     """
-    cfg = cfg or TwoBodyConfig()
-    return reduce(make_full_system(cfg), make_reduced_model(cfg, rng=rng))
+    model_rng, symmetry_rng = rng.spawn(2)
+    return reduce(make_full_system(cfg or TwoBodyConfig()),
+                  make_reduced_model(rng=model_rng), rng=symmetry_rng)
 
 
 def closed_form_reduced_step(cfg: TwoBodyConfig, r0, z0, r1):
@@ -469,11 +469,12 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None, *,
     """Build and validate the SE(2)-over-T2 staged reduction data.
 
     Stage one is ``make_reduced_system``, the reduction by translations
-    onto C* x T2; the residual circle action (validated by
-    ``build_upsilon`` as a symmetry of the reduced system) drives stage
-    two over the base |r|; the one-shot SE(2) model uses the invariant
-    coordinates (|r0|, rotation angle, phase-aligned translation offset).
-    Each of the three builds validates with its own child of ``rng``.
+    onto C* x T2; the residual circle action (checked by ``reduce`` as a
+    symmetry of the reduced system) drives stage two over the base |r|;
+    the one-shot SE(2) model uses the invariant coordinates (|r0|,
+    rotation angle, phase-aligned translation offset). Each of the three
+    reductions validates with a child of ``rng``, split as in
+    ``make_reduced_system``.
     """
     cfg = cfg or TwoBodyConfig()
     rng_h, rng_gh, rng_g = rng.spawn(3)
@@ -504,10 +505,11 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None, *,
     def sample_cprime_gh(local_rng):
         return model_h.upsilon(sample_cprime(local_rng))
 
-    model_gh = build_upsilon(conn_gh, stage_h.system, fiber_chart_gh,
+    model_rng, symmetry_rng = rng_gh.spawn(2)
+    model_gh = build_upsilon(conn_gh, stage_h.system.bundle, fiber_chart_gh,
                              fiber_section_gh, action_e=residual_action,
-                             sample_cprime=sample_cprime_gh, rng=rng_gh)
-    stage_gh = reduce(stage_h.system, model_gh)
+                             sample_cprime=sample_cprime_gh, rng=model_rng)
+    stage_gh = reduce(stage_h.system, model_gh, rng=symmetry_rng)
 
     conn_g = make_se2_connection()
 
@@ -528,10 +530,11 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None, *,
         return (_on_real_axis(rho),
                 np.array([np.cos(alpha), np.sin(alpha), zeta_re, zeta_im]))
 
-    model_g = build_upsilon(conn_g, sys, fiber_chart_g, fiber_section_g,
+    model_rng, symmetry_rng = rng_g.spawn(2)
+    model_g = build_upsilon(conn_g, sys.bundle, fiber_chart_g, fiber_section_g,
                             action_e=action_g, sample_cprime=sample_cprime,
-                            rng=rng_g)
-    one_shot = reduce(sys, model_g)
+                            rng=model_rng)
+    one_shot = reduce(sys, model_g, rng=symmetry_rng)
 
     return StagedSetup(sys=sys, action_g=action_g, conn_h=conn_h,
                        conn_g=conn_g, stage_h=stage_h, stage_gh=stage_gh,

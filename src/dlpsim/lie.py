@@ -61,7 +61,7 @@ class ActionModel:
     """A smooth left action of ``group`` on R^space_dim.
 
     ``match``, when given, solves ``act(g, a) = b`` for g in closed form;
-    callers verify the result and fall back to a generic solve otherwise.
+    it is the only matching, so a reduction's base action must carry it.
     ``generators``, when given, is the infinitesimal generators in closed
     form: a callable of q returning the (space_dim, group.dim) matrix
     whose i-th column is d/dt act(from_params(t e_i), q) at t = 0 or, for

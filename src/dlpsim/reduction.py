@@ -4,9 +4,9 @@ Reduction by a symmetry group plus a discrete connection produces a new
 system on (a coordinate model of) the conjugate bundle times the reduced
 base. The quotient itself is never represented abstractly: every
 reduction requires an explicit coordinate model, given by a chart for the
-fiber space (E x G)/G and a section choosing orbit representatives, and
-the structural identities that make the model consistent are validated
-numerically at build time.
+fiber space (E x G)/G and a section choosing orbit representatives. The
+model's identities are validated numerically at build time, and the
+symmetry of a system when it is reduced.
 
 The module also provides path projection, reconstruction of full
 trajectories from reduced ones, two-stage reduction with the comparison
@@ -18,7 +18,7 @@ built in ``example_se2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -36,14 +36,14 @@ FiberSection = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Largest defect |g q_from - q_to| a matched group element may leave.
 MATCH_TOL = 1e-9
-#: Sampled draws of each validation loop in ``build_upsilon``.
+#: Sampled draws of the validation in ``build_upsilon`` and in ``reduce``.
 VALIDATION_DRAWS = 50
 #: Bound on the upsilon orbit-invariance and roundtrip defects.
 ROUNDTRIP_TOL = 1e-10
 #: Relative singular-value floor of the rank checks in ``check_morphism``.
 RANK_TOL = 1e-8
-#: Bounds ``build_upsilon`` puts on the ``check_symmetry`` conditions, in the
-#: order it tests them.
+#: Bounds ``reduce`` puts on the ``check_symmetry`` conditions of the system
+#: it reduces, in the order it tests them.
 SYMMETRY_TOLS = {"action identity axiom": 1e-12, "action compatibility axiom": 1e-12,
                  "bundle-map G-equivariance": 1e-10, "lagrangian G-invariance": 1e-10,
                  "chaining-map G-equivariance": 1e-8}
@@ -55,18 +55,22 @@ class ReducedModel:
 
     ``upsilon`` realizes the reduction morphism C'(E) -> C'(reduced);
     ``lift_section`` is a right inverse choosing orbit representatives.
-    ``group_action`` is the diagonal action on C'(E) whose orbits are the
-    fibers of upsilon (its ``group`` is the symmetry group);
-    ``action_m`` is its factor on the base.
+    The group acts on E by ``action_e`` and on M by ``action_m``;
+    ``sample_cprime`` draws points of E x M. The model holds no Lagrangian.
     """
 
     source_bundle: FiberBundleModel
     reduced_bundle: FiberBundleModel
     upsilon: SmoothMapHandle
     lift_section: SmoothMapHandle
-    group_action: ActionModel
+    action_e: ActionModel
     action_m: ActionModel
     sample_cprime: Callable[[np.random.Generator], np.ndarray]
+
+    @cached_property
+    def group_action(self) -> ActionModel:
+        """The diagonal action on E x M; its orbits are upsilon's fibers."""
+        return _diagonal_cprime_action(self.action_e, self.action_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,39 +82,22 @@ class ReductionResult:
 
 
 def solve_matching(action: ActionModel, q_from, q_to) -> np.ndarray:
-    """The group element carrying q_from to q_to under the action.
-
-    Uses the action's closed-form matcher when present, otherwise up to 50
-    Gauss-Newton iterations over the group parameters (a non-finite
-    residual ends them early). A zero-dimensional group takes the same
-    solve, whose empty steps leave the identity, and the defect check
-    decides. A non-finite entry in ``q_from`` or ``q_to`` raises
-    MatchingError before any solve. The result is always verified; a
-    defect above ``MATCH_TOL``, or a NaN defect, raises MatchingError.
+    """The group element carrying q_from to q_to under the action, by its
+    closed-form ``match`` (an action without one is a ValueError). A
+    non-finite entry in ``q_from`` or ``q_to`` raises MatchingError before
+    the action is read. The result is always verified; a defect above
+    ``MATCH_TOL``, or a NaN defect, raises MatchingError.
     """
     q_from = as_vector(q_from, action.space_dim)
     q_to = as_vector(q_to, action.space_dim)
     if not (np.isfinite(q_from).all() and np.isfinite(q_to).all()):
         raise MatchingError(f"cannot match non-finite points {q_from} and {q_to}")
-    G = action.group
-    if action.match is not None:
-        try:
-            g = action.match(q_from, q_to)
-        except ZeroDivisionError as exc:
-            raise MatchingError(str(exc)) from exc
-    else:
-        theta = np.zeros(G.dim)
-        for _ in range(50):
-            res = action.act(G.from_params(theta), q_from) - q_to
-            # Converged, or NaN or infinite: the defect check decides.
-            if not 0.1 * MATCH_TOL < float(np.max(np.abs(res))) < np.inf:
-                break
-            f = SmoothMapHandle(G.dim, action.space_dim,
-                                lambda th: action.act(G.from_params(th), q_from) - q_to)
-            J = jacobian_fd(f, theta)
-            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
-            theta = theta + delta
-        g = G.from_params(theta)
+    if action.match is None:
+        raise ValueError("the action has no closed-form match")
+    try:
+        g = action.match(q_from, q_to)
+    except ZeroDivisionError as exc:
+        raise MatchingError(str(exc)) from exc
     defect = float(np.max(np.abs(action.act(g, q_from) - q_to), initial=0.0))
     if not defect <= MATCH_TOL:
         raise MatchingError(
@@ -207,12 +194,12 @@ def check_symmetry(sys: DlpsSystem, action_e: ActionModel, action_m: ActionModel
     return report
 
 
-def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
+def build_upsilon(conn: DiscreteConnection, bundle: FiberBundleModel,
                   fiber_chart: FiberChart, fiber_section: FiberSection,
                   action_e: ActionModel,
                   sample_cprime: Callable[[np.random.Generator], np.ndarray],
                   *, rng: np.random.Generator) -> ReducedModel:
-    """Assemble and validate the reduction morphism for (sys, conn).
+    """Assemble and validate the reduction morphism of (bundle, conn).
 
     ``fiber_chart(eps, w)`` are invariant coordinates of the class of
     (eps, w) in (E x G)/G and ``fiber_section`` picks a representative,
@@ -221,33 +208,35 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     ValueError from a handle. The returned model's upsilon composes the
     connection form, the quotient projection and the chart; its
     lift_section transports the horizontal lift by the stored group
-    offset.
+    offset, matched by the quotient action's ``match`` (an action
+    without one is a ValueError, raised before any draw).
 
-    Validation (``VALIDATION_DRAWS`` draws each): upsilon is constant on
-    orbits and upsilon o lift_section is the identity (both to
-    ``ROUNDTRIP_TOL``), then ``check_symmetry`` within ``SYMMETRY_TOLS``;
-    each draws from its own child of ``rng``. The draws of each identity
-    are evaluated one by one and judged in bulk, the roundtrip only once
-    orbit invariance holds. A violation, NaN included, raises
-    ValidationError naming the identity and the sample of its worst draw
-    (the first NaN, else the first largest defect).
+    Validation of the model alone (``VALIDATION_DRAWS`` draws from
+    ``rng``; symmetry is a property of a system, which ``reduce``
+    checks): upsilon is constant on orbits and upsilon o lift_section is
+    the identity, both to ``ROUNDTRIP_TOL``, the roundtrip judged only
+    once orbit invariance holds. The draws are evaluated one by one and
+    judged in bulk. A violation, NaN included, raises ValidationError
+    naming the identity and the sample of its worst draw (the first NaN,
+    else the first largest defect).
     """
-    draws_rng, symmetry_rng = rng.spawn(2)
     quotient = conn.quotient
     action_m = quotient.action
+    if action_m.match is None:
+        raise ValueError("the quotient action has no closed-form match")
     G = action_m.group
-    nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
+    nE, nM = bundle.total_dim, bundle.base_dim
     nEr, nMr = nE, quotient.base_dim
 
     def upsilon_eval(x):
         eps, m = x[:nE], x[nE:]
-        w = conn.ad_form(sys.bundle.phi(eps), m)
+        w = conn.ad_form(bundle.phi(eps), m)
         return np.concatenate([fiber_chart(eps, w), quotient.project(m)])
 
     def lift_eval(y):
         v, r = y[:nEr], y[nEr:]
         eps, w = fiber_section(v)
-        base = conn.hor_lift(sys.bundle.phi(eps), r)
+        base = conn.hor_lift(bundle.phi(eps), r)
         return np.concatenate([eps, action_m.act(w, base)])
 
     upsilon = SmoothMapHandle(nE + nM, nEr + nMr, upsilon_eval)
@@ -255,30 +244,30 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
 
     def reduced_phi_eval(v):
         eps, _w = fiber_section(v)
-        return quotient.project(sys.bundle.phi(eps))
+        return quotient.project(bundle.phi(eps))
 
     def reduced_section_eval(r):
-        eps = sys.bundle.section(quotient.section(r))
+        eps = bundle.section(quotient.section(r))
         return fiber_chart(eps, G.identity)
 
     reduced_bundle = FiberBundleModel(
         phi=SmoothMapHandle(nEr, nMr, reduced_phi_eval),
         section=SmoothMapHandle(nMr, nEr, reduced_section_eval))
 
-    group_action = _diagonal_cprime_action(action_e, action_m)
-    model = ReducedModel(source_bundle=sys.bundle,
+    model = ReducedModel(source_bundle=bundle,
                          reduced_bundle=reduced_bundle, upsilon=upsilon,
-                         lift_section=lift_section, group_action=group_action,
+                         lift_section=lift_section, action_e=action_e,
                          action_m=action_m, sample_cprime=sample_cprime)
 
     # -- sampled validation ------------------------------------------------
+    act = model.group_action.act
     xs, ys, moved = [], [], []
     for _ in range(VALIDATION_DRAWS):
-        x = as_vector(sample_cprime(draws_rng), nE + nM)
-        g = sample_group(G, draws_rng)
+        x = as_vector(sample_cprime(rng), nE + nM)
+        g = sample_group(G, rng)
         xs.append(x)
         ys.append(upsilon(x))
-        moved.append(upsilon(group_action.act(g, x)))
+        moved.append(upsilon(act(g, x)))
 
     def judge(identity, samples, images):
         worst, i = worst_draw(draw_maxima(np.array(images) - np.array(ys)))
@@ -288,12 +277,6 @@ def build_upsilon(conn: DiscreteConnection, sys: DlpsSystem,
     judge("upsilon orbit invariance", xs, moved)
     # lift_section reads upsilon's values, so only once they passed.
     judge("upsilon o lift_section = id", ys, [upsilon(lift_section(y)) for y in ys])
-
-    report = check_symmetry(sys, action_e, action_m, sample_cprime,
-                            VALIDATION_DRAWS, rng=symmetry_rng)
-    for name, (worst, sample) in report.items():
-        if not worst <= SYMMETRY_TOLS[name]:
-            raise ValidationError(name, sample=sample, violation=worst)
     return model
 
 
@@ -309,8 +292,13 @@ def _solve_isomorphism(J: np.ndarray) -> np.ndarray:
         raise SingularJacobian("fiber-slot derivative block is singular") from None
 
 
-def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
-    """The reduced system determined by a validated model.
+def reduce(sys: DlpsSystem, model: ReducedModel, *,
+           rng: np.random.Generator) -> ReductionResult:
+    """The reduction of sys by a validated model, whose group must be a
+    symmetry of sys: before anything is built, ``check_symmetry`` of the
+    model's actions on sys (``VALIDATION_DRAWS`` draws from ``rng`` by
+    the model's sampler) raises ValidationError for the first condition
+    over its ``SYMMETRY_TOLS`` bound (NaN included), with its worst draw.
 
     The reduced Lagrangian is ``L o lift_section``, with the chain-rule
     gradient ``L.jacobian(lift(y)) @ lift.jacobian(y)`` when ``L`` and
@@ -334,6 +322,12 @@ def reduce(sys: DlpsSystem, model: ReducedModel) -> ReductionResult:
     the array ``T^T H T``, formed once here. The model keeps its own
     maps. Every other reduced Lagrangian has no ``hess``.
     """
+    report = check_symmetry(sys, model.action_e, model.action_m,
+                            model.sample_cprime, VALIDATION_DRAWS, rng=rng)
+    for name, (worst, sample) in report.items():
+        if not worst <= SYMMETRY_TOLS[name]:
+            raise ValidationError(name, sample=sample, violation=worst)
+
     nE = sys.bundle.total_dim
     bundle = model.reduced_bundle
     nEr, nMr = bundle.total_dim, bundle.base_dim

@@ -16,10 +16,16 @@ benchmark; the tests import them with ``from oracles import ...``.
   coordinates (q, p), each step re-solving -D1 L_d(q0, q1) = p0 for q1
   by Newton: the Legendre-chart oracle of ``bracket_of_pullbacks``,
   whose preservation of the canonical form is tested too.
+- ``exact_two_body_path`` and ``exact_oscillator_path``: the exact
+  discrete solutions of the quadratic two-body system (V(s) = c s) and
+  of the harmonic oscillator (the free particle at omega = 0), whose DEL
+  equations are linear recurrences, computed in 60-digit ``decimal``.
 """
 
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -123,11 +129,12 @@ def mechanical_connection_flat(metric, quotient: QuotientModel) -> DiscreteConne
 
 def trivial_reduction(sys: DlpsSystem,
                       sample_cprime: Callable[[np.random.Generator], np.ndarray],
-                      rng: np.random.Generator | None = None) -> ReductionResult:
+                      rng: np.random.Generator) -> ReductionResult:
     """Reduction by the one-element group: the identity model.
 
     Exercises the generic machinery end to end; the reduced system's
-    dynamics coincide with the input's.
+    dynamics coincide with the input's. ``rng`` splits in two: the first
+    child validates the model, the second the symmetry of ``sys``.
     """
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
     quotient = QuotientModel(project=identity_map(nM), section=identity_map(nM),
@@ -138,12 +145,13 @@ def trivial_reduction(sys: DlpsSystem,
         quotient=quotient,
         ad_form=lambda q0, q1: G.identity,
         hor_lift=lambda q0, r1: r1)
-    model = build_upsilon(conn, sys,
+    model_rng, symmetry_rng = rng.spawn(2)
+    model = build_upsilon(conn, sys.bundle,
                           fiber_chart=lambda eps, w: eps.copy(),
                           fiber_section=lambda v: (v, G.identity),
                           action_e=trivial_action(nE),
-                          sample_cprime=sample_cprime, rng=rng)
-    return reduce(sys, model)
+                          sample_cprime=sample_cprime, rng=model_rng)
+    return reduce(sys, model, rng=symmetry_rng)
 
 
 def canonical_step_map(sys: DlpsSystem, q1_guess) -> Callable[[np.ndarray], np.ndarray]:
@@ -166,3 +174,49 @@ def canonical_step_map(sys: DlpsSystem, q1_guess) -> Callable[[np.ndarray], np.n
         return np.concatenate([q1, d2_lagrangian(sys, q0, q1)])
 
     return phi
+
+
+#: Significant digits of the exact recurrences.
+EXACT_DIGITS = 60
+
+
+def _exact_recurrence(q0, q1, n_steps: int,
+                      kick: Callable[[list], list]) -> np.ndarray:
+    """Rows (q_k, q_{k+1}), k = 0..n_steps, of q_{k+1} = 2 q_k - q_{k-1}
+    - kick(q_k), started from the exact values of the floats q0 and q1 and
+    rounded to floats only at the end; ``kick`` computes on the Decimals
+    in the caller's context."""
+    prev = [Decimal(float(v)) for v in q0]
+    cur = [Decimal(float(v)) for v in q1]
+    rows = [prev + cur]
+    for _ in range(n_steps):
+        prev, cur = cur, [2 * c - p - f for c, p, f in zip(cur, prev, kick(cur))]
+        rows.append(prev + cur)
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+def exact_two_body_path(q0, q1, n_steps: int, h: float, c: float) -> np.ndarray:
+    """The exact discrete solution of the two-body DMS with V(s) = c s, as
+    ``simulate`` lays out its rows: x_{k+1} = 2 x_k - x_{k-1} - h^2 c
+    (x_k - y_k), and the same for y with + in place of the last -, in
+    ``EXACT_DIGITS``-digit decimal from the exact values of the float
+    inputs."""
+    with decimal.localcontext(prec=EXACT_DIGITS):
+        a = Decimal(float(h)) ** 2 * Decimal(float(c))
+
+        def kick(q):
+            d_re, d_im = a * (q[0] - q[2]), a * (q[1] - q[3])
+            return [d_re, d_im, -d_re, -d_im]
+
+        return _exact_recurrence(q0, q1, n_steps, kick)
+
+
+def exact_oscillator_path(q0, q1, n_steps: int, h: float,
+                          omega: float) -> np.ndarray:
+    """The exact discrete solution of ``harmonic_oscillator_dms`` (the
+    free particle at omega = 0), as ``simulate`` lays out its rows:
+    q_{k+1} = 2 q_k - q_{k-1} - h^2 omega^2 q_k, in ``EXACT_DIGITS``-digit
+    decimal from the exact values of the float inputs."""
+    with decimal.localcontext(prec=EXACT_DIGITS):
+        a = (Decimal(float(h)) * Decimal(float(omega))) ** 2
+        return _exact_recurrence(q0, q1, n_steps, lambda q: [a * v for v in q])

@@ -175,7 +175,8 @@ def test_criterion_6_momentum(full_system, full_traj, reduced, reduced_traj,
            rep_red["max_violation"], 1e-8)
     # With equal masses the chaining correction vanishes identically; with
     # masses 1 and 3 it carries the momentum, which then drifts.
-    red_13 = reduce(unequal_masses(body_cfg.h), reduced.model)
+    red_13 = reduce(unequal_masses(body_cfg.h), reduced.model,
+                    rng=np.random.default_rng(0))
     y0 = reduced.model.upsilon(np.concatenate(full_start))
     rep_13 = momentum_evolution_check(
         red_13.system, staged.residual_action,

@@ -66,7 +66,8 @@ def test_matrix_step_matches_generic_step(callable_jacs, potential, u):
     reduced through callable ``jac`` (the generic path, which evaluates
     ``lift_section`` and the reduced ``phi`` closures)."""
     full, red = _systems(*potential)
-    generic = reduce(full, callable_jacs(red.model)).system
+    generic = reduce(full, callable_jacs(red.model),
+                     rng=np.random.default_rng(21)).system
     assert generic.lagrangian.hess is None
     eps0, m1 = _reduced_start(np.array(u))
     got = np.concatenate(step(red.system, eps0, m1))
@@ -124,7 +125,7 @@ def test_offset_affine_reduction_steps_in_shifted_coordinates(make, rng):
         reduced_bundle=dataclasses.replace(
             bundle, phi=SmoothMapHandle(n, n, lambda v: v - a + b, jac=np.eye(n)),
             section=SmoothMapHandle(n, n, lambda r: r + a - b)))
-    red = reduce(sys, shifted).system
+    red = reduce(sys, shifted, rng=np.random.default_rng(22)).system
     for _ in range(20):
         x = sample(rng)
         H = sys.lagrangian.hessian(x)
@@ -180,8 +181,9 @@ def test_exact_reduced_step_calls_no_closure(reduced, full_system,
         model, lift_section=_counting(counts, "lift_section", model.lift_section),
         reduced_bundle=dataclasses.replace(
             bundle, phi=_counting(counts, "reduced phi", bundle.phi)))
-    sys = reduce(full_system, counting).system
-    generic = reduce(full_system, callable_jacs(counting)).system
+    sys = reduce(full_system, counting, rng=np.random.default_rng(23)).system
+    generic = reduce(full_system, callable_jacs(counting),
+                     rng=np.random.default_rng(24)).system
     assert counts == {"lift_section": 1, "reduced phi": 1}
 
     counts.clear()
@@ -215,7 +217,8 @@ def test_reduced_constant_hessian_is_the_callable_one(reduced, full_system, rng)
     assert isinstance(L.hess, np.ndarray)
     copy = dataclasses.replace(full_system, lagrangian=dataclasses.replace(
         L, hess=lambda x, H=L.hess: H))
-    generic = reduce(copy, reduced.model).system.lagrangian
+    generic = reduce(copy, reduced.model,
+                     rng=np.random.default_rng(25)).system.lagrangian
     H = reduced.system.lagrangian.hess
     assert isinstance(H, np.ndarray) and callable(generic.hess)
     for _ in range(20):

@@ -23,6 +23,7 @@ from dlpsim.lie import sample_group, se2_two_point_action
 from dlpsim.reduction import project_path, reduce
 from dlpsim.smooth import (NewtonConfig, SmoothMapHandle, gradient_fd5,
                            jacobian_fd, newton_solve)
+from oracles import exact_oscillator_path, exact_two_body_path
 
 RES_TOL = 1e-9
 VAR_TOL = 1e-6
@@ -32,6 +33,7 @@ ORACLE_RTOL = 1e-9
 #: max(1, largest FD entry): the worst measured is 4.6e-11 (the two-body
 #: system, quadratic potential; 4.6e-10 absolute), a margin of 20x.
 HESS_RTOL = 1e-9
+README_START = ([1.0, 0.0, -1.0, 0.0], [1.04, 0.03, -0.97, 0.02])
 
 
 def _two_body(name, coeff):
@@ -244,6 +246,35 @@ def test_simulate_free_particle_linear():
         assert abs(m[0] - (k + 1)) < 1e-10
 
 
+#: ``simulate`` against the exact discrete solution (``tests/oracles.py``):
+#: (system, oracle, its (h, c) or (h, omega), start, steps, bound). The
+#: bound is set from the largest error over the run, measured in float64:
+#: README (linear 0.5) 1.42e-11 (1.05e-11 at the last step, 4.7e-12 at
+#: step 1,000), zero potential 4.98e-12, the CI oscillator 1.81e-14 and
+#: the CI free particle 3.38e-11, margins 7.1x, 10x, 5.5x and 5.9x.
+EXACT_RUNS = {
+    "readme": (lambda: _two_body("linear", 0.5), exact_two_body_path, (0.1, 0.5),
+               README_START, 2000, 1e-10),
+    "zero": (lambda: _two_body("zero", 0.0), exact_two_body_path, (0.1, 0.0),
+             README_START, 2000, 5e-11),
+    "oscillator": (lambda: harmonic_oscillator_dms(h=0.1, omega=1.3),
+                   exact_oscillator_path, (0.1, 1.3), ([0.5], [0.55]), 5000, 1e-13),
+    "free": (lambda: free_particle_dms(dim=2, h=0.5), exact_oscillator_path,
+             (0.5, 0.0), ([0.5, -0.2], [0.6, -0.3]), 2000, 2e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_RUNS))
+def test_simulate_matches_the_exact_discrete_solution(name):
+    """The DEL equations of a quadratic Lagrangian are a linear recurrence,
+    whose solution from the same floats, in 60-digit decimal, is the
+    exact trajectory: every row of ``simulate`` stays within rounding of
+    it over thousands of steps."""
+    make_sys, oracle, params, start, n_steps, bound = EXACT_RUNS[name]
+    path = simulate(make_sys(), *start, n_steps)
+    assert np.max(np.abs(path.points - oracle(*start, n_steps, *params))) <= bound
+
+
 def test_simulate_middle_triple_residual(full_system, full_start):
     """Contiguous pairs of a trajectory satisfy the equations of motion."""
     path = simulate(full_system, *full_start, 3)
@@ -435,7 +466,8 @@ def test_exact_step_jacobian_only_with_closed_forms(reduced, callable_jacs):
     no_v2 = TwoBodyConfig(potential=dataclasses.replace(pot, hess=None))
     L = _two_body("linear", 0.5).lagrangian
     no_v2_reduced = make_reduced_system(no_v2, rng=np.random.default_rng(1))
-    generic = reduce(make_full_system(TwoBodyConfig()), callable_jacs(reduced.model))
+    generic = reduce(make_full_system(TwoBodyConfig()), callable_jacs(reduced.model),
+                     rng=np.random.default_rng(26))
     for sys in (from_dms(4, dataclasses.replace(L, hess=None)),
                 make_full_system(no_v2), no_v2_reduced.system, generic.system):
         assert sys.lagrangian.hess is None and sys._newton_jac is None
@@ -476,7 +508,8 @@ def test_reduced_step_jacobian_preconditions(body_cfg, reduced, callable_jacs, r
     map is C @ delta, and d phi is constant. A potential without V''
     keeps the constant but gets no hess."""
     sys = reduced.system
-    generic = reduce(make_full_system(body_cfg), callable_jacs(reduced.model)).system
+    generic = reduce(make_full_system(body_cfg), callable_jacs(reduced.model),
+                     rng=np.random.default_rng(27)).system
     pot = dataclasses.replace(potential_handle("quadratic", 0.3), hess=None)
     no_v2 = make_reduced_system(TwoBodyConfig(potential=pot),
                                 rng=np.random.default_rng(1)).system

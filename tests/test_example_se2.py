@@ -241,7 +241,7 @@ SHIPPED_SYMMETRIES = {
 def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmetry):
     """Each shipped group acts by a genuine left action of bundle maps,
     leaving the Lagrangian invariant to 1e-12 and the chaining map
-    equivariant to the bound ``build_upsilon`` validates."""
+    equivariant to the bound ``reduce`` validates."""
     report = check_symmetry(*symmetry(full_system, staged), n_samples=100, rng=rng)
     chaining = "chaining-map G-equivariance"
     bounds = {**dict.fromkeys(report, 1e-12), chaining: SYMMETRY_TOLS[chaining]}
@@ -254,7 +254,7 @@ def test_shipped_symmetries_pass_check_symmetry(full_system, staged, rng, symmet
 def test_shipped_symmetries_pass_check_symmetry_on_random_draws(full_system, staged,
                                                                 seed, name):
     """For random seeds, every shipped symmetry stays within the bounds
-    ``build_upsilon`` validates, ``SYMMETRY_TOLS``."""
+    ``reduce`` validates, ``SYMMETRY_TOLS``."""
     report = check_symmetry(*SHIPPED_SYMMETRIES[name](full_system, staged),
                             rng=np.random.default_rng(seed))
     assert {cond: worst for cond, (worst, _) in report.items()

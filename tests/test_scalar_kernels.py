@@ -182,9 +182,9 @@ def fiber_maps():
     model, in that order."""
     seen = []
 
-    def recording(conn, sys, fiber_chart, fiber_section, **kw):
+    def recording(conn, bundle, fiber_chart, fiber_section, **kw):
         seen.append((fiber_chart, fiber_section))
-        return build_upsilon(conn, sys, fiber_chart, fiber_section, **kw)
+        return build_upsilon(conn, bundle, fiber_chart, fiber_section, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(example_se2, "build_upsilon", recording)

@@ -38,8 +38,8 @@ def _counted(counts, name, fn):
     return counted
 
 
-def _composed_section_model(cfg):
-    """``make_reduced_model(cfg)`` and the model ``build_upsilon`` returned
+def _composed_section_model():
+    """``make_reduced_model()`` and the model ``build_upsilon`` returned
     inside it, whose reduced section is the composed one."""
     built = []
     build_upsilon = example_se2.build_upsilon
@@ -50,7 +50,7 @@ def _composed_section_model(cfg):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(example_se2, "build_upsilon", spy)
-        model = make_reduced_model(cfg, rng=np.random.default_rng(1))
+        model = make_reduced_model(rng=np.random.default_rng(1))
     return model, built[0]
 
 
@@ -60,10 +60,11 @@ def _systems(name, coeff):
     section) of the two-body config with this potential."""
     cfg = TwoBodyConfig(h=0.1, potential=potential_handle(name, coeff))
     full = make_full_system(cfg)
-    model, built = _composed_section_model(cfg)
+    model, built = _composed_section_model()
     composed = dataclasses.replace(model, reduced_bundle=dataclasses.replace(
         model.reduced_bundle, section=built.reduced_bundle.section))
-    return full, reduce(full, model).system, reduce(full, composed).system
+    return (full, reduce(full, model, rng=np.random.default_rng(2)).system,
+            reduce(full, composed, rng=np.random.default_rng(3)).system)
 
 
 def _per_step_hess(sys):
@@ -166,7 +167,7 @@ def test_section_kernel_equals_the_composed_section():
     """The T2 model's reduced section equals the one ``build_upsilon``
     composes, bit for bit, on seeded draws of magnitude 1e-3 to 1e3 and on
     signed zeros, infinities and NaN (kept, no raise)."""
-    model, built = _composed_section_model(TwoBodyConfig())
+    model, built = _composed_section_model()
     kernel, composed = model.reduced_bundle.section, built.reduced_bundle.section
     assert kernel is not composed
     rng = np.random.default_rng(17)

@@ -35,7 +35,8 @@ def test_tracer_patches_count_full_and_reduced_steps(monkeypatch, callable_jacs)
         tracer.counts.clear()
         red = example_se2.make_reduced_system(cfg, rng=np.random.default_rng(1))
         build_counts = dict(tracer.counts)
-        generic = reduction.reduce(full, callable_jacs(red.model)).system
+        generic = reduction.reduce(full, callable_jacs(red.model),
+                                   rng=np.random.default_rng(2)).system
         tracer.counts.clear()
         dlps.step(full, np.array([1.0, 0.0, -1.0, 0.0]),
                   np.array([1.04, 0.03, -0.97, 0.02]))
