@@ -17,34 +17,25 @@ from typing import Callable
 
 import numpy as np
 
+from .dlps import FiberBundleModel
 from .errors import draw_maxima, worst_draw
 from .lie import ActionModel, sample_group
-from .smooth import SmoothMapHandle, as_vector
+from .smooth import as_vector
 
 
 @dataclass(frozen=True, eq=False)
-class QuotientModel:
-    """An explicit coordinate model of a quotient Q -> Q/G.
+class QuotientModel(FiberBundleModel):
+    """The principal bundle Q -> Q/G of a connection, in coordinates.
 
-    ``project`` and ``section`` are coordinate realizations of the bundle
-    projection and of one local section (project o section = id); the
-    abstract quotient never appears. ``sample`` draws the points of Q
-    that ``check_equivariance`` and ``reduction.two_stage`` test at. The
-    dimensions of Q and Q/G are those of ``project``.
+    Its ``phi`` and ``section`` realize the bundle projection and one
+    local section (phi o section = id), and its dimensions are the
+    bundle's; the abstract quotient never appears. ``action`` is the
+    action of G on Q, and ``sample`` draws the points of Q that
+    ``check_equivariance`` and ``reduction.two_stage`` test at.
     """
 
-    project: SmoothMapHandle
-    section: SmoothMapHandle
     action: ActionModel
     sample: Callable[[np.random.Generator], np.ndarray]
-
-    @property
-    def total_dim(self) -> int:
-        return self.project.in_dim
-
-    @property
-    def base_dim(self) -> int:
-        return self.project.out_dim
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,33 +169,30 @@ def symplectic_check(dms: DlpsSystem, trajectory: DiscretePath) -> dict:
     }
 
 
-def _pair_space_gradient(model: ReducedModel, fn: SmoothMapHandle, x) -> np.ndarray:
-    """FD gradient over pair coordinates of a reduced function's pullback."""
-    return jacobian_fd(lambda y: fn(model.upsilon(y)), x)[0]
-
-
 def _bracket_table(sys: DlpsSystem, model: ReducedModel,
                    test_fns: Sequence[SmoothMapHandle], x) -> np.ndarray:
     """All pairwise brackets of pulled-back functions at one point.
 
-    Uses the inverse of the discrete Lagrangian two-form in pair
-    coordinates, whose only block is the mixed partial D12:
+    The gradient of f o upsilon at x is ``f.jacobian(upsilon(x)) @
+    upsilon.jacobian(x)``, each factor exact where its handle carries a
+    ``jac`` and differenced otherwise. With q0 and q1 the rows of those
+    gradients split into their q0 and q1 halves, the inverse of the
+    discrete Lagrangian two-form in pair coordinates, whose only block is
+    the mixed partial D12, gives the table
 
-        {F, G} = -F_q0^T D12^{-T} G_q1 + F_q1^T D12^{-1} G_q0.
+        q1 D12^{-1} q0^T - q0 D12^{-T} q1^T,
+
+    whose diagonal, zero in exact arithmetic, is set to zero.
     """
     n = _require_dms(sys)
     x = as_vector(x, 2 * n)
     D12 = _mixed_partial(sys, x[:n], x[n:])
     _check_regularity(D12)
-    grads = [_pair_space_gradient(model, fn, x) for fn in test_fns]
-    k = len(grads)
-    table = np.zeros((k, k))
-    for j in range(k):
-        a = np.linalg.solve(D12.T, grads[j][n:])
-        b = np.linalg.solve(D12, grads[j][:n])
-        for i in range(k):
-            if i != j:
-                table[i, j] = float(-grads[i][:n] @ a + grads[i][n:] @ b)
+    y = model.upsilon(x)
+    grads = np.vstack([fn.jacobian(y) for fn in test_fns]) @ model.upsilon.jacobian(x)
+    q0, q1 = grads[:, :n], grads[:, n:]
+    table = q1 @ np.linalg.solve(D12, q0.T) - q0 @ np.linalg.solve(D12.T, q1.T)
+    np.fill_diagonal(table, 0.0)
     return table
 
 
@@ -205,8 +202,9 @@ def bracket_of_pullbacks(sys: DlpsSystem, model: ReducedModel,
     """Poisson bracket of two pulled-back reduced functions.
 
     Computed from the inverse of the discrete Lagrangian two-form in pair
-    coordinates (gradients by FD); agrees with the canonical bracket in
-    the Legendre chart.
+    coordinates, each gradient being ``f.jacobian(upsilon(x)) @
+    upsilon.jacobian(x)``; agrees with the canonical bracket in the
+    Legendre chart.
     """
     return float(_bracket_table(sys, model, [f1, f2], as_vector(x))[0, 1])
 
@@ -225,13 +223,16 @@ def poisson_descent_check(model: ReducedModel, dms: DlpsSystem,
     [-1, 1]), all drawn from ``rng``, for every function pair, and the
     index of the sample attaining it as ``worst_sample`` (the first NaN,
     else the first largest; None while every variation is 0).
-    ``n_samples`` or ``n_group`` below 1 is a ValueError.
+    ``n_samples`` or ``n_group`` below 1, or fewer than two test
+    functions (no pair), is a ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 (got {n_samples})")
     if n_group < 1:
         raise ValueError(f"n_group must be at least 1 (got {n_group})")
     n_pairs = len(test_fns) * (len(test_fns) - 1) // 2
+    if n_pairs < 1:
+        raise ValueError(f"need at least 2 test functions (got {len(test_fns)})")
     variations = []
     for _ in range(n_samples):
         x = model.sample_cprime(rng)

@@ -231,9 +231,9 @@ def _sum_and_split(s_re, s_im, r1_re, r1_im) -> np.ndarray:
 
 def make_t2_quotient() -> QuotientModel:
     """Quotient by simultaneous translations: base coordinate r = (q^x - q^y)/sqrt(2)."""
-    project = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)))
+    phi = SmoothMapHandle(4, 2, lambda q: np.array(_relative(q)))
     section = SmoothMapHandle(2, 4, lambda r: _symmetric_pair(*r.tolist()))
-    return QuotientModel(project=project, section=section,
+    return QuotientModel(phi=phi, section=section,
                          action=t2_two_point_action(),
                          sample=sample_configuration)
 
@@ -360,9 +360,9 @@ def _phase(re, im) -> tuple[float, float]:
 
 def make_se2_quotient() -> QuotientModel:
     """Quotient by the full planar isometry group: base coordinate |r|."""
-    project = SmoothMapHandle(4, 1, lambda q: np.array([_distance(q) / SQRT2]))
+    phi = SmoothMapHandle(4, 1, lambda q: np.array([_distance(q) / SQRT2]))
     section = SmoothMapHandle(1, 4, lambda rho: _on_real_axis(*rho.tolist()))
-    return QuotientModel(project=project, section=section,
+    return QuotientModel(phi=phi, section=section,
                          action=se2_two_point_action(),
                          sample=sample_configuration)
 
@@ -404,9 +404,9 @@ def sample_annulus(rng: np.random.Generator, inner: float = 0.3,
 
 def make_u1_base_quotient() -> QuotientModel:
     """U(1) acting on the punctured plane of relative positions; base |r|."""
-    project = SmoothMapHandle(2, 1, lambda r: np.array([np.hypot(*r.tolist())]))
+    phi = SmoothMapHandle(2, 1, lambda r: np.array([np.hypot(*r.tolist())]))
     section = SmoothMapHandle(1, 2, lambda rho: np.array([*rho.tolist(), 0.0]))
-    return QuotientModel(project=project, section=section,
+    return QuotientModel(phi=phi, section=section,
                          action=u1_plane_action(),
                          sample=sample_annulus)
 
@@ -441,6 +441,25 @@ def make_residual_u1_action() -> ActionModel:
         return np.array([[-r_im], [r_re], [-z_im], [z_re]])
 
     return ActionModel(group=G, space_dim=4, act=act, generators=generators)
+
+
+def residual_u1_fiber_chart(eps, b) -> np.ndarray:
+    """The coordinates (|r|, beta, zeta) of the class of ((r, z), e^{i beta})
+    modulo the residual circle, zeta being z rotated by the phase of r."""
+    r_re, r_im, z_re, z_im = eps.tolist()
+    rho0 = float(np.hypot(r_re, r_im))
+    if rho0 < _SEPARATION_FLOOR:
+        raise DomainError("relative position vanishes in reduced chart")
+    b_re, b_im = b.tolist()
+    beta = float(np.arctan2(b_im, b_re))
+    return np.array([rho0, beta, *_cmul(r_re / rho0, -(r_im / rho0), z_re, z_im)])
+
+
+def residual_u1_fiber_section(v) -> tuple[np.ndarray, np.ndarray]:
+    """The representative ((|r|, 0, zeta), e^{i beta}) of (|r|, beta, zeta)."""
+    rho, beta, zeta_re, zeta_im = v.tolist()
+    return (np.array([rho, 0.0, zeta_re, zeta_im]),
+            np.array([np.cos(beta), np.sin(beta)]))
 
 
 def conjugate_translation_by_se2(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -488,26 +507,13 @@ def make_staged_setup(cfg: TwoBodyConfig | None = None, *,
     residual_action = make_residual_u1_action()
     conn_gh = make_u1_connection()
 
-    def fiber_chart_gh(eps, b):
-        r_re, r_im, z_re, z_im = eps.tolist()
-        rho0 = float(np.hypot(r_re, r_im))
-        if rho0 < _SEPARATION_FLOOR:
-            raise DomainError("relative position vanishes in reduced chart")
-        b_re, b_im = b.tolist()
-        beta = float(np.arctan2(b_im, b_re))
-        return np.array([rho0, beta, *_cmul(r_re / rho0, -(r_im / rho0), z_re, z_im)])
-
-    def fiber_section_gh(v):
-        rho, beta, zeta_re, zeta_im = v.tolist()
-        return (np.array([rho, 0.0, zeta_re, zeta_im]),
-                np.array([np.cos(beta), np.sin(beta)]))
-
     def sample_cprime_gh(local_rng):
         return model_h.upsilon(sample_cprime(local_rng))
 
     model_rng, symmetry_rng = rng_gh.spawn(2)
-    model_gh = build_upsilon(conn_gh, stage_h.system.bundle, fiber_chart_gh,
-                             fiber_section_gh, action_e=residual_action,
+    model_gh = build_upsilon(conn_gh, stage_h.system.bundle,
+                             residual_u1_fiber_chart, residual_u1_fiber_section,
+                             action_e=residual_action,
                              sample_cprime=sample_cprime_gh, rng=model_rng)
     stage_gh = reduce(stage_h.system, model_gh, rng=symmetry_rng)
 

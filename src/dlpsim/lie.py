@@ -42,9 +42,9 @@ class LieGroupModel:
     ``compose``, ``inverse`` and ``from_params`` take and return such
     arrays. ``dim`` is the Lie-algebra dimension; ``from_params`` is a
     chart R^dim -> G with ``from_params(0) = identity`` whose differential
-    at 0 is the identity on algebra coordinates. It serves the
-    Newton-based solves over the group, sampling, and the difference
-    fallback of the infinitesimal generators. SE(2) and U(1) compute in
+    at 0 is the identity on algebra coordinates. It serves sampling and
+    the difference fallback of the infinitesimal generators (no solve in
+    the library runs over the group). SE(2) and U(1) compute in
     float arithmetic on ``g.tolist()``, bit-identical to their complex
     formulas (see the module docstring).
     """

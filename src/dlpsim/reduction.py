@@ -231,7 +231,7 @@ def build_upsilon(conn: DiscreteConnection, bundle: FiberBundleModel,
     def upsilon_eval(x):
         eps, m = x[:nE], x[nE:]
         w = conn.ad_form(bundle.phi(eps), m)
-        return np.concatenate([fiber_chart(eps, w), quotient.project(m)])
+        return np.concatenate([fiber_chart(eps, w), quotient.phi(m)])
 
     def lift_eval(y):
         v, r = y[:nEr], y[nEr:]
@@ -244,7 +244,7 @@ def build_upsilon(conn: DiscreteConnection, bundle: FiberBundleModel,
 
     def reduced_phi_eval(v):
         eps, _w = fiber_section(v)
-        return quotient.project(bundle.phi(eps))
+        return quotient.phi(bundle.phi(eps))
 
     def reduced_section_eval(r):
         eps = bundle.section(quotient.section(r))

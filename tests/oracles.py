@@ -137,7 +137,7 @@ def trivial_reduction(sys: DlpsSystem,
     child validates the model, the second the symmetry of ``sys``.
     """
     nE, nM = sys.bundle.total_dim, sys.bundle.base_dim
-    quotient = QuotientModel(project=identity_map(nM), section=identity_map(nM),
+    quotient = QuotientModel(phi=identity_map(nM), section=identity_map(nM),
                              action=trivial_action(nM),
                              sample=lambda r: sample_cprime(r)[nE:])
     G = trivial_group()

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 from dlpsim.cli import main as cli_main
 from dlpsim.connection import ad, check_equivariance
-from dlpsim.diagnostics import momentum_evolution_check, symplectic_check
+from dlpsim.diagnostics import (momentum_evolution_check,
+                                poisson_descent_check, symplectic_check)
 from dlpsim.dlps import (action_derivative, build_fixed_endpoint_variation,
                          del_residual, free_particle_dms, from_dms,
                          harmonic_oscillator_dms, simulate, step)
@@ -284,3 +286,43 @@ def test_criterion_10_cli_determinism(tmp_path):
         for name in ("trajectory.csv", "simulate.json", "stages.json"))
     report(10, "CLI byte-identical outputs with fixed seed",
            0.0 if identical else 1.0, 0.5, ok=identical)
+
+
+def product_of_coordinates(i, j):
+    """f(y) = y_i y_j on the T2-reduced space, with its closed-form ``jac``."""
+    def jac(y):
+        J = np.zeros((1, 6))
+        J[0, i] += y[j]
+        J[0, j] += y[i]
+        return J
+    return SmoothMapHandle(6, 1, lambda y: y[i:i + 1] * y[j:j + 1], jac=jac)
+
+
+def test_criterion_11_poisson_descent():
+    """The bracket of pullbacks is constant on T2 orbits. Coordinate
+    functions have a constant bracket under the README's constant
+    Hessian, so they cannot see a non-invariant upsilon; products of
+    coordinates can. Measured: 1.4e-16 (72x under the bound); the
+    negative control reads 2.2e-10, in proportion to its shift."""
+    cfg = TwoBodyConfig(h=0.1, potential=potential_handle("quadratic", 0.3))
+    full = make_full_system(cfg)
+    model = make_reduced_system(cfg, rng=np.random.default_rng(0)).model
+    fns = [product_of_coordinates(i, j)
+           for i, j in ((0, 1), (0, 4), (2, 5), (1, 3))]
+
+    def variation(model):
+        return poisson_descent_check(model, full, fns, n_samples=20, n_group=5,
+                                     rng=np.random.default_rng(100))[
+                                         "max_orbit_variation"]
+
+    # upsilon shifted by 1e-9 x0_re in its first component, jac to match
+    shift = np.zeros((6, 8))
+    shift[0, 0] = 1e-9
+    upsilon = model.upsilon
+    broken = dataclasses.replace(model, upsilon=SmoothMapHandle(
+        8, 6, lambda x: upsilon(x) + shift @ x, jac=upsilon.jac + shift))
+    negative = variation(broken)
+    report(11, "bracket of pullbacks orbit variation, quadratic 0.3",
+           variation(model), 1e-14)
+    report(11, "negative control: upsilon + 1e-9 x0_re varies on orbits",
+           negative, 1e-14, ok=negative > 1e-14)

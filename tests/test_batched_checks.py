@@ -311,7 +311,7 @@ def _nan_past(conn, bound):
 
 def _trivial_connection():
     e = trivial_group().identity
-    quotient = QuotientModel(project=identity_map(4), section=identity_map(4),
+    quotient = QuotientModel(phi=identity_map(4), section=identity_map(4),
                              action=trivial_action(4),
                              sample=sample_configuration)
     return DiscreteConnection(quotient=quotient, ad_form=lambda q0, q1: e,

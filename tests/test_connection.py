@@ -90,7 +90,7 @@ def test_horizontal_lift_example(t2_conn):
 def test_lift_of_own_base_point(t2_conn, rng):
     for _ in range(20):
         q = sample_configuration(rng)
-        r = t2_conn.quotient.project(q)
+        r = t2_conn.quotient.phi(q)
         assert np.max(np.abs(horizontal_lift(t2_conn, q, r) - q)) < TOL
 
 
@@ -114,7 +114,7 @@ def test_lift_then_ad_is_identity(t2_conn, rng):
         r1 = rng.uniform(-2, 2, 2)
         q1 = horizontal_lift(t2_conn, q0, r1)
         assert np.max(np.abs(ad(t2_conn, q0, q1))) < TOL
-        assert np.max(np.abs(t2_conn.quotient.project(q1) - r1)) < TOL
+        assert np.max(np.abs(t2_conn.quotient.phi(q1) - r1)) < TOL
 
 
 def test_hor_membership_iff_trivial_form(t2_conn, rng):
@@ -239,7 +239,7 @@ def test_phi_psi_roundtrip(t2_conn, rng):
     for _ in range(200):
         q0, q1 = sample_configuration(rng), sample_configuration(rng)
         w = ad(t2_conn, q0, q1)
-        r1 = t2_conn.quotient.project(q1)
+        r1 = t2_conn.quotient.phi(q1)
         back = t2_conn.quotient.action.act(w, horizontal_lift(t2_conn, q0, r1))
         assert np.max(np.abs(back - q1)) < TOL
 
@@ -262,10 +262,10 @@ def test_every_shipped_connection_lift_form_consistency(name, conn):
     for _ in range(200):
         q0 = conn.quotient.sample(rng)
         q1 = conn.quotient.sample(rng)
-        r1 = conn.quotient.project(q1)
+        r1 = conn.quotient.phi(q1)
         lift = horizontal_lift(conn, q0, r1)
         assert np.max(np.abs(ad(conn, q0, lift) - e)) < TOL, name
-        assert np.max(np.abs(conn.quotient.project(lift) - r1)) < TOL, name
+        assert np.max(np.abs(conn.quotient.phi(lift) - r1)) < TOL, name
         w = ad(conn, q0, q1)
         back = conn.quotient.action.act(w, lift)
         assert np.max(np.abs(back - q1)) < TOL, name
@@ -277,10 +277,10 @@ def test_quotient_model_invariants(t2_conn, rng):
     for _ in range(100):
         q = sample_configuration(rng)
         g = sample_group(quotient.action.group, rng)
-        assert np.max(np.abs(quotient.project(quotient.action.act(g, q))
-                             - quotient.project(q))) < TOL
+        assert np.max(np.abs(quotient.phi(quotient.action.act(g, q))
+                             - quotient.phi(q))) < TOL
         r = rng.uniform(-2, 2, 2)
-        assert np.max(np.abs(quotient.project(quotient.section(r)) - r)) < TOL
+        assert np.max(np.abs(quotient.phi(quotient.section(r)) - r)) < TOL
 
 
 def test_flat_t2_connection_full_group_equivariance(flat_conn, rng):

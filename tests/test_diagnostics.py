@@ -374,6 +374,16 @@ def test_poisson_descent_two_body(full_system, reduced):
     assert rep["max_orbit_variation"] <= 1e-6
 
 
+@pytest.mark.parametrize("n_fns", [0, 1])
+def test_poisson_descent_needs_a_pair_of_functions(full_system, reduced, n_fns):
+    """With fewer than two test functions there is no bracket to vary: a
+    ValueError, not a vacuous 0.0 (one function) or numpy's error (none)."""
+    fns = [SmoothMapHandle(6, 1, lambda y: y[:1])] * n_fns
+    with pytest.raises(ValueError, match="at least 2 test functions"):
+        poisson_descent_check(reduced.model, full_system, fns, n_samples=3,
+                              rng=np.random.default_rng(5))
+
+
 @pytest.mark.parametrize("counts", [(0, 5), (3, 0), (-1, 5)])
 def test_poisson_descent_rejects_empty_counts(full_system, reduced, counts):
     """No sample or no group element would read as a vacuous 0.0 pass."""

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 from dlpsim import reduction
 from dlpsim.connection import DiscreteConnection, QuotientModel
-from dlpsim.dlps import del_residual, simulate, step
+from dlpsim.dlps import DiscretePath, del_residual, simulate, step
 from dlpsim.errors import MatchingError, ValidationError
 from dlpsim.example_se2 import (TwoBodyConfig, closed_form_reduced_step,
                                 make_full_system, make_reduced_system,
-                                make_se2_connection, make_t2_connection,
-                                potential_handle,
-                                sample_annulus, sample_configuration,
-                                sample_cprime)
+                                make_residual_u1_action, make_se2_connection,
+                                make_t2_connection, make_t2_quotient,
+                                make_u1_connection, potential_handle,
+                                residual_u1_fiber_chart,
+                                residual_u1_fiber_section, sample_annulus,
+                                sample_configuration, sample_cprime)
 from dlpsim.lie import (sample_group, se2_two_point_action, t2_group,
                         t2_two_point_action)
 from dlpsim.reduction import (ROUNDTRIP_TOL, SYMMETRY_TOLS, VALIDATION_DRAWS,
@@ -29,7 +31,8 @@ from dlpsim.reduction import (ROUNDTRIP_TOL, SYMMETRY_TOLS, VALIDATION_DRAWS,
                               two_stage)
 from dlpsim.smooth import (SmoothMapHandle, directional_derivative,
                            gradient_fd5, identity_map, jacobian_fd)
-from oracles import conjugate, trivial_action, trivial_group, trivial_reduction
+from oracles import (conjugate, exact_two_body_path, trivial_action,
+                     trivial_group, trivial_reduction)
 from test_connection import make_weighted_t2_connection
 
 SQRT2 = np.sqrt(2.0)
@@ -802,7 +805,7 @@ def test_two_stage_h_trivial(staged, full_start):
     triv = trivial_reduction(staged.sys, sample_cprime,
                              rng=np.random.default_rng(6))
     e = trivial_group().identity
-    quotient = QuotientModel(project=identity_map(4), section=identity_map(4),
+    quotient = QuotientModel(phi=identity_map(4), section=identity_map(4),
                              action=trivial_action(4),
                              sample=sample_configuration)
     conn_e = DiscreteConnection(quotient=quotient, ad_form=lambda q0, q1: e,
@@ -815,6 +818,69 @@ def test_two_stage_h_trivial(staged, full_start):
                           conjugate_in_full=lambda g, h: h,
                           rng=np.random.default_rng(11235))
     assert report["stage_comparison_max"] <= 1e-10
+
+
+def _axis_weighted_t2_connection(weights):
+    """A T2 connection whose horizontal pairs keep W x + (1 - W) y, the
+    weights W applying to the real and imaginary axes. It is a connection
+    for any W, and conjugation-equivariant under rotations only when the
+    two weights agree (0.5 each gives the shipped formula)."""
+    W = np.array(weights)
+
+    def ad_form(q0, q1):
+        return W * (q1[:2] - q0[:2]) + (1 - W) * (q1[2:] - q0[2:])
+
+    def hor_lift(q0, r1):
+        y1 = W * q0[:2] + (1 - W) * q0[2:] - W * SQRT2 * r1
+        return np.concatenate([y1 + SQRT2 * r1, y1])
+
+    return DiscreteConnection(quotient=make_t2_quotient(), ad_form=ad_form,
+                              hor_lift=hor_lift)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.8), (0.5, 0.5)],
+                         ids=["unequal", "equal"])
+def test_stage_two_needs_a_conjugation_equivariant_connection(
+        staged, full_system, full_start, weights):
+    """Stage one builds and reduces with the axis-weighted T2 connection
+    whatever its weights, but reduction by stages needs it to be
+    conjugation-equivariant under SE(2). With weights (0.5, 0.8) both
+    checks of that hypothesis fire: ``two_stage``'s conjugation check
+    (1.47) and, through the shipped stage-two charts and residual action,
+    the Lagrangian invariance ``reduce`` checks at stage two (40.2). With
+    equal weights neither does, and the stages match one-shot reduction."""
+    conn = _axis_weighted_t2_connection(weights)
+    model_h = build_upsilon(conn, full_system.bundle, _t2_chart, _t2_section,
+                            action_e=t2_two_point_action(),
+                            sample_cprime=sample_cprime,
+                            rng=np.random.default_rng(0))
+    stage_h = reduce(full_system, model_h, rng=np.random.default_rng(1))
+    model_gh = build_upsilon(
+        make_u1_connection(), stage_h.system.bundle, residual_u1_fiber_chart,
+        residual_u1_fiber_section, action_e=make_residual_u1_action(),
+        sample_cprime=lambda r: model_h.upsilon(sample_cprime(r)),
+        rng=np.random.default_rng(4))
+
+    def stages(stage_gh):
+        return two_stage(full_system, stage_h, stage_gh, staged.one_shot,
+                         simulate(full_system, *full_start, 5), conn_h=conn,
+                         full_group_action=staged.action_g,
+                         conjugate_in_full=staged.conjugate_in_g,
+                         rng=np.random.default_rng(3))
+
+    if weights[0] == weights[1]:
+        report, _ = stages(reduce(stage_h.system, model_gh,
+                                  rng=np.random.default_rng(5)))
+        assert report["stage_comparison_max"] <= 1e-10
+        return
+    for run, identity in (
+            (lambda: stages(staged.stage_gh),
+             "subgroup connection conjugation-equivariance"),
+            (lambda: reduce(stage_h.system, model_gh, rng=np.random.default_rng(5)),
+             "lagrangian G-invariance")):
+        with pytest.raises(ValidationError) as err:
+            run()
+        assert err.value.identity == identity and err.value.violation >= 1.0
 
 
 def test_connection_independence(body_cfg, full_system, reduced, full_start,
@@ -838,6 +904,26 @@ def test_connection_independence(body_cfg, full_system, reduced, full_start,
                                     - np.concatenate(q))))
                 for p, q in zip(traj1.pairs, traj2.pairs))
     assert worst <= TRAJ_TOL
+
+
+#: The T2-reduced flow against the projection of the exact discrete
+#: solution (``tests/oracles.py``), 2,000 steps from the README start. The
+#: bound is set from the largest error over the run, measured in float64:
+#: README (linear 0.5) 2.6e-14, zero potential 4.8e-11, margins 7.8x and
+#: 10x.
+@pytest.mark.parametrize("name, coeff, bound", [("linear", 0.5, 2e-13),
+                                                ("zero", 0.0, 5e-10)],
+                         ids=["readme", "zero"])
+def test_reduced_flow_matches_the_projected_exact_solution(full_start, name,
+                                                           coeff, bound):
+    """The reduced step, started from the projection of the exact
+    solution's first pair, stays on the projection of every later pair."""
+    cfg = TwoBodyConfig(potential=potential_handle(name, coeff))
+    red = make_reduced_system(cfg, rng=np.random.default_rng(1))
+    exact = project_path(red.model, DiscretePath(
+        exact_two_body_path(*full_start, 2000, cfg.h, coeff), 4))
+    path = simulate(red.system, *exact[0], 2000)
+    assert np.max(np.abs(path.points - exact.points)) <= bound
 
 
 def _split(y):

@@ -225,19 +225,19 @@ def _closures(fiber_maps):
         ("t2.ad_form", c_t2.ad_form,
          lambda q0, q1: 0.5 * ((q1[:2] + q1[2:]) - (q0[:2] + q0[2:])), (4, 4)),
         ("t2.hor_lift", c_t2.hor_lift, t2_hor_lift, (4, 2)),
-        ("t2.project", c_t2.quotient.project.eval, lambda q: _sep(q) / SQRT2, (4,)),
+        ("t2.project", c_t2.quotient.phi.eval, lambda q: _sep(q) / SQRT2, (4,)),
         ("t2.section", c_t2.quotient.section.eval,
          lambda r: np.concatenate([r, -r]) / SQRT2, (2,)),
         ("se2.ad_form", c_se2.ad_form, se2_ad_form, (4, 4)),
         ("se2.hor_lift", c_se2.hor_lift, se2_hor_lift, (4, 1)),
-        ("se2.project", c_se2.quotient.project.eval,
+        ("se2.project", c_se2.quotient.phi.eval,
          lambda q: np.array([float(np.hypot(*_sep(q))) / SQRT2]), (4,)),
         ("se2.section", c_se2.quotient.section.eval,
          lambda rho: np.array([rho[0], 0.0, -rho[0], 0.0]) / SQRT2, (1,)),
         ("u1.ad_form", c_u1.ad_form, lambda r0, r1: _phase(_cmul(r1, _cconj(r0))), (2, 2)),
         ("u1.hor_lift", c_u1.hor_lift, lambda r0, rho1: float(rho1[0]) * _phase(r0),
          (2, 1)),
-        ("u1.project", c_u1.quotient.project.eval,
+        ("u1.project", c_u1.quotient.phi.eval,
          lambda r: np.array([float(np.hypot(*r))]), (2,)),
         ("u1.section", c_u1.quotient.section.eval,
          lambda rho: np.array([rho[0], 0.0]), (1,)),

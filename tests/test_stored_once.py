@@ -1,6 +1,6 @@
 """Each fact about a system is stored once: the chaining map is
 ``ivcm_matrix`` alone, and a bundle's or a quotient's dimensions are those
-of its ``phi`` or ``project``."""
+of its ``phi``."""
 
 import dataclasses
 
@@ -106,13 +106,13 @@ def test_bundle_dimensions_follow_phi(full_system, reduced):
 @pytest.mark.parametrize("make", [make_t2_quotient, make_se2_quotient,
                                   make_u1_base_quotient])
 def test_quotient_dimensions_follow_project(make):
-    """A quotient's dimensions are those of ``project``, also after a
+    """A quotient's dimensions are those of ``phi``, also after a
     ``dataclasses.replace`` of it."""
     quotient = make()
     assert (quotient.total_dim, quotient.base_dim) == (
-        quotient.project.in_dim, quotient.project.out_dim)
-    project = SmoothMapHandle(6, 2, lambda q: q[:2])
-    moved = dataclasses.replace(quotient, project=project)
+        quotient.phi.in_dim, quotient.phi.out_dim)
+    phi = SmoothMapHandle(6, 2, lambda q: q[:2])
+    moved = dataclasses.replace(quotient, phi=phi)
     assert (moved.total_dim, moved.base_dim) == (6, 2)
     with pytest.raises(TypeError):
         dataclasses.replace(quotient, base_dim=3)
