@@ -42,16 +42,20 @@ _SEPARATION_FLOOR = 1e-12
 def potential_handle(name: str, coeff: float = 1.0) -> SmoothMapHandle:
     """Named potential families V(s), s the squared separation, with
     their closed-form V' (``jac``) and V'' (``hess``), each a constant
-    array where it is constant."""
-    if name == "zero":
-        return SmoothMapHandle(1, 1, lambda s: np.zeros(1), jac=np.zeros((1, 1)),
-                               hess=np.zeros((1, 1)))
-    if name == "linear":
-        return SmoothMapHandle(1, 1, lambda s: coeff * s,
-                               jac=np.array([[coeff]]), hess=np.zeros((1, 1)))
+    array where it is constant. ``zero`` is ``linear`` at coefficient 0
+    (its ``coeff`` is ignored). Each computes on the Python float s[0],
+    so an infinite s gives inf or NaN without a warning."""
+    if name in ("zero", "linear"):
+        c = 0.0 if name == "zero" else coeff
+        return SmoothMapHandle(1, 1, lambda s: np.array([c * float(s[0])]),
+                               jac=np.array([[c]]), hess=np.zeros((1, 1)))
     if name == "quadratic":
-        return SmoothMapHandle(1, 1, lambda s: coeff * s ** 2,
-                               jac=lambda s: np.array([[2.0 * coeff * s[0]]]),
+        def V(s):
+            s0 = float(s[0])
+            return np.array([coeff * (s0 * s0)])
+
+        return SmoothMapHandle(1, 1, V,
+                               jac=lambda s: np.array([[2.0 * coeff * float(s[0])]]),
                                hess=np.array([[2.0 * coeff]]))
     raise ValueError(f"unknown potential family '{name}'")
 
@@ -71,17 +75,9 @@ class TwoBodyConfig:
         return float(self.potential(np.array([s]))[0])
 
     def v_prime(self, s: float) -> float:
-        """V'(s): the constant array's entry when V' is one."""
-        jac = self.potential.jac
-        if isinstance(jac, np.ndarray):
-            return float(jac[0, 0])
         return float(self.potential.jacobian(np.array([float(s)]))[0, 0])
 
     def v_second(self, s: float) -> float:
-        """V''(s): the constant array's entry when V'' is one."""
-        hess = self.potential.hess
-        if isinstance(hess, np.ndarray):
-            return float(hess[0, 0])
         return float(self.potential.hessian(np.array([float(s)]))[0, 0])
 
 
@@ -119,31 +115,37 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
     which beats a second-order V', and the Newton Jacobian to central
     differences.
 
-    L, its gradient and its Hessian read the row once with ``.tolist()``
-    and compute on Python floats, bit-identical to the numpy formulas
-    over q0 = x[:4], q1 = x[4:]: the squared lengths |q1^x - q0^x|^2,
-    |q1^y - q0^y|^2 and |q0^x - q0^y|^2 keep numpy's length-2 ``@``
-    (``_norm2``), and the Hessian's potential block is, entry by entry,
-    ``kin_ij - h*((2 V'')*(u_i*u_j) + V'*S_ij)`` with u = (sep, -sep)
-    and S = ``_SEPARATION_HESS``. Each raises DomainError when either
+    L and its gradient read the row once with ``.tolist()`` and compute
+    on Python floats, bit-identical to the numpy formulas over q0 =
+    x[:4], q1 = x[4:]: the squared lengths |q1^x - q0^x|^2, |q1^y -
+    q0^y|^2 and |q0^x - q0^y|^2 keep numpy's length-2 ``@``
+    (``_norm2``). Each kernel raises DomainError when either
     configuration is on the excised diagonal.
 
-    A constant V' (an array ``jac`` on the potential: ``zero``,
-    ``linear``) is read once, here: the gradient kernel then takes no
-    squared separation, which only a varying V' (``quadratic``) reads.
-    When V' is a constant array and V'' the zero array, L is quadratic
-    and its ``hess`` is the constant array ``kin - h*(V'*S)`` on the q0
-    block instead of that kernel: ``step`` and ``reduction.reduce`` then
-    form their Newton matrices once. For h > 0 it equals the kernel's value bit for bit
-    on every row the kernel accepts (for h < 0 a zero entry may differ
-    in sign); being data, it does not check the row.
+    The Hessian is one expression on Python floats: the kinetic Hessian
+    with the q0 block ``kin_ij - h*(a*(u_i*u_j) + V'*S_ij)``, S =
+    ``_SEPARATION_HESS``. The kernel evaluates it at the row's squared
+    separation s with a = 2 V''(s) and u = (sep, -sep). When V' is a
+    constant array and V'' the zero array (``zero``, ``linear``), L is
+    quadratic and its ``hess`` is the same expression, evaluated once
+    here with a = 0 and u = 0: ``step`` and ``reduction.reduce`` then form
+    their Newton matrices once. Being data, it does not check the row.
+    It equals the kernel's value on every row the kernel accepts, bit
+    for bit for h > 0; for h < 0 only the sign of a zero entry may differ.
+
+    A constant V' (an array ``jac`` on the potential) is read once, here:
+    the gradient kernel then takes no squared separation, which only a
+    varying V' (``quadratic``) reads.
     """
     h = cfg.h
     kinetic = _kinetic_hessian(4, h)
-    # (i, j, kin_ij, S_ij) on and above the diagonal of the potential
-    # block, which is symmetric bit for bit since u_i*u_j == u_j*u_i.
-    upper = [(i, j, float(kinetic[i, j]), float(_SEPARATION_HESS[i, j]))
-             for i in range(4) for j in range(i, 4)]
+    kin, S = kinetic.tolist(), _SEPARATION_HESS.tolist()
+
+    def hessian(a, vp, u):
+        H = kinetic.copy()
+        H[:4, :4] = [[kin[i][j] - h * (a * (u[i] * u[j]) + vp * S[i][j])
+                      for j in range(4)] for i in range(4)]
+        return H
 
     def row(x):
         """The row's eight floats, both configurations checked."""
@@ -173,22 +175,12 @@ def make_full_system(cfg: TwoBodyConfig) -> DlpsSystem:
         x0, x1, x2, x3 = row(x)[:4]
         s0, s1 = x0 - x2, x1 - x3
         s = _norm2(s0, s1)
-        a = 2.0 * cfg.v_second(s)
-        vp = cfg.v_prime(s)
-        u = (s0, s1, -s0, -s1)
-        block = [[0.0] * 4 for _ in range(4)]
-        for i, j, k, S in upper:
-            block[i][j] = block[j][i] = k - h * (a * (u[i] * u[j]) + vp * S)
-        H = kinetic.copy()
-        H[:4, :4] = block
-        return H
+        return hessian(2.0 * cfg.v_second(s), cfg.v_prime(s), (s0, s1, -s0, -s1))
 
     jac = dL if V1 is not None else None
     hess = d2L if jac is not None and V2 is not None else None
-    if (isinstance(V1, np.ndarray) and isinstance(V2, np.ndarray)
-            and not V2.any()):
-        hess = kinetic.copy()
-        hess[:4, :4] -= h * (float(V1[0, 0]) * _SEPARATION_HESS)
+    if h_vp is not None and isinstance(V2, np.ndarray) and not V2.any():
+        hess = hessian(0.0, float(V1[0, 0]), (0.0,) * 4)
     return from_dms(4, SmoothMapHandle(8, 1, L, jac=jac, hess=hess))
 
 

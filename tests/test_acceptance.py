@@ -112,7 +112,18 @@ def test_criterion_3_reconstruction(full_start):
            worst, 1e-8)
 
 
-def test_criterion_4_two_stage(staged, full_traj):
+@pytest.fixture(scope="module")
+def staged_projections(staged, full_traj):
+    """(label, system, projected path) for the twice-reduced and the
+    one-shot system, the README trajectory projected onto each."""
+    twice = project_path(staged.stage_gh.model,
+                         project_path(staged.stage_h.model, full_traj))
+    once = project_path(staged.one_shot.model, full_traj)
+    return (("twice-reduced", staged.stage_gh.system, twice),
+            ("one-shot", staged.one_shot.system, once))
+
+
+def test_criterion_4_two_stage(staged, full_traj, staged_projections):
     rep, _ = two_stage(staged.sys, staged.stage_h, staged.stage_gh,
                        staged.one_shot, full_traj, conn_h=staged.conn_h,
                        full_group_action=staged.action_g,
@@ -122,12 +133,7 @@ def test_criterion_4_two_stage(staged, full_traj):
            rep["stage_comparison_max"], 1e-8)
     # Each staged system, stepped from the projected trajectory, stays on
     # it: the twice-reduced step exercises the generic chaining map.
-    twice = project_path(staged.stage_gh.model,
-                         project_path(staged.stage_h.model, full_traj))
-    once = project_path(staged.one_shot.model, full_traj)
-    for label, system, projected in (
-            ("twice-reduced", staged.stage_gh.system, twice),
-            ("one-shot", staged.one_shot.system, once)):
+    for label, system, projected in staged_projections:
         stepped = simulate(system, *projected[0], 5)
         report(4, f"{label} steps vs projection (5 steps)", float(np.max(
             np.abs(stepped.points - projected.points[:6]))), 1e-10)
@@ -202,7 +208,8 @@ def test_criterion_7_symplecticity(full_system, full_start):
            rep_body["max_violation"], 1e-6)
 
 
-def test_criterion_8_variational_principle(full_system, reduced, full_start):
+def test_criterion_8_variational_principle(full_system, reduced, full_start,
+                                           staged_projections):
     rng = np.random.default_rng(80)
     systems = [
         ("free particle", free_particle_dms(dim=2, h=0.5),
@@ -223,6 +230,19 @@ def test_criterion_8_variational_principle(full_system, reduced, full_start):
             worst = max(worst, abs(action_derivative(sys, traj, var)))
     report(8, "dS along 20 random fixed-endpoint variations, 4 systems",
            worst, 1e-6)
+    # The staged systems' chaining maps depend on the point, so their
+    # variations carry a chaining term at every interior index.
+    rng = np.random.default_rng(81)
+    for label, system, projected in staged_projections:
+        traj = simulate(system, *projected[0], 5)
+        worst = 0.0
+        for _ in range(20):
+            tilde = [rng.standard_normal(system.bundle.total_dim)
+                     for _ in range(len(traj) - 1)]
+            var = build_fixed_endpoint_variation(system, traj, tilde)
+            worst = max(worst, abs(action_derivative(system, traj, var)))
+        report(8, f"dS along 20 random fixed-endpoint variations, {label} "
+               "(5 steps)", worst, 1e-6)
 
 
 def test_criterion_9_morphism_checker(full_system, reduced):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from dlpsim import diagnostics
 from dlpsim.diagnostics import (bracket_of_pullbacks, momentum,
                                 momentum_evolution_check,
                                 poisson_descent_check, symplectic_check)
-from dlpsim.dlps import (d1_lagrangian, free_particle_dms, from_dms,
-                         harmonic_oscillator_dms, make_path, simulate, step)
+from dlpsim.dlps import (_kinetic_hessian, d1_lagrangian, free_particle_dms,
+                         from_dms, harmonic_oscillator_dms, make_path,
+                         simulate, step)
 from dlpsim.errors import RegularityError
 from dlpsim.example_se2 import (TwoBodyConfig, make_full_system,
                                 potential_handle, sample_configuration,
@@ -352,8 +354,29 @@ def test_bracket_trivial_group_canonical_oracle():
     assert abs(val - 1.0) < 1e-6
 
 
+def skew_coupled_dms(h=1.0, b=0.5):
+    """L = |q1 - q0|^2/(2h) + b q0[0] q1[1] on R^2 with closed-form
+    gradient and Hessian: a DMS whose mixed partial D12 = -I/h + b e_0 e_1^T
+    is not symmetric."""
+    hess = _kinetic_hessian(2, h)
+    hess[0, 3] = hess[3, 0] = b
+
+    def L(x):
+        d = x[2:] - x[:2]
+        return np.array([float(d @ d) / (2.0 * h) + b * x[0] * x[3]])
+
+    def dL(x):
+        v = (x[2:] - x[:2]) / h
+        return np.concatenate([-v + [b * x[3], 0.0], v + [0.0, b * x[0]]])
+
+    return from_dms(2, SmoothMapHandle(4, 1, L, jac=dL, hess=hess))
+
+
 def test_bracket_two_routes_agree(full_system, reduced, rng):
-    """Two-form inverse route vs Legendre-chart route."""
+    """Two-form inverse route vs Legendre-chart route: on the two-body
+    system through its T2 model, and on ``skew_coupled_dms`` through the
+    identity reduction, whose non-symmetric D12 pins the orientation of
+    the two-form's inverse (solving with D12^T moves {y1, y2} = 0.5 by 0.5)."""
     fns = [SmoothMapHandle(6, 1, lambda y, i=i: y[i:i + 1]) for i in (0, 2, 4)]
     for _ in range(3):
         x = sample_cprime(rng)
@@ -362,6 +385,18 @@ def test_bracket_two_routes_agree(full_system, reduced, rng):
                                         fns[i], fns[j], x)
             slow = bracket_via_legendre_chart(full_system, reduced.model,
                                               fns[i], fns[j], x)
+            assert abs(fast - slow) < 1e-6
+    skew = skew_coupled_dms()
+    model = trivial_reduction(skew, lambda r: r.uniform(-1.0, 1.0, 4),
+                              rng=np.random.default_rng(1)).model
+    coords = [SmoothMapHandle(4, 1, lambda y, i=i: y[i:i + 1], jac=np.eye(4)[i:i + 1])
+              for i in range(4)]
+    x_rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = x_rng.uniform(-1.0, 1.0, 4)
+        for f, g in itertools.combinations(coords, 2):
+            fast = bracket_of_pullbacks(skew, model, f, g, x)
+            slow = bracket_via_legendre_chart(skew, model, f, g, x)
             assert abs(fast - slow) < 1e-6
 
 

@@ -484,6 +484,24 @@ def test_lagrangian_gradient_infinite_entry_gives_nan_silently():
     assert np.array_equal(out[~np.isnan(out)], ref[~np.isnan(ref)])
 
 
+@pytest.mark.parametrize("name, coeff", POTENTIALS + [("linear", 0.0)])
+def test_infinite_entry_is_silent_for_every_named_potential(name, coeff):
+    """On a row with an infinite coordinate the value and the Hessian
+    kernel are not finite, and nothing warns: ``linear 0.0`` included,
+    whose value is ``0 * inf``. A constant V' reaches the kernel through
+    a callable ``jac``."""
+    V = potential_handle(name, coeff)
+    if isinstance(V.jac, np.ndarray):
+        V = dataclasses.replace(V, jac=lambda s, J=V.jac: J)
+    L = make_full_system(TwoBodyConfig(potential=V)).lagrangian
+    assert callable(L.hess)
+    x = np.array([np.inf, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(L(x)).all()
+        assert not np.isfinite(L.hessian(x)).all()
+
+
 def test_potential_without_hess_leaves_no_lagrangian_hess():
     """A potential with V' but no V'' gives the gradient kernel only."""
     potential = SmoothMapHandle(1, 1, lambda s: 0.5 * s, jac=np.array([[0.5]]))
